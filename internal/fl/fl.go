@@ -135,7 +135,7 @@ func train(factory model.Factory, clients []*dataset.Dataset, cfg Config, wantTr
 func fedAvg(global model.Parametric, clients []*dataset.Dataset, cfg Config, wantTrace bool) (model.Model, *Trace) {
 	n := len(clients)
 	weights := aggregationWeights(clients, cfg.WeightBySize)
-	var participants []int
+	participants := make([]int, 0, n)
 	for i, w := range weights {
 		if w > 0 {
 			participants = append(participants, i)
@@ -156,36 +156,47 @@ func fedAvg(global model.Parametric, clients []*dataset.Dataset, cfg Config, wan
 	if workers < 1 {
 		workers = 1
 	}
-	// One local model per pool slot, reused across clients and rounds:
-	// SetParams fully overwrites the trainable state, so reuse changes
-	// nothing numerically while dropping a Clone per client per round.
-	locals := make([]model.Parametric, workers)
-	for w := range locals {
-		locals[w] = global.Clone().(model.Parametric)
+	// One local model and one RNG per pool slot, reused across clients and
+	// rounds: SetParams fully overwrites the trainable state and Seed
+	// restarts the stream a fresh rand.NewSource would give, so reuse
+	// changes nothing numerically while dropping a Clone and a 5 KB source
+	// per client per round.
+	type slot struct {
+		local model.Parametric
+		rng   *rand.Rand
+	}
+	slots := make([]slot, workers)
+	for w := range slots {
+		slots[w] = slot{global.Clone().(model.Parametric), rand.New(rand.NewSource(0))}
 	}
 
 	params := global.Params()
+	// deltas[i] is client i's update buffer, agg the round's aggregate;
+	// both live across rounds, so outside trace mode a round allocates
+	// nothing. A trace keeps each round's updates, so there the buffer is
+	// handed over and the next round appends to nil.
+	deltas := make([]tensor.Vector, n)
+	agg := tensor.NewVector(len(params))
 	// trainClient runs client i's local update for one round against the
-	// round-start parameters (read-only here) and returns its delta.
-	// Per-client, per-round deterministic shuffling keeps every update
-	// independent of scheduling order.
-	trainClient := func(local model.Parametric, round, i int) tensor.Vector {
-		local.SetParams(params)
-		rng := rand.New(rand.NewSource(cfg.Seed + int64(round)*1009 + int64(i)*9176))
+	// round-start parameters (read-only here) and leaves its delta in
+	// deltas[i]. Per-client, per-round deterministic shuffling keeps every
+	// update independent of scheduling order.
+	trainClient := func(s slot, round, i int) {
+		s.local.SetParams(params)
+		s.rng.Seed(cfg.Seed + int64(round)*1009 + int64(i)*9176)
 		for e := 0; e < cfg.LocalEpochs; e++ {
-			local.TrainEpoch(clients[i], cfg.LR, rng)
+			s.local.TrainEpoch(clients[i], cfg.LR, s.rng)
 		}
-		delta := local.Params()
+		delta := s.local.AppendParams(deltas[i][:0])
 		delta.AddScaled(-1, params) // delta = local - global
 		if cfg.Algorithm == FedProx && cfg.ProxMu > 0 {
 			// Proximal step: shrink the local deviation toward the
 			// global model by the closed-form factor 1/(1+μ).
 			delta.Scale(1 / (1 + cfg.ProxMu))
 		}
-		return delta
+		deltas[i] = delta
 	}
 
-	deltas := make([]tensor.Vector, n)
 	for round := 0; round < cfg.Rounds; round++ {
 		var rt RoundTrace
 		if wantTrace {
@@ -200,14 +211,17 @@ func fedAvg(global model.Parametric, clients []*dataset.Dataset, cfg Config, wan
 		if workers > 1 {
 			var wg sync.WaitGroup
 			work := make(chan int)
-			for w := 0; w < workers; w++ {
+			for _, s := range slots {
 				wg.Add(1)
-				go func(local model.Parametric) {
+				// round is passed, not captured: a captured loop
+				// variable is heap-allocated once per iteration even
+				// when this branch never runs.
+				go func(s slot, round int) {
 					defer wg.Done()
 					for i := range work {
-						deltas[i] = trainClient(local, round, i)
+						trainClient(s, round, i)
 					}
-				}(locals[w])
+				}(s, round)
 			}
 			for _, i := range participants {
 				work <- i
@@ -216,19 +230,18 @@ func fedAvg(global model.Parametric, clients []*dataset.Dataset, cfg Config, wan
 			wg.Wait()
 		} else {
 			for _, i := range participants {
-				deltas[i] = trainClient(locals[0], round, i)
+				trainClient(slots[0], round, i)
 			}
 		}
 		// ...and the reduction is sequential in fixed client order, so the
 		// floating-point aggregation sequence — and hence the trained
 		// model — is bit-identical to serial execution.
-		agg := tensor.NewVector(len(params))
+		agg.Fill(0)
 		for _, i := range participants {
 			agg.AddScaled(weights[i], deltas[i])
 			if wantTrace {
-				rt.Updates[i] = deltas[i]
+				rt.Updates[i], deltas[i] = deltas[i], nil
 			}
-			deltas[i] = nil
 		}
 		params.AddScaled(1, agg)
 		if wantTrace {

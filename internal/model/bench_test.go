@@ -42,6 +42,8 @@ func BenchmarkTrainEpoch(b *testing.B) {
 	}{
 		{"logreg", NewLogReg(24, 4, 1), ds},
 		{"mlp", NewMLP(24, 16, 4, 1), ds},
+		// One client of the repository's benchmark workloads.
+		{"mlp-100x32x10", NewMLP(100, 32, 10, 1), benchData(120, 100, 10, 1)},
 		{"deepmlp", NewDeepMLP([]int{24, 12, 8, 4}, 1), ds},
 		{"cnn", NewCNN(8, 8, 4, 4, 1), img},
 	}
@@ -74,12 +76,17 @@ func BenchmarkAccuracy(b *testing.B) {
 	models := []struct {
 		name string
 		m    Model
-	}{{"mlp", mlp}, {"xgb", xgb}}
+		data *dataset.Dataset
+	}{
+		{"mlp", mlp, ds},
+		{"xgb", xgb, ds},
+		{"mlp-100x32x10", NewMLP(100, 32, 10, 1), benchData(120, 100, 10, 1)},
+	}
 	for _, tc := range models {
 		b.Run(tc.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				Accuracy(tc.m, ds)
+				Accuracy(tc.m, tc.data)
 			}
 		})
 	}

@@ -2,6 +2,7 @@ package model
 
 import (
 	"math/rand"
+	"slices"
 
 	"fedshap/internal/dataset"
 	"fedshap/internal/tensor"
@@ -147,13 +148,15 @@ func (m *CNN) NumParams() int {
 }
 
 // Params returns the flattened [K, KB, W, B].
-func (m *CNN) Params() tensor.Vector {
-	p := make(tensor.Vector, 0, m.NumParams())
-	p = append(p, m.K.Data...)
-	p = append(p, m.KB...)
-	p = append(p, m.W.Data...)
-	p = append(p, m.B...)
-	return p
+func (m *CNN) Params() tensor.Vector { return m.AppendParams(nil) }
+
+// AppendParams appends the flattened [K, KB, W, B] to dst.
+func (m *CNN) AppendParams(dst tensor.Vector) tensor.Vector {
+	dst = slices.Grow(dst, m.NumParams())
+	dst = append(dst, m.K.Data...)
+	dst = append(dst, m.KB...)
+	dst = append(dst, m.W.Data...)
+	return append(dst, m.B...)
 }
 
 // SetParams restores parameters from a flat vector.
@@ -173,26 +176,12 @@ func (m *CNN) TrainEpoch(ds *dataset.Dataset, lr float64, rng *rand.Rand) {
 	m.perm = permInto(rng, ds.Len(), m.perm)
 	for _, i := range m.perm {
 		x := ds.X.Row(i)
-		probs := m.forward(x)
-		y := ds.Y[i]
-
-		// Dense head gradient and backprop into pooled features.
-		m.dPool.Fill(0)
-		for c := 0; c < m.Classes; c++ {
-			g := probs[c]
-			if c == y {
-				g -= 1
-			}
-			if g == 0 {
-				continue
-			}
-			row := m.W.Row(c)
-			for j, wj := range row {
-				m.dPool[j] += g * wj
-			}
-			m.B[c] -= lr * g
-			row.AddScaled(-lr*g, m.pooled)
-		}
+		// Dense head gradient, and backprop into pooled features (needs W
+		// before its update).
+		g := crossEntropyGrad(m.forward(x), ds.Y[i])
+		m.W.MulVecT(g, m.dPool)
+		m.B.AddScaled(-lr, g)
+		m.W.AddOuterScaled(-lr, g, m.pooled)
 		// Through max-pool (route to argmax) and ReLU gate into kernels.
 		for f := 0; f < m.Filters; f++ {
 			pbase := f * m.poolW * m.poolH

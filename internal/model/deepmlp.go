@@ -2,6 +2,7 @@ package model
 
 import (
 	"math/rand"
+	"slices"
 
 	"fedshap/internal/dataset"
 	"fedshap/internal/tensor"
@@ -101,13 +102,16 @@ func (m *DeepMLP) NumParams() int {
 }
 
 // Params returns the flattened layer parameters in order.
-func (m *DeepMLP) Params() tensor.Vector {
-	p := make(tensor.Vector, 0, m.NumParams())
+func (m *DeepMLP) Params() tensor.Vector { return m.AppendParams(nil) }
+
+// AppendParams appends the flattened layer parameters, in order, to dst.
+func (m *DeepMLP) AppendParams(dst tensor.Vector) tensor.Vector {
+	dst = slices.Grow(dst, m.NumParams())
 	for l := range m.Ws {
-		p = append(p, m.Ws[l].Data...)
-		p = append(p, m.Bs[l]...)
+		dst = append(dst, m.Ws[l].Data...)
+		dst = append(dst, m.Bs[l]...)
 	}
-	return p
+	return dst
 }
 
 // SetParams restores parameters from a flat vector.
@@ -128,17 +132,9 @@ func (m *DeepMLP) TrainEpoch(ds *dataset.Dataset, lr float64, rng *rand.Rand) {
 	m.perm = permInto(rng, ds.Len(), m.perm)
 	for _, i := range m.perm {
 		x := ds.X.Row(i)
-		probs := m.forward(x)
-		y := ds.Y[i]
-
 		// Output gradient wrt logits.
-		g := m.grads[last]
-		for c := range g {
-			g[c] = probs[c]
-			if c == y {
-				g[c] -= 1
-			}
-		}
+		copy(m.grads[last], m.forward(x))
+		crossEntropyGrad(m.grads[last], ds.Y[i])
 		// Backward pass: compute the previous layer's gradient before
 		// updating this layer's weights.
 		for l := last; l >= 0; l-- {
@@ -160,14 +156,8 @@ func (m *DeepMLP) TrainEpoch(ds *dataset.Dataset, lr float64, rng *rand.Rand) {
 				}
 			}
 			// Update layer l.
-			gl := m.grads[l]
-			for r := range gl {
-				if gl[r] == 0 {
-					continue
-				}
-				m.Bs[l][r] -= lr * gl[r]
-				m.Ws[l].Row(r).AddScaled(-lr*gl[r], input)
-			}
+			m.Bs[l].AddScaled(-lr, m.grads[l])
+			m.Ws[l].AddOuterScaled(-lr, m.grads[l], input)
 		}
 	}
 }

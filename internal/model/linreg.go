@@ -2,6 +2,7 @@ package model
 
 import (
 	"math/rand"
+	"slices"
 
 	"fedshap/internal/dataset"
 	"fedshap/internal/tensor"
@@ -37,11 +38,13 @@ func (m *LinReg) Clone() Model {
 func (m *LinReg) NumParams() int { return len(m.W) + 1 }
 
 // Params returns [W..., B].
-func (m *LinReg) Params() tensor.Vector {
-	p := make(tensor.Vector, 0, m.NumParams())
-	p = append(p, m.W...)
-	p = append(p, m.B)
-	return p
+func (m *LinReg) Params() tensor.Vector { return m.AppendParams(nil) }
+
+// AppendParams appends [W..., B] to dst.
+func (m *LinReg) AppendParams(dst tensor.Vector) tensor.Vector {
+	dst = slices.Grow(dst, m.NumParams())
+	dst = append(dst, m.W...)
+	return append(dst, m.B)
 }
 
 // SetParams restores parameters from a flat vector.

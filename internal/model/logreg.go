@@ -2,6 +2,7 @@ package model
 
 import (
 	"math/rand"
+	"slices"
 
 	"fedshap/internal/dataset"
 	"fedshap/internal/tensor"
@@ -71,11 +72,13 @@ func (m *LogReg) Clone() Model {
 func (m *LogReg) NumParams() int { return m.Classes*m.Dim + m.Classes }
 
 // Params returns the flattened [W, B].
-func (m *LogReg) Params() tensor.Vector {
-	p := make(tensor.Vector, 0, m.NumParams())
-	p = append(p, m.W.Data...)
-	p = append(p, m.B...)
-	return p
+func (m *LogReg) Params() tensor.Vector { return m.AppendParams(nil) }
+
+// AppendParams appends the flattened [W, B] to dst.
+func (m *LogReg) AppendParams(dst tensor.Vector) tensor.Vector {
+	dst = slices.Grow(dst, m.NumParams())
+	dst = append(dst, m.W.Data...)
+	return append(dst, m.B...)
 }
 
 // SetParams restores parameters from a flat vector.
@@ -92,24 +95,12 @@ func (m *LogReg) TrainEpoch(ds *dataset.Dataset, lr float64, rng *rand.Rand) {
 	m.perm = permInto(rng, ds.Len(), m.perm)
 	for _, i := range m.perm {
 		x := ds.X.Row(i)
-		probs := m.W.MulVec(x, m.scratch)
-		for c := range probs {
-			probs[c] += m.B[c]
+		g := m.W.MulVec(x, m.scratch)
+		for c := range g {
+			g[c] += m.B[c]
 		}
-		tensor.Softmax(probs, probs)
-		y := ds.Y[i]
-		// Gradient of CE wrt logits: p - onehot(y).
-		for c := 0; c < m.Classes; c++ {
-			g := probs[c]
-			if c == y {
-				g -= 1
-			}
-			if g == 0 {
-				continue
-			}
-			m.B[c] -= lr * g
-			row := m.W.Row(c)
-			row.AddScaled(-lr*g, x)
-		}
+		g = crossEntropyGrad(tensor.Softmax(g, g), ds.Y[i])
+		m.B.AddScaled(-lr, g)
+		m.W.AddOuterScaled(-lr, g, x)
 	}
 }

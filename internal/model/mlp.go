@@ -2,6 +2,7 @@ package model
 
 import (
 	"math/rand"
+	"slices"
 
 	"fedshap/internal/dataset"
 	"fedshap/internal/tensor"
@@ -84,13 +85,15 @@ func (m *MLP) NumParams() int {
 }
 
 // Params returns the flattened [W1, B1, W2, B2].
-func (m *MLP) Params() tensor.Vector {
-	p := make(tensor.Vector, 0, m.NumParams())
-	p = append(p, m.W1.Data...)
-	p = append(p, m.B1...)
-	p = append(p, m.W2.Data...)
-	p = append(p, m.B2...)
-	return p
+func (m *MLP) Params() tensor.Vector { return m.AppendParams(nil) }
+
+// AppendParams appends the flattened [W1, B1, W2, B2] to dst.
+func (m *MLP) AppendParams(dst tensor.Vector) tensor.Vector {
+	dst = slices.Grow(dst, m.NumParams())
+	dst = append(dst, m.W1.Data...)
+	dst = append(dst, m.B1...)
+	dst = append(dst, m.W2.Data...)
+	return append(dst, m.B2...)
 }
 
 // SetParams restores parameters from a flat vector.
@@ -110,39 +113,19 @@ func (m *MLP) TrainEpoch(ds *dataset.Dataset, lr float64, rng *rand.Rand) {
 	m.perm = permInto(rng, ds.Len(), m.perm)
 	for _, i := range m.perm {
 		x := ds.X.Row(i)
-		probs := m.forward(x)
-		y := ds.Y[i]
-
-		// Output layer gradient: dL/dlogit_c = p_c - 1{c==y}.
+		// Output layer gradient dL/dlogit_c = p_c - 1{c==y}.
+		g := crossEntropyGrad(m.forward(x), ds.Y[i])
 		// Backprop into hidden first (needs W2 before its update).
-		m.dh.Fill(0)
-		for c := 0; c < m.Out; c++ {
-			g := probs[c]
-			if c == y {
-				g -= 1
-			}
-			if g == 0 {
-				continue
-			}
-			row := m.W2.Row(c)
-			for j, wj := range row {
-				m.dh[j] += g * wj
-			}
-			// Update output layer.
-			m.B2[c] -= lr * g
-			row.AddScaled(-lr*g, m.h)
-		}
+		m.W2.MulVecT(g, m.dh)
+		m.B2.AddScaled(-lr, g)
+		m.W2.AddOuterScaled(-lr, g, m.h)
 		// Hidden layer: ReLU gate then input-layer update.
-		for j := 0; j < m.Hidden; j++ {
-			if m.h[j] <= 0 {
-				continue // ReLU inactive
+		for j, hj := range m.h {
+			if hj <= 0 {
+				m.dh[j] = 0
 			}
-			g := m.dh[j]
-			if g == 0 {
-				continue
-			}
-			m.B1[j] -= lr * g
-			m.W1.Row(j).AddScaled(-lr*g, x)
 		}
+		m.B1.AddScaled(-lr, m.dh)
+		m.W1.AddOuterScaled(-lr, m.dh, x)
 	}
 }

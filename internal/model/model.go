@@ -40,6 +40,10 @@ type Parametric interface {
 	Model
 	// Params returns a copy of the flattened trainable parameters.
 	Params() tensor.Vector
+	// AppendParams appends the flattened trainable parameters to dst and
+	// returns the extended slice: Params without the allocation when dst
+	// has the capacity, which is how a FedAvg round reads a client back.
+	AppendParams(dst tensor.Vector) tensor.Vector
 	// SetParams overwrites the trainable parameters from a flat vector.
 	SetParams(p tensor.Vector)
 	// NumParams returns the parameter count.
@@ -68,6 +72,17 @@ type Factory func(seed int64) Model
 // state, PredictClass is not safe for concurrent use on one instance.
 type Classifier interface {
 	PredictClass(x tensor.Vector) int
+}
+
+// crossEntropyGrad turns softmax probabilities into the cross-entropy
+// gradient with respect to the logits, p − onehot(y), in place. A label
+// outside the model's classes has no one-hot entry to subtract, so such a
+// sample pulls every class down instead of stopping the training.
+func crossEntropyGrad(probs tensor.Vector, y int) tensor.Vector {
+	if uint(y) < uint(len(probs)) {
+		probs[y] -= 1
+	}
+	return probs
 }
 
 // Accuracy returns the fraction of samples whose argmax score matches the

@@ -167,6 +167,7 @@ func TestParamsRoundTrip(t *testing.T) {
 		"logreg": func() Parametric { return NewLogReg(5, 3, 1) },
 		"mlp":    func() Parametric { return NewMLP(5, 4, 3, 1) },
 		"cnn":    func() Parametric { return NewCNN(6, 6, 2, 3, 1) },
+		"deep":   func() Parametric { return NewDeepMLP([]int{5, 4, 4, 3}, 1) },
 	}
 	for name, mk := range models {
 		t.Run(name, func(t *testing.T) {
@@ -174,6 +175,20 @@ func TestParamsRoundTrip(t *testing.T) {
 			p := m.Params()
 			if len(p) != m.NumParams() {
 				t.Fatalf("Params len %d != NumParams %d", len(p), m.NumParams())
+			}
+			// AppendParams keeps what dst holds, appends the same vector
+			// Params returns, and stays in dst's storage when it fits.
+			buf := make(tensor.Vector, 1, 1+len(p))
+			buf[0] = -7
+			ext := m.AppendParams(buf)
+			if len(ext) != 1+len(p) || ext[0] != -7 || &ext[0] != &buf[0] {
+				t.Fatalf("AppendParams: len %d (want %d), prefix %v, reused storage %v",
+					len(ext), 1+len(p), ext[0], &ext[0] == &buf[0])
+			}
+			for i := range p {
+				if ext[1+i] != p[i] {
+					t.Fatalf("AppendParams[%d] = %v, Params[%d] = %v", 1+i, ext[1+i], i, p[i])
+				}
 			}
 			// Perturb, restore, compare.
 			q := p.Clone()
@@ -265,6 +280,32 @@ func TestTrainingDeterminism(t *testing.T) {
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatalf("identical seeds diverged at param %d", i)
+		}
+	}
+}
+
+// A label outside the model's classes (a client file with more classes than
+// the test set the model was sized from) must not take the training down:
+// crossEntropyGrad has no one-hot entry to subtract and carries on.
+func TestTrainEpochToleratesOutOfRangeLabels(t *testing.T) {
+	ds := dataset.New("stray", 4, 36, 3)
+	ds.ImageW, ds.ImageH = 6, 6
+	for i := range ds.X.Data {
+		ds.X.Data[i] = float64(i%7) / 7
+	}
+	copy(ds.Y, []int{0, 3, -1, 2})
+	models := map[string]Parametric{
+		"logreg": NewLogReg(36, 3, 1),
+		"mlp":    NewMLP(36, 4, 3, 1),
+		"deep":   NewDeepMLP([]int{36, 4, 4, 3}, 1),
+		"cnn":    NewCNN(6, 6, 2, 3, 1),
+	}
+	for name, m := range models {
+		trainEpochs(m, ds, 2, 0.05, 1)
+		for _, x := range m.Params() {
+			if math.IsNaN(x) || math.IsInf(x, 0) {
+				t.Fatalf("%s: non-finite parameter after training on stray labels", name)
+			}
 		}
 	}
 }

@@ -1,0 +1,51 @@
+package tensor
+
+import (
+	"fmt"
+	"math/rand"
+	"testing"
+)
+
+// The two weight shapes of the MLP every benchmark workload trains
+// (100 → 32 → 10): the kernels' cost at these shapes is the cost of a
+// coalition training.
+var benchShapes = [][2]int{{32, 100}, {10, 32}}
+
+func benchOperands(rows, cols int) (m *Matrix, u, v Vector) {
+	rng := rand.New(rand.NewSource(1))
+	m = NewMatrix(rows, cols)
+	m.XavierInit(rng)
+	u, v = NewVector(rows), NewVector(cols)
+	for i := range u {
+		u[i] = rng.NormFloat64()
+	}
+	for j := range v {
+		v[j] = rng.NormFloat64()
+	}
+	return m, u, v
+}
+
+func benchKernel(b *testing.B, kernel func(m *Matrix, u, v Vector)) {
+	for _, s := range benchShapes {
+		m, u, v := benchOperands(s[0], s[1])
+		b.Run(fmt.Sprintf("%dx%d", s[0], s[1]), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				kernel(m, u, v)
+			}
+		})
+	}
+}
+
+func BenchmarkMulVec(b *testing.B) {
+	benchKernel(b, func(m *Matrix, u, v Vector) { m.MulVec(v, u) })
+}
+
+func BenchmarkMulVecT(b *testing.B) {
+	benchKernel(b, func(m *Matrix, u, v Vector) { m.MulVecT(u, v) })
+}
+
+// The tiny alpha keeps the weights bounded over b.N updates without making
+// any alpha*u[i] underflow to the skipped-row case.
+func BenchmarkAddOuterScaled(b *testing.B) {
+	benchKernel(b, func(m *Matrix, u, v Vector) { m.AddOuterScaled(1e-9, u, v) })
+}

@@ -3,9 +3,16 @@
 // BLAS-like kernels (matmul, rank-1 update, axpy) that neural-network
 // training requires, plus deterministic random initialisation.
 //
-// The package is deliberately small: valuation cost is dominated by how many
-// models are trained, not by peak FLOPS, so clarity wins over vectorisation
-// tricks.
+// Everything above this package — FedAvg aggregation, the utility cache, the
+// serial-versus-parallel determinism contract — assumes that a trained
+// parameter is a pure function of its inputs, so the kernels hold one
+// invariant: the order in which each output element is summed is fixed.
+// MulVec adds row·v left to right over the columns, MulVecT adds the
+// non-zero rows in ascending order, and AddOuterScaled gives every element
+// exactly one update. Blocking may interleave the work of several outputs
+// to keep independent additions in flight, but it never reassociates a
+// sum, so a faster kernel produces the same bits as the naive loop (which
+// tensor_test.go keeps as the reference).
 package tensor
 
 import (
@@ -118,60 +125,130 @@ func (m *Matrix) Clone() *Matrix {
 }
 
 // MulVec computes dst = M * v, allocating dst when nil.
+//
+// Four rows are reduced per pass over v, one accumulator each: the four
+// chains are independent, so the adds overlap instead of queueing behind
+// one another, while every dst[i] is still the left-to-right sum over j.
 func (m *Matrix) MulVec(v Vector, dst Vector) Vector {
 	if len(v) != m.Cols {
 		panic(fmt.Sprintf("tensor: MulVec dimension mismatch: cols=%d len(v)=%d", m.Cols, len(v)))
 	}
 	if dst == nil {
 		dst = NewVector(m.Rows)
+	} else if len(dst) != m.Rows {
+		panic(fmt.Sprintf("tensor: MulVec dimension mismatch: rows=%d len(dst)=%d", m.Rows, len(dst)))
 	}
-	for i := 0; i < m.Rows; i++ {
-		row := m.Data[i*m.Cols : (i+1)*m.Cols]
+	cols := len(v)
+	i := 0
+	for ; i+4 <= m.Rows; i += 4 {
+		// Slicing each row to len(v) lets the compiler drop the bounds
+		// checks on rK[j] inside the loop.
+		blk := m.Data[i*cols : (i+4)*cols]
+		r0, r1, r2, r3 := blk[:len(v)], blk[cols:][:len(v)], blk[2*cols:][:len(v)], blk[3*cols:][:len(v)]
+		var s0, s1, s2, s3 float64
+		for j, x := range v {
+			s0 += r0[j] * x
+			s1 += r1[j] * x
+			s2 += r2[j] * x
+			s3 += r3[j] * x
+		}
+		d := dst[i : i+4 : i+4]
+		d[0], d[1], d[2], d[3] = s0, s1, s2, s3
+	}
+	for ; i < m.Rows; i++ {
+		row := m.Row(i)[:len(v)]
 		var s float64
-		for j, x := range row {
-			s += x * v[j]
+		for j, x := range v {
+			s += row[j] * x
 		}
 		dst[i] = s
 	}
 	return dst
 }
 
-// MulVecT computes dst = Mᵀ * v, allocating dst when nil.
+// MulVecT computes dst = Mᵀ * v, allocating dst when nil. Rows with
+// v[i] == 0 contribute nothing and are skipped.
 func (m *Matrix) MulVecT(v Vector, dst Vector) Vector {
 	if len(v) != m.Rows {
 		panic(fmt.Sprintf("tensor: MulVecT dimension mismatch: rows=%d len(v)=%d", m.Rows, len(v)))
 	}
 	if dst == nil {
 		dst = NewVector(m.Cols)
+	} else if len(dst) != m.Cols {
+		panic(fmt.Sprintf("tensor: MulVecT dimension mismatch: cols=%d len(dst)=%d", m.Cols, len(dst)))
 	} else {
 		dst.Fill(0)
 	}
-	for i := 0; i < m.Rows; i++ {
-		vi := v[i]
+	var (
+		rows [4]Vector
+		vs   [4]float64
+		k    int
+	)
+	for i, vi := range v {
 		if vi == 0 {
 			continue
 		}
-		row := m.Data[i*m.Cols : (i+1)*m.Cols]
-		for j, x := range row {
-			dst[j] += x * vi
+		rows[k], vs[k] = m.Row(i), vi
+		if k++; k < 4 {
+			continue
+		}
+		k = 0
+		r0, r1, r2, r3 := rows[0][:len(dst)], rows[1][:len(dst)], rows[2][:len(dst)], rows[3][:len(dst)]
+		v0, v1, v2, v3 := vs[0], vs[1], vs[2], vs[3]
+		for j, d := range dst {
+			d += r0[j] * v0
+			d += r1[j] * v1
+			d += r2[j] * v2
+			d += r3[j] * v3
+			dst[j] = d
+		}
+	}
+	for r := 0; r < k; r++ {
+		row, vi := rows[r][:len(dst)], vs[r]
+		for j := range dst {
+			dst[j] += row[j] * vi
 		}
 	}
 	return dst
 }
 
-// AddOuterScaled performs M += alpha * u * vᵀ (rank-1 update).
+// AddOuterScaled performs M += alpha * u * vᵀ (rank-1 update). Rows with
+// alpha*u[i] == 0 are left untouched.
+//
+// The non-zero rows are compacted into groups of four that share one pass
+// over v; every element still receives exactly one += of its own product.
 func (m *Matrix) AddOuterScaled(alpha float64, u, v Vector) {
 	if len(u) != m.Rows || len(v) != m.Cols {
 		panic("tensor: AddOuterScaled dimension mismatch")
 	}
-	for i := 0; i < m.Rows; i++ {
-		au := alpha * u[i]
-		if au == 0 {
+	var (
+		rows [4]Vector
+		au   [4]float64
+		k    int
+	)
+	for i, ui := range u {
+		a := alpha * ui
+		if a == 0 {
 			continue
 		}
-		row := m.Data[i*m.Cols : (i+1)*m.Cols]
+		rows[k], au[k] = m.Row(i), a
+		if k++; k < 4 {
+			continue
+		}
+		k = 0
+		r0, r1, r2, r3 := rows[0][:len(v)], rows[1][:len(v)], rows[2][:len(v)], rows[3][:len(v)]
+		a0, a1, a2, a3 := au[0], au[1], au[2], au[3]
 		for j, x := range v {
-			row[j] += au * x
+			r0[j] += a0 * x
+			r1[j] += a1 * x
+			r2[j] += a2 * x
+			r3[j] += a3 * x
+		}
+	}
+	for r := 0; r < k; r++ {
+		row, a := rows[r][:len(v)], au[r]
+		for j, x := range v {
+			row[j] += a * x
 		}
 	}
 }

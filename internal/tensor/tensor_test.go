@@ -1,8 +1,10 @@
 package tensor
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -315,6 +317,24 @@ func TestDimensionMismatchPanics(t *testing.T) {
 	check("AddOuterScaled", func() { m.AddOuterScaled(1, v3, v3) })
 	check("Matrix.AddScaled", func() { m.AddScaled(1, NewMatrix(3, 2)) })
 	check("NewMatrix(-1,2)", func() { NewMatrix(-1, 2) })
+
+	// A caller-supplied dst of the wrong length is the kernel's own
+	// diagnostic, not a bare index-out-of-range from inside the loop (too
+	// short) or a silently stale tail (too long).
+	checkDst := func(name string, fn func()) {
+		t.Helper()
+		defer func() {
+			msg, _ := recover().(string)
+			if !strings.HasPrefix(msg, "tensor: "+name+" dimension mismatch") {
+				t.Errorf("%s with a mis-sized dst: panic %q, want a dimension-mismatch message", name, msg)
+			}
+		}()
+		fn()
+	}
+	checkDst("MulVec", func() { m.MulVec(v3, Vector{0}) })
+	checkDst("MulVec", func() { m.MulVec(v3, v3) })
+	checkDst("MulVecT", func() { m.MulVecT(v2, v2) })
+	checkDst("MulVecT", func() { m.MulVecT(v2, Vector{0, 0, 0, 0}) })
 }
 
 func TestMulVecTZeroSkip(t *testing.T) {
@@ -332,5 +352,130 @@ func TestAddOuterScaledZeroSkip(t *testing.T) {
 	m.AddOuterScaled(1, Vector{0, 1}, Vector{5, 6})
 	if m.At(0, 0) != 0 || m.At(1, 0) != 5 || m.At(1, 1) != 6 {
 		t.Errorf("AddOuterScaled = %v", m.Data)
+	}
+}
+
+// The loops the blocked kernels replaced, kept as the reference: one output
+// at a time, one row at a time, nothing interleaved.
+
+func naiveMulVec(m *Matrix, v, dst Vector) {
+	for i := 0; i < m.Rows; i++ {
+		var s float64
+		for j, x := range m.Row(i) {
+			s += x * v[j]
+		}
+		dst[i] = s
+	}
+}
+
+func naiveMulVecT(m *Matrix, v, dst Vector) {
+	dst.Fill(0)
+	for i := 0; i < m.Rows; i++ {
+		if v[i] == 0 {
+			continue
+		}
+		for j, x := range m.Row(i) {
+			dst[j] += x * v[i]
+		}
+	}
+}
+
+func naiveAddOuterScaled(m *Matrix, alpha float64, u, v Vector) {
+	for i := 0; i < m.Rows; i++ {
+		au := alpha * u[i]
+		if au == 0 {
+			continue
+		}
+		row := m.Row(i)
+		for j, x := range v {
+			row[j] += au * x
+		}
+	}
+}
+
+func sameBits(t *testing.T, what string, got, want []float64) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: length %d, want %d", what, len(got), len(want))
+	}
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("%s: element %d = %v (%#x), reference %v (%#x)", what, i,
+				got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
+		}
+	}
+}
+
+// TestBlockedKernelsMatchNaiveBitForBit is the kernels' contract: blocking
+// interleaves outputs but never reassociates a sum, so the result has the
+// reference's bits — over full and partial 4-blocks, empty shapes, and a
+// row-scale vector with exact zeros in every position pattern of a block
+// (mask 15 is the all-zero case; the compacted groups then straddle
+// blocks), with a negative zero and with alpha*u[i] underflowing to zero.
+func TestBlockedKernelsMatchNaiveBitForBit(t *testing.T) {
+	rng := rand.New(rand.NewSource(20240914))
+	fill := func(v []float64) {
+		for i := range v {
+			v[i] = rng.NormFloat64()
+		}
+	}
+	for _, rows := range []int{0, 1, 2, 3, 4, 5, 7, 8, 10, 32, 33} {
+		for _, cols := range []int{0, 1, 3, 32, 100} {
+			m := NewMatrix(rows, cols)
+			fill(m.Data)
+			v := NewVector(cols)
+			fill(v)
+
+			want := NewVector(rows)
+			naiveMulVec(m, v, want)
+			sameBits(t, fmt.Sprintf("MulVec %dx%d (nil dst)", rows, cols), m.MulVec(v, nil), want)
+			stale := NewVector(rows)
+			fill(stale)
+			sameBits(t, fmt.Sprintf("MulVec %dx%d (reused dst)", rows, cols), m.MulVec(v, stale), want)
+
+			// mask bit b zeroes every u[i] with i%4 == b; 16 and 17 are
+			// the negative-zero and underflow cases on a dense u.
+			for mask := 0; mask <= 17; mask++ {
+				u := NewVector(rows)
+				fill(u)
+				alpha := rng.NormFloat64()
+				switch {
+				case mask < 16:
+					for i := range u {
+						if mask&(1<<(i%4)) != 0 {
+							u[i] = 0
+						}
+					}
+				case mask == 16:
+					for i := 0; i < rows; i += 3 {
+						u[i] = math.Copysign(0, -1)
+					}
+				default:
+					alpha = 1e-300
+					for i := 0; i < rows; i += 2 {
+						u[i] *= 1e-30 // alpha*u[i] == 0 although u[i] != 0
+					}
+				}
+				name := fmt.Sprintf("%dx%d mask=%d", rows, cols, mask)
+
+				wantT := NewVector(cols)
+				naiveMulVecT(m, u, wantT)
+				sameBits(t, "MulVecT "+name+" (nil dst)", m.MulVecT(u, nil), wantT)
+				staleT := NewVector(cols)
+				fill(staleT)
+				sameBits(t, "MulVecT "+name+" (reused dst)", m.MulVecT(u, staleT), wantT)
+
+				// Negative-zero weights tell a skipped row from one that
+				// had ±0 added to it (-0 + +0 is +0).
+				ref := m.Clone()
+				for i := 0; i < len(ref.Data); i += 3 {
+					ref.Data[i] = math.Copysign(0, -1)
+				}
+				got := ref.Clone()
+				naiveAddOuterScaled(ref, alpha, u, v)
+				got.AddOuterScaled(alpha, u, v)
+				sameBits(t, "AddOuterScaled "+name, got.Data, ref.Data)
+			}
+		}
 	}
 }
