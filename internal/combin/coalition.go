@@ -20,6 +20,7 @@ package combin
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -179,16 +180,22 @@ func (c Coalition) Hash() uint64 {
 
 // Members returns the sorted member indices.
 func (c Coalition) Members() []int {
-	out := make([]int, 0, c.Size())
+	return c.AppendMembers(make([]int, 0, c.Size()))
+}
+
+// AppendMembers appends the sorted member indices to buf and returns the
+// extended slice — Members for hot loops that reuse one buffer (a
+// [MaxPlayers]int on the stack never reallocates).
+func (c Coalition) AppendMembers(buf []int) []int {
 	for m := c.lo; m != 0; {
-		out = append(out, bits.TrailingZeros64(m))
+		buf = append(buf, bits.TrailingZeros64(m))
 		m &= m - 1
 	}
 	for m := c.hi; m != 0; {
-		out = append(out, 64+bits.TrailingZeros64(m))
+		buf = append(buf, 64+bits.TrailingZeros64(m))
 		m &= m - 1
 	}
-	return out
+	return buf
 }
 
 // String renders the coalition as "{0,2,5}".
@@ -279,6 +286,23 @@ func SubsetsOfSize(n, k int, fn func(Coalition)) {
 		}
 	}
 	rec(0, Empty, 0)
+}
+
+// AppendSubsetsUpTo appends every subset of {0..n-1} with at most k members
+// to dst — the strata IPSS and K-Greedy evaluate exhaustively — by ascending
+// size, each stratum in SubsetsOfSize order, growing dst once for all
+// Σ_{j≤k} C(n,j) of them.
+func AppendSubsetsUpTo(dst []Coalition, n, k int) []Coalition {
+	if k > n {
+		k = n
+	}
+	if total := CumulativeBinomial(n, k); total <= maxStratumEnumeration {
+		dst = slices.Grow(dst, int(total))
+	}
+	for size := 0; size <= k; size++ {
+		SubsetsOfSize(n, size, func(s Coalition) { dst = append(dst, s) })
+	}
+	return dst
 }
 
 // SubsetsOfSizeNotContaining enumerates the size-k subsets of {0..n-1}\{i}.

@@ -11,15 +11,16 @@ func RandomSubsetOfSize(n, k int, rng *rand.Rand) Coalition {
 	if k < 0 || k > n {
 		panic("combin: RandomSubsetOfSize size out of range")
 	}
-	idx := make([]int, n)
+	var buf [MaxPlayers]uint8 // player indices fit a byte; stays on the stack
+	idx := buf[:n]
 	for i := range idx {
-		idx[i] = i
+		idx[i] = uint8(i)
 	}
 	var c Coalition
 	for j := 0; j < k; j++ {
 		p := j + rng.Intn(n-j)
 		idx[j], idx[p] = idx[p], idx[j]
-		c = c.With(idx[j])
+		c = c.With(int(idx[j]))
 	}
 	return c
 }
@@ -46,16 +47,11 @@ func SampleStratumWithoutReplacement(n, k, m int, rng *rand.Rand) []Coalition {
 		rng.Shuffle(len(all), func(i, j int) { all[i], all[j] = all[j], all[i] })
 		return all[:m]
 	}
-	seen := make(map[Coalition]struct{}, m)
-	out := make([]Coalition, 0, m)
-	for len(out) < m {
-		s := RandomSubsetOfSize(n, k, rng)
-		if _, dup := seen[s]; dup {
-			continue
-		}
-		seen[s] = struct{}{}
-		out = append(out, s)
+	drawn := NewSet(m)
+	for drawn.Len() < m {
+		drawn.Add(RandomSubsetOfSize(n, k, rng))
 	}
+	out := drawn.Keys() // the set is dropped here, so sorting its storage is safe
 	sort.Slice(out, func(i, j int) bool { return out[i].Less(out[j]) })
 	return out
 }
@@ -79,53 +75,55 @@ func BalancedStratumSample(n, k, m int, rng *rand.Rand) []Coalition {
 		return out
 	}
 	coverage := make([]int, n)
-	seen := make(map[Coalition]struct{}, m)
-	out := make([]Coalition, 0, m)
+	drawn := NewSet(m) // its insertion order is the sample
+	var members [MaxPlayers]int
 	attempts := 0
 	maxAttempts := 64 * m
-	for len(out) < m && attempts < maxAttempts {
+	for drawn.Len() < m && attempts < maxAttempts {
 		attempts++
 		s := leastCoveredSubset(coverage, k, rng)
-		if _, dup := seen[s]; dup {
+		if _, fresh := drawn.Add(s); !fresh {
 			// Re-draw with extra randomness: perturb by random subset.
 			s = RandomSubsetOfSize(len(coverage), k, rng)
-			if _, dup2 := seen[s]; dup2 {
+			if _, fresh = drawn.Add(s); !fresh {
 				continue
 			}
 		}
-		seen[s] = struct{}{}
-		out = append(out, s)
-		for _, i := range s.Members() {
+		for _, i := range s.AppendMembers(members[:0]) {
 			coverage[i]++
 		}
 	}
 	// Fallback: top up with rejection sampling if the greedy loop stalled.
-	for len(out) < m {
-		s := RandomSubsetOfSize(n, k, rng)
-		if _, dup := seen[s]; dup {
-			continue
-		}
-		seen[s] = struct{}{}
-		out = append(out, s)
+	for drawn.Len() < m {
+		drawn.Add(RandomSubsetOfSize(n, k, rng))
 	}
-	return out
+	return drawn.Keys()
 }
 
 // leastCoveredSubset picks k players preferring those with the lowest
-// coverage count, breaking ties uniformly at random.
+// coverage count, breaking ties uniformly at random: a shuffle, then a
+// stable sort by coverage. The sort is an insertion sort on a stack buffer —
+// a stable sort's output is unique, so it is the order sort.SliceStable
+// gives, without the reflect swapper or the slice.
 func leastCoveredSubset(coverage []int, k int, rng *rand.Rand) Coalition {
 	n := len(coverage)
-	order := make([]int, n)
+	var buf [MaxPlayers]uint8
+	order := buf[:n]
 	for i := range order {
-		order[i] = i
+		order[i] = uint8(i)
 	}
 	rng.Shuffle(n, func(i, j int) { order[i], order[j] = order[j], order[i] })
-	sort.SliceStable(order, func(a, b int) bool {
-		return coverage[order[a]] < coverage[order[b]]
-	})
+	for a := 1; a < n; a++ {
+		p := order[a]
+		b := a
+		for ; b > 0 && coverage[order[b-1]] > coverage[p]; b-- {
+			order[b] = order[b-1]
+		}
+		order[b] = p
+	}
 	var c Coalition
 	for _, i := range order[:k] {
-		c = c.With(i)
+		c = c.With(int(i))
 	}
 	return c
 }

@@ -59,17 +59,18 @@ func (a *CCShapley) Values(ctx *Context) (Values, error) {
 		counts[i] = make([]int, n+1)
 	}
 
+	var members [combin.MaxPlayers]int
 	a.forEachDraw(n, o.Evals(), ctx.RNG, func(k int, s, comp combin.Coalition) int {
 		us := o.U(s)
 		uc := o.U(comp)
 		cc := us - uc
-		for _, i := range s.Members() {
+		for _, i := range s.AppendMembers(members[:0]) {
 			sums[i][k] += cc
 			counts[i][k]++
 		}
 		ck := n - k
 		if ck > 0 {
-			for _, i := range comp.Members() {
+			for _, i := range comp.AppendMembers(members[:0]) {
 				sums[i][ck] += -cc
 				counts[i][ck]++
 			}

@@ -71,28 +71,22 @@ func (a *GTB) Values(ctx *Context) (Values, error) {
 
 	zn := 2.0 * harmonic(n-1) // the Z constant of the estimator
 
-	// Sample until the budget is consumed.
-	type obs struct {
-		s combin.Coalition
-		u float64
-	}
-	var samples []obs
+	// Sample until the budget is consumed, folding each observation into
+	// the per-client weighted indicator sums as it lands:
+	// Δ̂ᵢⱼ = (Z/T) Σ_t u_t (β_ti − β_tj) = (Z/T)(cᵢ − cⱼ).
+	c := make([]float64, n)
+	var members [combin.MaxPlayers]int
+	draws := 0
 	a.forEachDraw(n, o.Evals(), ctx.RNG, func(s combin.Coalition) int {
-		samples = append(samples, obs{s, o.U(s)})
+		u := o.U(s)
+		for _, i := range s.AppendMembers(members[:0]) {
+			c[i] += u
+		}
+		draws++
 		return o.Evals()
 	})
-	t := float64(len(samples))
-
-	// Δ̂ᵢⱼ = (Z/T) Σ_t u_t (β_ti − β_tj).
-	// Compute the per-client weighted indicator sums first: Δ̂ᵢⱼ = (Z/T)(cᵢ − cⱼ).
-	c := make([]float64, n)
-	for _, ob := range samples {
-		for _, i := range ob.s.Members() {
-			c[i] += ob.u
-		}
-	}
 	for i := range c {
-		c[i] *= zn / t
+		c[i] *= zn / float64(draws)
 	}
 
 	// Least-squares feasibility solve: with Δ̂ᵢⱼ = cᵢ − cⱼ exactly

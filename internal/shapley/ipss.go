@@ -73,11 +73,7 @@ func (a *IPSS) samplePlan(n int, rng *rand.Rand) (kstar int, strata, pset []comb
 	}
 
 	// Lines 2-7: all combinations of size <= k*.
-	for size := 0; size <= kstar; size++ {
-		combin.SubsetsOfSize(n, size, func(s combin.Coalition) {
-			strata = append(strata, s)
-		})
-	}
+	strata = combin.AppendSubsetsUpTo(nil, n, kstar)
 
 	// Lines 8-11: sample P at size k*+1 within the remaining budget, with
 	// equal per-client coverage (constraint (3)) unless ablated.
@@ -101,12 +97,12 @@ func (a *IPSS) Values(ctx *Context) (Values, error) {
 
 	// Lines 2-7 and 12-14: evaluate the strata then the sampled
 	// combinations, in plan order.
-	u := make(map[combin.Coalition]float64, len(strata)+len(pset))
+	u := newUtilityTable(len(strata) + len(pset))
 	for _, s := range strata {
-		u[s] = o.U(s)
+		u.put(s, o.U(s))
 	}
 	for _, s := range pset {
-		u[s] = o.U(s)
+		u.put(s, o.U(s))
 	}
 
 	// Lines 15-17: truncated MC-SV plug-in estimate.
@@ -117,7 +113,7 @@ func (a *IPSS) Values(ctx *Context) (Values, error) {
 		for size := 0; size < kstar; size++ {
 			w := mcWeight(n, size)
 			combin.SubsetsOfSizeNotContaining(n, size, i, func(s combin.Coalition) {
-				phi[i] += w * (u[s.With(i)] - u[s])
+				phi[i] += w * (u.at(s.With(i)) - u.at(s))
 			})
 		}
 		// Sampled stratum: S of size k* with S∪{i} ∈ P. S itself is fully
@@ -131,7 +127,7 @@ func (a *IPSS) Values(ctx *Context) (Values, error) {
 					continue
 				}
 				s := si.Without(i)
-				contrib += u[si] - u[s]
+				contrib += u.at(si) - u.at(s)
 				cnt++
 			}
 			if a.RescaleSampledStratum && cnt > 0 {
@@ -153,3 +149,26 @@ func (a *IPSS) KStar(n int) int {
 	}
 	return combin.MaxFullStratum(n, uint64(g))
 }
+
+// utilityTable holds the utilities one run evaluated, keyed by coalition: a
+// combin.Set for the key → dense index step and a slice for the values.
+type utilityTable struct {
+	index *combin.Set
+	vals  []float64
+}
+
+func newUtilityTable(capacity int) utilityTable {
+	return utilityTable{index: combin.NewSet(capacity), vals: make([]float64, 0, capacity)}
+}
+
+// put records s → v; a coalition recorded twice keeps its first value (the
+// oracle is deterministic, so the two agree).
+func (t *utilityTable) put(s combin.Coalition, v float64) {
+	if _, added := t.index.Add(s); added {
+		t.vals = append(t.vals, v)
+	}
+}
+
+// at returns the utility recorded for s. Asking for a coalition the run did
+// not evaluate is a bug in the estimator's stratum arithmetic and panics.
+func (t *utilityTable) at(s combin.Coalition) float64 { return t.vals[t.index.Find(s)] }

@@ -35,11 +35,10 @@ func (a *KGreedy) Values(ctx *Context) (Values, error) {
 		k = n
 	}
 	// Evaluate every combination of size <= K (Alg. 2 lines 2-4).
-	u := make(map[combin.Coalition]float64)
-	for size := 0; size <= k; size++ {
-		combin.SubsetsOfSize(n, size, func(s combin.Coalition) {
-			u[s] = o.U(s)
-		})
+	all := combin.AppendSubsetsUpTo(nil, n, k)
+	u := newUtilityTable(len(all))
+	for _, s := range all {
+		u.put(s, o.U(s))
 	}
 	// Truncated MC-SV sum over combinations S with |S| < K (lines 6-8):
 	// each term pairs S (size < K) with S∪{i} (size <= K), both evaluated.
@@ -48,7 +47,7 @@ func (a *KGreedy) Values(ctx *Context) (Values, error) {
 		for size := 0; size < k; size++ {
 			w := mcWeight(n, size)
 			combin.SubsetsOfSizeNotContaining(n, size, i, func(s combin.Coalition) {
-				phi[i] += w * (u[s.With(i)] - u[s])
+				phi[i] += w * (u.at(s.With(i)) - u.at(s))
 			})
 		}
 	}

@@ -61,7 +61,8 @@ func (a *StratifiedNeyman) sampleCounts(n int) (gamma, totalSamples, pilot int) 
 // the replayed plan consumes rng identically.
 func neymanDraw(n, k int, rng *rand.Rand) (combin.Coalition, int) {
 	s := combin.RandomSubsetOfSize(n, k, rng)
-	members := s.Members()
+	var buf [combin.MaxPlayers]int
+	members := s.AppendMembers(buf[:0])
 	return s, members[rng.Intn(len(members))]
 }
 

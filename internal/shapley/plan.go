@@ -76,23 +76,24 @@ func planRNG(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
 // planRecorder simulates a fresh budget scope: it records every requested
 // coalition once, in first-request order, and reports the distinct count —
 // the same meter a budget-gated sampler reads via Source.Evals against a
-// fresh oracle or a utility.RunView.
-type planRecorder struct {
-	seen map[combin.Coalition]struct{}
-	plan []combin.Coalition
-}
+// fresh oracle or a utility.RunView. The set's insertion order is the plan.
+type planRecorder struct{ *combin.Set }
 
-func newPlanRecorder() *planRecorder {
-	return &planRecorder{seen: make(map[combin.Coalition]struct{})}
+// maxPlanHint caps what a recorder reserves up front. γ arrives in job
+// requests and may exceed anything a run can reach (2ⁿ distinct coalitions,
+// 2²⁰ draws); past the cap the recorder grows as it fills.
+const maxPlanHint = 1 << 16
+
+// newPlanRecorder sizes the recorder for a run expected to make about
+// hint distinct requests (γ, for a budget-gated sampler).
+func newPlanRecorder(hint int) planRecorder {
+	return planRecorder{combin.NewSet(min(max(hint, 0), maxPlanHint))}
 }
 
 // visit records one oracle request and returns the distinct-request count.
-func (r *planRecorder) visit(s combin.Coalition) int {
-	if _, ok := r.seen[s]; !ok {
-		r.seen[s] = struct{}{}
-		r.plan = append(r.plan, s)
-	}
-	return len(r.plan)
+func (r planRecorder) visit(s combin.Coalition) int {
+	r.Add(s)
+	return r.Len()
 }
 
 // PrefetchPlan returns the exhaustively evaluated strata of Alg. 3: every
@@ -103,25 +104,21 @@ func (a *IPSS) PrefetchPlan(n int) []combin.Coalition {
 	if kstar < 0 {
 		kstar = 0
 	}
-	var out []combin.Coalition
-	for size := 0; size <= kstar && size <= n; size++ {
-		combin.SubsetsOfSize(n, size, func(s combin.Coalition) { out = append(out, s) })
-	}
-	return out
+	return combin.AppendSubsetsUpTo(nil, n, kstar)
 }
 
 // SamplePlan implements Planner: the certain strata plus the replayed
 // balanced sample of the k*+1 stratum — IPSS's complete evaluation set.
 func (a *IPSS) SamplePlan(n int, seed int64) []combin.Coalition {
 	_, strata, pset := a.samplePlan(n, planRNG(seed))
-	rec := newPlanRecorder()
+	rec := newPlanRecorder(len(strata) + len(pset))
 	for _, s := range strata {
 		rec.visit(s)
 	}
 	for _, s := range pset {
 		rec.visit(s)
 	}
-	return rec.plan
+	return rec.Keys()
 }
 
 // PrefetchPlan returns every coalition of size ≤ K (Alg. 2 evaluates all of
@@ -131,14 +128,7 @@ func (a *KGreedy) PrefetchPlan(n int) []combin.Coalition {
 	if k < 1 {
 		k = 1
 	}
-	if k > n {
-		k = n
-	}
-	var out []combin.Coalition
-	for size := 0; size <= k; size++ {
-		combin.SubsetsOfSize(n, size, func(s combin.Coalition) { out = append(out, s) })
-	}
-	return out
+	return combin.AppendSubsetsUpTo(nil, n, k)
 }
 
 // PrefetchPlan returns all 2ⁿ coalitions.
@@ -180,7 +170,7 @@ func (LeaveOneOut) PrefetchPlan(n int) []combin.Coalition {
 func (a *Stratified) SamplePlan(n int, seed int64) []combin.Coalition {
 	strata := a.draw(n, planRNG(seed))
 	sampled := sampledSet(strata)
-	rec := newPlanRecorder()
+	rec := newPlanRecorder(sampled.Len())
 	for k := 1; k <= n; k++ {
 		for _, s := range strata[k] {
 			rec.visit(s)
@@ -191,7 +181,7 @@ func (a *Stratified) SamplePlan(n int, seed int64) []combin.Coalition {
 		rec.visit(s)
 		rec.visit(pair)
 	})
-	return rec.plan
+	return rec.Keys()
 }
 
 // SamplePlan implements Planner: the uniform pilot phase is replayed in
@@ -200,72 +190,72 @@ func (a *Stratified) SamplePlan(n int, seed int64) []combin.Coalition {
 func (a *StratifiedNeyman) SamplePlan(n int, seed int64) []combin.Coalition {
 	_, _, pilot := a.sampleCounts(n)
 	rng := planRNG(seed)
-	rec := newPlanRecorder()
+	rec := newPlanRecorder(2 * pilot)
 	for t := 0; t < pilot; t++ {
 		k := 1 + t%n
 		s, i := neymanDraw(n, k, rng)
 		rec.visit(s)
 		rec.visit(s.Without(i))
 	}
-	return rec.plan
+	return rec.Keys()
 }
 
 // SamplePlan implements Planner: U(N), U(∅) and the first prefix of the
 // first permutation are certain; everything after depends on the truncation
 // comparisons against observed utilities and is left to the sequential pass.
 func (a *TMC) SamplePlan(n int, seed int64) []combin.Coalition {
-	rec := newPlanRecorder()
+	rec := newPlanRecorder(3)
 	rec.visit(combin.FullCoalition(n))
 	evals := rec.visit(combin.Empty)
 	if a.Gamma > 0 && evals >= a.Gamma {
-		return rec.plan // budget exhausted before any permutation
+		return rec.Keys() // budget exhausted before any permutation
 	}
 	perm := combin.RandomPermutation(n, planRNG(seed))
 	rec.visit(combin.NewCoalition(perm[0]))
-	return rec.plan
+	return rec.Keys()
 }
 
 // SamplePlan implements Planner by replaying the draw loop — CC-Shapley's
 // complete evaluation set.
 func (a *CCShapley) SamplePlan(n int, seed int64) []combin.Coalition {
-	rec := newPlanRecorder()
+	rec := newPlanRecorder(a.Gamma + 1) // the last draw may add two past γ−1
 	a.forEachDraw(n, 0, planRNG(seed), func(k int, s, comp combin.Coalition) int {
 		rec.visit(s)
 		return rec.visit(comp)
 	})
-	return rec.plan
+	return rec.Keys()
 }
 
 // SamplePlan implements Planner by replaying the group-testing draw loop —
 // Extended-GTB's complete evaluation set.
 func (a *GTB) SamplePlan(n int, seed int64) []combin.Coalition {
-	rec := newPlanRecorder()
+	rec := newPlanRecorder(a.Gamma)
 	rec.visit(combin.FullCoalition(n))
 	evals := rec.visit(combin.Empty)
 	if n == 1 {
-		return rec.plan
+		return rec.Keys()
 	}
 	a.forEachDraw(n, evals, planRNG(seed), func(s combin.Coalition) int {
 		return rec.visit(s)
 	})
-	return rec.plan
+	return rec.Keys()
 }
 
 // SamplePlan implements Planner by replaying the Monte-Carlo toggle draws —
 // MC-Banzhaf's complete evaluation set.
 func (a *MCBanzhaf) SamplePlan(n int, seed int64) []combin.Coalition {
-	rec := newPlanRecorder()
+	rec := newPlanRecorder(a.Gamma + 1) // the last draw may add two past γ−1
 	a.forEachDraw(n, 0, planRNG(seed), func(i int, with, without combin.Coalition) int {
 		rec.visit(with)
 		return rec.visit(without)
 	})
-	return rec.plan
+	return rec.Keys()
 }
 
 // SamplePlan implements Planner by replaying the permutation walks —
 // Perm-MC's complete evaluation set.
 func (a *PermSampling) SamplePlan(n int, seed int64) []combin.Coalition {
-	rec := newPlanRecorder()
+	rec := newPlanRecorder(a.Gamma + n) // the last walk may add n past γ−1
 	evals := rec.visit(combin.Empty)
 	a.forEachPerm(n, evals, planRNG(seed), func(perm []int) int {
 		var s combin.Coalition
@@ -276,5 +266,5 @@ func (a *PermSampling) SamplePlan(n int, seed int64) []combin.Coalition {
 		}
 		return last
 	})
-	return rec.plan
+	return rec.Keys()
 }

@@ -107,11 +107,16 @@ func (a *Stratified) draw(n int, rng *rand.Rand) [][]combin.Coalition {
 
 // sampledSet indexes the drawn coalitions — plus ∅, whose utility anchors
 // size-1 marginals (Example 2) — for the pairing test of lines 9-17.
-func sampledSet(strata [][]combin.Coalition) map[combin.Coalition]bool {
-	sampled := map[combin.Coalition]bool{combin.Empty: true}
+func sampledSet(strata [][]combin.Coalition) *combin.Set {
+	total := 1
+	for _, ss := range strata {
+		total += len(ss)
+	}
+	sampled := combin.NewSet(total)
+	sampled.Add(combin.Empty)
 	for _, ss := range strata {
 		for _, c := range ss {
-			sampled[c] = true
+			sampled.Add(c)
 		}
 	}
 	return sampled
@@ -121,7 +126,7 @@ func sampledSet(strata [][]combin.Coalition) map[combin.Coalition]bool {
 // lines 9-17 evaluates, in evaluation order (client-major, then stratum,
 // then sample). Terms whose pair was not sampled are skipped unless
 // ForcePairs evaluates them anyway.
-func (a *Stratified) forEachPair(n int, strata [][]combin.Coalition, sampled map[combin.Coalition]bool, fn func(i, k int, s, pair combin.Coalition)) {
+func (a *Stratified) forEachPair(n int, strata [][]combin.Coalition, sampled *combin.Set, fn func(i, k int, s, pair combin.Coalition)) {
 	full := combin.FullCoalition(n)
 	for i := 0; i < n; i++ {
 		for k := 1; k <= n; k++ {
@@ -136,7 +141,7 @@ func (a *Stratified) forEachPair(n int, strata [][]combin.Coalition, sampled map
 				case CC:
 					pair = full.Minus(s)
 				}
-				if !sampled[pair] && !a.ForcePairs {
+				if !a.ForcePairs && !sampled.Has(pair) {
 					continue
 				}
 				fn(i, k, s, pair)

@@ -1,65 +1,179 @@
 package utility
 
 import (
+	"math"
 	"sync"
+	"sync/atomic"
 
 	"fedshap/internal/combin"
 )
 
 // numShards is the shard count of the in-memory coalition cache. A power of
-// two well above typical GOMAXPROCS keeps write contention negligible while
-// the per-shard maps stay dense.
+// two well above typical GOMAXPROCS keeps write contention negligible.
 const numShards = 64
 
-// cacheShard is one lock-striped segment of the coalition cache. Reads take
-// the read lock, so concurrent lookups of warm entries never serialise.
-type cacheShard struct {
-	mu sync.RWMutex
-	m  map[combin.Coalition]float64
-}
+// firstTableEntries is the capacity of a shard's first table. Small jobs
+// (a few dozen coalitions over 64 shards) never outgrow it.
+const firstTableEntries = 8
 
 // shardedCache is a concurrent coalition→utility map striped across
-// numShards lock-protected segments. Coalition evaluations are issued from
-// bounded worker pools (Prefetch, the valuation service), so the cache is
-// on the hot path of every worker at once; sharding by coalition hash keeps
-// those workers from serialising on a single mutex.
+// numShards segments. Coalition evaluations are issued from bounded worker
+// pools (Prefetch, the valuation service) and every sampler's reduce pass
+// reads the cache once per request, so a lookup must cost neither a lock
+// nor a shared-counter write.
+//
+// Each shard is an append-only open-addressing table. Readers take no lock:
+// they load the shard's current table and probe it. Writers serialise on
+// the shard mutex and publish in a fixed order — the entry's key and value
+// are written first, then its slot is stored atomically — so a reader that
+// observes a slot observes a complete entry behind it. Nothing is ever
+// overwritten or removed: a full table is replaced by a larger copy, and
+// readers still holding the old one see a consistent, merely older, view.
+//
+// The low six bits of a coalition's hash pick the shard, so every key in a
+// shard agrees on them; the position inside the shard therefore comes from
+// the hash's high half (were it taken from the low bits, 63 of every 64
+// home slots would stay empty and the rest would pile up).
 type shardedCache struct {
 	shards [numShards]cacheShard
 }
 
-func newShardedCache() *shardedCache {
-	c := &shardedCache{}
-	for i := range c.shards {
-		c.shards[i].m = make(map[combin.Coalition]float64)
+type cacheShard struct {
+	mu    sync.Mutex // writers, and readers of a table's entry count
+	table atomic.Pointer[cacheTable]
+}
+
+type cacheEntry struct {
+	key combin.Coalition
+	val float64
+}
+
+// cacheTable is one immutable-capacity generation of a shard.
+type cacheTable struct {
+	// slots[i] is 0 when empty, else the low half of the key's hash as a
+	// tag (high 32 bits) over the entry's index plus one (low 32 bits).
+	slots   []atomic.Uint64
+	entries []cacheEntry // len is the capacity; [0, n) are written
+	n       int          // guarded by the shard mutex
+}
+
+const cacheTagMask uint64 = 0xffffffff00000000
+
+func newCacheTable(capacity int) *cacheTable {
+	return &cacheTable{
+		slots:   make([]atomic.Uint64, capacity+capacity/2+1), // load ≤ 2/3
+		entries: make([]cacheEntry, capacity),
 	}
-	return c
 }
 
-func (c *shardedCache) shard(s combin.Coalition) *cacheShard {
-	return &c.shards[s.Hash()&(numShards-1)]
+func (t *cacheTable) home(h uint64) int {
+	return int((h >> 32) * uint64(len(t.slots)) >> 32)
 }
 
-// get returns the cached utility of s, if present.
+// find probes for s (whose hash is h). It returns the entry, or nil and the
+// empty slot the probe ended on.
+func (t *cacheTable) find(s combin.Coalition, h uint64) (*cacheEntry, int) {
+	tag := h << 32
+	for i := t.home(h); ; {
+		e := t.slots[i].Load()
+		if e == 0 {
+			return nil, i
+		}
+		if e&cacheTagMask == tag {
+			if ent := &t.entries[uint32(e)-1]; ent.key == s {
+				return ent, i
+			}
+		}
+		if i++; i == len(t.slots) {
+			i = 0
+		}
+	}
+}
+
+// insert appends s→v, known absent, at the empty slot its probe ended on.
+// The caller holds the shard mutex and has checked the table is not full.
+func (t *cacheTable) insert(s combin.Coalition, h uint64, v float64, slot int) {
+	t.entries[t.n] = cacheEntry{key: s, val: v}
+	t.n++
+	t.slots[slot].Store(h<<32 | uint64(t.n)) // publishes the entry
+}
+
+// grown returns a table with room for capacity entries holding a copy of
+// t's. It is private to the caller until stored in the shard.
+func (t *cacheTable) grown(capacity int) *cacheTable {
+	nt := newCacheTable(capacity)
+	for _, ent := range t.entries[:t.n] {
+		h := ent.key.Hash()
+		_, slot := nt.find(ent.key, h)
+		nt.insert(ent.key, h, ent.val, slot)
+	}
+	return nt
+}
+
+func newShardedCache() *shardedCache { return &shardedCache{} }
+
+// get returns the cached utility of s, if present. It takes no lock.
 func (c *shardedCache) get(s combin.Coalition) (float64, bool) {
-	sh := c.shard(s)
-	sh.mu.RLock()
-	v, ok := sh.m[s]
-	sh.mu.RUnlock()
-	return v, ok
+	h := s.Hash()
+	t := c.shards[h&(numShards-1)].table.Load()
+	if t == nil {
+		return 0, false
+	}
+	if ent, _ := t.find(s, h); ent != nil {
+		return ent.val, true
+	}
+	return 0, false
 }
 
 // putIfAbsent inserts s→v unless already present, reporting whether the
 // insert happened. The first writer wins; utilities are deterministic per
 // coalition, so a lost race returns an equal value.
 func (c *shardedCache) putIfAbsent(s combin.Coalition, v float64) bool {
-	sh := c.shard(s)
+	h := s.Hash()
+	sh := &c.shards[h&(numShards-1)]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	if _, ok := sh.m[s]; ok {
+	t := sh.table.Load()
+	if t == nil {
+		t = newCacheTable(firstTableEntries)
+		sh.table.Store(t)
+	}
+	ent, slot := t.find(s, h)
+	if ent != nil {
 		return false
 	}
-	sh.m[s] = v
+	if t.n == len(t.entries) {
+		t = t.grown(2 * len(t.entries))
+		_, slot = t.find(s, h)
+		sh.table.Store(t)
+	}
+	t.insert(s, h, v, slot)
 	return true
+}
+
+// reserve makes room for extra more entries spread evenly over the shards,
+// so a large batch fills each shard's table once instead of outgrowing it
+// five or six times. A batch the first tables can hold reserves nothing:
+// small jobs must not pay numShards allocations for a few dozen entries.
+func (c *shardedCache) reserve(extra int) {
+	per := extra / numShards
+	if per <= firstTableEntries {
+		return
+	}
+	// A shard's share of a hashed batch is Poisson(per): three standard
+	// deviations of headroom leave about one shard in a thousand to grow.
+	per += 3*int(math.Sqrt(float64(per))) + 1
+	for i := range c.shards {
+		sh := &c.shards[i]
+		sh.mu.Lock()
+		switch t := sh.table.Load(); {
+		case t == nil:
+			sh.table.Store(newCacheTable(per))
+		case t.n+per > len(t.entries):
+			sh.table.Store(t.grown(t.n + per))
+		}
+		sh.mu.Unlock()
+	}
 }
 
 // len returns the total entry count.
@@ -67,9 +181,11 @@ func (c *shardedCache) len() int {
 	n := 0
 	for i := range c.shards {
 		sh := &c.shards[i]
-		sh.mu.RLock()
-		n += len(sh.m)
-		sh.mu.RUnlock()
+		sh.mu.Lock()
+		if t := sh.table.Load(); t != nil {
+			n += t.n
+		}
+		sh.mu.Unlock()
 	}
 	return n
 }
@@ -79,12 +195,13 @@ func (c *shardedCache) snapshot() map[combin.Coalition]float64 {
 	out := make(map[combin.Coalition]float64, c.len())
 	for i := range c.shards {
 		sh := &c.shards[i]
-		sh.mu.RLock()
-		//fedvallint:allow(determinism) copying a map into a map is order-independent
-		for k, v := range sh.m {
-			out[k] = v
+		sh.mu.Lock()
+		if t := sh.table.Load(); t != nil {
+			for _, ent := range t.entries[:t.n] {
+				out[ent.key] = ent.val
+			}
 		}
-		sh.mu.RUnlock()
+		sh.mu.Unlock()
 	}
 	return out
 }
@@ -94,7 +211,7 @@ func (c *shardedCache) clear() {
 	for i := range c.shards {
 		sh := &c.shards[i]
 		sh.mu.Lock()
-		sh.m = make(map[combin.Coalition]float64)
+		sh.table.Store(nil)
 		sh.mu.Unlock()
 	}
 }

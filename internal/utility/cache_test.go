@@ -291,3 +291,193 @@ func TestStoreAttach(t *testing.T) {
 		t.Errorf("warm run fresh evals = %d, want 0", o2.Evals())
 	}
 }
+
+// sameShardKeys returns count distinct coalitions over n players that all
+// hash into shard 0.
+func sameShardKeys(n, count int) []combin.Coalition {
+	out := make([]combin.Coalition, 0, count)
+	for m := uint64(0); len(out) < count; m++ {
+		s := combin.FromMask(m)
+		if n > 64 {
+			s = combin.FromWords(m, m*0x9e3779b97f4a7c15>>1) // occupy the high word too
+		}
+		if s.Hash()&(numShards-1) == 0 {
+			out = append(out, s)
+		}
+	}
+	return out
+}
+
+// TestCacheReadsDuringReplacement is the lock-free read path's contract,
+// for -race: while two writers fill one shard through several table
+// replacements (and reserve forces more), readers only ever see a key with
+// its own value, and every published key stays readable.
+func TestCacheReadsDuringReplacement(t *testing.T) {
+	keys := sameShardKeys(100, 1500)
+	val := func(s combin.Coalition) float64 { lo, hi := s.Words(); return float64(lo%9973) + float64(hi%7) }
+	c := newShardedCache()
+
+	var published atomic.Int64 // keys[:published] are inserted by writer 0
+	done := make(chan struct{})
+	var readers, writers sync.WaitGroup
+	for r := 0; r < 4; r++ {
+		readers.Add(1)
+		go func(r int) {
+			defer readers.Done()
+			for i := r; ; i += 7 {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				n := int(published.Load())
+				s := keys[i%len(keys)]
+				v, ok := c.get(s)
+				if ok && v != val(s) {
+					t.Errorf("get(%v) = %v, want its own value %v", s, v, val(s))
+					return
+				}
+				// Writer 0 inserts in order and publishes its progress
+				// after each insert: everything below n must be visible.
+				if n > 0 {
+					s = keys[(i%n)/2*2]
+					if v, ok := c.get(s); !ok || v != val(s) {
+						t.Errorf("published key %v reads (%v, %v), want (%v, true)", s, v, ok, val(s))
+						return
+					}
+				}
+			}
+		}(r)
+	}
+	for w := 0; w < 2; w++ {
+		writers.Add(1)
+		go func(w int) {
+			defer writers.Done()
+			for i := w; i < len(keys); i += 2 {
+				if !c.putIfAbsent(keys[i], val(keys[i])) {
+					t.Errorf("putIfAbsent(%v) lost to nobody", keys[i])
+				}
+				if c.putIfAbsent(keys[i], -1) {
+					t.Errorf("second putIfAbsent(%v) overwrote", keys[i])
+				}
+				if w == 0 {
+					published.Store(int64(i + 1))
+				}
+				if i%400 == 0 {
+					c.reserve(numShards * (i + 100)) // forces a replacement mid-fill
+				}
+			}
+		}(w)
+	}
+	writers.Wait()
+	close(done)
+	readers.Wait()
+
+	if got := c.len(); got != len(keys) {
+		t.Fatalf("len = %d, want %d", got, len(keys))
+	}
+	for _, s := range keys {
+		if v, ok := c.get(s); !ok || v != val(s) {
+			t.Fatalf("after fill: get(%v) = (%v, %v), want (%v, true)", s, v, ok, val(s))
+		}
+	}
+}
+
+// TestCacheWarmSnapshotResetRoundTrip checks the map-typed seams over the
+// flat shards: what Warm loads, Snapshot returns; Reset empties; a second
+// Warm finds nothing left behind.
+func TestCacheWarmSnapshotResetRoundTrip(t *testing.T) {
+	const n = 100
+	o := NewOracle(n, func(s combin.Coalition) float64 { return -1 })
+	entries := make(map[combin.Coalition]float64)
+	for i, s := range sameShardKeys(n, 300) { // one crowded shard ...
+		entries[s] = float64(i)
+	}
+	for m := uint64(0); m < 3000; m++ { // ... and every other shard filled
+		entries[combin.FromWords(m*2654435761, m)] = -float64(m)
+	}
+	if added := o.Warm(entries); added != len(entries) {
+		t.Fatalf("Warm added %d, want %d", added, len(entries))
+	}
+	if added := o.Warm(entries); added != 0 {
+		t.Fatalf("second Warm added %d, want 0", added)
+	}
+	if o.Size() != len(entries) || o.Evals() != 0 {
+		t.Fatalf("Size = %d, Evals = %d, want %d and 0", o.Size(), o.Evals(), len(entries))
+	}
+	snap := o.Snapshot()
+	if len(snap) != len(entries) {
+		t.Fatalf("Snapshot has %d entries, want %d", len(snap), len(entries))
+	}
+	for s, want := range entries {
+		if got, ok := snap[s]; !ok || got != want {
+			t.Fatalf("Snapshot[%v] = (%v, %v), want %v", s, got, ok, want)
+		}
+		if got := o.U(s); got != want {
+			t.Fatalf("U(%v) = %v, want warmed %v", s, got, want)
+		}
+	}
+	o.Reset()
+	if o.Size() != 0 || len(o.Snapshot()) != 0 || o.Cached(combin.Empty) {
+		t.Fatal("Reset left entries behind")
+	}
+	if added := o.Warm(entries); added != len(entries) {
+		t.Fatalf("Warm after Reset added %d, want %d", added, len(entries))
+	}
+}
+
+// TestWarmLookupDoesNotAllocate pins the hit path every sampler's reduce
+// pass runs once per request.
+func TestWarmLookupDoesNotAllocate(t *testing.T) {
+	o := NewOracle(24, func(s combin.Coalition) float64 { return float64(s.Size()) })
+	coals := benchCoalitions(512)
+	if err := o.Prefetch(context.Background(), coals, 2); err != nil {
+		t.Fatal(err)
+	}
+	i := 0
+	if avg := testing.AllocsPerRun(1000, func() {
+		o.U(coals[i%len(coals)])
+		i++
+	}); avg != 0 {
+		t.Errorf("warm Oracle.U allocates %v per call, want 0", avg)
+	}
+}
+
+// TestCacheAllocatesBySize pins the two sizing rules the small workloads
+// depend on: a shard owns no table before its first insert, and a batch the
+// first tables can hold reserves nothing.
+func TestCacheAllocatesBySize(t *testing.T) {
+	tables := func(c *shardedCache) int {
+		n := 0
+		for i := range c.shards {
+			if c.shards[i].table.Load() != nil {
+				n++
+			}
+		}
+		return n
+	}
+	c := newShardedCache()
+	c.reserve(numShards * firstTableEntries)
+	if got := tables(c); got != 0 {
+		t.Fatalf("%d shard tables after a small reserve, want 0", got)
+	}
+	c.putIfAbsent(combin.Empty, 1)
+	if got := tables(c); got != 1 {
+		t.Fatalf("%d shard tables after one insert, want 1", got)
+	}
+	c.reserve(6000)
+	if got := tables(c); got != numShards {
+		t.Fatalf("%d shard tables after a large reserve, want %d", got, numShards)
+	}
+	if v, ok := c.get(combin.Empty); !ok || v != 1 {
+		t.Fatalf("entry lost across reserve: (%v, %v)", v, ok)
+	}
+	// A reserved shard takes its share of the batch without replacement.
+	before := c.shards[0].table.Load()
+	for _, s := range sameShardKeys(24, 6000/numShards) {
+		c.putIfAbsent(s, 0)
+	}
+	if c.shards[0].table.Load() != before {
+		t.Error("reserved shard replaced its table while filling to its share")
+	}
+}

@@ -152,6 +152,13 @@ func (o *Oracle) U(s combin.Coalition) float64 {
 		}
 		return v
 	}
+	return o.fresh(s)
+}
+
+// fresh evaluates a coalition the cache does not hold — the miss half of U,
+// which the prefetch pool enters directly for coalitions its dedupe pass
+// already looked up.
+func (o *Oracle) fresh(s combin.Coalition) float64 {
 	if err := o.ctxErr(); err != nil {
 		panic(&CancelError{Err: err})
 	}

@@ -20,8 +20,8 @@ import (
 //   - PrefetchStream is the pipelined core: it consumes coalitions from a
 //     channel as the producer emits them, so evaluation overlaps plan
 //     generation.
-//   - Prefetch feeds a known list through the stream after deduplicating
-//     and dropping already-cached entries.
+//   - Prefetch deduplicates a known list, drops already-cached entries and
+//     lets the pool claim the rest in chunks off an atomic cursor.
 //   - EvalBatch is Prefetch plus result collection, for callers that want
 //     the utilities, not just a warm cache.
 
@@ -44,7 +44,8 @@ func (o *Oracle) PrefetchStream(ctx context.Context, coalitions <-chan combin.Co
 	}
 	var (
 		mu   sync.Mutex
-		seen = make(map[combin.Coalition]struct{})
+		seen combin.Set
+		fail poolPanic
 		wg   sync.WaitGroup
 	)
 	for w := 0; w < workers; w++ {
@@ -52,23 +53,20 @@ func (o *Oracle) PrefetchStream(ctx context.Context, coalitions <-chan combin.Co
 		go func() {
 			defer wg.Done()
 			for s := range coalitions {
-				if ctx.Err() != nil {
+				if ctx.Err() != nil || fail.raised() {
 					continue // drain the channel without evaluating
 				}
 				mu.Lock()
-				_, dup := seen[s]
-				if !dup {
-					seen[s] = struct{}{}
-				}
+				_, first := seen.Add(s)
 				mu.Unlock()
-				if dup || o.Cached(s) {
-					continue
+				if first && !o.Cached(s) {
+					o.poolEval(s, &fail)
 				}
-				o.safeU(s)
 			}
 		}()
 	}
 	wg.Wait()
+	fail.rethrow()
 	return ctx.Err()
 }
 
@@ -89,33 +87,33 @@ func (o *Oracle) Prefetch(ctx context.Context, coalitions []combin.Coalition, wo
 		ctx = context.Background() //fedvallint:allow(ctxthread) nil-ctx compat fallback; callers that care pass their own
 	}
 	// Deduplicate and drop cached entries up front.
+	seen := combin.NewSet(len(coalitions))
 	pending := make([]combin.Coalition, 0, len(coalitions))
-	seen := make(map[combin.Coalition]struct{}, len(coalitions))
 	for _, s := range coalitions {
-		if _, dup := seen[s]; dup {
-			continue
-		}
-		seen[s] = struct{}{}
-		if !o.Cached(s) {
+		if _, first := seen.Add(s); first && !o.Cached(s) {
 			pending = append(pending, s)
 		}
 	}
 	if len(pending) == 0 {
 		return ctx.Err()
 	}
+	o.cache.reserve(len(pending))
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	if workers > len(pending) {
 		workers = len(pending)
 	}
-	// The list is already deduplicated, so the pool can claim work with a
-	// bare atomic index instead of routing through PrefetchStream's channel
-	// and its second claim map — one training per entry is guaranteed by
-	// construction, and the fixed-list path stays allocation-lean (it is
-	// the inner loop of every warm-up in the service).
+	// The list is already deduplicated and known absent from the cache, so
+	// the pool claims work with a bare atomic cursor and enters the miss
+	// path directly — one training per entry by construction, no second
+	// lookup. A claim takes a chunk: one entry when the list is short
+	// (every entry a training run), dozens when it is thousands long (cheap
+	// utilities, where a shared counter bumped per entry is the cost).
+	chunk := max(1, len(pending)/(workers*64))
 	var (
 		next atomic.Int64
+		fail poolPanic
 		wg   sync.WaitGroup
 	)
 	for w := 0; w < workers; w++ {
@@ -123,15 +121,25 @@ func (o *Oracle) Prefetch(ctx context.Context, coalitions []combin.Coalition, wo
 		go func() {
 			defer wg.Done()
 			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(pending) || ctx.Err() != nil {
+				hi := int(next.Add(int64(chunk)))
+				lo := hi - chunk
+				if lo >= len(pending) {
 					return
 				}
-				o.safeU(pending[i])
+				if hi > len(pending) {
+					hi = len(pending)
+				}
+				for _, s := range pending[lo:hi] {
+					if ctx.Err() != nil || fail.raised() {
+						return
+					}
+					o.poolEval(s, &fail)
+				}
 			}
 		}()
 	}
 	wg.Wait()
+	fail.rethrow()
 	return ctx.Err()
 }
 
@@ -149,28 +157,43 @@ func (o *Oracle) EvalBatch(ctx context.Context, coalitions []combin.Coalition, w
 	return out, nil
 }
 
-// safeU evaluates one coalition, swallowing the cancellation panic a bound
-// oracle context may raise mid-pool; other panics propagate.
-func (o *Oracle) safeU(s combin.Coalition) {
+// poolPanic carries the first panic of a pool goroutine to the goroutine
+// that started the pool. A panic on a pool goroutine has no caller to
+// recover it and would end the process; re-raised after the pool has
+// drained, it reaches whatever recover guards the caller (the service's
+// job boundary turns it into a failed job).
+type poolPanic struct {
+	first atomic.Pointer[any]
+}
+
+// raised reports whether a panic was recorded, so siblings stop claiming.
+func (p *poolPanic) raised() bool { return p.first.Load() != nil }
+
+// rethrow re-raises the recorded panic, if any. Call it after wg.Wait.
+func (p *poolPanic) rethrow() {
+	if r := p.first.Load(); r != nil {
+		panic(*r)
+	}
+}
+
+// poolEval evaluates one cache miss on a pool goroutine, swallowing the
+// cancellation panic a bound oracle context may raise mid-pool and
+// recording any other panic in fail.
+func (o *Oracle) poolEval(s combin.Coalition, fail *poolPanic) {
 	defer func() {
 		if r := recover(); r != nil {
 			if _, ok := r.(*CancelError); ok {
 				return
 			}
-			panic(r)
+			p := r // r itself must not escape: it would cost every call an allocation
+			fail.first.CompareAndSwap(nil, &p)
 		}
 	}()
-	o.U(s)
+	o.fresh(s)
 }
 
 // PrefetchStrata warms the cache with every coalition of size ≤ k — the
 // exact set IPSS evaluates exhaustively (its "key combinations").
 func (o *Oracle) PrefetchStrata(ctx context.Context, k, workers int) error {
-	var all []combin.Coalition
-	for size := 0; size <= k && size <= o.n; size++ {
-		combin.SubsetsOfSize(o.n, size, func(s combin.Coalition) {
-			all = append(all, s)
-		})
-	}
-	return o.Prefetch(ctx, all, workers)
+	return o.Prefetch(ctx, combin.AppendSubsetsUpTo(nil, o.n, k), workers)
 }

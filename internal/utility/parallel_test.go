@@ -154,3 +154,115 @@ func TestEvalBatchCancelled(t *testing.T) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }
+
+// TestPrefetchClaimsEveryEntryOnce covers the chunked claim: a list long
+// enough for multi-entry chunks, with a tail shorter than a chunk, is
+// evaluated exactly once per coalition.
+func TestPrefetchClaimsEveryEntryOnce(t *testing.T) {
+	const n = 16
+	coals := combin.AppendSubsetsUpTo(nil, n, 4) // 2517: chunks of 13 at 3 workers
+	calls := make([]atomic.Int32, 1<<n)
+	o := NewOracle(n, func(s combin.Coalition) float64 {
+		calls[s.Index()].Add(1)
+		return float64(s.Size())
+	})
+	o.U(coals[5]) // already cached: the pool must not see it
+	withDups := append(append([]combin.Coalition{}, coals...), coals[:100]...)
+	if err := o.Prefetch(context.Background(), withDups, 3); err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range coals {
+		if got := calls[s.Index()].Load(); got != 1 {
+			t.Fatalf("coalition %v evaluated %d times, want 1", s, got)
+		}
+	}
+	if o.Evals() != len(coals) || o.Size() != len(coals) {
+		t.Errorf("Evals = %d, Size = %d, want %d", o.Evals(), o.Size(), len(coals))
+	}
+}
+
+// TestPrefetchAllocatesPerBatch: what a cold Prefetch allocates is its
+// dedupe set, its pending list and the shard tables — nothing per entry (a
+// recovered value that escaped from the pool's deferred recover once cost
+// one allocation per coalition).
+func TestPrefetchAllocatesPerBatch(t *testing.T) {
+	const n = 16
+	coals := combin.AppendSubsetsUpTo(nil, n, 4)
+	eval := func(s combin.Coalition) float64 { return float64(s.Size()) }
+	avg := testing.AllocsPerRun(5, func() {
+		if err := NewOracle(n, eval).Prefetch(context.Background(), coals, 2); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if avg > float64(len(coals)/4) {
+		t.Errorf("cold Prefetch of %d coalitions made %v allocations, want well under one per entry", len(coals), avg)
+	}
+}
+
+// TestPoolPanicReachesCaller: a utility that panics on a pool goroutine
+// must not end the process. The pool stops claiming, drains, and re-raises
+// the first panic on the goroutine that called it — where the service's job
+// boundary recovers it into a failed job.
+func TestPoolPanicReachesCaller(t *testing.T) {
+	const n = 12
+	coals := combin.AppendSubsetsUpTo(nil, n, 3)
+	bad := coals[len(coals)/3]
+	newOracle := func(evals *atomic.Int64) *Oracle {
+		return NewOracle(n, func(s combin.Coalition) float64 {
+			if s == bad {
+				panic("evaluation exploded")
+			}
+			evals.Add(1)
+			return 1
+		})
+	}
+	caught := func(fn func()) (r any) {
+		defer func() { r = recover() }()
+		fn()
+		return nil
+	}
+
+	var evals atomic.Int64
+	o := newOracle(&evals)
+	if r := caught(func() { o.Prefetch(context.Background(), coals, 4) }); r != "evaluation exploded" {
+		t.Fatalf("Prefetch: recovered %v, want the utility's panic", r)
+	}
+	if got := evals.Load(); got >= int64(len(coals)-1) {
+		t.Errorf("Prefetch evaluated %d of %d coalitions after a sibling panicked", got, len(coals))
+	}
+	if o.Cached(bad) {
+		t.Error("the panicking coalition was cached")
+	}
+
+	evals.Store(0)
+	o = newOracle(&evals)
+	ch := make(chan combin.Coalition)
+	produced := make(chan struct{})
+	go func() {
+		defer close(produced)
+		for _, s := range coals {
+			ch <- s // blocks forever unless the pool keeps draining
+		}
+		close(ch)
+	}()
+	if r := caught(func() { o.PrefetchStream(context.Background(), ch, 4) }); r != "evaluation exploded" {
+		t.Fatalf("PrefetchStream: recovered %v, want the utility's panic", r)
+	}
+	<-produced
+	if got := evals.Load(); got >= int64(len(coals)-1) {
+		t.Errorf("PrefetchStream evaluated %d of %d coalitions after a sibling panicked", got, len(coals))
+	}
+
+	// Cancellation is not a failure: it still comes back as an error.
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	o = newOracle(&evals)
+	o.SetContext(ctx)
+	if r := caught(func() {
+		if err := o.Prefetch(context.Background(), coals[:8], 2); err != nil {
+			t.Errorf("Prefetch under a cancelled oracle context: %v", err)
+		}
+	}); r != nil {
+		t.Fatalf("cancellation escaped the pool as a panic: %v", r)
+	}
+}

@@ -36,12 +36,14 @@ var (
 // affordable without distorting budget semantics.
 type RunView struct {
 	o    *Oracle
-	seen map[combin.Coalition]struct{}
+	seen *combin.Set
 }
 
-// NewRunView opens a fresh budget scope over o.
+// NewRunView opens a fresh budget scope over o. The scope is sized for the
+// coalitions o already holds: after a prefetched plan those are exactly
+// the ones the run is about to request.
 func NewRunView(o *Oracle) *RunView {
-	return &RunView{o: o, seen: make(map[combin.Coalition]struct{})}
+	return &RunView{o: o, seen: combin.NewSet(o.Size())}
 }
 
 // N implements Source.
@@ -49,18 +51,17 @@ func (v *RunView) N() int { return v.o.N() }
 
 // U implements Source, charging the coalition to this run's budget.
 func (v *RunView) U(s combin.Coalition) float64 {
-	v.seen[s] = struct{}{}
+	v.seen.Add(s)
 	return v.o.U(s)
 }
 
 // Cached implements Source: true only if this run already requested s.
 func (v *RunView) Cached(s combin.Coalition) bool {
-	_, ok := v.seen[s]
-	return ok
+	return v.seen.Has(s)
 }
 
 // Evals implements Source: distinct coalitions requested by this run.
-func (v *RunView) Evals() int { return len(v.seen) }
+func (v *RunView) Evals() int { return v.seen.Len() }
 
 // SetContext implements ContextBinder by binding the underlying oracle, so
 // cancelling a run cancels the fresh evaluations it would trigger.

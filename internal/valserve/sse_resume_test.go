@@ -34,6 +34,9 @@ func TestSSEResumeAcrossRestart(t *testing.T) {
 			// watcher's reconnect lands (WatchJob backs off 250ms between
 			// attempts).
 			BuildProblem: gameBuilder(50*time.Millisecond, nil),
+			// Pinned: the default pool is GOMAXPROCS wide, and on eight
+			// cores the recovered job would finish inside that back-off.
+			EvalWorkers: 2,
 		})
 		if err != nil {
 			t.Fatal(err)
