@@ -35,9 +35,7 @@
 //	fedvalload -chaos -jobs 120 -fleet 2 -disk-full 1 -stalls 1 -flaps 1
 //
 // The process exits 0 on success, 1 on harness errors, and 2 when a
-// chaos invariant is violated. -json writes the full report; -bench-out
-// writes the headline percentiles in the scripts/bench.sh line format so
-// load numbers land on the BENCH_PR*.json trajectory. See the "Load
+// chaos invariant is violated. -json writes the full report. See the "Load
 // testing & chaos" section of OPERATIONS.md.
 package main
 
@@ -45,7 +43,6 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"io"
 	"net"
 	"os"
 	"os/exec"
@@ -75,7 +72,6 @@ func main() {
 		seed         = flag.Int64("seed", 1, "traffic generation seed (equal seeds replay identical request sequences)")
 		timeout      = flag.Duration("timeout", 10*time.Minute, "overall run deadline")
 		jsonOut      = flag.String("json", "", "write the full report as JSON to this file (- for stdout)")
-		benchOut     = flag.String("bench-out", "", "write headline percentiles in scripts/bench.sh line format to this file")
 		spawn        = flag.Bool("spawn", false, "spawn a private daemon (+fleet) to load instead of targeting -addr")
 		fedvald      = flag.String("fedvald", "fedvald", "fedvald binary for -spawn/-chaos (path or $PATH name)")
 		fedvalworker = flag.String("fedvalworker", "fedvalworker", "fedvalworker binary for -spawn/-chaos")
@@ -130,7 +126,7 @@ func main() {
 	}
 
 	fmt.Println(rep.Summary())
-	if err := writeOutputs(rep, *jsonOut, *benchOut); err != nil {
+	if err := writeJSON(rep, *jsonOut); err != nil {
 		fmt.Fprintln(os.Stderr, "fedvalload:", err)
 		os.Exit(1)
 	}
@@ -401,33 +397,21 @@ func (s *stack) stop() {
 	}
 }
 
-func writeOutputs(rep *loadgen.Report, jsonOut, benchOut string) error {
-	if jsonOut == "-" {
-		if err := rep.WriteJSON(os.Stdout); err != nil {
-			return err
-		}
-	} else if jsonOut != "" {
-		if err := writeFile(jsonOut, rep.WriteJSON); err != nil {
-			return err
-		}
+// writeJSON writes the full report to path ("-" is stdout, "" nowhere). The
+// close error is checked on every path — Close flushes, so its error is a
+// write error.
+func writeJSON(rep *loadgen.Report, path string) error {
+	switch path {
+	case "":
+		return nil
+	case "-":
+		return rep.WriteJSON(os.Stdout)
 	}
-	if benchOut != "" {
-		if err := writeFile(benchOut, rep.WriteBenchLines); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// writeFile creates path, streams the report through write, and checks
-// the close error on every path — Close flushes, so its error is a write
-// error.
-func writeFile(path string, write func(io.Writer) error) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	err = write(f)
+	err = rep.WriteJSON(f)
 	if cerr := f.Close(); err == nil {
 		err = cerr
 	}

@@ -13,7 +13,7 @@ import (
 // hot loop. Outside functions that already hold a ctx, Background/TODO
 // is only legitimate at the process root: package main. Everywhere else
 // the site needs a //fedvallint:allow(ctxthread) annotation explaining
-// who owns the lifetime (nil-ctx compat fallbacks, daemon-scoped
+// who owns the lifetime (context-free compat wrappers, daemon-scoped
 // background loops).
 var AnalyzerCtxThread = &Analyzer{
 	Name: "ctxthread",

@@ -1092,20 +1092,10 @@ type SessionConfig struct {
 	Trace *obs.Trace
 }
 
-// NewSession registers a job with the coordinator without warm-start; see
-// NewSessionWith. ctx is the job's context: when it is done, queued work is
-// dropped, workers are told to skip the spec, and blocked Eval calls abort.
-func (c *Coordinator) NewSession(ctx context.Context, spec ProblemSpec, local utility.EvalFunc, localLimit int) *Session {
-	return c.NewSessionWith(ctx, SessionConfig{Spec: spec, Local: local, LocalLimit: localLimit})
-}
-
 // NewSessionWith registers a job with the coordinator. ctx is the job's
 // context: when it is done, queued work is dropped, workers are told to
 // skip the spec, and blocked Eval calls abort.
 func (c *Coordinator) NewSessionWith(ctx context.Context, cfg SessionConfig) *Session {
-	if ctx == nil {
-		ctx = context.Background() //fedvallint:allow(ctxthread) nil-ctx compat fallback; callers that care pass their own
-	}
 	localLimit := cfg.LocalLimit
 	if localLimit <= 0 {
 		localLimit = runtime.GOMAXPROCS(0)

@@ -6,8 +6,7 @@
 //
 // The topology is one coordinator (embedded in the fedvald daemon) and N
 // workers (cmd/fedvalworker daemons) that dial in and register. The
-// protocol is gob over a net.Conn — the same stdlib substrate as
-// internal/flnet — and deliberately small:
+// protocol is gob over a net.Conn and deliberately small:
 //
 //	worker → coordinator   hello{name, capacity}
 //	coordinator → worker   hello ack, then per job:

@@ -25,9 +25,9 @@ func additive(s combin.Coalition) float64 {
 
 // gameBuilder builds a worker eval for the additive game, counting
 // evaluations and optionally slowing each one down.
-func gameBuilder(evals *atomic.Int64, delay time.Duration) func(ProblemSpec) (utility.EvalFunc, error) {
-	return func(ProblemSpec) (utility.EvalFunc, error) {
-		return func(s combin.Coalition) float64 {
+func gameBuilder(evals *atomic.Int64, delay time.Duration) func(ProblemSpec) (Evaluator, error) {
+	return func(ProblemSpec) (Evaluator, error) {
+		return Evaluator{Eval: func(s combin.Coalition) float64 {
 			if evals != nil {
 				evals.Add(1)
 			}
@@ -35,7 +35,7 @@ func gameBuilder(evals *atomic.Int64, delay time.Duration) func(ProblemSpec) (ut
 				time.Sleep(delay)
 			}
 			return additive(s)
-		}, nil
+		}}, nil
 	}
 }
 
@@ -68,7 +68,7 @@ func (fw *fleetWorker) kill() {
 }
 
 // startWorker dials the coordinator and serves the protocol until killed.
-func startWorker(t *testing.T, addr net.Addr, name string, capacity int, build func(ProblemSpec) (utility.EvalFunc, error)) *fleetWorker {
+func startWorker(t *testing.T, addr net.Addr, name string, capacity int, build func(ProblemSpec) (Evaluator, error)) *fleetWorker {
 	t.Helper()
 	conn, err := net.Dial("tcp", addr.String())
 	if err != nil {
@@ -76,7 +76,7 @@ func startWorker(t *testing.T, addr net.Addr, name string, capacity int, build f
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	fw := &fleetWorker{conn: conn, cancel: cancel, done: make(chan struct{})}
-	w := &Worker{Name: name, Capacity: capacity, BuildEval: build}
+	w := &Worker{Name: name, Capacity: capacity, Build: build}
 	go func() {
 		defer close(fw.done)
 		_ = w.Serve(ctx, conn)
@@ -104,7 +104,10 @@ func newSessionOracle(t *testing.T, c *Coordinator, ctx context.Context, n int, 
 	oracle := utility.NewOracle(n, local)
 	var sess *Session
 	oracle.WrapEval(func(inner utility.EvalFunc) utility.EvalFunc {
-		sess = c.NewSession(ctx, ProblemSpec{ID: fmt.Sprintf("spec-%s", t.Name()), N: n}, inner, 8)
+		sess = c.NewSessionWith(ctx, SessionConfig{
+			Spec:  ProblemSpec{ID: fmt.Sprintf("spec-%s", t.Name()), N: n},
+			Local: inner, LocalLimit: 8,
+		})
 		return sess.Eval
 	})
 	t.Cleanup(sess.Close)
@@ -274,8 +277,8 @@ func TestNoWorkersEvaluatesLocally(t *testing.T) {
 // answers with errors; the session must transparently evaluate locally.
 func TestBuildErrorFallsBackLocal(t *testing.T) {
 	c, addr := startCoordinator(t)
-	startWorker(t, addr, "broken", 2, func(ProblemSpec) (utility.EvalFunc, error) {
-		return nil, errors.New("no such dataset on this machine")
+	startWorker(t, addr, "broken", 2, func(ProblemSpec) (Evaluator, error) {
+		return Evaluator{}, errors.New("no such dataset on this machine")
 	})
 	waitWorkers(t, c, 1)
 

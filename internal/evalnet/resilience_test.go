@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"fedshap/internal/combin"
-	"fedshap/internal/utility"
 )
 
 // startCoordinatorWith serves a tuned coordinator on a loopback listener.
@@ -38,11 +37,11 @@ func TestTaskDeadlineReapsHungWorker(t *testing.T) {
 
 	// The hung worker blocks every evaluation until the test ends.
 	unblock := make(chan struct{})
-	hungBuild := func(ProblemSpec) (utility.EvalFunc, error) {
-		return func(s combin.Coalition) float64 {
+	hungBuild := func(ProblemSpec) (Evaluator, error) {
+		return Evaluator{Eval: func(s combin.Coalition) float64 {
 			<-unblock
 			return additive(s)
-		}, nil
+		}}, nil
 	}
 	startWorker(t, addr, "hung", 2, hungBuild)
 	// Registered after startWorker: cleanups run LIFO, so the evaluation
@@ -108,7 +107,7 @@ func TestFlapQuarantineBenchesAndRejects(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := &Worker{Name: "flappy", Capacity: 1, BuildEval: gameBuilder(nil, 0)}
+	w := &Worker{Name: "flappy", Capacity: 1, Build: gameBuilder(nil, 0)}
 	if err := w.Serve(context.Background(), conn); err == nil {
 		t.Fatal("benched worker attached without error")
 	}

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"fedshap"
 	"fedshap/internal/combin"
 	"fedshap/internal/utility"
 )
@@ -106,9 +107,21 @@ func TestStragglerRedispatch(t *testing.T) {
 	}
 
 	// Let the straggler's superseded duplicates finish and stream their
-	// stale results back: the accounting must not move.
-	time.Sleep(200 * time.Millisecond)
+	// stale results back — the fleet is idle once no worker holds a task —
+	// then check that the accounting did not move.
+	busy := func(m fedshap.FleetMetrics) (n int) {
+		for _, w := range m.Workers {
+			n += w.InFlight
+		}
+		return n
+	}
 	stats := c.Stats()
+	for deadline := time.Now().Add(5 * time.Second); busy(stats) > 0; stats = c.Stats() {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d superseded evaluations still in flight after 5s", busy(stats))
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
 	if stats.Redispatches == 0 {
 		t.Error("no speculative re-dispatch despite an 80x straggler")
 	}

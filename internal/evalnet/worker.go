@@ -44,11 +44,10 @@ type Worker struct {
 	// the problem from the spec's request and evaluates through a fresh
 	// oracle, so repeated coalitions within a job are served from the
 	// worker's own cache and coordinator-shipped warm utilities are never
-	// retrained. When nil, BuildEval is used instead (without warm-start).
+	// retrained. A builder with no cache to warm returns Evaluator{Eval: f}.
+	// When nil, every task is answered with an error and the coordinator
+	// evaluates it locally.
 	Build func(spec ProblemSpec) (Evaluator, error)
-	// BuildEval is the plain-EvalFunc variant of Build, kept for builders
-	// that have no cache to warm. Ignored when Build is set.
-	BuildEval func(spec ProblemSpec) (utility.EvalFunc, error)
 	// DisableWarmStart drops coordinator-shipped warm utilities instead of
 	// applying them — every assigned coalition is then trained locally
 	// (fedvalworker -warm=false; mainly for debugging and benchmarks).
@@ -72,14 +71,10 @@ func (w *Worker) logger() *slog.Logger {
 
 // build resolves the configured builder.
 func (w *Worker) build(spec ProblemSpec) (Evaluator, error) {
-	if w.Build != nil {
-		return w.Build(spec)
+	if w.Build == nil {
+		return Evaluator{}, fmt.Errorf("evalnet: worker has no problem builder")
 	}
-	if w.BuildEval != nil {
-		eval, err := w.BuildEval(spec)
-		return Evaluator{Eval: eval}, err
-	}
-	return Evaluator{}, fmt.Errorf("evalnet: worker has no problem builder")
+	return w.Build(spec)
 }
 
 // workerSpec is one cached problem on the worker.

@@ -126,8 +126,8 @@ func runLoadTestWorker(coordAddr string) {
 	w := &evalnet.Worker{
 		Name:     os.Getenv("FEDSHAP_LOADTEST_WORKER_NAME"),
 		Capacity: 2,
-		BuildEval: func(evalnet.ProblemSpec) (utility.EvalFunc, error) {
-			return additiveGame(delay), nil
+		Build: func(evalnet.ProblemSpec) (evalnet.Evaluator, error) {
+			return evalnet.Evaluator{Eval: additiveGame(delay)}, nil
 		},
 	}
 	for {

@@ -186,46 +186,6 @@ func (r *Report) WriteJSON(w io.Writer) error {
 	return enc.Encode(r)
 }
 
-// WriteBenchLines emits the report's headline numbers in the line-shaped
-// benchmark JSON scripts/bench.sh records ({"name": ..., "ns_per_op": ...}
-// objects, one per line, comma-separated) so a load run lands on the same
-// BENCH_PR*.json trajectory as the microbenchmarks and
-// scripts/bench_diff.sh can gate on it. Durations are ns; throughput is
-// encoded as mean ns per completed job so "lower is better" holds for
-// every line.
-func (r *Report) WriteBenchLines(w io.Writer) error {
-	completed := r.Done + r.Failed + r.Cancelled
-	nsPerJob := 0.0
-	if r.Throughput > 0 {
-		nsPerJob = 1e9 / r.Throughput
-	}
-	lines := []struct {
-		name string
-		ns   float64
-	}{
-		{"LoadSubmitP50", r.SubmitLatency.P50 * 1e9},
-		{"LoadSubmitP95", r.SubmitLatency.P95 * 1e9},
-		{"LoadQueueWaitP50", r.QueueWait.P50 * 1e9},
-		{"LoadQueueWaitP95", r.QueueWait.P95 * 1e9},
-		{"LoadQueueWaitP99", r.QueueWait.P99 * 1e9},
-		{"LoadJobLatencyP50", r.JobLatency.P50 * 1e9},
-		{"LoadJobLatencyP95", r.JobLatency.P95 * 1e9},
-		{"LoadJobLatencyP99", r.JobLatency.P99 * 1e9},
-		{"LoadNsPerCompletedJob", nsPerJob},
-	}
-	for i, l := range lines {
-		sep := ","
-		if i == len(lines)-1 {
-			sep = ""
-		}
-		if _, err := fmt.Fprintf(w, "    {\"name\": \"%s\", \"iters\": %d, \"ns_per_op\": %.0f}%s\n",
-			l.name, completed, l.ns, sep); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // Summary renders a terse human-readable digest.
 func (r *Report) Summary() string {
 	s := fmt.Sprintf(

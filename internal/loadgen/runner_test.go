@@ -2,9 +2,7 @@ package loadgen
 
 import (
 	"context"
-	"encoding/json"
 	"net/http/httptest"
-	"strings"
 	"testing"
 	"time"
 
@@ -97,43 +95,6 @@ func TestRunnerEndToEnd(t *testing.T) {
 		}
 		if final.State != fedshap.JobDone || final.FreshEvals != 0 {
 			t.Errorf("replayed job %s: state %s, %d fresh evals, want done/0", st.ID, final.State, final.FreshEvals)
-		}
-	}
-}
-
-// TestRunnerBenchLines checks the bench.sh line format contract: one
-// comma-terminated JSON object per line except the last, parseable by the
-// awk pipeline in scripts/bench_diff.sh.
-func TestRunnerBenchLines(t *testing.T) {
-	rep := &Report{
-		Done:          10,
-		Throughput:    20,
-		SubmitLatency: Percentiles{P50: 0.001, P95: 0.002},
-		QueueWait:     Percentiles{P50: 0.01, P95: 0.02, P99: 0.03},
-		JobLatency:    Percentiles{P50: 0.1, P95: 0.2, P99: 0.3},
-	}
-	var buf strings.Builder
-	if err := rep.WriteBenchLines(&buf); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimRight(buf.String(), "\n"), "\n")
-	if len(lines) != 9 {
-		t.Fatalf("wrote %d lines, want 9:\n%s", len(lines), buf.String())
-	}
-	for i, line := range lines {
-		wantComma := i < len(lines)-1
-		if strings.HasSuffix(line, ",") != wantComma {
-			t.Errorf("line %d comma wrong: %q", i, line)
-		}
-		var obj struct {
-			Name    string   `json:"name"`
-			Iters   int      `json:"iters"`
-			NsPerOp *float64 `json:"ns_per_op"`
-		}
-		if err := json.Unmarshal([]byte(strings.TrimSuffix(line, ",")), &obj); err != nil {
-			t.Errorf("line %d not a JSON object: %q (%v)", i, line, err)
-		} else if obj.Name == "" || obj.NsPerOp == nil || obj.Iters != 10 {
-			t.Errorf("line %d fields wrong: %q", i, line)
 		}
 	}
 }

@@ -90,9 +90,6 @@ func (p Policy) Delay(attempt int) time.Duration {
 // client-side schedule. The last attempt's error is returned, unwrapped
 // from any Permanent marker.
 func (p Policy) Do(ctx context.Context, fn func(ctx context.Context) error) error {
-	if ctx == nil {
-		ctx = context.Background() //fedvallint:allow(ctxthread) nil-ctx compat fallback; callers that care pass their own
-	}
 	sleep := p.Sleep
 	if sleep == nil {
 		sleep = sleepCtx

@@ -337,7 +337,7 @@ func PlanExhaustive(alg Valuer) bool {
 	switch alg.(type) {
 	case *TMC, *StratifiedNeyman:
 		return false
-	case Planner, Prefetchable:
+	case Planner:
 		return true
 	}
 	return false

@@ -88,7 +88,7 @@ func TestReplayFullEnumeration(t *testing.T) {
 	o := randomGame(n, 11)
 	exact := mustValues(t, ExactMC{}, NewContext(o, 1))
 
-	plan := ExactMC{}.PrefetchPlan(n)
+	plan := ExactMC{}.SamplePlan(n, 0)
 	rep := NewReplay(n, 0.95, plan)
 	for _, s := range plan {
 		rep.Add(s, o.U(s))
@@ -119,7 +119,7 @@ func TestReplayFullEnumeration(t *testing.T) {
 func TestReplayIdempotent(t *testing.T) {
 	const n = 4
 	o := randomGame(n, 3)
-	plan := ExactMC{}.PrefetchPlan(n)
+	plan := ExactMC{}.SamplePlan(n, 0)
 	rep := NewReplay(n, 0.9, plan)
 	for _, s := range plan {
 		rep.Add(s, o.U(s))
@@ -232,7 +232,7 @@ func TestAnytimeCoverage(t *testing.T) {
 		reps       = 200
 		confidence = 0.9
 	)
-	plan := ExactMC{}.PrefetchPlan(n)
+	plan := ExactMC{}.SamplePlan(n, 0)
 	failures := 0
 	for rep := 0; rep < reps; rep++ {
 		seed := int64(1000 + rep)
@@ -337,7 +337,7 @@ func TestResolvedTiesAtExhaustion(t *testing.T) {
 	const n = 4
 	w := []float64{0.3, 0.3, 0.1, 0.5}
 	o := additiveGame(n, w)
-	plan := ExactMC{}.PrefetchPlan(n)
+	plan := ExactMC{}.SamplePlan(n, 0)
 	rp := NewReplay(n, 0.9, plan)
 	for _, s := range plan {
 		rp.Add(s, o.U(s))

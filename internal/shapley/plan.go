@@ -14,18 +14,15 @@ import (
 // cache — bit-identical values, identical budget accounting, wall-clock
 // divided by the worker count.
 //
-// Two levels of plannability exist:
-//
-//   - Prefetchable algorithms have a seed-free deterministic evaluation set
-//     (the exact schemes, K-Greedy, leave-one-out, IPSS's certain strata).
-//   - Planner algorithms additionally replay their seeded sampling, so the
-//     full evaluation sequence — not just the certain part — is known
-//     upfront. Control flow may depend on the running count of *distinct*
-//     coalitions requested (the budget meter γ), which the replay simulates;
-//     it may not depend on utility values. TMC (truncation compares
-//     utilities) and Stratified-Neyman (phase-two allocation uses observed
-//     variances) therefore return only the certain prefix of their sequence;
-//     the sequential pass evaluates the utility-dependent remainder lazily.
+// Every plannable algorithm implements Planner. The exact schemes, K-Greedy
+// and leave-one-out have a seed-free evaluation set and ignore the seed; the
+// samplers replay their seeded draws, so the full evaluation sequence is
+// known upfront. Control flow may depend on the running count of *distinct*
+// coalitions requested (the budget meter γ), which the replay simulates; it
+// may not depend on utility values. TMC (truncation compares utilities) and
+// Stratified-Neyman (phase-two allocation uses observed variances)
+// therefore return only the certain prefix of their sequence; the
+// sequential pass evaluates the utility-dependent remainder lazily.
 //
 // The simulated budget meter matches utility.RunView (and a fresh Oracle)
 // exactly: each distinct coalition requested by the run counts once,
@@ -34,37 +31,24 @@ import (
 // already-charged raw Source remains supported but is not what plans
 // describe.
 
-// Prefetchable is implemented by algorithms whose evaluation set is (partly)
-// known before sampling begins; the deterministic part can then be evaluated
-// concurrently (utility.Oracle.Prefetch) before the sequential valuation
-// pass.
-type Prefetchable interface {
-	// PrefetchPlan returns coalitions the algorithm will certainly
-	// evaluate for a federation of n clients.
-	PrefetchPlan(n int) []combin.Coalition
-}
-
-// Planner is implemented by samplers that can replay their seeded draw
-// sequence. SamplePlan returns, in first-request order, the distinct
-// coalitions a run with the given seed will ask the oracle for — the full
-// sequence when control flow is utility-independent, or a certain prefix
-// when later draws depend on observed utilities. The seed must be the one
-// the run's Context was built with (shapley.NewContext(o, seed)).
+// Planner is implemented by algorithms whose oracle requests are known
+// before any utility is. SamplePlan returns, in first-request order, the
+// distinct coalitions a run with the given seed will ask the oracle for —
+// the full sequence when control flow is utility-independent, or a certain
+// prefix when later draws depend on observed utilities. The seed must be
+// the one the run's Context was built with (shapley.NewContext(o, seed));
+// algorithms that draw nothing ignore it.
 type Planner interface {
 	SamplePlan(n int, seed int64) []combin.Coalition
 }
 
 // PlanFor returns the deterministic evaluation plan of alg for a federation
-// of n clients and a run seeded with seed, preferring the full seeded replay
-// (Planner) over the certain-set fallback (Prefetchable). ok is false when
-// the algorithm exposes no plan at all (the gradient-based baselines, whose
-// cost is one traced training run, not oracle calls).
+// of n clients and a run seeded with seed. ok is false when the algorithm
+// exposes no plan at all (the gradient-based baselines, whose cost is one
+// traced training run, not oracle calls).
 func PlanFor(alg Valuer, n int, seed int64) (plan []combin.Coalition, ok bool) {
-	switch p := alg.(type) {
-	case Planner:
+	if p, ok := alg.(Planner); ok {
 		return p.SamplePlan(n, seed), true
-	case Prefetchable:
-		return p.PrefetchPlan(n), true
 	}
 	return nil, false
 }
@@ -96,17 +80,6 @@ func (r planRecorder) visit(s combin.Coalition) int {
 	return r.Len()
 }
 
-// PrefetchPlan returns the exhaustively evaluated strata of Alg. 3: every
-// coalition of size ≤ k*. The sampled stratum P is RNG-dependent; SamplePlan
-// replays it too.
-func (a *IPSS) PrefetchPlan(n int) []combin.Coalition {
-	kstar := a.KStar(n)
-	if kstar < 0 {
-		kstar = 0
-	}
-	return combin.AppendSubsetsUpTo(nil, n, kstar)
-}
-
 // SamplePlan implements Planner: the certain strata plus the replayed
 // balanced sample of the k*+1 stratum — IPSS's complete evaluation set.
 func (a *IPSS) SamplePlan(n int, seed int64) []combin.Coalition {
@@ -121,9 +94,9 @@ func (a *IPSS) SamplePlan(n int, seed int64) []combin.Coalition {
 	return rec.Keys()
 }
 
-// PrefetchPlan returns every coalition of size ≤ K (Alg. 2 evaluates all of
-// them).
-func (a *KGreedy) PrefetchPlan(n int) []combin.Coalition {
+// SamplePlan implements Planner: every coalition of size ≤ K (Alg. 2
+// evaluates all of them), whatever the seed.
+func (a *KGreedy) SamplePlan(n int, _ int64) []combin.Coalition {
 	k := a.K
 	if k < 1 {
 		k = 1
@@ -131,31 +104,32 @@ func (a *KGreedy) PrefetchPlan(n int) []combin.Coalition {
 	return combin.AppendSubsetsUpTo(nil, n, k)
 }
 
-// PrefetchPlan returns all 2ⁿ coalitions.
-func (ExactMC) PrefetchPlan(n int) []combin.Coalition {
+// SamplePlan implements Planner: all 2ⁿ coalitions, whatever the seed.
+func (ExactMC) SamplePlan(n int, _ int64) []combin.Coalition {
 	out := make([]combin.Coalition, 0, 1<<uint(n))
 	combin.AllSubsets(n, func(s combin.Coalition) { out = append(out, s) })
 	return out
 }
 
-// PrefetchPlan returns all 2ⁿ coalitions.
-func (ExactCC) PrefetchPlan(n int) []combin.Coalition {
-	return ExactMC{}.PrefetchPlan(n)
+// SamplePlan implements Planner: all 2ⁿ coalitions.
+func (ExactCC) SamplePlan(n int, seed int64) []combin.Coalition {
+	return ExactMC{}.SamplePlan(n, seed)
 }
 
-// PrefetchPlan returns all 2ⁿ coalitions.
-func (ExactPerm) PrefetchPlan(n int) []combin.Coalition {
-	return ExactMC{}.PrefetchPlan(n)
+// SamplePlan implements Planner: all 2ⁿ coalitions.
+func (ExactPerm) SamplePlan(n int, seed int64) []combin.Coalition {
+	return ExactMC{}.SamplePlan(n, seed)
 }
 
-// PrefetchPlan returns all 2ⁿ coalitions (Banzhaf enumerates them too).
-func (ExactBanzhaf) PrefetchPlan(n int) []combin.Coalition {
-	return ExactMC{}.PrefetchPlan(n)
+// SamplePlan implements Planner: all 2ⁿ coalitions (Banzhaf enumerates them
+// too).
+func (ExactBanzhaf) SamplePlan(n int, seed int64) []combin.Coalition {
+	return ExactMC{}.SamplePlan(n, seed)
 }
 
-// PrefetchPlan returns the grand coalition and every leave-one-out
-// coalition, in evaluation order.
-func (LeaveOneOut) PrefetchPlan(n int) []combin.Coalition {
+// SamplePlan implements Planner: the grand coalition and every
+// leave-one-out coalition, in evaluation order.
+func (LeaveOneOut) SamplePlan(n int, _ int64) []combin.Coalition {
 	full := combin.FullCoalition(n)
 	out := make([]combin.Coalition, 0, n+1)
 	out = append(out, full)

@@ -110,10 +110,12 @@ func TestSamplePlanMatchesRun(t *testing.T) {
 	}
 }
 
-// TestPlanForDispatch checks the Planner-before-Prefetchable preference and
-// the no-plan fallback.
+// TestPlanForDispatch checks that PlanFor answers with the algorithm's
+// SamplePlan — seeded for the samplers, seed-free for the enumerating
+// schemes — and the no-plan fallback.
 func TestPlanForDispatch(t *testing.T) {
-	// IPSS implements both; PlanFor must return the seeded (longer) plan.
+	// IPSS's plan is the seeded one: the certain strata plus the sampled
+	// stratum, not the certain strata alone.
 	a := NewIPSS(7)
 	plan, ok := PlanFor(a, 5, 3)
 	if !ok {
@@ -122,11 +124,11 @@ func TestPlanForDispatch(t *testing.T) {
 	if got, want := len(plan), len(a.SamplePlan(5, 3)); got != want {
 		t.Fatalf("PlanFor(IPSS) = %d coalitions, want the seeded plan's %d", got, want)
 	}
-	if cert := a.PrefetchPlan(5); len(plan) <= len(cert) && len(a.SamplePlan(5, 3)) > len(cert) {
-		t.Fatalf("PlanFor returned the certain set (%d), not the seeded plan", len(cert))
+	if cert := int(combin.CumulativeBinomial(5, a.KStar(5))); len(plan) <= cert {
+		t.Fatalf("PlanFor(IPSS) = %d coalitions, no more than the %d certain ones", len(plan), cert)
 	}
 
-	// Exact schemes fall back to the certain set.
+	// Exact schemes plan the whole power set, whatever the seed.
 	if plan, ok := PlanFor(ExactMC{}, 4, 1); !ok || len(plan) != 16 {
 		t.Fatalf("PlanFor(ExactMC) = (%d, %v), want (16, true)", len(plan), ok)
 	}

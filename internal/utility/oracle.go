@@ -93,9 +93,6 @@ func (o *Oracle) WrapEval(wrap func(EvalFunc) EvalFunc) {
 
 // SetContext implements ContextBinder.
 func (o *Oracle) SetContext(ctx context.Context) {
-	if ctx == nil {
-		ctx = context.Background() //fedvallint:allow(ctxthread) nil-ctx compat fallback; callers that care pass their own
-	}
 	o.ctx.Store(ctx)
 }
 

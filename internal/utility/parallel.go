@@ -9,66 +9,18 @@ import (
 	"fedshap/internal/combin"
 )
 
-// Parallel evaluation: every entry point below drives the same bounded
-// worker pool over the oracle's evaluation function. Coalition trainings
-// are embarrassingly parallel — each trains an independent model — so the
-// wall-clock of every algorithm scales down by the worker count while the
-// budget accounting (distinct evaluations), the OnEval progress hook and
-// the write-through persistence seam behave exactly as under serial
-// evaluation.
+// Parallel evaluation: one bounded worker pool over the oracle's evaluation
+// function. Coalition trainings are embarrassingly parallel — each trains
+// an independent model — so the wall-clock of every algorithm scales down
+// by the worker count while the budget accounting (distinct evaluations),
+// the OnEval progress hook and the write-through persistence seam behave
+// exactly as under serial evaluation.
 //
-//   - PrefetchStream is the pipelined core: it consumes coalitions from a
-//     channel as the producer emits them, so evaluation overlaps plan
-//     generation.
-//   - Prefetch deduplicates a known list, drops already-cached entries and
-//     lets the pool claim the rest in chunks off an atomic cursor.
+//   - Prefetch is the pool: it deduplicates a known list, drops
+//     already-cached entries and lets the workers claim the rest in chunks
+//     off an atomic cursor.
 //   - EvalBatch is Prefetch plus result collection, for callers that want
 //     the utilities, not just a warm cache.
-
-// PrefetchStream evaluates coalitions arriving on the channel concurrently
-// on a bounded worker pool, caching the results. workers <= 0 selects
-// GOMAXPROCS. Already-cached coalitions are skipped, and duplicates within
-// the stream are claimed by exactly one worker — a duplicate must never
-// race two workers into the same training run, because each evaluation is
-// a full federated training. When ctx is cancelled the pool drains the
-// channel without issuing fresh evaluations and returns the context error;
-// utilities evaluated before the cancellation stay cached. PrefetchStream
-// returns once the channel is closed and the in-flight evaluations
-// finished.
-func (o *Oracle) PrefetchStream(ctx context.Context, coalitions <-chan combin.Coalition, workers int) error {
-	if ctx == nil {
-		ctx = context.Background() //fedvallint:allow(ctxthread) nil-ctx compat fallback; callers that care pass their own
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	var (
-		mu   sync.Mutex
-		seen combin.Set
-		fail poolPanic
-		wg   sync.WaitGroup
-	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for s := range coalitions {
-				if ctx.Err() != nil || fail.raised() {
-					continue // drain the channel without evaluating
-				}
-				mu.Lock()
-				_, first := seen.Add(s)
-				mu.Unlock()
-				if first && !o.Cached(s) {
-					o.poolEval(s, &fail)
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	fail.rethrow()
-	return ctx.Err()
-}
 
 // Prefetch evaluates the given coalitions concurrently on a bounded worker
 // pool and caches the results, so that a subsequent single-threaded
@@ -83,9 +35,6 @@ func (o *Oracle) PrefetchStream(ctx context.Context, coalitions <-chan combin.Co
 // wall-clock of every algorithm scales down by the worker count while the
 // budget accounting (distinct evaluations) is unchanged.
 func (o *Oracle) Prefetch(ctx context.Context, coalitions []combin.Coalition, workers int) error {
-	if ctx == nil {
-		ctx = context.Background() //fedvallint:allow(ctxthread) nil-ctx compat fallback; callers that care pass their own
-	}
 	// Deduplicate and drop cached entries up front.
 	seen := combin.NewSet(len(coalitions))
 	pending := make([]combin.Coalition, 0, len(coalitions))
@@ -111,9 +60,14 @@ func (o *Oracle) Prefetch(ctx context.Context, coalitions []combin.Coalition, wo
 	// (every entry a training run), dozens when it is thousands long (cheap
 	// utilities, where a shared counter bumped per entry is the cost).
 	chunk := max(1, len(pending)/(workers*64))
+	// A panic on a pool goroutine has no caller to recover it and would end
+	// the process; fail keeps the first one, siblings stop claiming, and it
+	// is re-raised below on the goroutine that called Prefetch, where it
+	// reaches whatever recover guards the caller (the service's job boundary
+	// turns it into a failed job).
 	var (
 		next atomic.Int64
-		fail poolPanic
+		fail atomic.Pointer[any]
 		wg   sync.WaitGroup
 	)
 	for w := 0; w < workers; w++ {
@@ -130,7 +84,7 @@ func (o *Oracle) Prefetch(ctx context.Context, coalitions []combin.Coalition, wo
 					hi = len(pending)
 				}
 				for _, s := range pending[lo:hi] {
-					if ctx.Err() != nil || fail.raised() {
+					if ctx.Err() != nil || fail.Load() != nil {
 						return
 					}
 					o.poolEval(s, &fail)
@@ -139,7 +93,9 @@ func (o *Oracle) Prefetch(ctx context.Context, coalitions []combin.Coalition, wo
 		}()
 	}
 	wg.Wait()
-	fail.rethrow()
+	if r := fail.Load(); r != nil {
+		panic(*r)
+	}
 	return ctx.Err()
 }
 
@@ -157,43 +113,18 @@ func (o *Oracle) EvalBatch(ctx context.Context, coalitions []combin.Coalition, w
 	return out, nil
 }
 
-// poolPanic carries the first panic of a pool goroutine to the goroutine
-// that started the pool. A panic on a pool goroutine has no caller to
-// recover it and would end the process; re-raised after the pool has
-// drained, it reaches whatever recover guards the caller (the service's
-// job boundary turns it into a failed job).
-type poolPanic struct {
-	first atomic.Pointer[any]
-}
-
-// raised reports whether a panic was recorded, so siblings stop claiming.
-func (p *poolPanic) raised() bool { return p.first.Load() != nil }
-
-// rethrow re-raises the recorded panic, if any. Call it after wg.Wait.
-func (p *poolPanic) rethrow() {
-	if r := p.first.Load(); r != nil {
-		panic(*r)
-	}
-}
-
 // poolEval evaluates one cache miss on a pool goroutine, swallowing the
 // cancellation panic a bound oracle context may raise mid-pool and
 // recording any other panic in fail.
-func (o *Oracle) poolEval(s combin.Coalition, fail *poolPanic) {
+func (o *Oracle) poolEval(s combin.Coalition, fail *atomic.Pointer[any]) {
 	defer func() {
 		if r := recover(); r != nil {
 			if _, ok := r.(*CancelError); ok {
 				return
 			}
 			p := r // r itself must not escape: it would cost every call an allocation
-			fail.first.CompareAndSwap(nil, &p)
+			fail.CompareAndSwap(nil, &p)
 		}
 	}()
 	o.fresh(s)
-}
-
-// PrefetchStrata warms the cache with every coalition of size ≤ k — the
-// exact set IPSS evaluates exhaustively (its "key combinations").
-func (o *Oracle) PrefetchStrata(ctx context.Context, k, workers int) error {
-	return o.Prefetch(ctx, combin.AppendSubsetsUpTo(nil, o.n, k), workers)
 }

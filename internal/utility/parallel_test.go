@@ -55,67 +55,11 @@ func TestPrefetchSkipsCached(t *testing.T) {
 	}
 }
 
-func TestPrefetchStrata(t *testing.T) {
-	o := NewOracle(5, func(s combin.Coalition) float64 { return 0 })
-	o.PrefetchStrata(context.Background(), 2, 3)
-	// 1 + 5 + 10 = 16 coalitions of size ≤ 2.
-	if got := o.Evals(); got != 16 {
-		t.Errorf("evals = %d, want 16", got)
-	}
-}
-
 func TestPrefetchEmptyInput(t *testing.T) {
 	o := NewOracle(3, func(s combin.Coalition) float64 { return 0 })
 	o.Prefetch(context.Background(), nil, 4) // must not hang or panic
 	if o.Evals() != 0 {
 		t.Errorf("evals = %d", o.Evals())
-	}
-}
-
-func TestPrefetchStreamPipelines(t *testing.T) {
-	// The pool must start evaluating while the producer is still emitting:
-	// feed coalitions through an unbuffered channel from a slow producer
-	// and check every one lands in the cache exactly once.
-	var calls int64
-	o := NewOracle(6, func(s combin.Coalition) float64 {
-		atomic.AddInt64(&calls, 1)
-		return float64(s.Size())
-	})
-	var want []combin.Coalition
-	combin.SubsetsOfSize(6, 2, func(s combin.Coalition) { want = append(want, s) })
-	ch := make(chan combin.Coalition)
-	go func() {
-		defer close(ch)
-		for _, s := range want {
-			ch <- s
-			ch <- s // duplicates must not double-evaluate
-		}
-	}()
-	if err := o.PrefetchStream(context.Background(), ch, 3); err != nil {
-		t.Fatal(err)
-	}
-	if got := atomic.LoadInt64(&calls); got != int64(len(want)) {
-		t.Errorf("calls = %d, want %d", got, len(want))
-	}
-	if got := o.Evals(); got != len(want) {
-		t.Errorf("evals = %d, want %d", got, len(want))
-	}
-}
-
-func TestPrefetchStreamCancelDrains(t *testing.T) {
-	o := NewOracle(6, func(s combin.Coalition) float64 { return 0 })
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	ch := make(chan combin.Coalition)
-	go func() {
-		defer close(ch)
-		combin.SubsetsOfSize(6, 2, func(s combin.Coalition) { ch <- s })
-	}()
-	if err := o.PrefetchStream(ctx, ch, 2); err != context.Canceled {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	if o.Evals() != 0 {
-		t.Errorf("cancelled stream evaluated %d coalitions", o.Evals())
 	}
 }
 
@@ -222,41 +166,33 @@ func TestPoolPanicReachesCaller(t *testing.T) {
 		return nil
 	}
 
+	// Both entries to the pool: Prefetch itself and EvalBatch, which the
+	// anytime drive calls chunk by chunk.
 	var evals atomic.Int64
-	o := newOracle(&evals)
-	if r := caught(func() { o.Prefetch(context.Background(), coals, 4) }); r != "evaluation exploded" {
-		t.Fatalf("Prefetch: recovered %v, want the utility's panic", r)
-	}
-	if got := evals.Load(); got >= int64(len(coals)-1) {
-		t.Errorf("Prefetch evaluated %d of %d coalitions after a sibling panicked", got, len(coals))
-	}
-	if o.Cached(bad) {
-		t.Error("the panicking coalition was cached")
-	}
-
-	evals.Store(0)
-	o = newOracle(&evals)
-	ch := make(chan combin.Coalition)
-	produced := make(chan struct{})
-	go func() {
-		defer close(produced)
-		for _, s := range coals {
-			ch <- s // blocks forever unless the pool keeps draining
+	for _, entry := range []struct {
+		name string
+		run  func(o *Oracle)
+	}{
+		{"Prefetch", func(o *Oracle) { o.Prefetch(context.Background(), coals, 4) }},
+		{"EvalBatch", func(o *Oracle) { o.EvalBatch(context.Background(), coals, 4) }},
+	} {
+		evals.Store(0)
+		o := newOracle(&evals)
+		if r := caught(func() { entry.run(o) }); r != "evaluation exploded" {
+			t.Fatalf("%s: recovered %v, want the utility's panic", entry.name, r)
 		}
-		close(ch)
-	}()
-	if r := caught(func() { o.PrefetchStream(context.Background(), ch, 4) }); r != "evaluation exploded" {
-		t.Fatalf("PrefetchStream: recovered %v, want the utility's panic", r)
-	}
-	<-produced
-	if got := evals.Load(); got >= int64(len(coals)-1) {
-		t.Errorf("PrefetchStream evaluated %d of %d coalitions after a sibling panicked", got, len(coals))
+		if got := evals.Load(); got >= int64(len(coals)-1) {
+			t.Errorf("%s evaluated %d of %d coalitions after a sibling panicked", entry.name, got, len(coals))
+		}
+		if o.Cached(bad) {
+			t.Errorf("%s cached the panicking coalition", entry.name)
+		}
 	}
 
 	// Cancellation is not a failure: it still comes back as an error.
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	o = newOracle(&evals)
+	o := newOracle(&evals)
 	o.SetContext(ctx)
 	if r := caught(func() {
 		if err := o.Prefetch(context.Background(), coals[:8], 2); err != nil {

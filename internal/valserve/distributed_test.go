@@ -13,7 +13,6 @@ import (
 	"fedshap"
 	"fedshap/internal/combin"
 	"fedshap/internal/evalnet"
-	"fedshap/internal/utility"
 )
 
 // TestMain doubles as the entry point for spawned helper processes: with
@@ -35,29 +34,29 @@ func TestMain(m *testing.M) {
 }
 
 // runTestWorker serves evaluations until the coordinator link drops. The
-// default problem builder is the production one (WorkerEval, real FL
-// training); FEDSHAP_TEST_WORKER_GAME_DELAY_MS switches to the additive
+// default problem builder is the production one (WorkerEvaluatorWith, real
+// FL training); FEDSHAP_TEST_WORKER_GAME_DELAY_MS switches to the additive
 // test game used by the kill/cancel tests.
 func runTestWorker(addr string) {
 	capacity, _ := strconv.Atoi(os.Getenv("FEDSHAP_TEST_WORKER_CAP"))
-	build := WorkerEval
+	build := WorkerEvaluatorWith(0)
 	if ms := os.Getenv("FEDSHAP_TEST_WORKER_GAME_DELAY_MS"); ms != "" {
 		delay, _ := strconv.Atoi(ms)
-		build = func(evalnet.ProblemSpec) (utility.EvalFunc, error) {
-			return func(s combin.Coalition) float64 {
+		build = func(evalnet.ProblemSpec) (evalnet.Evaluator, error) {
+			return evalnet.Evaluator{Eval: func(s combin.Coalition) float64 {
 				time.Sleep(time.Duration(delay) * time.Millisecond)
 				var u float64
 				for _, i := range s.Members() {
 					u += float64(i + 1)
 				}
 				return u
-			}, nil
+			}}, nil
 		}
 	}
 	w := &evalnet.Worker{
-		Name:      os.Getenv("FEDSHAP_TEST_WORKER_NAME"),
-		Capacity:  capacity,
-		BuildEval: build,
+		Name:     os.Getenv("FEDSHAP_TEST_WORKER_NAME"),
+		Capacity: capacity,
+		Build:    build,
 	}
 	_ = w.Dial(context.Background(), addr)
 }

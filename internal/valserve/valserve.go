@@ -42,7 +42,6 @@ import (
 	"fedshap/internal/evalnet"
 	"fedshap/internal/experiments"
 	"fedshap/internal/shapley"
-	"fedshap/internal/utility"
 )
 
 // Normalize fills a request's defaulted fields in place (dataset family,
@@ -279,37 +278,23 @@ func ValidateRequest(req fedshap.JobRequest, lenientData bool) error {
 	return nil
 }
 
-// WorkerEval is the standard problem builder for a remote evaluation
-// worker (cmd/fedvalworker): it rebuilds the spec's valuation problem from
-// the normalized request — dataset generation and training are
+// WorkerEvaluatorWith is the standard problem builder for a remote
+// evaluation worker (cmd/fedvalworker): it rebuilds the spec's valuation
+// problem from the normalized request — dataset generation and training are
 // deterministic per seed, so the worker's utilities are bit-identical to
 // the coordinator's — and evaluates through a fresh per-spec oracle, so
 // coalitions the coordinator retries after a fleet change are served from
-// the worker's own cache instead of retrained.
-func WorkerEval(spec evalnet.ProblemSpec) (utility.EvalFunc, error) {
-	return WorkerEvalWith(0)(spec)
-}
-
-// WorkerEvalWith is WorkerEval with client-level training parallelism:
-// every coalition the worker evaluates trains its clients across
+// the worker's own cache instead of retrained. The oracle's Warm hook is
+// exposed too, so coordinator-shipped warm-start utilities land in that
+// cache and a recycled fleet never retrains a coalition the daemon already
+// knows.
+//
+// Every coalition the worker evaluates trains its clients across
 // trainWorkers concurrent slots (see fl.Config.Workers). Training is
 // bit-identical at any value, so a mixed fleet still agrees on every
 // utility. The right setting depends on the worker's -capacity: a worker
 // evaluating one coalition at a time wants trainWorkers ≈ its core count,
 // while capacity ≈ cores pairs with serial training.
-func WorkerEvalWith(trainWorkers int) func(evalnet.ProblemSpec) (utility.EvalFunc, error) {
-	build := WorkerEvaluatorWith(trainWorkers)
-	return func(spec evalnet.ProblemSpec) (utility.EvalFunc, error) {
-		ev, err := build(spec)
-		return ev.Eval, err
-	}
-}
-
-// WorkerEvaluatorWith is the standard problem builder for a remote
-// evaluation worker (cmd/fedvalworker): like WorkerEvalWith, but it also
-// exposes the per-spec oracle's Warm hook, so coordinator-shipped
-// warm-start utilities land in the worker's cache and a recycled fleet
-// never retrains a coalition the daemon already knows.
 func WorkerEvaluatorWith(trainWorkers int) func(evalnet.ProblemSpec) (evalnet.Evaluator, error) {
 	return func(spec evalnet.ProblemSpec) (evalnet.Evaluator, error) {
 		req := spec.Request

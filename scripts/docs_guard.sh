@@ -1,9 +1,10 @@
 #!/bin/sh
 # docs_guard.sh — fails CI when the documentation drifts from the code:
 # every HTTP route documented in README/OPERATIONS/docs/api.md must be
-# registered verbatim in internal/valserve/http.go, and every
-# standalone backtick-quoted `-flag` must be defined by some cmd/
-# binary. Run from the repo root: sh scripts/docs_guard.sh
+# registered verbatim in internal/valserve/http.go, every standalone
+# backtick-quoted `-flag` must be defined by some cmd/ binary, and every
+# backtick-quoted internal/, cmd/ or scripts/ path must exist. Run from
+# the repo root: sh scripts/docs_guard.sh
 set -eu
 
 status=0
@@ -54,7 +55,25 @@ if [ "$documented" != "$actual" ]; then
 	status=1
 fi
 
+# --- Paths ------------------------------------------------------------
+# A backticked `internal/<pkg>`, `cmd/<bin>` or `scripts/<file>` (with or
+# without arguments or a deeper file path after it) must exist in the
+# tree, so deleting a package or a script forces the prose to follow. A
+# package-qualified name (`internal/combin.Coalition`) is checked as its
+# package.
+paths=$(grep -ohE '`(internal|cmd|scripts)/[A-Za-z0-9_./-]+' \
+	README.md ARCHITECTURE.md OPERATIONS.md docs/api.md | tr -d '`' | sort -u)
+while IFS= read -r p; do
+	[ -n "$p" ] || continue
+	if [ ! -e "$p" ] && [ ! -e "${p%.[A-Z]*}" ]; then
+		echo "stale docs: path \"$p\" is documented but does not exist" >&2
+		status=1
+	fi
+done <<EOF
+$paths
+EOF
+
 if [ "$status" -eq 0 ]; then
-	echo "docs guard: all documented routes, flags and analyzers exist"
+	echo "docs guard: all documented routes, flags, analyzers and paths exist"
 fi
 exit "$status"
