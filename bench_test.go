@@ -16,6 +16,7 @@ import (
 	"fedshap/internal/combin"
 	"fedshap/internal/experiments"
 	"fedshap/internal/shapley"
+	"fedshap/internal/theory"
 	"fedshap/internal/utility"
 )
 
@@ -84,7 +85,7 @@ func BenchmarkFig4KGreedy(b *testing.B) {
 func benchFig6(b *testing.B, setup experiments.SyntheticSetup) {
 	b.Helper()
 	sc := benchScale()
-	gamma := experiments.GammaForN(6)
+	gamma := theory.GammaForN(6)
 	for i := 0; i < b.N; i++ {
 		p := experiments.NewSyntheticProblem(setup, 6, experiments.MLP, sc, 0.1, int64(i))
 		exact, _ := experiments.ExactValues(p, 1)
@@ -184,7 +185,7 @@ func BenchmarkAblationIPSSRescale(b *testing.B) {
 	sc := benchScale()
 	p := experiments.NewFEMNISTProblem(6, experiments.LogReg, sc, 1)
 	exact, _ := experiments.ExactValues(p, 1)
-	gamma := experiments.GammaForN(6)
+	gamma := theory.GammaForN(6)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		experiments.RunAlgorithm(p, shapley.NewIPSS(gamma), exact, int64(i))
@@ -198,7 +199,7 @@ func BenchmarkAblationBalancedP(b *testing.B) {
 	sc := benchScale()
 	p := experiments.NewFEMNISTProblem(6, experiments.LogReg, sc, 1)
 	exact, _ := experiments.ExactValues(p, 1)
-	gamma := experiments.GammaForN(6)
+	gamma := theory.GammaForN(6)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		experiments.RunAlgorithm(p, shapley.NewIPSS(gamma), exact, int64(i))
@@ -353,7 +354,7 @@ func BenchmarkExactShapley(b *testing.B) {
 func BenchmarkIPSS(b *testing.B) {
 	sc := benchScale()
 	p := experiments.NewFEMNISTProblem(10, experiments.LogReg, sc, 1)
-	gamma := experiments.GammaForN(10)
+	gamma := theory.GammaForN(10)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		experiments.RunAlgorithm(p, shapley.NewIPSS(gamma), nil, int64(i))

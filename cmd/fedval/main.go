@@ -35,7 +35,9 @@ import (
 	"fedshap/internal/fl"
 	"fedshap/internal/model"
 	"fedshap/internal/shapley"
+	"fedshap/internal/theory"
 	"fedshap/internal/utility"
+	"fedshap/internal/valserve"
 )
 
 // jsonResult is the machine-readable output of -json.
@@ -85,8 +87,28 @@ func main() {
 	)
 	flag.Parse()
 
+	// One request names the job in both modes, in the daemon's vocabulary
+	// (valserve.ParseScale / ParseModel / NewValuer / BuildProblem), so a
+	// local run and a -server run of one command line value the same
+	// problem with the same algorithm.
+	req := fedshap.JobRequest{
+		Data:            strings.ToLower(*data),
+		Setup:           *setup,
+		Noise:           *noise,
+		Model:           *modelKind,
+		N:               *n,
+		Algorithm:       *algName,
+		Gamma:           *gamma,
+		K:               *k,
+		Seed:            *seed,
+		Scale:           *scaleName,
+		Workers:         *workers,
+		Confidence:      *confidence,
+		RankStop:        *rankStop,
+		DeadlineSeconds: deadline.Seconds(),
+	}
 	if *server != "" {
-		if strings.EqualFold(*data, "csv") {
+		if req.Data == "csv" {
 			fatal(errors.New("-data csv is not available in -server mode (the file is local)"))
 		}
 		if *compare {
@@ -95,45 +117,30 @@ func main() {
 		if *watchValues && *confidence == 0 {
 			fatal(errors.New("-watch-values requires -confidence (values events stream only for anytime jobs)"))
 		}
-		runRemote(*server, fedshap.JobRequest{
-			Data:            *data,
-			Setup:           *setup,
-			Noise:           *noise,
-			Model:           *modelKind,
-			N:               *n,
-			Algorithm:       *algName,
-			Gamma:           *gamma,
-			K:               *k,
-			Seed:            *seed,
-			Scale:           *scaleName,
-			Workers:         *workers,
-			Confidence:      *confidence,
-			RankStop:        *rankStop,
-			DeadlineSeconds: deadline.Seconds(),
-		}, *jsonOut, *showTrace, *watchValues, *poll)
+		runRemote(*server, req, *jsonOut, *showTrace, *watchValues, *poll)
 		return
 	}
 
-	sc := experiments.Small()
-	if *scaleName == "tiny" {
-		sc = experiments.Tiny()
+	if req.Gamma == 0 {
+		req.Gamma = theory.GammaForN(req.N)
 	}
-	if *gamma == 0 {
-		*gamma = experiments.GammaForN(*n)
+	if req.N < 2 || req.N > 127 {
+		fatal(fmt.Errorf("n=%d out of range [2,127]", req.N))
 	}
-
-	kind, err := parseModel(*modelKind)
-	if err != nil {
-		fatal(err)
+	var p *experiments.Problem
+	var err error
+	if req.Data == "csv" {
+		p, err = csvProblem(*file, req)
+	} else {
+		p, err = valserve.BuildProblem(req)
 	}
-	p, err := buildProblem(*data, *file, *setup, *noise, *n, kind, sc, *seed)
 	if err != nil {
 		fatal(err)
 	}
 	if *trainWorkers > 1 && p.Spec != nil {
 		p.Spec.Config.Workers = *trainWorkers
 	}
-	alg, err := parseAlg(*algName, *gamma, *k)
+	alg, err := valserve.NewValuer(req.Algorithm, req.Gamma, req.K)
 	if err != nil {
 		fatal(err)
 	}
@@ -149,7 +156,7 @@ func main() {
 		fatal(res.RunErr)
 	}
 	if res.NotApplicable {
-		fatal(fmt.Errorf("%s is not applicable to model %s", alg.Name(), kind))
+		fatal(fmt.Errorf("%s is not applicable to model %s", alg.Name(), req.Model))
 	}
 
 	if *jsonOut {
@@ -350,82 +357,21 @@ func printTrace(tr *fedshap.JobTrace) {
 	}
 }
 
-func parseModel(s string) (experiments.ModelKind, error) {
-	switch strings.ToLower(s) {
-	case "mlp":
-		return experiments.MLP, nil
-	case "cnn":
-		return experiments.CNN, nil
-	case "xgb":
-		return experiments.XGB, nil
-	case "logreg":
-		return experiments.LogReg, nil
-	case "deepmlp":
-		return experiments.DeepMLP, nil
-	default:
-		return "", fmt.Errorf("unknown model %q", s)
-	}
-}
-
-func buildProblem(data, file, setup string, noise float64, n int, kind experiments.ModelKind, sc experiments.Scale, seed int64) (*experiments.Problem, error) {
-	if n < 2 || n > 127 {
-		return nil, fmt.Errorf("n=%d out of range [2,127]", n)
-	}
-	switch strings.ToLower(data) {
-	case "csv":
-		return csvProblem(file, n, kind, sc, seed)
-	case "femnist":
-		return experiments.NewFEMNISTProblem(n, kind, sc, seed), nil
-	case "adult":
-		return experiments.NewAdultProblem(n, kind, sc, seed), nil
-	case "synthetic":
-		return experiments.NewSyntheticProblem(experiments.SyntheticSetup(setup), n, kind, sc, noise, seed), nil
-	default:
-		return nil, fmt.Errorf("unknown dataset %q", data)
-	}
-}
-
-func parseAlg(name string, gamma, k int) (shapley.Valuer, error) {
-	switch strings.ToLower(name) {
-	case "ipss":
-		return shapley.NewIPSS(gamma), nil
-	case "ipss-rescaled":
-		return &shapley.IPSS{Gamma: gamma, RescaleSampledStratum: true}, nil
-	case "exact", "mc":
-		return shapley.ExactMC{}, nil
-	case "perm":
-		return shapley.ExactPerm{}, nil
-	case "stratified-mc":
-		return shapley.NewStratified(shapley.MC, gamma), nil
-	case "stratified-cc":
-		return shapley.NewStratified(shapley.CC, gamma), nil
-	case "kgreedy":
-		return &shapley.KGreedy{K: k}, nil
-	case "tmc":
-		return shapley.NewTMC(gamma), nil
-	case "gtb":
-		return shapley.NewGTB(gamma), nil
-	case "ccshapley":
-		return shapley.NewCCShapley(gamma), nil
-	case "digfl":
-		return shapley.DIGFL{}, nil
-	case "or":
-		return shapley.OR{}, nil
-	case "lambdamr":
-		return &shapley.LambdaMR{}, nil
-	case "gtg":
-		return &shapley.GTGShapley{}, nil
-	default:
-		return nil, fmt.Errorf("unknown algorithm %q", name)
-	}
-}
-
 // csvProblem partitions a user-supplied CSV into an IID federation with a
 // held-out test split.
-func csvProblem(file string, n int, kind experiments.ModelKind, sc experiments.Scale, seed int64) (*experiments.Problem, error) {
+func csvProblem(file string, req fedshap.JobRequest) (*experiments.Problem, error) {
 	if file == "" {
 		return nil, fmt.Errorf("-data csv requires -file")
 	}
+	sc, err := valserve.ParseScale(req.Scale)
+	if err != nil {
+		return nil, err
+	}
+	kind, err := valserve.ParseModel(req.Model)
+	if err != nil {
+		return nil, err
+	}
+	n, seed := req.N, req.Seed
 	pool, err := dataset.LoadCSV(file, 0)
 	if err != nil {
 		return nil, err

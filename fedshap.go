@@ -35,6 +35,7 @@ import (
 	"fedshap/internal/fl"
 	"fedshap/internal/model"
 	"fedshap/internal/shapley"
+	"fedshap/internal/theory"
 	"fedshap/internal/utility"
 )
 
@@ -469,5 +470,5 @@ func (f *Federation) Utilities(coalitions []Coalition, workers int) []float64 {
 // RecommendedGamma returns the paper's sampling budget policy for this
 // federation size (Table III for n ∈ {3,6,10}, γ = ⌈n·ln n⌉ otherwise).
 func (f *Federation) RecommendedGamma() int {
-	return recommendedGamma(f.N())
+	return theory.GammaForN(f.N())
 }

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"fedshap/internal/shapley"
+	"fedshap/internal/theory"
 )
 
 // fastScale keeps harness tests quick: trivial training sizes.
@@ -17,23 +18,6 @@ func fastScale() Scale {
 	sc.TestSamples = 60
 	sc.Reps = 3
 	return sc
-}
-
-func TestGammaForN(t *testing.T) {
-	// Table III values.
-	cases := map[int]int{3: 5, 6: 8, 10: 32}
-	for n, want := range cases {
-		if got := GammaForN(n); got != want {
-			t.Errorf("GammaForN(%d) = %d, want %d", n, got, want)
-		}
-	}
-	// Fig. 9 policy for other n.
-	if got := GammaForN(20); got != int(math.Ceil(20*math.Log(20))) {
-		t.Errorf("GammaForN(20) = %d", got)
-	}
-	if GammaForN(1) < 2 {
-		t.Errorf("degenerate n should still get a budget")
-	}
 }
 
 func TestProblemConstructors(t *testing.T) {
@@ -96,14 +80,14 @@ func TestRunAlgorithmScoresAgainstExact(t *testing.T) {
 	if exactRes.Evals != 8 {
 		t.Errorf("exact evals = %d, want 2^3", exactRes.Evals)
 	}
-	r := RunAlgorithm(p, shapley.NewIPSS(GammaForN(3)), exact, 2)
+	r := RunAlgorithm(p, shapley.NewIPSS(theory.GammaForN(3)), exact, 2)
 	if math.IsNaN(r.Err) {
 		t.Errorf("err not computed")
 	}
 	if r.Seconds <= 0 {
 		t.Errorf("no time recorded")
 	}
-	if r.Evals > GammaForN(3) {
+	if r.Evals > theory.GammaForN(3) {
 		t.Errorf("IPSS evals %d exceed budget", r.Evals)
 	}
 }

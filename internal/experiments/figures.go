@@ -5,6 +5,7 @@ import (
 
 	"fedshap/internal/metrics"
 	"fedshap/internal/shapley"
+	"fedshap/internal/theory"
 )
 
 // FigConfig parameterises the figure runners.
@@ -28,7 +29,7 @@ func DefaultFigConfig(sc Scale, seed int64) FigConfig {
 // of every algorithm on the FEMNIST-like problem with ten clients.
 func Fig1b(cfg FigConfig) *Report {
 	p := NewFEMNISTProblem(cfg.N, MLP, cfg.Scale, cfg.Seed)
-	gamma := GammaForN(cfg.N)
+	gamma := theory.GammaForN(cfg.N)
 	exact, exactRes := ExactValues(p, cfg.Seed+1)
 
 	rep := &Report{
@@ -77,7 +78,7 @@ func Fig6(cfg FigConfig) *Report {
 		Header: []string{"setup", "model", "algorithm", "time(s)", "error(l2)"},
 		Notes:  []string{"noise level 0.10 for setups (d) and (e)"},
 	}
-	gamma := GammaForN(cfg.N)
+	gamma := theory.GammaForN(cfg.N)
 	for _, setup := range AllSyntheticSetups() {
 		for _, kind := range cfg.Models {
 			p := NewSyntheticProblem(setup, cfg.N, kind, cfg.Scale, noise, cfg.Seed)
@@ -111,7 +112,7 @@ func Fig6Noise(cfg FigConfig, levels []float64) *Report {
 		Title:  "Fig. 6(d)/(e) — error vs noise level",
 		Header: []string{"setup", "noise", "algorithm", "error(l2)"},
 	}
-	gamma := GammaForN(cfg.N)
+	gamma := theory.GammaForN(cfg.N)
 	for _, setup := range []SyntheticSetup{SameSizeNoisyLbl, SameSizeNoisyFeat} {
 		for _, lvl := range levels {
 			p := NewSyntheticProblem(setup, cfg.N, kind, cfg.Scale, lvl, cfg.Seed)
@@ -181,7 +182,7 @@ func Fig8(cfg FigConfig, ns []int, gammas []int) *Report {
 			exact, _ := ExactValues(p, cfg.Seed+1)
 			sweep := gammas
 			if len(sweep) == 0 {
-				base := GammaForN(n)
+				base := theory.GammaForN(n)
 				sweep = []int{base, 2 * base, 4 * base}
 			}
 			// Honest per-run timing needs fresh oracles, so cap the
@@ -231,7 +232,7 @@ func Fig9(cfg FigConfig, ns []int) *Report {
 	}
 	for _, n := range ns {
 		p := NewScalabilityProblem(n, kind, cfg.Scale, cfg.Seed+int64(n))
-		gamma := GammaForN(n)
+		gamma := theory.GammaForN(n)
 		for ai, alg := range SamplingSuite(gamma) {
 			r := RunAlgorithm(p, alg, nil, cfg.Seed+int64(100*ai))
 			propErr := metrics.PropertyError(r.Values, p.FreeRiders, p.DuplicateGroups)
@@ -295,7 +296,7 @@ func Fig10(cfg FigConfig, ns []int, gammas []int) *Report {
 func Ablations(cfg FigConfig) *Report {
 	p := NewFEMNISTProblem(cfg.N, MLP, cfg.Scale, cfg.Seed)
 	exact, _ := ExactValues(p, cfg.Seed+1)
-	gamma := GammaForN(cfg.N)
+	gamma := theory.GammaForN(cfg.N)
 	variants := []shapley.Valuer{
 		shapley.NewIPSS(gamma),
 		&shapley.IPSS{Gamma: gamma, RescaleSampledStratum: true},

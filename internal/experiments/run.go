@@ -12,25 +12,6 @@ import (
 	"fedshap/internal/utility"
 )
 
-// GammaForN returns the paper's Table III sampling budget for a federation
-// size: n=3→5, n=6→8, n=10→32; other sizes interpolate with the Fig. 9
-// policy γ = ⌈n·ln n⌉.
-func GammaForN(n int) int {
-	switch n {
-	case 3:
-		return 5
-	case 6:
-		return 8
-	case 10:
-		return 32
-	default:
-		if n <= 1 {
-			return 2
-		}
-		return int(math.Ceil(float64(n) * math.Log(float64(n))))
-	}
-}
-
 // Result records one algorithm run on one problem.
 type Result struct {
 	// Algorithm is the display name.

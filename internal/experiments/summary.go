@@ -5,6 +5,8 @@ import (
 	"math"
 	"strconv"
 	"strings"
+
+	"fedshap/internal/theory"
 )
 
 // Summary distils a set of valuation results into the paper's Sec. V-E
@@ -84,7 +86,7 @@ func RunSummary(problems []*Problem, seed int64) *Report {
 	for i, p := range problems {
 		names[i] = p.Name
 		exact, _ := ExactValues(p, seed+int64(i))
-		gamma := GammaForN(p.N)
+		gamma := theory.GammaForN(p.N)
 		for ai, alg := range StandardSuite(gamma) {
 			results[i] = append(results[i], RunAlgorithm(p, alg, exact, seed+int64(100*i+ai)))
 		}

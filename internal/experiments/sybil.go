@@ -6,6 +6,7 @@ import (
 
 	"fedshap/internal/dataset"
 	"fedshap/internal/shapley"
+	"fedshap/internal/theory"
 )
 
 // SybilSplit is an extension robustness study: a strategic client splits
@@ -23,7 +24,7 @@ func SybilSplit(p *Problem, attacker, k int, mkAlg func(gamma int) shapley.Value
 	}
 
 	// Baseline valuation.
-	gammaBefore := GammaForN(p.N)
+	gammaBefore := theory.GammaForN(p.N)
 	before := RunAlgorithm(p, mkAlg(gammaBefore), nil, seed)
 
 	// Build the post-split federation: attacker's data divided into k
@@ -46,7 +47,7 @@ func SybilSplit(p *Problem, attacker, k int, mkAlg func(gamma int) shapley.Value
 	spec.Clients = clients
 	split := &Problem{Name: p.Name + "/sybil", N: len(clients), Spec: &spec}
 
-	gammaAfter := GammaForN(split.N)
+	gammaAfter := theory.GammaForN(split.N)
 	after := RunAlgorithm(split, mkAlg(gammaAfter), nil, seed+2)
 
 	var sybilTotal float64

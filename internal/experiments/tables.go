@@ -2,6 +2,8 @@ package experiments
 
 import (
 	"fmt"
+
+	"fedshap/internal/theory"
 )
 
 // TableConfig parameterises the Table IV / Table V runners.
@@ -75,7 +77,7 @@ func valuationTable(title string, cfg TableConfig, build func(int, ModelKind) *P
 	for _, kind := range cfg.Models {
 		for _, n := range cfg.Ns {
 			p := build(n, kind)
-			gamma := GammaForN(n)
+			gamma := theory.GammaForN(n)
 
 			exact, exactRes := ExactValues(p, cfg.Seed+101)
 			permRes := PermShapleyTime(p, cfg.MaxExactPerm, cfg.Seed+103)

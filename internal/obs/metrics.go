@@ -18,6 +18,7 @@
 package obs
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"math"
@@ -162,6 +163,11 @@ type Registry struct {
 	mu       sync.Mutex
 	families map[string]*family
 	order    []string
+
+	// scrapeMu serialises expositions, so the state onScrape prepares is
+	// the one every scrape-time series of that exposition reads.
+	scrapeMu sync.Mutex
+	onScrape func()
 }
 
 // NewRegistry returns an empty registry.
@@ -246,6 +252,17 @@ func (r *Registry) NewCollector(name, help string, typ Type, collect func() []Sa
 	f.collect = collect
 }
 
+// OnScrape registers fn to run at the start of every WriteText, before any
+// series is read. Expositions are serialised, so gauge functions and
+// collectors can all project one snapshot fn takes — two series of one
+// scrape then never disagree, and a source is sampled once per scrape
+// however many series it feeds.
+func (r *Registry) OnScrape(fn func()) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.onScrape = fn
+}
+
 // Names returns every registered family name with its type, in
 // registration order — the input to Lint.
 func (r *Registry) Names() map[string]Type {
@@ -263,14 +280,27 @@ func (r *Registry) Names() map[string]Type {
 // samples; histograms expand to cumulative _bucket{le=...} series plus
 // _sum and _count.
 func (r *Registry) WriteText(w io.Writer) error {
+	// Rendered to memory under the scrape lock and written out after it,
+	// so a stalled scraper never holds up the next one.
+	_, err := w.Write(r.render())
+	return err
+}
+
+func (r *Registry) render() []byte {
 	r.mu.Lock()
 	fams := make([]*family, 0, len(r.order))
 	for _, name := range r.order {
 		fams = append(fams, r.families[name])
 	}
+	onScrape := r.onScrape
 	r.mu.Unlock()
 
-	bw := &errWriter{w: w}
+	bw := new(bytes.Buffer)
+	r.scrapeMu.Lock()
+	defer r.scrapeMu.Unlock()
+	if onScrape != nil {
+		onScrape()
+	}
 	for _, f := range fams {
 		fmt.Fprintf(bw, "# HELP %s %s\n", f.name, escapeHelp(f.help))
 		fmt.Fprintf(bw, "# TYPE %s %s\n", f.name, f.typ)
@@ -292,7 +322,7 @@ func (r *Registry) WriteText(w io.Writer) error {
 			}
 		}
 	}
-	return bw.err
+	return bw.Bytes()
 }
 
 // writeHistogram expands one histogram into its exposition series. Bucket
@@ -351,22 +381,6 @@ func escapeLabel(s string) string {
 	s = strings.ReplaceAll(s, `\`, `\\`)
 	s = strings.ReplaceAll(s, "\n", `\n`)
 	return strings.ReplaceAll(s, `"`, `\"`)
-}
-
-// errWriter remembers the first write error so WriteText needs no
-// per-line error plumbing.
-type errWriter struct {
-	w   io.Writer
-	err error
-}
-
-func (e *errWriter) Write(p []byte) (int, error) {
-	if e.err != nil {
-		return len(p), nil
-	}
-	n, err := e.w.Write(p)
-	e.err = err
-	return n, nil
 }
 
 // Lint checks every registered series name against the repo's metric

@@ -37,6 +37,25 @@ func PlanGamma(n, t, dim int, epsRel float64) uint64 {
 	return gamma
 }
 
+// GammaForN returns the paper's sampling-budget policy for a federation of
+// n clients: Table III where the paper tabulates it (n=3→5, n=6→8,
+// n=10→32), the Fig. 9 rule γ = ⌈n·ln n⌉ for every other size, and never
+// less than 2 (degenerate n included).
+func GammaForN(n int) int {
+	switch n {
+	case 3:
+		return 5
+	case 6:
+		return 8
+	case 10:
+		return 32
+	}
+	if n <= 1 {
+		return 2
+	}
+	return int(math.Ceil(float64(n) * math.Log(float64(n))))
+}
+
 // SpeedupOverExact returns the expected evaluation-count speedup of IPSS at
 // budget γ versus the exact 2ⁿ computation — the headline efficiency claim
 // (e.g. the paper's "99% reduction vs MC-Shapley" at n = 10, γ = 32).

@@ -47,6 +47,21 @@ func TestPlanGamma(t *testing.T) {
 	}
 }
 
+// TestGammaForN pins the paper's budget policy: Table III at n = 3, 6, 10,
+// the Fig. 9 rule ⌈n·ln n⌉ elsewhere, and a floor of 2 for degenerate n.
+func TestGammaForN(t *testing.T) {
+	for _, c := range []struct{ n, want int }{
+		{1, 2}, {2, 2}, {3, 5}, {6, 8}, {10, 32}, {24, 77}, {100, 461},
+	} {
+		if got := GammaForN(c.n); got != c.want {
+			t.Errorf("GammaForN(%d) = %d, want %d", c.n, got, c.want)
+		}
+	}
+	if got := GammaForN(20); got != int(math.Ceil(20*math.Log(20))) {
+		t.Errorf("GammaForN(20) = %d, want ⌈20·ln 20⌉", got)
+	}
+}
+
 func TestSpeedupOverExact(t *testing.T) {
 	// n=10, γ=32: 1024/32 = 32× fewer evaluations — the paper's "99%
 	// reduction vs MC-Shapley" at ten clients.

@@ -56,14 +56,10 @@ type anytimeState struct {
 }
 
 func newAnytimeState(m *Manager, j *Job, n int, confidence float64, plan []combin.Coalition) *anytimeState {
-	names := make([]string, n)
-	for i := range names {
-		names[i] = clientName(i)
-	}
 	return &anytimeState{
 		m:     m,
 		j:     j,
-		names: names,
+		names: clientNames(n),
 		rp:    shapley.NewReplay(n, confidence, plan),
 	}
 }
@@ -107,9 +103,7 @@ func (a *anytimeState) publishLocked(force bool) {
 	a.lastPub = now
 	iv := a.interimLocked()
 	a.m.hub.publish(iv.JobID, Event{Type: EventValues, Values: iv})
-	if a.m.tel != nil {
-		a.m.tel.valuesSnapshots.Inc()
-	}
+	a.m.tel.valuesSnapshots.Inc()
 }
 
 // drivePlan executes the algorithm's complete evaluation plan through the
@@ -121,9 +115,6 @@ func (a *anytimeState) publishLocked(force bool) {
 // (the algorithm then reduces against a fully warm cache, exactly like the
 // prefetch path it replaces) while streaming confidence intervals.
 func (a *anytimeState) drivePlan(ctx context.Context, oracle *utility.Oracle, plan []combin.Coalition, workers int, rankStop bool) (stopped bool, err error) {
-	if workers < 1 {
-		workers = 1
-	}
 	for off := 0; off < len(plan); off += anytimeChunk {
 		chunk := plan[off:min(off+anytimeChunk, len(plan))]
 		us, err := oracle.EvalBatch(ctx, chunk, workers)
@@ -152,10 +143,6 @@ func (a *anytimeState) report(algName string, budget int, evals int, seconds flo
 	a.mu.Lock()
 	snap := a.rp.Snapshot()
 	a.mu.Unlock()
-	unspent := budget - snap.Seen
-	if unspent < 0 {
-		unspent = 0
-	}
 	return &fedshap.Report{
 		Algorithm:     algName,
 		Values:        snap.Values,
@@ -167,7 +154,7 @@ func (a *anytimeState) report(algName string, budget int, evals int, seconds flo
 		CILow:         snap.Lo,
 		CIHigh:        snap.Hi,
 		EarlyStopped:  true,
-		BudgetUnspent: unspent,
+		BudgetUnspent: max(budget-snap.Seen, 0),
 	}
 }
 
@@ -189,8 +176,12 @@ func (a *anytimeState) decorate(rep *fedshap.Report) {
 	rep.CIHigh = snap.Hi
 }
 
-// clientName is the display name of client i, shared by reports and
-// interim snapshots.
-func clientName(i int) string {
-	return fmt.Sprintf("client-%d", i)
+// clientNames are the display names of clients 0..n-1, shared by reports
+// and interim snapshots.
+func clientNames(n int) []string {
+	names := make([]string, n)
+	for i := range names {
+		names[i] = fmt.Sprintf("client-%d", i)
+	}
+	return names
 }

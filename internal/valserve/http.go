@@ -65,14 +65,7 @@ func NewHandler(m *Manager) http.Handler {
 		}
 		st, err := m.Submit(req)
 		if err != nil {
-			switch {
-			case errors.Is(err, ErrQueueFull):
-				writeQueueFull(w, m, err)
-			case errors.Is(err, ErrClosed):
-				writeError(w, http.StatusServiceUnavailable, err.Error())
-			default:
-				writeError(w, http.StatusBadRequest, err.Error())
-			}
+			writeSubmitError(w, m, err)
 			return
 		}
 		writeJSON(w, http.StatusAccepted, st)
@@ -241,18 +234,7 @@ func NewHandler(m *Manager) http.Handler {
 		}
 		st, err := m.Revalue(r.PathValue("id"), req.Changed)
 		if err != nil {
-			switch {
-			case errors.Is(err, ErrNotFound):
-				writeError(w, http.StatusNotFound, err.Error())
-			case errors.Is(err, ErrNotRevaluable):
-				writeError(w, http.StatusConflict, err.Error())
-			case errors.Is(err, ErrQueueFull):
-				writeQueueFull(w, m, err)
-			case errors.Is(err, ErrClosed):
-				writeError(w, http.StatusServiceUnavailable, err.Error())
-			default:
-				writeError(w, http.StatusBadRequest, err.Error())
-			}
+			writeSubmitError(w, m, err)
 			return
 		}
 		writeJSON(w, http.StatusAccepted, st)
@@ -280,17 +262,26 @@ func NewHandler(m *Manager) http.Handler {
 	return mux
 }
 
-// writeQueueFull turns queue saturation into 429 Too Many Requests with a
-// Retry-After hint derived from the observed queue drain rate, so clients
-// back off for roughly one dequeue interval instead of hammering a full
-// queue (503 is reserved for a daemon that is shutting down).
-func writeQueueFull(w http.ResponseWriter, m *Manager, err error) {
-	secs := int(m.SubmitRetryAfter() / time.Second)
-	if secs < 1 {
-		secs = 1
+// writeSubmitError maps a Submit or Revalue error to its response. Queue
+// saturation is 429 Too Many Requests with a Retry-After hint derived from
+// the observed queue drain rate, so clients back off for roughly one
+// dequeue interval instead of hammering a full queue; 503 is reserved for
+// a daemon that is shutting down, and anything unrecognised is the
+// request's fault.
+func writeSubmitError(w http.ResponseWriter, m *Manager, err error) {
+	code := http.StatusBadRequest
+	switch {
+	case errors.Is(err, ErrNotFound):
+		code = http.StatusNotFound
+	case errors.Is(err, ErrNotRevaluable):
+		code = http.StatusConflict
+	case errors.Is(err, ErrQueueFull):
+		code = http.StatusTooManyRequests
+		w.Header().Set("Retry-After", strconv.Itoa(int(m.SubmitRetryAfter()/time.Second)))
+	case errors.Is(err, ErrClosed):
+		code = http.StatusServiceUnavailable
 	}
-	w.Header().Set("Retry-After", strconv.Itoa(secs))
-	writeError(w, http.StatusTooManyRequests, err.Error())
+	writeError(w, code, err.Error())
 }
 
 func writeJSON(w http.ResponseWriter, code int, v any) {

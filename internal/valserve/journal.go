@@ -43,16 +43,8 @@ func eventTypeForState(s fedshap.JobState) string {
 	switch s {
 	case fedshap.JobQueued:
 		return EventSubmitted
-	case fedshap.JobRunning:
-		return EventRunning
-	case fedshap.JobDone:
-		return EventDone
-	case fedshap.JobFailed:
-		return EventFailed
-	case fedshap.JobCancelled:
-		return EventCancelled
-	case fedshap.JobTimedOut:
-		return EventTimedOut
+	case fedshap.JobRunning, fedshap.JobDone, fedshap.JobFailed, fedshap.JobCancelled, fedshap.JobTimedOut:
+		return string(s) // entering a state is the event of that name
 	}
 	return EventProgress
 }
@@ -167,12 +159,18 @@ func (jl *Journal) Append(event string, st *fedshap.JobStatus) {
 		err = jl.file.Append(journalRecord{Event: event, ID: st.ID, At: now, Status: st})
 	}
 	if err != nil {
-		if jl.err == nil {
-			jl.err = err
-		}
-		if jl.OnError != nil {
-			jl.OnError(err)
-		}
+		jl.failLocked(err)
+	}
+}
+
+// failLocked latches the journal's first write error for Close and tells
+// OnError about every one. Call with jl.mu held.
+func (jl *Journal) failLocked(err error) {
+	if jl.err == nil {
+		jl.err = err
+	}
+	if jl.OnError != nil {
+		jl.OnError(err)
 	}
 }
 
@@ -251,12 +249,7 @@ func (jl *Journal) Restore(collect func() []*fedshap.JobStatus) error {
 // Call with jl.mu held.
 func (jl *Journal) rewriteLocked(live []*fedshap.JobStatus) error {
 	if err := jl.Fault.Check("journal.rewrite"); err != nil {
-		if jl.err == nil {
-			jl.err = err
-		}
-		if jl.OnError != nil {
-			jl.OnError(err)
-		}
+		jl.failLocked(err)
 		return err
 	}
 	now := time.Now().UTC()
@@ -277,12 +270,7 @@ func (jl *Journal) rewriteLocked(live []*fedshap.JobStatus) error {
 	// the next Append reopens against the compacted journal.
 	jl.file.Close()
 	if err := utility.ReplaceJSONL(jl.path, rows); err != nil {
-		if jl.err == nil {
-			jl.err = err
-		}
-		if jl.OnError != nil {
-			jl.OnError(err)
-		}
+		jl.failLocked(err)
 		return err
 	}
 	return nil

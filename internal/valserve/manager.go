@@ -2,13 +2,11 @@ package valserve
 
 import (
 	"context"
-	"crypto/rand"
-	"encoding/hex"
 	"errors"
 	"fmt"
 	"log/slog"
 	"path/filepath"
-	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -21,7 +19,6 @@ import (
 	"fedshap/internal/experiments"
 	"fedshap/internal/obs"
 	"fedshap/internal/resilience"
-	"fedshap/internal/shapley"
 	"fedshap/internal/utility"
 )
 
@@ -106,225 +103,31 @@ type Config struct {
 	Logger *slog.Logger
 }
 
-// Job is one tracked valuation job. All mutation goes through its methods;
-// external readers get immutable snapshots.
-type Job struct {
-	ctx    context.Context
-	cancel context.CancelFunc
-
-	// notify fans a transition event (with its snapshot) into the
-	// journal and the event hub. Set once, before the job is visible to
-	// workers or watchers; nil in bare tests.
-	notify func(event string, st *fedshap.JobStatus)
-
-	// tel is the manager's instrument set and trace the job's span
-	// timeline (GET /v1/jobs/{id}/trace); both nil in bare tests, and
-	// trace nil for terminal jobs restored from a previous life's
-	// journal. queueSpan is the open queue-wait span between enqueue and
-	// pickup; enqueuedAt anchors the queue-wait and end-to-end duration
-	// histograms to *this* life's enqueue time, so a job requeued by
-	// crash recovery doesn't report its pre-crash age as queue wait.
-	tel        *telemetry
-	trace      *obs.Trace
-	queueSpan  *obs.SpanHandle
-	enqueuedAt time.Time
-
-	// emitMu serialises [mutate status + emit event] as one unit, so
-	// journal records and hub events are appended in the same order the
-	// transitions happened — without it, a stale non-terminal snapshot
-	// could land after the terminal record and a replay would resurrect
-	// a finished job. Lock order: emitMu before mu (readers take only mu).
-	emitMu sync.Mutex
-
-	mu            sync.Mutex
-	status        fedshap.JobStatus
-	userCancelled bool // Cancel() was called: terminal across restarts
-}
-
-// snapshotLocked copies the status; the caller holds j.mu.
-func (j *Job) snapshotLocked() *fedshap.JobStatus {
-	st := j.status
-	if j.status.StartedAt != nil {
-		t := *j.status.StartedAt
-		st.StartedAt = &t
-	}
-	if j.status.FinishedAt != nil {
-		t := *j.status.FinishedAt
-		st.FinishedAt = &t
-	}
-	return &st
-}
-
-// snapshot returns a copy safe to serialise concurrently with updates.
-func (j *Job) snapshot() *fedshap.JobStatus {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.snapshotLocked()
-}
-
-// emit publishes one event; callers hold emitMu but never j.mu (notify
-// re-enters no job locks).
-func (j *Job) emit(event string, st *fedshap.JobStatus) {
-	if j.notify != nil {
-		j.notify(event, st)
-	}
-}
-
-// markRunning moves queued → running, reporting false if the job was
-// cancelled while waiting. A context cancelled before start (Manager.Close)
-// terminates the job here, before any expensive problem construction.
-func (j *Job) markRunning() bool {
-	j.emitMu.Lock()
-	defer j.emitMu.Unlock()
-	j.mu.Lock()
-	if j.status.State != fedshap.JobQueued {
-		j.mu.Unlock()
-		return false
-	}
-	now := time.Now().UTC()
-	if j.ctx.Err() != nil {
-		j.status.State = fedshap.JobCancelled
-		j.status.Error = "cancelled before start"
-		j.status.FinishedAt = &now
-		st := j.snapshotLocked()
-		j.mu.Unlock()
-		j.observeTerminal(fedshap.JobCancelled, now)
-		j.emit(EventCancelled, st)
-		return false
-	}
-	j.status.State = fedshap.JobRunning
-	j.status.StartedAt = &now
-	st := j.snapshotLocked()
-	j.mu.Unlock()
-	j.queueSpan.End()
-	if j.tel != nil && !j.enqueuedAt.IsZero() {
-		j.tel.queueWait.Observe(now.Sub(j.enqueuedAt).Seconds())
-	}
-	j.emit(EventRunning, st)
-	return true
-}
-
-// observeTerminal feeds a terminal transition into telemetry: the
-// trailing trace event, the completion counter for the outcome, and the
-// end-to-end duration histogram. Called once per terminal transition,
-// after j.mu is released.
-func (j *Job) observeTerminal(state fedshap.JobState, now time.Time) {
-	j.queueSpan.End()
-	j.trace.Event("report", "daemon", "state", string(state))
-	if j.tel == nil {
-		return
-	}
-	switch state {
-	case fedshap.JobDone:
-		j.tel.jobsDone.Inc()
-	case fedshap.JobFailed:
-		j.tel.jobsFailed.Inc()
-	case fedshap.JobCancelled:
-		j.tel.jobsCancelled.Inc()
-	case fedshap.JobTimedOut:
-		j.tel.jobsTimedOut.Inc()
-	}
-	if !j.enqueuedAt.IsZero() {
-		j.tel.jobDuration.Observe(now.Sub(j.enqueuedAt).Seconds())
-	}
-}
-
-// setFresh records progress from the oracle's evaluation hook; the counter
-// is monotone even under concurrent evaluation workers.
-func (j *Job) setFresh(total int) {
-	j.emitMu.Lock()
-	defer j.emitMu.Unlock()
-	j.mu.Lock()
-	if total <= j.status.FreshEvals || j.status.State.Terminal() {
-		j.mu.Unlock()
-		return
-	}
-	delta := total - j.status.FreshEvals
-	j.status.FreshEvals = total
-	st := j.snapshotLocked()
-	j.mu.Unlock()
-	if j.tel != nil {
-		j.tel.evalsFresh.Add(int64(delta))
-	}
-	j.emit(EventProgress, st)
-}
-
-func (j *Job) setWarmed(n int) {
-	j.mu.Lock()
-	j.status.WarmedCoalitions = n
-	j.mu.Unlock()
-	if j.tel != nil {
-		j.tel.evalsWarmed.Add(int64(n))
-	}
-}
-
-func (j *Job) setProblem(name string) {
-	j.mu.Lock()
-	j.status.Problem = name
-	j.mu.Unlock()
-}
-
-func (j *Job) setRemoteWorkers(n int) {
-	j.mu.Lock()
-	j.status.RemoteWorkers = n
-	j.mu.Unlock()
-}
-
-// finish moves the job to a terminal state.
-func (j *Job) finish(state fedshap.JobState, errMsg string, report *fedshap.Report) {
-	j.emitMu.Lock()
-	defer j.emitMu.Unlock()
-	j.mu.Lock()
-	if j.status.State.Terminal() {
-		j.mu.Unlock()
-		return
-	}
-	now := time.Now().UTC()
-	j.status.State = state
-	j.status.Error = errMsg
-	j.status.Report = report
-	j.status.FinishedAt = &now
-	st := j.snapshotLocked()
-	j.mu.Unlock()
-	j.observeTerminal(state, now)
-	j.emit(eventTypeForState(state), st)
-}
-
-// wasUserCancelled reports whether Cancel was explicitly requested for
-// this job — the one kind of interruption that stays terminal across a
-// daemon restart.
-func (j *Job) wasUserCancelled() bool {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.userCancelled
-}
-
 // Manager queues, executes, observes and cancels valuation jobs over a
 // bounded worker pool, a shared persistent utility store, and (when
 // configured) a durable job journal that survives daemon restarts.
 type Manager struct {
-	cfg         Config
-	store       *utility.Store
-	journal     *Journal
-	hub         *eventHub
-	tel         *telemetry
-	logger      *slog.Logger
-	queue       chan *Job
-	wg          sync.WaitGroup
-	gcStop      chan struct{}
-	gcDone      chan struct{}
-	compactStop chan struct{}
-	compactDone chan struct{}
-	probeStop   chan struct{}
-	probeDone   chan struct{}
+	cfg     Config
+	store   *utility.Store
+	journal *Journal
+	hub     *eventHub
+	tel     *telemetry
+	logger  *slog.Logger
+	queue   chan *Job
+	wg      sync.WaitGroup
+
+	// stop and bg are the one stop path for background work (see every):
+	// Close closes stop and waits on bg.
+	stop chan struct{}
+	bg   sync.WaitGroup
 
 	// compactions / compactDropped feed the /metrics cache section.
 	compactions    atomic.Int64
 	compactDropped atomic.Int64
 
 	// degraded is set by the first journal/store write failure: the
-	// manager keeps serving jobs memory-only while the probe loop retries
-	// persistence (see onPersistError / tryRestore).
+	// manager keeps serving jobs memory-only while the background probe
+	// retries persistence (see onPersistError / tryRestore).
 	degraded atomic.Bool
 
 	// drainMu guards the queue-drain EWMA behind Retry-After estimation:
@@ -372,13 +175,13 @@ func NewManager(cfg Config) (*Manager, error) {
 		hub:    newEventHub(),
 		jobs:   make(map[string]*Job),
 		logger: cfg.Logger,
+		stop:   make(chan struct{}),
 	}
 	if m.logger == nil {
 		m.logger = obs.NopLogger()
 	}
-	// Collectors close over m and sample at scrape time, so registering
-	// before the store/journal/queue exist is safe — every closure
-	// nil-checks the field it reads.
+	// Sampled series project Metrics() at scrape time, so registering
+	// before the store/journal/queue exist is safe.
 	m.tel = newTelemetry(m)
 	if cfg.CacheDir != "" {
 		st, err := utility.OpenStore(cfg.CacheDir)
@@ -428,36 +231,51 @@ func NewManager(cfg Config) (*Manager, error) {
 		}()
 	}
 	if cfg.JobTTL > 0 {
-		interval := cfg.GCInterval
-		if interval <= 0 {
-			interval = time.Minute
-		}
-		m.gcStop = make(chan struct{})
-		m.gcDone = make(chan struct{})
-		go m.gcLoop(interval)
+		m.every(cfg.GCInterval, time.Minute, func() { m.SweepExpired() })
 	}
 	if cfg.CompactEvery > 0 {
-		m.compactStop = make(chan struct{})
-		m.compactDone = make(chan struct{})
-		go m.compactLoop(cfg.CompactEvery)
+		// The long-lived-daemon counterpart of the shutdown compaction, so
+		// a crashed or never-restarted process doesn't accumulate duplicate
+		// records without bound. Write errors surface via Close.
+		m.every(cfg.CompactEvery, 0, func() { _, _ = m.CompactNow() })
 	}
 	if m.journal != nil || m.store != nil {
-		interval := cfg.DegradedProbeEvery
-		if interval <= 0 {
-			interval = time.Second
-		}
-		m.probeStop = make(chan struct{})
-		m.probeDone = make(chan struct{})
-		go m.probeLoop(interval)
+		m.every(cfg.DegradedProbeEvery, time.Second, func() {
+			if m.degraded.Load() {
+				m.tryRestore()
+			}
+		})
 	}
 	return m, nil
+}
+
+// every runs fn on the interval (fallback when the interval is unset)
+// until Close.
+func (m *Manager) every(interval, fallback time.Duration, fn func()) {
+	if interval <= 0 {
+		interval = fallback
+	}
+	m.bg.Add(1)
+	go func() {
+		defer m.bg.Done()
+		t := time.NewTicker(interval)
+		defer t.Stop()
+		for {
+			select {
+			case <-m.stop:
+				return
+			case <-t.C:
+				fn()
+			}
+		}
+	}()
 }
 
 // onPersistError flips the manager into degraded, memory-only operation
 // on a journal or store write failure. Serving jobs beats preserving
 // them: valuation keeps running and results stay available over the
-// API, while the probe loop retries persistence in the background and
-// re-journals everything once the disk recovers.
+// API, while the background probe retries persistence and re-journals
+// everything once the disk recovers.
 func (m *Manager) onPersistError(err error) {
 	if m.degraded.CompareAndSwap(false, true) {
 		m.logger.Error("persistence failed; entering degraded (memory-only) mode",
@@ -469,23 +287,6 @@ func (m *Manager) onPersistError(err error) {
 // and the background probe has not yet restored the disk. Exposed on
 // /healthz and as the fedvald_degraded gauge.
 func (m *Manager) Degraded() bool { return m.degraded.Load() }
-
-// probeLoop retries persistence while the manager is degraded.
-func (m *Manager) probeLoop(interval time.Duration) {
-	defer close(m.probeDone)
-	t := time.NewTicker(interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-m.probeStop:
-			return
-		case <-t.C:
-			if m.degraded.Load() {
-				m.tryRestore()
-			}
-		}
-	}
-}
 
 // tryRestore attempts to leave degraded mode: rewrite the journal from
 // live job state — reconstructing every record lost while the disk was
@@ -500,9 +301,8 @@ func (m *Manager) tryRestore() {
 	}
 	var flushed int
 	if m.store != nil {
-		n, err := m.store.FlushPending()
-		flushed = n
-		if err != nil {
+		var err error
+		if flushed, err = m.store.FlushPending(); err != nil {
 			return
 		}
 	}
@@ -510,45 +310,6 @@ func (m *Manager) tryRestore() {
 		m.logger.Info("persistence restored; leaving degraded mode",
 			"store_flushed", flushed)
 	}
-}
-
-// noteDequeue feeds the queue-drain EWMA each time a pool worker picks
-// up a job — the basis for SubmitRetryAfter's 429 hint.
-func (m *Manager) noteDequeue() {
-	now := time.Now()
-	m.drainMu.Lock()
-	if !m.lastDequeue.IsZero() {
-		d := now.Sub(m.lastDequeue)
-		if m.drainEWMA == 0 {
-			m.drainEWMA = d
-		} else {
-			m.drainEWMA = (3*m.drainEWMA + d) / 4
-		}
-	}
-	m.lastDequeue = now
-	m.drainMu.Unlock()
-}
-
-// SubmitRetryAfter estimates when a rejected submission is worth
-// retrying: roughly one queue-drain interval, from the EWMA of the
-// worker pool's dequeue cadence. With no drain history it answers 1s.
-// The result is clamped to [1s, 60s] and rounded up to whole seconds —
-// the granularity of an HTTP Retry-After header.
-func (m *Manager) SubmitRetryAfter() time.Duration {
-	m.drainMu.Lock()
-	d := m.drainEWMA
-	m.drainMu.Unlock()
-	secs := int64(1)
-	if d > 0 {
-		secs = int64((d + time.Second - 1) / time.Second)
-	}
-	if secs < 1 {
-		secs = 1
-	}
-	if secs > 60 {
-		secs = 60
-	}
-	return time.Duration(secs) * time.Second
 }
 
 // checkJournalPlacement rejects a journal that store compaction would
@@ -575,29 +336,26 @@ func checkJournalPlacement(cfg Config) error {
 	return nil
 }
 
-// attachNotify wires a job's transition events into the journal and the
-// event hub. Must run before the job becomes visible to workers or
-// watchers.
-func (m *Manager) attachNotify(j *Job) {
-	j.notify = func(event string, st *fedshap.JobStatus) {
-		// While degraded, transitions stay memory-only: the append would
-		// fail anyway, and the recovery probe re-journals every job from
-		// live state, so nothing is missing once the disk heals.
-		if m.journal != nil && !m.degraded.Load() {
-			m.journal.Append(event, st)
-		}
-		m.hub.publish(st.ID, Event{Type: event, Status: st})
-		lvl := slog.LevelInfo
-		if event == EventProgress {
-			lvl = slog.LevelDebug
-		}
-		attrs := []any{"job", st.ID, "state", string(st.State), "fresh", st.FreshEvals}
-		if st.Error != "" {
-			attrs = append(attrs, "error", st.Error)
-		}
-		//fedvallint:allow(ctxthread) slog.Log requires a ctx; job lifecycle logging has no request-scoped one
-		m.logger.Log(context.Background(), lvl, "job "+event, attrs...)
+// publish is every job's notify: it fans one transition event into the
+// journal, the event hub and the log.
+func (m *Manager) publish(event string, st *fedshap.JobStatus) {
+	// While degraded, transitions stay memory-only: the append would
+	// fail anyway, and the recovery probe re-journals every job from
+	// live state, so nothing is missing once the disk heals.
+	if m.journal != nil && !m.degraded.Load() {
+		m.journal.Append(event, st)
 	}
+	m.hub.publish(st.ID, Event{Type: event, Status: st})
+	lvl := slog.LevelInfo
+	if event == EventProgress {
+		lvl = slog.LevelDebug
+	}
+	attrs := []any{"job", st.ID, "state", string(st.State), "fresh", st.FreshEvals}
+	if st.Error != "" {
+		attrs = append(attrs, "error", st.Error)
+	}
+	//fedvallint:allow(ctxthread) slog.Log requires a ctx; job lifecycle logging has no request-scoped one
+	m.logger.Log(context.Background(), lvl, "job "+event, attrs...)
 }
 
 // replay rebuilds the job table from the journal: terminal jobs are
@@ -612,24 +370,17 @@ func (m *Manager) replay() ([]*Job, error) {
 	}
 	var pending []*Job
 	for _, st := range entries {
-		//fedvallint:allow(ctxthread) job contexts are rooted at the daemon lifetime, not at any request
-		ctx, cancel := context.WithCancel(context.Background())
-		j := &Job{ctx: ctx, cancel: cancel, tel: m.tel}
-		if st.State.Terminal() {
-			cancel()
-			j.status = *st
-		} else {
-			j.status = *resetForRequeue(st)
-			// A fresh trace for the fresh run; the queue-wait clock
-			// restarts here rather than at the original submission, so
-			// the job's pre-crash age doesn't pollute the histograms.
-			j.trace = obs.NewTrace()
-			j.trace.Event("requeue", "daemon", "reason", "restart-recovery")
-			j.queueSpan = j.trace.StartSpan("queue", "daemon")
-			j.enqueuedAt = time.Now().UTC()
+		// An interrupted job gets a fresh trace for its fresh run, and its
+		// queue-wait clock restarts here rather than at the original
+		// submission, so its pre-crash age doesn't pollute the histograms.
+		interrupted := !st.State.Terminal()
+		if interrupted {
+			st = resetForRequeue(st)
+		}
+		j := m.newJob(*st, "requeue", "reason", "restart-recovery")
+		if interrupted {
 			pending = append(pending, j)
 		}
-		m.attachNotify(j)
 		m.jobs[j.status.ID] = j
 		if n := idOrdinal(j.status.ID); n > m.seq {
 			m.seq = n
@@ -637,7 +388,7 @@ func (m *Manager) replay() ([]*Job, error) {
 	}
 	if err := m.journal.Compact(m.snapshotsOldestFirst()); err != nil {
 		// A failing disk must not block startup: the journal already
-		// replayed into memory, so serve degraded and let the probe loop
+		// replayed into memory, so serve degraded and let the background probe
 		// restore persistence (the Compact failure flipped the flag via
 		// OnError).
 		m.logger.Warn("startup journal compaction failed; continuing degraded",
@@ -674,9 +425,7 @@ func idOrdinal(id string) int {
 // submitted. Call without holding m.mu.
 func (m *Manager) snapshotsOldestFirst() []*fedshap.JobStatus {
 	out := m.List()
-	for i, j := 0, len(out)-1; i < j; i, j = i+1, j-1 {
-		out[i], out[j] = out[j], out[i]
-	}
+	slices.Reverse(out)
 	return out
 }
 
@@ -697,114 +446,6 @@ func (m *Manager) Workers() []fedshap.WorkerInfo {
 	return m.cfg.Coordinator.Workers()
 }
 
-// newID mints a unique job identifier: a submission ordinal plus random
-// suffix.
-func (m *Manager) newID() string {
-	var b [4]byte
-	_, _ = rand.Read(b[:])
-	m.seq++
-	return fmt.Sprintf("j%04d-%s", m.seq, hex.EncodeToString(b[:]))
-}
-
-// Submit validates, registers and enqueues a job, returning its initial
-// status.
-func (m *Manager) Submit(req fedshap.JobRequest) (*fedshap.JobStatus, error) {
-	return m.submit(req, "")
-}
-
-// submit is Submit with provenance: revalueOf, when non-empty, links the
-// new job back to the completed job it revalues (POST /v1/jobs/{id}/revalue).
-func (m *Manager) submit(req fedshap.JobRequest, revalueOf string) (*fedshap.JobStatus, error) {
-	Normalize(&req)
-	if err := ValidateRequest(req, m.cfg.BuildProblem != nil); err != nil {
-		return nil, err
-	}
-	//fedvallint:allow(ctxthread) job contexts are rooted at the daemon lifetime, not at the submitting request
-	ctx, cancel := context.WithCancel(context.Background())
-	j := &Job{ctx: ctx, cancel: cancel, tel: m.tel, trace: obs.NewTrace()}
-	m.attachNotify(j)
-	// emitMu is held from before the job becomes visible until the
-	// submitted event is out, so a worker picking the job up immediately
-	// cannot journal its running event ahead of the submission record.
-	j.emitMu.Lock()
-	m.mu.Lock()
-	if m.closed {
-		m.mu.Unlock()
-		j.emitMu.Unlock()
-		cancel()
-		return nil, ErrClosed
-	}
-	j.status = fedshap.JobStatus{
-		ID:          m.newID(),
-		State:       fedshap.JobQueued,
-		Request:     req,
-		Fingerprint: Fingerprint(req),
-		Budget:      budgetFor(req),
-		SubmittedAt: time.Now().UTC(),
-		RevalueOf:   revalueOf,
-	}
-	j.enqueuedAt = j.status.SubmittedAt
-	j.trace.Event("submit", "daemon", "algorithm", req.Algorithm)
-	j.queueSpan = j.trace.StartSpan("queue", "daemon")
-	m.jobs[j.status.ID] = j
-	// Admission is bounded by the configured QueueCap (scaled by the
-	// watermark), not the channel's capacity: recovery may have sized the
-	// channel larger to fit a replayed backlog, and that headroom must
-	// not leak into a higher steady-state admission limit. Both the
-	// length check and the send happen under m.mu, so the bound is exact.
-	var enqueued bool
-	if len(m.queue) < m.admitLimit() {
-		select {
-		case m.queue <- j:
-			enqueued = true
-		default:
-		}
-	}
-	if !enqueued {
-		delete(m.jobs, j.status.ID)
-	}
-	m.mu.Unlock()
-	if !enqueued {
-		j.emitMu.Unlock()
-		cancel()
-		return nil, ErrQueueFull
-	}
-	st := j.snapshot()
-	if m.tel != nil {
-		m.tel.jobsSubmitted.Inc()
-	}
-	j.emit(EventSubmitted, st)
-	j.emitMu.Unlock()
-	return st, nil
-}
-
-// admitLimit is the admission bound: QueueCap scaled by the configured
-// watermark, at least 1.
-func (m *Manager) admitLimit() int {
-	if w := m.cfg.AdmitWatermark; w > 0 && w < 1 {
-		if limit := int(float64(m.cfg.QueueCap) * w); limit >= 1 {
-			return limit
-		}
-		return 1
-	}
-	return m.cfg.QueueCap
-}
-
-// SubmitBatch validates and enqueues many jobs in one call — the
-// POST /v1/jobs:batch entry point. Admission is per-item and in request
-// order: each job is accepted or rejected independently, so a batch that
-// overflows the queue admits a prefix and reports ErrQueueFull for the
-// rest instead of failing whole. The returned slices align 1:1 with reqs;
-// exactly one of statuses[i] / errs[i] is non-nil.
-func (m *Manager) SubmitBatch(reqs []fedshap.JobRequest) (statuses []*fedshap.JobStatus, errs []error) {
-	statuses = make([]*fedshap.JobStatus, len(reqs))
-	errs = make([]error, len(reqs))
-	for i, req := range reqs {
-		statuses[i], errs[i] = m.Submit(req)
-	}
-	return statuses, errs
-}
-
 // Revalue submits a delta-revaluation follow-up to a completed job: the
 // same valuation problem with the listed clients' dataset versions bumped
 // by one. Before the new job is enqueued, every persisted utility of the
@@ -814,11 +455,9 @@ func (m *Manager) SubmitBatch(reqs []fedshap.JobRequest) (statuses []*fedshap.Jo
 // then warm-starts from them and spends fresh evaluations only on
 // coalitions that actually include a changed client.
 func (m *Manager) Revalue(id string, changed []int) (*fedshap.JobStatus, error) {
-	m.mu.Lock()
-	j, ok := m.jobs[id]
-	m.mu.Unlock()
-	if !ok {
-		return nil, ErrNotFound
+	j, err := m.job(id)
+	if err != nil {
+		return nil, err
 	}
 	st := j.snapshot()
 	if st.State != fedshap.JobDone {
@@ -828,16 +467,16 @@ func (m *Manager) Revalue(id string, changed []int) (*fedshap.JobStatus, error) 
 	if len(changed) == 0 {
 		return nil, errors.New("revalue: changed client set is empty")
 	}
-	changedSet := make(map[int]bool, len(changed))
+	var changedSet combin.Coalition
 	for _, c := range changed {
 		if c < 0 || c >= req.N {
 			return nil, fmt.Errorf("revalue: client %d out of range [0,%d)", c, req.N)
 		}
-		changedSet[c] = true
+		changedSet = changedSet.With(c)
 	}
 	vers := make([]int, req.N)
 	copy(vers, req.Versions)
-	for c := range changedSet {
+	for _, c := range changedSet.Members() {
 		vers[c]++
 	}
 	req.Versions = vers
@@ -857,16 +496,14 @@ func (m *Manager) Revalue(id string, changed []int) (*fedshap.JobStatus, error) 
 	if err != nil {
 		return nil, err
 	}
-	if m.tel != nil {
-		m.tel.revaluations.Inc()
-	}
+	m.tel.revaluations.Inc()
 	return nst, nil
 }
 
 // migrateDisjoint copies every persisted utility of oldFp whose coalition
 // is disjoint from the changed client set to newFp, skipping coalitions
 // the new fingerprint already holds. Returns the number migrated.
-func migrateDisjoint(store *utility.Store, oldFp, newFp string, changed map[int]bool) (int, error) {
+func migrateDisjoint(store *utility.Store, oldFp, newFp string, changed combin.Coalition) (int, error) {
 	old, err := store.Load(oldFp)
 	if err != nil || len(old) == 0 {
 		return 0, err
@@ -877,17 +514,7 @@ func migrateDisjoint(store *utility.Store, oldFp, newFp string, changed map[int]
 	}
 	moved := 0
 	for s, u := range old {
-		touched := false
-		for c := range changed {
-			if s.Has(c) {
-				touched = true
-				break
-			}
-		}
-		if touched {
-			continue
-		}
-		if _, dup := existing[s]; dup {
+		if _, dup := existing[s]; dup || !s.Intersect(changed).IsEmpty() {
 			continue
 		}
 		if err := store.Append(newFp, s, u); err != nil {
@@ -898,13 +525,21 @@ func migrateDisjoint(store *utility.Store, oldFp, newFp string, changed map[int]
 	return moved, nil
 }
 
+// job looks a job up by ID.
+func (m *Manager) job(id string) (*Job, error) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if j, ok := m.jobs[id]; ok {
+		return j, nil
+	}
+	return nil, ErrNotFound
+}
+
 // Get returns the status of one job.
 func (m *Manager) Get(id string) (*fedshap.JobStatus, error) {
-	m.mu.Lock()
-	j, ok := m.jobs[id]
-	m.mu.Unlock()
-	if !ok {
-		return nil, ErrNotFound
+	j, err := m.job(id)
+	if err != nil {
+		return nil, err
 	}
 	return j.snapshot(), nil
 }
@@ -926,22 +561,6 @@ func (m *Manager) List() []*fedshap.JobStatus {
 	return out
 }
 
-// countState counts jobs currently in one state, for the scrape-time
-// gauges.
-func (m *Manager) countState(state fedshap.JobState) int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	n := 0
-	for _, j := range m.jobs {
-		j.mu.Lock()
-		if j.status.State == state {
-			n++
-		}
-		j.mu.Unlock()
-	}
-	return n
-}
-
 // Registry exposes the daemon's metric registry, for the HTTP handler's
 // Prometheus exposition and the debug listener.
 func (m *Manager) Registry() *obs.Registry { return m.tel.reg }
@@ -951,11 +570,9 @@ func (m *Manager) Registry() *obs.Registry { return m.tel.reg }
 // coordinator. Terminal jobs restored from a previous life's journal
 // have no recorded spans.
 func (m *Manager) Trace(id string) (*fedshap.JobTrace, error) {
-	m.mu.Lock()
-	j, ok := m.jobs[id]
-	m.mu.Unlock()
-	if !ok {
-		return nil, ErrNotFound
+	j, err := m.job(id)
+	if err != nil {
+		return nil, err
 	}
 	st := j.snapshot()
 	spans := j.trace.Snapshot()
@@ -992,11 +609,9 @@ func (m *Manager) ListSince(since string, limit int) ([]*fedshap.JobStatus, erro
 	if t, err := time.Parse(time.RFC3339Nano, since); err == nil {
 		cutoff = t
 	} else {
-		m.mu.Lock()
-		j, ok := m.jobs[since]
-		m.mu.Unlock()
-		if !ok {
-			return nil, ErrNotFound
+		j, err := m.job(since)
+		if err != nil {
+			return nil, err
 		}
 		st := j.snapshot()
 		cutoff, cutID = st.SubmittedAt, st.ID
@@ -1038,11 +653,9 @@ func idAfter(a, b string) bool {
 // returned cancel releases the subscription; it is safe to call after the
 // channel closed.
 func (m *Manager) Watch(id string) (<-chan Event, func(), error) {
-	m.mu.Lock()
-	j, ok := m.jobs[id]
-	m.mu.Unlock()
-	if !ok {
-		return nil, nil, ErrNotFound
+	j, err := m.job(id)
+	if err != nil {
+		return nil, nil, err
 	}
 	ch, cancel := m.hub.watch(id, j.snapshot)
 	return ch, cancel, nil
@@ -1052,32 +665,11 @@ func (m *Manager) Watch(id string) (<-chan Event, func(), error) {
 // stops before its next fresh coalition evaluation (already-cached
 // utilities may still be read). Cancelling a terminal job is a no-op.
 func (m *Manager) Cancel(id string) (*fedshap.JobStatus, error) {
-	m.mu.Lock()
-	j, ok := m.jobs[id]
-	m.mu.Unlock()
-	if !ok {
-		return nil, ErrNotFound
+	j, err := m.job(id)
+	if err != nil {
+		return nil, err
 	}
-	j.emitMu.Lock()
-	j.mu.Lock()
-	if !j.status.State.Terminal() {
-		j.userCancelled = true
-	}
-	var st *fedshap.JobStatus
-	if j.status.State == fedshap.JobQueued {
-		now := time.Now().UTC()
-		j.status.State = fedshap.JobCancelled
-		j.status.Error = "cancelled while queued"
-		j.status.FinishedAt = &now
-		st = j.snapshotLocked()
-	}
-	j.mu.Unlock()
-	if st != nil {
-		j.observeTerminal(fedshap.JobCancelled, *st.FinishedAt)
-		j.emit(EventCancelled, st)
-	}
-	j.emitMu.Unlock()
-	j.cancel()
+	j.cancelByUser()
 	return j.snapshot(), nil
 }
 
@@ -1092,40 +684,23 @@ func (m *Manager) SweepExpired() int {
 	}
 	cutoff := time.Now().UTC().Add(-m.cfg.JobTTL)
 	m.mu.Lock()
-	var expired []string
+	expired := 0
 	for id, j := range m.jobs {
 		st := j.snapshot()
 		if st.State.Terminal() && st.FinishedAt != nil && st.FinishedAt.Before(cutoff) {
-			expired = append(expired, id)
+			delete(m.jobs, id)
+			expired++
 		}
 	}
-	for _, id := range expired {
-		delete(m.jobs, id)
-	}
 	m.mu.Unlock()
-	if len(expired) > 0 && m.journal != nil {
+	if expired > 0 && m.journal != nil {
 		// Jobs are live during a sweep: collect the snapshots inside the
 		// journal's critical section so a terminal record appended
 		// mid-compaction cannot be lost. The error is kept for Close.
 		//fedvallint:allow(durability) best-effort sweep compaction; CompactWith latches its error for Close
 		_ = m.journal.CompactWith(m.snapshotsOldestFirst)
 	}
-	return len(expired)
-}
-
-// gcLoop periodically expires terminal jobs past the TTL until Close.
-func (m *Manager) gcLoop(interval time.Duration) {
-	defer close(m.gcDone)
-	t := time.NewTicker(interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-m.gcStop:
-			return
-		case <-t.C:
-			m.SweepExpired()
-		}
-	}
+	return expired
 }
 
 // CompactNow runs one compaction sweep over the persistent store and the
@@ -1148,76 +723,6 @@ func (m *Manager) CompactNow() (dropped int, err error) {
 	m.compactions.Add(1)
 	m.compactDropped.Add(int64(dropped))
 	return dropped, errors.Join(errs...)
-}
-
-// compactLoop periodically compacts the store and journal until Close —
-// the long-lived-daemon counterpart of the shutdown compaction, so a
-// crashed or never-restarted process doesn't accumulate duplicate records
-// without bound.
-func (m *Manager) compactLoop(interval time.Duration) {
-	defer close(m.compactDone)
-	t := time.NewTicker(interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-m.compactStop:
-			return
-		case <-t.C:
-			_, _ = m.CompactNow() // write errors surface via Close
-		}
-	}
-}
-
-// Metrics snapshots the manager for GET /metrics: job-state counts and
-// queue depth, cache effectiveness across the jobs currently remembered,
-// journal size on disk, and — with a coordinator configured — the
-// adaptive scheduler's fleet state.
-func (m *Manager) Metrics() *fedshap.Metrics {
-	var mt fedshap.Metrics
-	for _, st := range m.List() {
-		switch st.State {
-		case fedshap.JobQueued:
-			mt.Jobs.Queued++
-		case fedshap.JobRunning:
-			mt.Jobs.Running++
-		case fedshap.JobDone:
-			mt.Jobs.Done++
-		case fedshap.JobFailed:
-			mt.Jobs.Failed++
-		case fedshap.JobCancelled:
-			mt.Jobs.Cancelled++
-		case fedshap.JobTimedOut:
-			mt.Jobs.TimedOut++
-		}
-		mt.Cache.WarmedTotal += int64(st.WarmedCoalitions)
-		mt.Cache.FreshTotal += int64(st.FreshEvals)
-	}
-	mt.Jobs.QueueDepth = len(m.queue)
-	// The channel's real capacity, not cfg.QueueCap: crash recovery sizes
-	// the channel up to fit a replayed backlog, and a depth gauge must
-	// never read past its capacity.
-	mt.Jobs.QueueCapacity = cap(m.queue)
-	if total := mt.Cache.WarmedTotal + mt.Cache.FreshTotal; total > 0 {
-		mt.Cache.HitRatio = float64(mt.Cache.WarmedTotal) / float64(total)
-	}
-	mt.Cache.Compactions = m.compactions.Load()
-	mt.Cache.CompactionDropped = m.compactDropped.Load()
-	if m.store != nil {
-		if stats, err := m.store.Stats(); err == nil {
-			mt.Cache.StoreFingerprints = stats.Fingerprints
-			mt.Cache.StoreBytes = stats.Bytes
-		}
-	}
-	if m.journal != nil {
-		mt.Journal.Path = m.journal.Path()
-		mt.Journal.Bytes = m.journal.Size()
-	}
-	if m.cfg.Coordinator != nil {
-		fleet := m.cfg.Coordinator.Stats()
-		mt.Fleet = &fleet
-	}
-	mt.Degraded = m.degraded.Load()
-	return &mt
 }
 
 // Close cancels every live job, drains the workers, compacts the
@@ -1250,18 +755,8 @@ func (m *Manager) Close() error {
 			interrupted[st.ID] = j
 		}
 	}
-	if m.gcStop != nil {
-		close(m.gcStop)
-		<-m.gcDone
-	}
-	if m.compactStop != nil {
-		close(m.compactStop)
-		<-m.compactDone
-	}
-	if m.probeStop != nil {
-		close(m.probeStop)
-		<-m.probeDone
-	}
+	close(m.stop)
+	m.bg.Wait()
 	for _, j := range jobs {
 		j.cancel()
 	}
@@ -1290,292 +785,4 @@ func (m *Manager) Close() error {
 		errs = append(errs, cerr, m.store.Close())
 	}
 	return errors.Join(errs...)
-}
-
-// warmSource builds a job's warm-start snapshot provider: the job
-// oracle's cache unioned with the persistent store's *current* contents
-// for the fingerprint. The store re-read matters: this job's oracle only
-// knows what it was warmed with at attach time, but a concurrent job on
-// the same fingerprint writes utilities through to the store while this
-// one runs — and only coalitions missing from *this* oracle are ever
-// dispatched to the fleet, so the store is exactly where a shippable
-// answer the coordinator would otherwise retrain can still appear. The
-// function runs on the coordinator's writer goroutines (once per worker
-// and job), never on the scheduler lock, so the disk read is off every
-// hot path.
-func warmSource(oracle *utility.Oracle, store *utility.Store, fingerprint string) func() map[combin.Coalition]float64 {
-	return func() map[combin.Coalition]float64 {
-		snap := oracle.Snapshot()
-		if store == nil {
-			return snap
-		}
-		persisted, err := store.Load(fingerprint)
-		if err != nil {
-			return snap
-		}
-		for coal, u := range persisted {
-			if _, ok := snap[coal]; !ok {
-				snap[coal] = u
-			}
-		}
-		return snap
-	}
-}
-
-// buildProblem dispatches to the injected builder or the experiments
-// constructors.
-func (m *Manager) buildProblem(req fedshap.JobRequest) (*experiments.Problem, error) {
-	if m.cfg.BuildProblem != nil {
-		return m.cfg.BuildProblem(req)
-	}
-	return BuildProblem(req)
-}
-
-// finishInterrupted maps a cancellation-shaped run error to its
-// terminal state: the run deadline expiring while nobody cancelled the
-// job itself is a timeout (the new timed_out terminal state); every
-// other interruption — user cancel, shutdown — stays cancelled.
-func finishInterrupted(j *Job, runCtx context.Context, req fedshap.JobRequest, err error) {
-	if errors.Is(runCtx.Err(), context.DeadlineExceeded) && j.ctx.Err() == nil {
-		j.finish(fedshap.JobTimedOut,
-			fmt.Sprintf("deadline exceeded (%gs)", req.DeadlineSeconds), nil)
-		return
-	}
-	j.finish(fedshap.JobCancelled, err.Error(), nil)
-}
-
-// runJob executes one job on the worker pool. Algorithm or substrate
-// panics become job failures, not daemon crashes.
-func (m *Manager) runJob(j *Job) {
-	if !j.markRunning() {
-		return // cancelled while queued
-	}
-	defer j.cancel()
-	defer func() {
-		if r := recover(); r != nil {
-			j.finish(fedshap.JobFailed, fmt.Sprintf("panic: %v", r), nil)
-		}
-	}()
-
-	req := j.snapshot().Request
-	// The job deadline clock starts when the job leaves the queue, not at
-	// submission: queue wait is the daemon's fault, not the job's. runCtx
-	// bounds everything below — problem build, warm start, dispatch, the
-	// final aggregation — while j.ctx alone still distinguishes explicit
-	// cancellation (finishInterrupted keys off the difference).
-	runCtx := j.ctx
-	if d := req.DeadlineSeconds; d > 0 {
-		var cancelDeadline context.CancelFunc
-		runCtx, cancelDeadline = context.WithTimeout(j.ctx, time.Duration(d*float64(time.Second)))
-		defer cancelDeadline()
-	}
-	alg, err := NewValuer(req.Algorithm, req.Gamma, req.K)
-	if err != nil {
-		j.finish(fedshap.JobFailed, err.Error(), nil)
-		return
-	}
-	buildSpan := j.trace.StartSpan("build_problem", "daemon")
-	p, err := m.buildProblem(req)
-	if err != nil {
-		buildSpan.End()
-		j.finish(fedshap.JobFailed, err.Error(), nil)
-		return
-	}
-	buildSpan.SetAttr("problem", p.Name)
-	buildSpan.End()
-	j.setProblem(p.Name)
-
-	// Client-level training parallelism is configured before the oracle is
-	// built (the oracle snapshots the FL spec). It never changes results,
-	// so it stays out of the problem fingerprint.
-	if m.cfg.TrainWorkers > 1 && p.Spec != nil {
-		p.Spec.Config.Workers = m.cfg.TrainWorkers
-	}
-	oracle := p.Oracle()
-	if m.store != nil {
-		warmSpan := j.trace.StartSpan("warm_start", "daemon")
-		warmed, err := m.store.Attach(oracle, j.snapshot().Fingerprint)
-		if err != nil {
-			warmSpan.End()
-			j.finish(fedshap.JobFailed, err.Error(), nil)
-			return
-		}
-		warmSpan.SetInt("warmed", int64(warmed))
-		warmSpan.End()
-		j.setWarmed(warmed)
-	}
-	oracle.OnEval(j.setFresh)
-	if tel := m.tel; tel != nil {
-		// Eval-source latency series: cache hits via the oracle's hit
-		// hook, in-process trainings via an innermost eval wrapper —
-		// installed before the coordinator session wraps it, so the
-		// session's local-fallback path is timed as "local" — and fleet
-		// round trips via the session's Observe seam below.
-		oracle.OnCacheHit(func(seconds float64) { tel.observeEval("cache", seconds) })
-		oracle.WrapEval(func(inner utility.EvalFunc) utility.EvalFunc {
-			return func(s combin.Coalition) float64 {
-				evalStart := time.Now()
-				u := inner(s)
-				tel.observeEval("local", time.Since(evalStart).Seconds())
-				return u
-			}
-		})
-	}
-
-	// Resolve the width of the job's coalition-evaluation pool: the
-	// request's preference, else the daemon's, else one pool slot per CPU.
-	evalWorkers := req.Workers
-	if evalWorkers <= 0 {
-		evalWorkers = m.cfg.EvalWorkers
-	}
-	if evalWorkers <= 0 {
-		evalWorkers = runtime.GOMAXPROCS(0)
-	}
-
-	// With a coordinator configured, swap the oracle's evaluation function
-	// for a distributed session: coalitions dispatch to remote workers and
-	// results flow back through the same cache, budget accounting and
-	// write-through. The session is registered even when the fleet is
-	// momentarily empty — evaluations then run through the local fallback,
-	// and workers that dial in mid-job are picked up. Each worker's first
-	// spec message ships the oracle's cache snapshot at that moment
-	// (store-warmed entries plus everything evaluated so far), so a
-	// recycled or late-attaching fleet never retrains what the daemon
-	// already knows. The pool is widened to the fleet's aggregate capacity
-	// (Eval blocks while a worker trains, so pool slots, not CPUs, keep
-	// the fleet busy) unless the request or the daemon set an explicit
-	// worker limit, which stays an upper bound on the job's concurrency
-	// wherever it runs.
-	if c := m.cfg.Coordinator; c != nil {
-		snap := j.snapshot()
-		spec := evalnet.ProblemSpec{
-			ID:          snap.ID,
-			Fingerprint: snap.Fingerprint,
-			N:           p.N,
-			Request:     req,
-		}
-		localLimit := evalWorkers
-		var sess *evalnet.Session
-		oracle.WrapEval(func(local utility.EvalFunc) utility.EvalFunc {
-			sess = c.NewSessionWith(runCtx, evalnet.SessionConfig{
-				Spec:         spec,
-				Local:        local,
-				LocalLimit:   localLimit,
-				WarmSnapshot: warmSource(oracle, m.store, snap.Fingerprint),
-				Observe:      m.tel.observeEval,
-				Trace:        j.trace,
-			})
-			return sess.Eval
-		})
-		defer sess.Close()
-		j.setRemoteWorkers(c.WorkerCount())
-		if cap := c.TotalCapacity(); req.Workers <= 0 && m.cfg.EvalWorkers <= 0 && cap > evalWorkers {
-			evalWorkers = cap
-		}
-	}
-	// Anytime valuation: a requested confidence turns on interval
-	// tracking. Plan-exhaustive algorithms are *driven* — their complete
-	// seeded plan is evaluated chunk by chunk in plan order (replacing the
-	// prefetch pass below), streaming interim snapshots and, with
-	// rank_stop, finishing the job the moment every pairwise ranking is
-	// resolved. Algorithms without a complete plan get a passive observer
-	// hook: fresh evaluations feed the tracker in completion order and the
-	// intervals ride along on the final report, but the job never stops
-	// early (ValidateRequest already rejected rank_stop for them).
-	var any *anytimeState
-	planDriven := false
-	if req.Confidence > 0 {
-		if plan, ok := shapley.PlanFor(alg, p.N, req.Seed+2); ok && len(plan) > 0 && shapley.PlanExhaustive(alg) {
-			any = newAnytimeState(m, j, p.N, req.Confidence, plan)
-			planDriven = true
-			driveStart := time.Now()
-			driveSpan := j.trace.StartSpan("anytime_drive", "daemon")
-			driveSpan.SetInt("planned", int64(len(plan)))
-			driveSpan.SetInt("workers", int64(evalWorkers))
-			stopped, derr := any.drivePlan(runCtx, oracle, plan, evalWorkers, req.RankStop)
-			driveSpan.End()
-			if derr != nil {
-				if errors.Is(derr, context.Canceled) || errors.Is(derr, context.DeadlineExceeded) {
-					finishInterrupted(j, runCtx, req, derr)
-				} else {
-					j.finish(fedshap.JobFailed, derr.Error(), nil)
-				}
-				return
-			}
-			if stopped {
-				rep := any.report(alg.Name(), j.snapshot().Budget,
-					oracle.Evals(), time.Since(driveStart).Seconds())
-				if m.tel != nil {
-					m.tel.earlyStops.Inc()
-					m.tel.budgetSaved.Add(int64(rep.BudgetUnspent))
-				}
-				j.finish(fedshap.JobDone, "", rep)
-				return
-			}
-		} else {
-			any = newAnytimeState(m, j, p.N, req.Confidence, nil)
-			oracle.OnEvalValue(any.observe)
-		}
-	}
-
-	// Pipeline the algorithm's deterministic evaluation plan — the full
-	// seeded sampling sequence for the samplers, the certain set otherwise
-	// — through the job's evaluation pool (and, via the wrapped eval
-	// function, across the remote fleet). The sequential pass below then
-	// reduces against a warm cache. The plan is replayed from the same
-	// seed the run's Context uses, so it is exactly the run's request
-	// sequence: values, budget metering and fresh-evaluation counts are
-	// untouched. Cancellation mid-prefetch falls through to shapley.Run,
-	// which reports it uniformly. An anytime plan drive already warmed the
-	// entire plan, so prefetching again would be a no-op.
-	if evalWorkers > 1 && !planDriven {
-		if plan, ok := shapley.PlanFor(alg, p.N, req.Seed+2); ok && len(plan) > 0 {
-			prefetchSpan := j.trace.StartSpan("prefetch", "daemon")
-			prefetchSpan.SetInt("planned", int64(len(plan)))
-			prefetchSpan.SetInt("workers", int64(evalWorkers))
-			_ = oracle.Prefetch(runCtx, plan, evalWorkers)
-			prefetchSpan.End()
-		}
-	}
-
-	// The algorithm runs against a per-job budget view, not the raw
-	// oracle: budget-gated samplers loop on Evals() < γ, and warmed
-	// entries deliberately don't count as fresh evaluations — without the
-	// view, a warm cache would make such a sampler draw far past its
-	// budget over cached lookups. The view charges every distinct
-	// coalition this run requests (warm or fresh), exactly as a fresh
-	// oracle would, while FreshEvals/Report keep counting only real
-	// training work.
-	start := time.Now()
-	aggSpan := j.trace.StartSpan("aggregate", "daemon")
-	aggSpan.SetAttr("algorithm", alg.Name())
-	view := utility.NewRunView(oracle)
-	sctx := shapley.NewContext(view, req.Seed+2).WithSpec(p.Spec).WithContext(runCtx)
-	values, err := shapley.Run(sctx, alg)
-	aggSpan.SetInt("evaluations", int64(oracle.Evals()))
-	aggSpan.End()
-	elapsed := time.Since(start).Seconds()
-	if err != nil {
-		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-			finishInterrupted(j, runCtx, req, err)
-		} else {
-			j.finish(fedshap.JobFailed, err.Error(), nil)
-		}
-		return
-	}
-	names := make([]string, p.N)
-	for i := range names {
-		names[i] = clientName(i)
-	}
-	rep := &fedshap.Report{
-		Algorithm:   alg.Name(),
-		Values:      values,
-		Names:       names,
-		Seconds:     elapsed,
-		Evaluations: oracle.Evals(),
-	}
-	if any != nil {
-		any.decorate(rep)
-	}
-	j.finish(fedshap.JobDone, "", rep)
 }

@@ -42,6 +42,7 @@ import (
 	"fedshap/internal/evalnet"
 	"fedshap/internal/experiments"
 	"fedshap/internal/shapley"
+	"fedshap/internal/theory"
 )
 
 // Normalize fills a request's defaulted fields in place (dataset family,
@@ -76,7 +77,7 @@ func Normalize(req *fedshap.JobRequest) {
 		req.Seed = 1
 	}
 	if req.Gamma == 0 {
-		req.Gamma = experiments.GammaForN(req.N)
+		req.Gamma = theory.GammaForN(req.N)
 	}
 	if req.K == 0 {
 		req.K = 2
@@ -214,7 +215,8 @@ func ValidateRequest(req fedshap.JobRequest, lenientData bool) error {
 	if req.N < 2 || req.N > 127 {
 		return fmt.Errorf("n=%d out of range [2,127]", req.N)
 	}
-	if _, err := NewValuer(req.Algorithm, req.Gamma, req.K); err != nil {
+	alg, err := NewValuer(req.Algorithm, req.Gamma, req.K)
+	if err != nil {
 		return err
 	}
 	if exactFamily(req.Algorithm) && req.N > maxExactN {
@@ -234,8 +236,7 @@ func ValidateRequest(req fedshap.JobRequest, lenientData bool) error {
 		if req.Confidence == 0 {
 			return fmt.Errorf("rank_stop requires confidence in (0,1)")
 		}
-		alg, _ := NewValuer(req.Algorithm, req.Gamma, req.K)
-		if alg == nil || !shapley.PlanExhaustive(alg) {
+		if !shapley.PlanExhaustive(alg) {
 			return fmt.Errorf("rank_stop requires an algorithm with a complete evaluation plan; %q exposes only a partial or utility-dependent plan", req.Algorithm)
 		}
 	}

@@ -9,6 +9,7 @@ import (
 	"fedshap"
 	"fedshap/internal/combin"
 	"fedshap/internal/experiments"
+	"fedshap/internal/theory"
 )
 
 // waitState polls until the job reaches a state satisfying ok, or times out.
@@ -56,7 +57,7 @@ func TestNormalizeAndFingerprint(t *testing.T) {
 	b := fedshap.JobRequest{N: 6, Algorithm: "tmc", Gamma: 99}
 	Normalize(&a)
 	Normalize(&b)
-	if a.Data != "femnist" || a.Scale != "small" || a.Seed != 1 || a.Gamma != experiments.GammaForN(6) {
+	if a.Data != "femnist" || a.Scale != "small" || a.Seed != 1 || a.Gamma != theory.GammaForN(6) {
 		t.Errorf("Normalize(a) = %+v", a)
 	}
 	// Sampler settings must not change the problem fingerprint...

@@ -1,8 +1,6 @@
 package fedshap
 
 import (
-	"math"
-
 	"fedshap/internal/combin"
 	"fedshap/internal/shapley"
 	"fedshap/internal/theory"
@@ -115,24 +113,6 @@ func BanzhafMC(gamma int) Valuer { return shapley.NewMCBanzhaf(gamma) }
 // featureDim features each, under the linear-regression analysis model.
 func PlanBudget(n, samplesPerClient, featureDim int, epsRel float64) int {
 	return int(theory.PlanGamma(n, samplesPerClient, featureDim, epsRel))
-}
-
-// recommendedGamma mirrors the paper's budget policy (Table III, and the
-// Fig. 9 n·ln n rule for other sizes).
-func recommendedGamma(n int) int {
-	switch n {
-	case 3:
-		return 5
-	case 6:
-		return 8
-	case 10:
-		return 32
-	default:
-		if n <= 1 {
-			return 2
-		}
-		return int(math.Ceil(float64(n) * math.Log(float64(n))))
-	}
 }
 
 // toCoalition converts a member list to the internal bitmask form.
