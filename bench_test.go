@@ -1,9 +1,10 @@
 package fedshap
 
-// One testing.B benchmark per table and figure of the paper (DESIGN.md §4),
-// plus the design-choice ablations and the micro-benchmarks of the
-// substrate. Benchmarks run at Tiny scale so `go test -bench=.` finishes in
-// minutes; `cmd/benchtab` and `cmd/benchfig` regenerate the full-size rows.
+// One testing.B benchmark per table and figure of the paper
+// (ARCHITECTURE.md, Paper experiment map), plus the design-choice
+// ablations and the micro-benchmarks of the substrate. Benchmarks run at
+// Tiny scale so `go test -bench=.` finishes in minutes; `cmd/benchtab` and
+// `cmd/benchfig` regenerate the full-size rows.
 
 import (
 	"fmt"

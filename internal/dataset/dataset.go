@@ -1,9 +1,9 @@
 // Package dataset provides the data substrate for federated valuation:
 // an in-memory labelled dataset type, synthetic generators standing in for
 // the paper's benchmark corpora (MNIST, FEMNIST, Adult, Sent-140 — see
-// DESIGN.md §1 for the substitution rationale), the five federated
-// partitioning setups of the paper's Fig. 6, and the label/feature noise
-// injectors used in setups (d) and (e).
+// ARCHITECTURE.md, Paper experiment map, for the substitution
+// rationale), the five federated partitioning setups of the paper's
+// Fig. 6, and the label/feature noise injectors used in setups (d) and (e).
 package dataset
 
 import (

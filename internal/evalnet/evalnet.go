@@ -40,17 +40,23 @@
 // so a killed worker never loses or double-counts an evaluation.
 // Cancellation propagates: when a job's context is done, queued tasks are
 // dropped, blocked Eval calls abort with *utility.CancelError, and workers
-// are told to skip the spec's queued work.
+// are told to skip the spec's queued work; when its session closes the
+// coordinator also forgets which workers had the spec.
 //
 // Local in-process evaluation remains the default: a coordinator with no
 // attached workers is never consulted, and every Session carries the local
 // evaluation function as its fallback.
+//
+// Inside, the Coordinator is a facade over three types: a scheduler
+// (sched.go) that decides everything as a state machine over timestamped
+// events and names no socket, encoder, goroutine or wall clock; one link
+// per connection (link.go) that feeds it results and losses and encodes its
+// frames outside the scheduler lock; and a Session per job (session.go). A
+// result frame is outside input: an error reply or a non-finite utility is
+// a failed evaluation and falls back to local.
 package evalnet
 
-import (
-	"fedshap"
-	"fedshap/internal/combin"
-)
+import "fedshap"
 
 // protoVersion guards against mismatched coordinator/worker builds.
 // Version 2 added warm-start utilities on the spec message; version 3
@@ -151,9 +157,4 @@ type envelope struct {
 	// scheduler lock, so a large cache snapshot never stalls dispatching
 	// (gob ignores unexported fields).
 	warm func() []warmEntry
-}
-
-// coalition reconstructs the combin value from its wire words.
-func (t taskWire) coalition() combin.Coalition {
-	return combin.FromWords(t.Lo, t.Hi)
 }

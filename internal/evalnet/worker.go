@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/gob"
 	"fmt"
-	"io"
 	"log/slog"
 	"net"
 	"runtime"
@@ -13,6 +12,7 @@ import (
 	"time"
 
 	"fedshap/internal/combin"
+	"fedshap/internal/obs"
 	"fedshap/internal/utility"
 )
 
@@ -61,22 +61,6 @@ type Worker struct {
 	Logger *slog.Logger
 }
 
-// logger resolves the configured logger.
-func (w *Worker) logger() *slog.Logger {
-	if w.Logger != nil {
-		return w.Logger
-	}
-	return slog.New(slog.NewTextHandler(io.Discard, nil))
-}
-
-// build resolves the configured builder.
-func (w *Worker) build(spec ProblemSpec) (Evaluator, error) {
-	if w.Build == nil {
-		return Evaluator{}, fmt.Errorf("evalnet: worker has no problem builder")
-	}
-	return w.Build(spec)
-}
-
 // workerSpec is one cached problem on the worker.
 type workerSpec struct {
 	spec      ProblemSpec
@@ -98,22 +82,22 @@ func (w *Worker) Serve(ctx context.Context, conn net.Conn) error {
 	}
 	enc := gob.NewEncoder(conn)
 	dec := gob.NewDecoder(conn)
-	if err := enc.Encode(envelope{Hello: &helloMsg{Proto: protoVersion, Name: w.Name, Capacity: capacity}}); err != nil {
+	if err := sendHello(enc, w.Name, capacity); err != nil {
 		return fmt.Errorf("evalnet: hello: %w", err)
 	}
-	var ack envelope
-	if err := dec.Decode(&ack); err != nil {
+	if _, err := readHello(dec); err != nil {
 		return fmt.Errorf("evalnet: hello ack: %w", err)
-	}
-	if ack.Hello == nil || ack.Hello.Proto != protoVersion {
-		return fmt.Errorf("evalnet: coordinator rejected handshake")
 	}
 
 	// ctx cancellation unblocks the decoder by closing the connection.
 	stop := context.AfterFunc(ctx, func() { conn.Close() })
 	defer stop()
 
-	log := w.logger().With("worker", w.Name, "coordinator", conn.RemoteAddr().String())
+	log := w.Logger
+	if log == nil {
+		log = obs.NopLogger()
+	}
+	log = log.With("worker", w.Name, "coordinator", conn.RemoteAddr().String())
 	log.Info("connected", "capacity", capacity)
 
 	var sendMu sync.Mutex
@@ -208,7 +192,10 @@ func (w *Worker) run(ws *workerSpec, specID string, tw taskWire) (res *resultMsg
 		return res
 	}
 	ws.once.Do(func() {
-		ws.eval, ws.err = w.build(ws.spec)
+		ws.err = fmt.Errorf("evalnet: worker has no problem builder")
+		if w.Build != nil {
+			ws.eval, ws.err = w.Build(ws.spec)
+		}
 		if ws.err == nil && ws.eval.Warm != nil && len(ws.warm) > 0 {
 			ws.eval.Warm(ws.warm)
 		}
@@ -218,7 +205,7 @@ func (w *Worker) run(ws *workerSpec, specID string, tw taskWire) (res *resultMsg
 		res.Err = ws.err.Error()
 		return res
 	}
-	coal := tw.coalition()
+	coal := combin.FromWords(tw.Lo, tw.Hi)
 	if ws.eval.Cached != nil && ws.eval.Cached(coal) {
 		res.Warm = true // answered from cache: no training happened
 	}

@@ -292,7 +292,8 @@ func Fig10(cfg FigConfig, ns []int, gammas []int) *Report {
 
 // Ablations compares the paper-faithful IPSS against the two design-choice
 // ablations (Horvitz-Thompson rescaling of the sampled stratum; unbalanced
-// P sampling), at equal budget over repeated runs — DESIGN.md E-AB1/E-AB2.
+// P sampling), at equal budget over repeated runs — E-AB1/E-AB2 in
+// ARCHITECTURE.md, Paper experiment map.
 func Ablations(cfg FigConfig) *Report {
 	p := NewFEMNISTProblem(cfg.N, MLP, cfg.Scale, cfg.Seed)
 	exact, _ := ExactValues(p, cfg.Seed+1)

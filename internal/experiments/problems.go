@@ -2,8 +2,8 @@
 // the benchmark valuation problems (synthetic-MNIST setups (a)-(e),
 // FEMNIST-like, Adult-like), runs every compared algorithm under the
 // paper's budget policy (Table III), and regenerates the rows and series of
-// each table and figure. DESIGN.md §4 maps experiment ids to the runners
-// here.
+// each table and figure. ARCHITECTURE.md (Paper experiment map) maps
+// experiment ids to the runners here.
 package experiments
 
 import (

@@ -30,8 +30,8 @@ type IPSS struct {
 	// marginal is scaled by (number of size-k* subsets avoiding i) /
 	// (number sampled for i), making the stratum term an unbiased estimate
 	// of its full sum rather than the paper's plug-in partial sum. This is
-	// an ablation of the paper's design choice (DESIGN.md E-AB1), not part
-	// of Alg. 3.
+	// an ablation of the paper's design choice (E-AB1 in ARCHITECTURE.md,
+	// Paper experiment map), not part of Alg. 3.
 	RescaleSampledStratum bool
 	// UnbalancedP, when true, replaces the balanced sample of line 11
 	// (constraint (3): equal per-client coverage) with plain uniform

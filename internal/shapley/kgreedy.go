@@ -14,7 +14,7 @@ import (
 // Weight note: the paper's Alg. 2 line 7 prints the divisor n·C(n, |S|); we
 // use the MC-SV divisor n·C(n−1, |S|) so that K = n recovers the exact
 // Shapley value — the property Fig. 4's relative-error curve measures. See
-// DESIGN.md §3.
+// ARCHITECTURE.md, Paper experiment map.
 type KGreedy struct {
 	// K is the maximum combination size evaluated.
 	K int

@@ -175,7 +175,11 @@ func TestDegradedJobBitIdentical(t *testing.T) {
 // with the deadline in the error, counted in the metrics snapshot.
 func TestJobDeadlineTimesOut(t *testing.T) {
 	m, err := NewManager(Config{
-		Workers:      1,
+		Workers: 1,
+		// One evaluation slot: 40 evaluations × 20ms is 800ms of work against
+		// a 100ms deadline on any core count. Sized by GOMAXPROCS, eight
+		// slots would finish in exactly the deadline.
+		EvalWorkers:  1,
 		BuildProblem: gameBuilder(20*time.Millisecond, nil),
 	})
 	if err != nil {

@@ -2,9 +2,10 @@
 # docs_guard.sh — fails CI when the documentation drifts from the code:
 # every HTTP route documented in README/OPERATIONS/docs/api.md must be
 # registered verbatim in internal/valserve/http.go, every standalone
-# backtick-quoted `-flag` must be defined by some cmd/ binary, and every
-# backtick-quoted internal/, cmd/ or scripts/ path must exist. Run from
-# the repo root: sh scripts/docs_guard.sh
+# backtick-quoted `-flag` must be defined by some cmd/ binary, every
+# backtick-quoted internal/, cmd/ or scripts/ path must exist, and every
+# *.md file cited from a Go comment must be in the tree. Run from the
+# repo root: sh scripts/docs_guard.sh
 set -eu
 
 status=0
@@ -73,7 +74,23 @@ done <<EOF
 $paths
 EOF
 
+# --- Markdown files cited from Go comments -----------------------------
+# A comment that sends its reader to FOO.md must name a file that exists,
+# at the repo root or under docs/. bench/ is its own module with its own
+# README and is not scanned.
+cited=$(grep -rhoE --include='*.go' --exclude-dir=bench --exclude-dir=testdata \
+	'//.*[A-Za-z0-9_-]\.md\b' . | grep -oE '[A-Za-z0-9_/-]+\.md\b' | sort -u)
+while IFS= read -r f; do
+	[ -n "$f" ] || continue
+	if [ ! -e "$f" ] && [ ! -e "docs/$f" ]; then
+		echo "stale docs: \"$f\" is cited from a Go comment but does not exist" >&2
+		status=1
+	fi
+done <<EOF
+$cited
+EOF
+
 if [ "$status" -eq 0 ]; then
-	echo "docs guard: all documented routes, flags, analyzers and paths exist"
+	echo "docs guard: all documented routes, flags, analyzers, paths and cited files exist"
 fi
 exit "$status"
