@@ -3,6 +3,7 @@ package fedshap
 import (
 	"errors"
 	"fmt"
+	"math"
 	"time"
 
 	"fedshap/internal/shapley"
@@ -105,16 +106,9 @@ func (r *SliceReport) AdditivityGap() float64 {
 		for _, sv := range r.SliceValues {
 			sum += sv[i]
 		}
-		if d := abs(sum - r.Total[i]); d > gap {
+		if d := math.Abs(sum - r.Total[i]); d > gap {
 			gap = d
 		}
 	}
 	return gap
-}
-
-func abs(x float64) float64 {
-	if x < 0 {
-		return -x
-	}
-	return x
 }

@@ -1,8 +1,15 @@
 package fedshap
 
 import (
+	"errors"
 	"math"
 	"testing"
+
+	"fedshap/internal/combin"
+	"fedshap/internal/dataset"
+	"fedshap/internal/model"
+	"fedshap/internal/shapley"
+	"fedshap/internal/utility"
 )
 
 func TestValueParallelMatchesSequential(t *testing.T) {
@@ -346,5 +353,59 @@ func TestPerRoundValues(t *testing.T) {
 	}
 	if _, err := xfed.PerRoundValues(); err == nil {
 		t.Errorf("per-round values on XGB should fail")
+	}
+}
+
+// countingPlanner is IPSS with its SamplePlan calls counted.
+type countingPlanner struct {
+	*shapley.IPSS
+	plans int
+}
+
+func (c *countingPlanner) SamplePlan(n int, seed int64) []combin.Coalition {
+	c.plans++
+	return c.IPSS.SamplePlan(n, seed)
+}
+
+// workers == 1 is the serial path: no plan is replayed and no pool runs
+// over it. Every other width plans exactly once, and the values agree bit
+// for bit either way.
+func TestValueParallelSerialWidthSkipsPlan(t *testing.T) {
+	fed := tinyFederation(t)
+	want, err := fed.Value(IPSS(6), 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct{ workers, plans int }{{1, 0}, {2, 1}, {0, 1}} {
+		alg := &countingPlanner{IPSS: shapley.NewIPSS(6)}
+		got, err := fed.ValueParallel(alg, 5, tc.workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if alg.plans != tc.plans {
+			t.Errorf("workers=%d: SamplePlan called %d times, want %d", tc.workers, alg.plans, tc.plans)
+		}
+		for i := range want.Values {
+			if got.Values[i] != want.Values[i] {
+				t.Errorf("workers=%d: client %d value %v, want %v", tc.workers, i, got.Values[i], want.Values[i])
+			}
+		}
+		if got.Evaluations != want.Evaluations {
+			t.Errorf("workers=%d: %d evaluations, want %d", tc.workers, got.Evaluations, want.Evaluations)
+		}
+	}
+}
+
+// A metric that diverges fails the valuation with the oracle's typed error
+// instead of reporting NaN values.
+func TestValueNonFiniteUtilityFails(t *testing.T) {
+	fed := tinyFederation(t)
+	fed.metric = func(model.Model, *dataset.Dataset) float64 { return math.Inf(1) }
+	for _, workers := range []int{1, 2} {
+		_, err := fed.ValueParallel(IPSS(6), 5, workers)
+		var nf *utility.NonFiniteError
+		if !errors.As(err, &nf) {
+			t.Fatalf("workers=%d: err = %v, want *utility.NonFiniteError", workers, err)
+		}
 	}
 }

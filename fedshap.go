@@ -371,21 +371,7 @@ func (f *Federation) Value(alg Valuer, seed int64) (*Report, error) {
 // error satisfying errors.Is(err, context.Canceled). This is the
 // entry point the valuation service (internal/valserve) builds on.
 func (f *Federation) ValueCtx(ctx context.Context, alg Valuer, seed int64) (*Report, error) {
-	spec := f.spec()
-	oracle := utility.NewFLOracle(*spec)
-	sctx := shapley.NewContext(oracle, seed).WithSpec(spec).WithContext(ctx)
-	start := time.Now()
-	values, err := shapley.Run(sctx, alg)
-	if err != nil {
-		return nil, fmt.Errorf("fedshap: %s: %w", alg.Name(), err)
-	}
-	return &Report{
-		Algorithm:   alg.Name(),
-		Values:      values,
-		Names:       f.ClientNames(),
-		Seconds:     time.Since(start).Seconds(),
-		Evaluations: oracle.Evals(),
-	}, nil
+	return f.ValueParallelCtx(ctx, alg, seed, 1)
 }
 
 // ExactValues computes the ground-truth Shapley values (2ⁿ coalition
@@ -402,7 +388,8 @@ func (f *Federation) ExactValues(seed int64) (*Report, error) {
 // valuation pass, which then reduces against a warm cache. Values are
 // bit-identical to Value, and the number of coalition evaluations is
 // unchanged; only wall-clock shrinks. workers <= 0 selects GOMAXPROCS;
-// workers == 1 degrades gracefully to the serial path.
+// workers == 1 is the serial path — no plan is computed and no pool started
+// (shapley.RunPooled owns the rule).
 func (f *Federation) ValueParallel(alg Valuer, seed int64, workers int) (*Report, error) {
 	//fedvallint:allow(ctxthread) context-free compat wrapper; ValueParallelCtx is the cancellable entry point
 	return f.ValueParallelCtx(context.Background(), alg, seed, workers)
@@ -416,19 +403,7 @@ func (f *Federation) ValueParallelCtx(ctx context.Context, alg Valuer, seed int6
 	spec := f.spec()
 	oracle := utility.NewFLOracle(*spec)
 	start := time.Now()
-	if plan, ok := shapley.PlanFor(alg, f.N(), seed); ok && len(plan) > 0 {
-		if err := oracle.Prefetch(ctx, plan, workers); err != nil {
-			return nil, fmt.Errorf("fedshap: %s: %w", alg.Name(), err)
-		}
-	}
-	// The sequential pass runs in a fresh budget scope over the warm
-	// cache: budget-gated samplers meter the coalitions this run requests
-	// (warm or not), exactly as against a cold oracle, so their sampling
-	// decisions — and hence the values — cannot be perturbed by the
-	// prefetch. Fresh-evaluation accounting stays on the oracle.
-	view := utility.NewRunView(oracle)
-	sctx := shapley.NewContext(view, seed).WithSpec(spec).WithContext(ctx)
-	values, err := shapley.Run(sctx, alg)
+	values, _, err := shapley.RunPooled(&shapley.Context{Spec: spec, Ctx: ctx}, oracle, alg, seed, workers)
 	if err != nil {
 		return nil, fmt.Errorf("fedshap: %s: %w", alg.Name(), err)
 	}

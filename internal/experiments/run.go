@@ -48,16 +48,28 @@ func RunAlgorithm(p *Problem, alg shapley.Valuer, exact shapley.Values, seed int
 // self-limits against counts only this run's distinct coalitions, so
 // semantics match a fresh oracle exactly; wall-clock reflects cache hits.
 func RunWithOracle(p *Problem, oracle *utility.Oracle, alg shapley.Valuer, exact shapley.Values, seed int64) Result {
-	view := utility.NewRunView(oracle)
-	ctx := shapley.NewContext(view, seed).WithSpec(p.Spec)
+	return run(&shapley.Context{Spec: p.Spec}, oracle, alg, exact, seed, 1)
+}
+
+// RunAlgorithmParallel is RunAlgorithm with the algorithm's deterministic
+// evaluation plan trained on a bounded worker pool before the sequential
+// pass, which then reduces against the warm cache (shapley.RunPooled).
+// Values, budget accounting and fresh-evaluation counts are identical to
+// RunAlgorithm; Seconds includes the concurrent prefetch. workers == 1 is
+// the serial path; workers <= 0 selects GOMAXPROCS.
+func RunAlgorithmParallel(ctx context.Context, p *Problem, alg shapley.Valuer, exact shapley.Values, seed int64, workers int) Result {
+	return run(&shapley.Context{Spec: p.Spec, Ctx: ctx}, p.Oracle(), alg, exact, seed, workers)
+}
+
+// run times one shapley.RunPooled and scores it against exact.
+func run(c *shapley.Context, oracle *utility.Oracle, alg shapley.Valuer, exact shapley.Values, seed int64, workers int) Result {
 	start := time.Now()
-	values, err := alg.Values(ctx)
-	elapsed := time.Since(start).Seconds()
+	values, requests, err := shapley.RunPooled(c, oracle, alg, seed, workers)
 	res := Result{
 		Algorithm: alg.Name(),
 		Values:    values,
-		Seconds:   elapsed,
-		Evals:     view.Evals(),
+		Seconds:   time.Since(start).Seconds(),
+		Evals:     requests,
 		Err:       math.NaN(),
 	}
 	if err != nil {
@@ -71,29 +83,6 @@ func RunWithOracle(p *Problem, oracle *utility.Oracle, alg shapley.Valuer, exact
 	if exact != nil {
 		res.Err = metrics.L2RelativeError(values, exact)
 	}
-	return res
-}
-
-// RunAlgorithmParallel is RunAlgorithm with the algorithm's deterministic
-// evaluation plan (shapley.PlanFor) trained on a bounded worker pool before
-// the sequential pass, which then reduces against the warm cache. Values,
-// budget accounting and fresh-evaluation counts are identical to
-// RunAlgorithm; Seconds includes the concurrent prefetch. workers == 1
-// falls through to the serial path; workers <= 0 selects GOMAXPROCS.
-func RunAlgorithmParallel(ctx context.Context, p *Problem, alg shapley.Valuer, exact shapley.Values, seed int64, workers int) Result {
-	oracle := p.Oracle()
-	var prefetch float64
-	if workers != 1 {
-		if plan, ok := shapley.PlanFor(alg, p.N, seed); ok && len(plan) > 0 {
-			start := time.Now()
-			if err := oracle.Prefetch(ctx, plan, workers); err != nil {
-				return Result{Algorithm: alg.Name(), RunErr: err, Err: math.NaN()}
-			}
-			prefetch = time.Since(start).Seconds()
-		}
-	}
-	res := RunWithOracle(p, oracle, alg, exact, seed)
-	res.Seconds += prefetch
 	return res
 }
 

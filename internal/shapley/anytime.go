@@ -2,7 +2,6 @@ package shapley
 
 import (
 	"math"
-	"sort"
 
 	"fedshap/internal/combin"
 )
@@ -84,25 +83,15 @@ func NewTracker(n int, confidence float64) *Tracker {
 func NewTrackerForPlan(n int, confidence float64, plan []combin.Coalition) *Tracker {
 	t := &Tracker{n: n, confidence: confidence, lo: -1, hi: 1,
 		cells: make([]cell, n*n)}
-	in := make(map[combin.Coalition]struct{}, len(plan))
+	in := combin.NewSet(len(plan))
 	for _, s := range plan {
-		in[s] = struct{}{}
+		in.Add(s)
 	}
-	// Walk the plan in its own (seed-deterministic) order, visiting each
-	// distinct coalition once — never range the dedup map, so the cell
-	// populations are built identically run to run.
-	visited := make(map[combin.Coalition]struct{}, len(in))
-	for _, s := range plan {
-		if _, dup := visited[s]; dup {
-			continue
-		}
-		visited[s] = struct{}{}
+	// Each distinct coalition once, in the plan's own order.
+	for _, s := range in.Keys() {
 		size := s.Size()
 		for i := 0; i < n; i++ {
-			if s.Has(i) {
-				continue
-			}
-			if _, ok := in[s.With(i)]; ok {
+			if !s.Has(i) && in.Has(s.With(i)) {
 				t.cells[i*n+size].planned++
 			}
 		}
@@ -254,7 +243,7 @@ type AnytimeSnapshot struct {
 type Replay struct {
 	tracker *Tracker
 	planned int
-	seen    map[combin.Coalition]float64
+	seen    utilityTable
 }
 
 // NewReplay builds a replay feeding a plan-aware tracker (plan nil ⇒ the
@@ -266,8 +255,7 @@ func NewReplay(n int, confidence float64, plan []combin.Coalition) *Replay {
 	} else {
 		tr = NewTrackerForPlan(n, confidence, plan)
 	}
-	return &Replay{tracker: tr, planned: len(plan),
-		seen: make(map[combin.Coalition]float64, len(plan))}
+	return &Replay{tracker: tr, planned: len(plan), seen: newUtilityTable(len(plan))}
 }
 
 // Tracker exposes the underlying tracker (e.g. to tighten marginal bounds).
@@ -277,36 +265,25 @@ func (r *Replay) Tracker() *Tracker { return r.tracker }
 // emitted in ascending client order, so the observation sequence is a pure
 // function of the insertion order of distinct coalitions.
 func (r *Replay) Add(s combin.Coalition, u float64) {
-	if _, dup := r.seen[s]; dup {
+	if !r.seen.put(s, u) {
 		return
 	}
-	r.seen[s] = u
-	n := r.tracker.n
 	size := s.Size()
-	type obs struct {
-		client, stratum int
-		delta           float64
-	}
-	var out []obs
-	for i := 0; i < n; i++ {
+	for i := 0; i < r.tracker.n; i++ {
 		if s.Has(i) {
 			// s = S∪{i}: completing pair is S = s\{i}.
-			if base, ok := r.seen[s.Without(i)]; ok {
-				out = append(out, obs{i, size - 1, u - base})
+			if base, ok := r.seen.get(s.Without(i)); ok {
+				r.tracker.Observe(i, size-1, u-base)
 			}
-		} else if sup, ok := r.seen[s.With(i)]; ok {
+		} else if sup, ok := r.seen.get(s.With(i)); ok {
 			// s = S: completing pair is S∪{i}.
-			out = append(out, obs{i, size, sup - u})
+			r.tracker.Observe(i, size, sup-u)
 		}
-	}
-	sort.Slice(out, func(a, b int) bool { return out[a].client < out[b].client })
-	for _, o := range out {
-		r.tracker.Observe(o.client, o.stratum, o.delta)
 	}
 }
 
 // Seen returns the number of distinct coalitions folded so far.
-func (r *Replay) Seen() int { return len(r.seen) }
+func (r *Replay) Seen() int { return len(r.seen.vals) }
 
 // Snapshot captures the current interim state.
 func (r *Replay) Snapshot() AnytimeSnapshot {
@@ -316,7 +293,7 @@ func (r *Replay) Snapshot() AnytimeSnapshot {
 		Lo:           make([]float64, t.n),
 		Hi:           make([]float64, t.n),
 		Observations: make([]int, t.n),
-		Seen:         len(r.seen),
+		Seen:         r.Seen(),
 		Planned:      r.planned,
 	}
 	for i := 0; i < t.n; i++ {

@@ -23,9 +23,8 @@ func (ExactBanzhaf) Name() string { return "Banzhaf-exact" }
 
 // Values implements Valuer.
 func (ExactBanzhaf) Values(ctx *Context) (Values, error) {
-	o := ctx.Oracle
-	n := o.N()
-	u := allUtilities(o)
+	n := ctx.Oracle.N()
+	u := denseTable(n, ctx.Oracle.U)
 	phi := make(Values, n)
 	combin.AllSubsets(n, func(s combin.Coalition) {
 		us := u[s.Index()]
@@ -40,9 +39,7 @@ func (ExactBanzhaf) Values(ctx *Context) (Values, error) {
 	for k := 1; k < n; k++ {
 		scale /= 2
 	}
-	for i := range phi {
-		phi[i] *= scale
-	}
+	phi.scale(scale)
 	return phi, nil
 }
 
@@ -68,8 +65,7 @@ func (a *MCBanzhaf) Name() string { return fmt.Sprintf("Banzhaf-MC(γ=%d)", a.Ga
 // condition exactly as Source.Evals does. evals seeds the meter (0 for a
 // fresh budget scope).
 func (a *MCBanzhaf) forEachDraw(n, evals int, rng *rand.Rand, visit func(i int, with, without combin.Coalition) int) {
-	draws := 0
-	for evals < a.Gamma || draws == 0 {
+	for draws := 0; drawAgain(a.Gamma, evals, draws, maxDraws); draws++ {
 		// Uniform coalition: each member joins with probability 1/2.
 		var s combin.Coalition
 		for i := 0; i < n; i++ {
@@ -80,10 +76,6 @@ func (a *MCBanzhaf) forEachDraw(n, evals int, rng *rand.Rand, visit func(i int, 
 		// Toggle one uniformly chosen client to form the marginal pair.
 		i := rng.Intn(n)
 		evals = visit(i, s.With(i), s.Without(i))
-		draws++
-		if draws >= 1<<20 || a.Gamma <= 0 {
-			break
-		}
 	}
 }
 

@@ -33,15 +33,10 @@ func (a *CCShapley) Name() string { return fmt.Sprintf("CC-Shapley(γ=%d)", a.Ga
 // Source's count before the run; 0 for a fresh budget scope).
 func (a *CCShapley) forEachDraw(n, evals int, rng *rand.Rand, visit func(k int, s, comp combin.Coalition) int) {
 	full := combin.FullCoalition(n)
-	draws := 0
-	for evals < a.Gamma || draws == 0 {
+	for draws := 0; drawAgain(a.Gamma, evals, draws, maxDraws); draws++ {
 		k := 1 + rng.Intn(n) // coalition size 1..n
 		s := combin.RandomSubsetOfSize(n, k, rng)
 		evals = visit(k, s, full.Minus(s))
-		draws++
-		if draws >= 1<<20 || a.Gamma <= 0 {
-			break
-		}
 	}
 }
 
@@ -50,43 +45,25 @@ func (a *CCShapley) Values(ctx *Context) (Values, error) {
 	o := ctx.Oracle
 	n := o.N()
 
-	// sums[i][k] accumulates complementary contributions of client i at
-	// stratum k (coalition size containing i); counts track sample counts.
-	sums := make([][]float64, n)
-	counts := make([][]int, n)
-	for i := range sums {
-		sums[i] = make([]float64, n+1)
-		counts[i] = make([]int, n+1)
-	}
-
+	// Cell (i, k) accumulates complementary contributions of client i at
+	// stratum k (the size of the coalition containing i).
+	acc := newStrataAcc(n)
 	var members [combin.MaxPlayers]int
 	a.forEachDraw(n, o.Evals(), ctx.RNG, func(k int, s, comp combin.Coalition) int {
 		us := o.U(s)
 		uc := o.U(comp)
 		cc := us - uc
 		for _, i := range s.AppendMembers(members[:0]) {
-			sums[i][k] += cc
-			counts[i][k]++
+			acc.add(i, k, cc)
 		}
 		ck := n - k
 		if ck > 0 {
 			for _, i := range comp.AppendMembers(members[:0]) {
-				sums[i][ck] += -cc
-				counts[i][ck]++
+				acc.add(i, ck, -cc)
 			}
 		}
 		return o.Evals()
 	})
 
-	phi := make(Values, n)
-	for i := 0; i < n; i++ {
-		var total float64
-		for k := 1; k <= n; k++ {
-			if counts[i][k] > 0 {
-				total += sums[i][k] / float64(counts[i][k])
-			}
-		}
-		phi[i] = total / float64(n)
-	}
-	return phi, nil
+	return acc.values(nil), nil
 }

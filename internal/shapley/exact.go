@@ -1,9 +1,6 @@
 package shapley
 
-import (
-	"fedshap/internal/combin"
-	"fedshap/internal/utility"
-)
+import "fedshap/internal/combin"
 
 // ExactMC computes the exact Shapley value via the marginal-contribution
 // scheme of Def. 3:
@@ -18,22 +15,8 @@ func (ExactMC) Name() string { return "MC-Shapley" }
 
 // Values implements Valuer.
 func (ExactMC) Values(ctx *Context) (Values, error) {
-	o := ctx.Oracle
-	n := o.N()
-	u := allUtilities(o)
-	phi := make(Values, n)
-	combin.AllSubsets(n, func(s combin.Coalition) {
-		us := u[s.Index()]
-		size := s.Size()
-		for i := 0; i < n; i++ {
-			if s.Has(i) {
-				continue
-			}
-			w := mcWeight(n, size)
-			phi[i] += w * (u[s.With(i).Index()] - us)
-		}
-	})
-	return phi, nil
+	n := ctx.Oracle.N()
+	return exactMC(n, denseTable(n, ctx.Oracle.U)), nil
 }
 
 // ExactCC computes the exact Shapley value via the complementary-
@@ -47,9 +30,8 @@ func (ExactCC) Name() string { return "CC-exact" }
 
 // Values implements Valuer.
 func (ExactCC) Values(ctx *Context) (Values, error) {
-	o := ctx.Oracle
-	n := o.N()
-	u := allUtilities(o)
+	n := ctx.Oracle.N()
+	u := denseTable(n, ctx.Oracle.U)
 	full := combin.FullCoalition(n)
 	phi := make(Values, n)
 	combin.AllSubsets(n, func(s combin.Coalition) {
@@ -77,38 +59,17 @@ func (ExactPerm) Name() string { return "Perm-Shapley" }
 
 // Values implements Valuer.
 func (ExactPerm) Values(ctx *Context) (Values, error) {
-	o := ctx.Oracle
-	n := o.N()
-	u := allUtilities(o)
+	n := ctx.Oracle.N()
+	u := denseTable(n, ctx.Oracle.U)
+	at := func(s combin.Coalition) float64 { return u[s.Index()] }
 	phi := make(Values, n)
 	count := 0
 	combin.ForEachPermutation(n, func(p []int) {
 		count++
-		var s combin.Coalition
-		prev := u[s.Index()]
-		for _, i := range p {
-			s = s.With(i)
-			cur := u[s.Index()]
-			phi[i] += cur - prev
-			prev = cur
-		}
+		walkPerm(phi, p, at(combin.Empty), at)
 	})
 	if count > 0 {
-		inv := 1.0 / float64(count)
-		for i := range phi {
-			phi[i] *= inv
-		}
+		phi.scale(1.0 / float64(count))
 	}
 	return phi, nil
-}
-
-// allUtilities evaluates every coalition and returns a bitmask-indexed
-// utility array, the fast path for the exact schemes.
-func allUtilities(o utility.Source) []float64 {
-	n := o.N()
-	u := make([]float64, 1<<uint(n))
-	combin.AllSubsets(n, func(s combin.Coalition) {
-		u[s.Index()] = o.U(s)
-	})
-	return u
 }

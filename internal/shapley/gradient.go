@@ -2,6 +2,7 @@ package shapley
 
 import (
 	"fmt"
+	"math"
 
 	"fedshap/internal/combin"
 	"fedshap/internal/fl"
@@ -60,21 +61,9 @@ func (OR) Values(ctx *Context) (Values, error) {
 		return nil, err
 	}
 	n := len(spec.Clients)
-	u := make([]float64, 1<<uint(n))
-	combin.AllSubsets(n, func(s combin.Coalition) {
-		u[s.Index()] = reconEvalFull(spec, trace, s)
-	})
-	phi := make(Values, n)
-	combin.AllSubsets(n, func(s combin.Coalition) {
-		size := s.Size()
-		for i := 0; i < n; i++ {
-			if s.Has(i) {
-				continue
-			}
-			phi[i] += mcWeight(n, size) * (u[s.With(i).Index()] - u[s.Index()])
-		}
-	})
-	return phi, nil
+	return exactMC(n, denseTable(n, func(s combin.Coalition) float64 {
+		return reconEvalFull(spec, trace, s)
+	})), nil
 }
 
 // LambdaMR is Wei et al.'s multi-round gradient baseline (λ-MR): in every
@@ -93,8 +82,7 @@ func (a *LambdaMR) Name() string { return "λ-MR" }
 
 // Values implements Valuer.
 func (a *LambdaMR) Values(ctx *Context) (Values, error) {
-	spec := ctx.Spec
-	_, trace, err := trainTrace(spec)
+	rounds, err := PerRoundValues(ctx.Spec)
 	if err != nil {
 		return nil, err
 	}
@@ -102,25 +90,10 @@ func (a *LambdaMR) Values(ctx *Context) (Values, error) {
 	if lambda <= 0 || lambda > 1 {
 		lambda = 1
 	}
-	n := len(spec.Clients)
-	phi := make(Values, n)
+	phi := make(Values, len(ctx.Spec.Clients))
 	var wsum float64
-	u := make([]float64, 1<<uint(n))
-	for r := range trace.Rounds {
-		combin.AllSubsets(n, func(s combin.Coalition) {
-			u[s.Index()] = reconEvalRound(spec, trace, r, s)
-		})
-		roundPhi := make(Values, n)
-		combin.AllSubsets(n, func(s combin.Coalition) {
-			size := s.Size()
-			for i := 0; i < n; i++ {
-				if s.Has(i) {
-					continue
-				}
-				roundPhi[i] += mcWeight(n, size) * (u[s.With(i).Index()] - u[s.Index()])
-			}
-		})
-		w := pow(lambda, len(trace.Rounds)-1-r)
+	for r, roundPhi := range rounds {
+		w := pow(lambda, len(rounds)-1-r)
 		wsum += w
 		for i := range phi {
 			phi[i] += w * roundPhi[i]
@@ -134,7 +107,7 @@ func (a *LambdaMR) Values(ctx *Context) (Values, error) {
 	return phi, nil
 }
 
-// PerRoundValues exposes the per-round decomposition λ-MR aggregates: for
+// PerRoundValues is the per-round decomposition λ-MR aggregates: for
 // each training round r, the exact MC-SV of the game whose utility is the
 // evaluation of the round-r reconstruction. Useful for auditing *when* in
 // training each client contributed. Requires a parametric model.
@@ -145,22 +118,10 @@ func PerRoundValues(spec *utility.FLSpec) ([]Values, error) {
 	}
 	n := len(spec.Clients)
 	out := make([]Values, 0, len(trace.Rounds))
-	u := make([]float64, 1<<uint(n))
 	for r := range trace.Rounds {
-		combin.AllSubsets(n, func(s combin.Coalition) {
-			u[s.Index()] = reconEvalRound(spec, trace, r, s)
-		})
-		roundPhi := make(Values, n)
-		combin.AllSubsets(n, func(s combin.Coalition) {
-			size := s.Size()
-			for i := 0; i < n; i++ {
-				if s.Has(i) {
-					continue
-				}
-				roundPhi[i] += mcWeight(n, size) * (u[s.With(i).Index()] - u[s.Index()])
-			}
-		})
-		out = append(out, roundPhi)
+		out = append(out, exactMC(n, denseTable(n, func(s combin.Coalition) float64 {
+			return reconEvalRound(spec, trace, r, s)
+		})))
 	}
 	return out, nil
 }
@@ -222,20 +183,22 @@ func (a *GTGShapley) Values(ctx *Context) (Values, error) {
 	prevRoundU := spec.Metric(initModel(spec), spec.Test)
 	for r := range trace.Rounds {
 		uFull := reconEvalRound(spec, trace, r, fullC)
-		if abs(uFull-prevRoundU) < betweenTol {
+		if math.Abs(uFull-prevRoundU) < betweenTol {
 			// Between-round truncation: this round changed little; its
 			// per-round SV is taken as zero.
 			prevRoundU = uFull
 			continue
 		}
 		uEmpty := reconEvalRound(spec, trace, r, combin.Empty)
-		cache := map[combin.Coalition]float64{combin.Empty: uEmpty, fullC: uFull}
+		cache := newUtilityTable(2)
+		cache.put(combin.Empty, uEmpty)
+		cache.put(fullC, uFull)
 		evalRound := func(s combin.Coalition) float64 {
-			if v, ok := cache[s]; ok {
+			if v, ok := cache.get(s); ok {
 				return v
 			}
 			v := reconEvalRound(spec, trace, r, s)
-			cache[s] = v
+			cache.put(s, v)
 			return v
 		}
 		roundPhi := make(Values, n)
@@ -245,7 +208,7 @@ func (a *GTGShapley) Values(ctx *Context) (Values, error) {
 			prev := uEmpty
 			for _, i := range perm {
 				s = s.With(i)
-				if abs(uFull-prev) < withinTol {
+				if math.Abs(uFull-prev) < withinTol {
 					break // within-permutation truncation
 				}
 				cur := evalRound(s)
@@ -278,14 +241,18 @@ type DIGFL struct{}
 func (DIGFL) Name() string { return "DIG-FL" }
 
 // Values implements Valuer.
-func (a DIGFL) Values(ctx *Context) (Values, error) {
+func (DIGFL) Values(ctx *Context) (Values, error) {
 	spec := ctx.Spec
 	if spec == nil {
 		return nil, ErrNeedsSpec
 	}
 	n := len(spec.Clients)
 	if _, ok := spec.Factory(spec.Config.Seed).(model.Parametric); !ok {
-		return a.leaveOneOut(ctx, n)
+		// No trace to reconstruct from: leave-one-out retraining.
+		if ctx.Oracle == nil {
+			return nil, fmt.Errorf("shapley: DIG-FL fallback requires an oracle")
+		}
+		return LeaveOneOut{}.Values(ctx)
 	}
 	_, trace, err := trainTrace(spec)
 	if err != nil {
@@ -299,21 +266,6 @@ func (a DIGFL) Values(ctx *Context) (Values, error) {
 			uWithout := reconEvalRound(spec, trace, r, full.Without(i))
 			phi[i] += uAll - uWithout
 		}
-	}
-	return phi, nil
-}
-
-// leaveOneOut is the retraining fallback for non-parametric models.
-func (DIGFL) leaveOneOut(ctx *Context, n int) (Values, error) {
-	o := ctx.Oracle
-	if o == nil {
-		return nil, fmt.Errorf("shapley: DIG-FL fallback requires an oracle")
-	}
-	full := combin.FullCoalition(n)
-	uAll := o.U(full)
-	phi := make(Values, n)
-	for i := 0; i < n; i++ {
-		phi[i] = uAll - o.U(full.Without(i))
 	}
 	return phi, nil
 }

@@ -43,18 +43,9 @@ func (a *GTB) forEachDraw(n, evals int, rng *rand.Rand, visit func(s combin.Coal
 	for k := 1; k <= n-1; k++ {
 		qk[k] /= z
 	}
-	draws := 0
-	for evals < a.Gamma || draws == 0 {
+	for draws := 0; drawAgain(a.Gamma, evals, draws, maxDraws); draws++ {
 		k := sampleSize(qk, rng)
-		s := combin.RandomSubsetOfSize(n, k, rng)
-		evals = visit(s)
-		draws++
-		if draws >= 1<<20 {
-			break
-		}
-		if a.Gamma <= 0 {
-			break
-		}
+		evals = visit(combin.RandomSubsetOfSize(n, k, rng))
 	}
 }
 
@@ -74,7 +65,7 @@ func (a *GTB) Values(ctx *Context) (Values, error) {
 	// Sample until the budget is consumed, folding each observation into
 	// the per-client weighted indicator sums as it lands:
 	// Δ̂ᵢⱼ = (Z/T) Σ_t u_t (β_ti − β_tj) = (Z/T)(cᵢ − cⱼ).
-	c := make([]float64, n)
+	c := make(Values, n)
 	var members [combin.MaxPlayers]int
 	draws := 0
 	a.forEachDraw(n, o.Evals(), ctx.RNG, func(s combin.Coalition) int {
@@ -85,9 +76,7 @@ func (a *GTB) Values(ctx *Context) (Values, error) {
 		draws++
 		return o.Evals()
 	})
-	for i := range c {
-		c[i] *= zn / float64(draws)
-	}
+	c.scale(zn / float64(draws))
 
 	// Least-squares feasibility solve: with Δ̂ᵢⱼ = cᵢ − cⱼ exactly
 	// antisymmetric, the minimiser of Σᵢⱼ((φᵢ−φⱼ)−Δ̂ᵢⱼ)² subject to

@@ -97,46 +97,32 @@ func (a *IPSS) Values(ctx *Context) (Values, error) {
 
 	// Lines 2-7 and 12-14: evaluate the strata then the sampled
 	// combinations, in plan order.
-	u := newUtilityTable(len(strata) + len(pset))
-	for _, s := range strata {
-		u.put(s, o.U(s))
-	}
-	for _, s := range pset {
-		u.put(s, o.U(s))
-	}
+	u := evaluate(o, strata, pset)
 
-	// Lines 15-17: truncated MC-SV plug-in estimate.
-	phi := make(Values, n)
+	// Lines 15-17: truncated MC-SV plug-in estimate. Fully evaluated
+	// strata first: S ⊆ N\{i}, |S| < k*; both S and S∪{i} have size <= k*.
+	phi := truncatedMC(n, kstar, &u)
+	if len(pset) == 0 {
+		return phi, nil
+	}
+	// Sampled stratum: S of size k* with S∪{i} ∈ P. S itself is fully
+	// evaluated (size k*).
+	w := mcWeight(n, kstar)
 	for i := 0; i < n; i++ {
-		// Fully evaluated strata: S ⊆ N\{i}, |S| < k*; both S and S∪{i}
-		// have size <= k* and are in u.
-		for size := 0; size < kstar; size++ {
-			w := mcWeight(n, size)
-			combin.SubsetsOfSizeNotContaining(n, size, i, func(s combin.Coalition) {
-				phi[i] += w * (u.at(s.With(i)) - u.at(s))
-			})
-		}
-		// Sampled stratum: S of size k* with S∪{i} ∈ P. S itself is fully
-		// evaluated (size k*).
-		if len(pset) > 0 {
-			w := mcWeight(n, kstar)
-			var contrib float64
-			cnt := 0
-			for _, si := range pset {
-				if !si.Has(i) {
-					continue
-				}
-				s := si.Without(i)
-				contrib += u.at(si) - u.at(s)
-				cnt++
+		var contrib float64
+		cnt := 0
+		for _, si := range pset {
+			if !si.Has(i) {
+				continue
 			}
-			if a.RescaleSampledStratum && cnt > 0 {
-				// Unbiased stratum estimate: mean marginal × stratum size.
-				total := combin.Binomial(n-1, kstar)
-				contrib = contrib / float64(cnt) * total
-			}
-			phi[i] += w * contrib
+			contrib += u.at(si) - u.at(si.Without(i))
+			cnt++
 		}
+		if a.RescaleSampledStratum && cnt > 0 {
+			// Unbiased stratum estimate: mean marginal × stratum size.
+			contrib = contrib / float64(cnt) * combin.Binomial(n-1, kstar)
+		}
+		phi[i] += w * contrib
 	}
 	return phi, nil
 }
@@ -149,26 +135,3 @@ func (a *IPSS) KStar(n int) int {
 	}
 	return combin.MaxFullStratum(n, uint64(g))
 }
-
-// utilityTable holds the utilities one run evaluated, keyed by coalition: a
-// combin.Set for the key → dense index step and a slice for the values.
-type utilityTable struct {
-	index *combin.Set
-	vals  []float64
-}
-
-func newUtilityTable(capacity int) utilityTable {
-	return utilityTable{index: combin.NewSet(capacity), vals: make([]float64, 0, capacity)}
-}
-
-// put records s → v; a coalition recorded twice keeps its first value (the
-// oracle is deterministic, so the two agree).
-func (t *utilityTable) put(s combin.Coalition, v float64) {
-	if _, added := t.index.Add(s); added {
-		t.vals = append(t.vals, v)
-	}
-}
-
-// at returns the utility recorded for s. Asking for a coalition the run did
-// not evaluate is a bug in the estimator's stratum arithmetic and panics.
-func (t *utilityTable) at(s combin.Coalition) float64 { return t.vals[t.index.Find(s)] }

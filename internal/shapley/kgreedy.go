@@ -23,33 +23,18 @@ type KGreedy struct {
 // Name implements Valuer.
 func (a *KGreedy) Name() string { return fmt.Sprintf("K-Greedy(K=%d)", a.K) }
 
-// Values implements Valuer.
+// coalitions returns K clamped to [1, n] and every combination of at most
+// that many clients — all Alg. 2 evaluates (lines 2-4).
+func (a *KGreedy) coalitions(n int) (k int, all []combin.Coalition) {
+	k = min(max(a.K, 1), n)
+	return k, combin.AppendSubsetsUpTo(nil, n, k)
+}
+
+// Values implements Valuer: the truncated MC-SV sum over combinations S
+// with |S| < K (lines 6-8), each term pairing S with S∪{i} of size ≤ K.
 func (a *KGreedy) Values(ctx *Context) (Values, error) {
-	o := ctx.Oracle
-	n := o.N()
-	k := a.K
-	if k < 1 {
-		k = 1
-	}
-	if k > n {
-		k = n
-	}
-	// Evaluate every combination of size <= K (Alg. 2 lines 2-4).
-	all := combin.AppendSubsetsUpTo(nil, n, k)
-	u := newUtilityTable(len(all))
-	for _, s := range all {
-		u.put(s, o.U(s))
-	}
-	// Truncated MC-SV sum over combinations S with |S| < K (lines 6-8):
-	// each term pairs S (size < K) with S∪{i} (size <= K), both evaluated.
-	phi := make(Values, n)
-	for i := 0; i < n; i++ {
-		for size := 0; size < k; size++ {
-			w := mcWeight(n, size)
-			combin.SubsetsOfSizeNotContaining(n, size, i, func(s combin.Coalition) {
-				phi[i] += w * (u.at(s.With(i)) - u.at(s))
-			})
-		}
-	}
-	return phi, nil
+	n := ctx.Oracle.N()
+	k, all := a.coalitions(n)
+	u := evaluate(ctx.Oracle, all)
+	return truncatedMC(n, k, &u), nil
 }

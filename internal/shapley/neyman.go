@@ -20,10 +20,10 @@ import (
 type StratifiedNeyman struct {
 	// Gamma is the total evaluation budget.
 	Gamma int
-	// PilotFraction is the share of budget spent uniformly in phase one
-	// (default 0.3).
-	PilotFraction float64
 }
+
+// pilotFraction is the share of the budget phase one spends uniformly.
+const pilotFraction = 0.3
 
 // NewStratifiedNeyman returns the two-phase allocator with budget γ.
 func NewStratifiedNeyman(gamma int) *StratifiedNeyman {
@@ -44,12 +44,8 @@ func (a *StratifiedNeyman) sampleCounts(n int) (gamma, totalSamples, pilot int) 
 	if gamma < 2 {
 		gamma = 2
 	}
-	pilotFrac := a.PilotFraction
-	if pilotFrac <= 0 || pilotFrac >= 1 {
-		pilotFrac = 0.3
-	}
 	totalSamples = gamma / 2
-	pilot = int(float64(totalSamples) * pilotFrac)
+	pilot = int(float64(totalSamples) * pilotFraction)
 	if pilot < n {
 		pilot = min(totalSamples, n) // at least one pilot sample per stratum
 	}
@@ -72,24 +68,17 @@ func (a *StratifiedNeyman) Values(ctx *Context) (Values, error) {
 	n := o.N()
 	gamma, totalSamples, pilot := a.sampleCounts(n)
 
-	// Per-stratum accumulators of marginal contributions for each client.
-	type accum struct {
-		sum, sumSq float64
-		count      int
-	}
-	strata := make([][]accum, n+1) // strata[k][i]
-	for k := 1; k <= n; k++ {
-		strata[k] = make([]accum, n)
-	}
+	// Per-(client, stratum) marginal contributions, plus their squares for
+	// the variance estimate (indexed by acc.cell).
+	acc := newStrataAcc(n)
+	sumSq := make([]float64, len(acc.sums))
 	// draw samples one marginal at a time: pick stratum k, sample S of
 	// size k, pick i ∈ S, evaluate U(S) − U(S\{i}).
 	drawInto := func(k int) {
 		s, i := neymanDraw(n, k, ctx.RNG)
 		d := o.U(s) - o.U(s.Without(i))
-		acc := &strata[k][i]
-		acc.sum += d
-		acc.sumSq += d * d
-		acc.count++
+		acc.add(i, k, d)
+		sumSq[acc.cell(i, k)] += d * d
 	}
 
 	// Phase one: uniform pilot.
@@ -102,25 +91,17 @@ func (a *StratifiedNeyman) Values(ctx *Context) (Values, error) {
 	stds := make([]float64, n+1)
 	var stdSum float64
 	for k := 1; k <= n; k++ {
-		var sum, sumSq float64
-		cnt := 0
+		sum, cnt := acc.pooled(k)
+		var sq float64
 		for i := 0; i < n; i++ {
-			sum += strata[k][i].sum
-			sumSq += strata[k][i].sumSq
-			cnt += strata[k][i].count
+			sq += sumSq[acc.cell(i, k)]
 		}
 		if cnt > 1 {
 			mean := sum / float64(cnt)
-			v := sumSq/float64(cnt) - mean*mean
-			if v < 0 {
-				v = 0
-			}
-			stds[k] = math.Sqrt(v)
+			stds[k] = math.Sqrt(max(sq/float64(cnt)-mean*mean, 0))
 		}
 		// Floor so no stratum starves entirely.
-		if stds[k] < 1e-6 {
-			stds[k] = 1e-6
-		}
+		stds[k] = max(stds[k], 1e-6)
 		stdSum += stds[k]
 	}
 
@@ -140,34 +121,9 @@ func (a *StratifiedNeyman) Values(ctx *Context) (Values, error) {
 	// under-sampled client downward).
 	pooled := make([]float64, n+1)
 	for k := 1; k <= n; k++ {
-		var sum float64
-		cnt := 0
-		for i := 0; i < n; i++ {
-			sum += strata[k][i].sum
-			cnt += strata[k][i].count
-		}
-		if cnt > 0 {
+		if sum, cnt := acc.pooled(k); cnt > 0 {
 			pooled[k] = sum / float64(cnt)
 		}
 	}
-	phi := make(Values, n)
-	for i := 0; i < n; i++ {
-		var total float64
-		for k := 1; k <= n; k++ {
-			if c := strata[k][i].count; c > 0 {
-				total += strata[k][i].sum / float64(c)
-			} else {
-				total += pooled[k]
-			}
-		}
-		phi[i] = total / float64(n)
-	}
-	return phi, nil
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
+	return acc.values(pooled), nil
 }

@@ -53,8 +53,8 @@ func PlanFor(alg Valuer, n int, seed int64) (plan []combin.Coalition, ok bool) {
 	return nil, false
 }
 
-// planRNG builds the RNG a run's Context starts from (see NewContext), so a
-// replay consumes the exact same stream.
+// planRNG builds the RNG a run's Context starts from, so a replay consumes
+// the exact same stream.
 func planRNG(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
 
 // planRecorder simulates a fresh budget scope: it records every requested
@@ -97,11 +97,8 @@ func (a *IPSS) SamplePlan(n int, seed int64) []combin.Coalition {
 // SamplePlan implements Planner: every coalition of size ≤ K (Alg. 2
 // evaluates all of them), whatever the seed.
 func (a *KGreedy) SamplePlan(n int, _ int64) []combin.Coalition {
-	k := a.K
-	if k < 1 {
-		k = 1
-	}
-	return combin.AppendSubsetsUpTo(nil, n, k)
+	_, all := a.coalitions(n)
+	return all
 }
 
 // SamplePlan implements Planner: all 2ⁿ coalitions, whatever the seed.
@@ -231,14 +228,12 @@ func (a *MCBanzhaf) SamplePlan(n int, seed int64) []combin.Coalition {
 func (a *PermSampling) SamplePlan(n int, seed int64) []combin.Coalition {
 	rec := newPlanRecorder(a.Gamma + n) // the last walk may add n past γ−1
 	evals := rec.visit(combin.Empty)
+	// The run's own walk, against a recorder that answers 0 for every prefix.
+	record := func(s combin.Coalition) float64 { rec.visit(s); return 0 }
+	scratch := make(Values, n)
 	a.forEachPerm(n, evals, planRNG(seed), func(perm []int) int {
-		var s combin.Coalition
-		last := 0
-		for _, i := range perm {
-			s = s.With(i)
-			last = rec.visit(s)
-		}
-		return last
+		walkPerm(scratch, perm, 0, record)
+		return rec.Len()
 	})
 	return rec.Keys()
 }

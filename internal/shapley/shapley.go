@@ -7,7 +7,13 @@
 //
 // Every algorithm consumes coalition utilities through a utility.Source,
 // so budget accounting (distinct train+evaluate calls, the paper's γ) and
-// caching are uniform across methods.
+// caching are uniform across methods. Each algorithm is a draw (which
+// coalitions to request) plus a reducer; the reducers — the dense MC-SV
+// sum, the truncated-strata sum, the per-stratum mean fold, the budget stop
+// rule, the permutation walk — live once each in reduce.go, and
+// ARCHITECTURE.md's "Estimator map" says which algorithm uses which.
+// RunPooled is the one composition of plan → prefetch → budget view → Run
+// for callers that own their oracle.
 package shapley
 
 import (
@@ -15,7 +21,6 @@ import (
 	"errors"
 	"math/rand"
 
-	"fedshap/internal/combin"
 	"fedshap/internal/utility"
 )
 
@@ -52,7 +57,7 @@ type Context struct {
 
 // NewContext builds a Context with a deterministic RNG.
 func NewContext(o utility.Source, seed int64) *Context {
-	return &Context{Oracle: o, RNG: rand.New(rand.NewSource(seed))}
+	return &Context{Oracle: o, RNG: planRNG(seed)}
 }
 
 // WithSpec attaches the FL spec needed by gradient-based baselines.
@@ -73,7 +78,9 @@ func (c *Context) WithContext(ctx context.Context) *Context {
 // back into an error satisfying errors.Is(err, context.Canceled) (or
 // DeadlineExceeded). Utilities cached before the cancellation stay cached.
 // Algorithms themselves stay context-free: every one is budgeted in oracle
-// calls, so the oracle is the single choke point cancellation needs.
+// calls, so the oracle is the single choke point cancellation needs. A
+// non-finite utility ends the run the same way, as the oracle's
+// *utility.NonFiniteError.
 func Run(c *Context, v Valuer) (values Values, err error) {
 	if c.Ctx != nil {
 		if b, ok := c.Oracle.(utility.ContextBinder); ok {
@@ -84,15 +91,44 @@ func Run(c *Context, v Valuer) (values Values, err error) {
 		}
 	}
 	defer func() {
-		if r := recover(); r != nil {
-			ce, ok := r.(*utility.CancelError)
-			if !ok {
-				panic(r)
-			}
-			values, err = nil, ce
+		switch r := recover().(type) {
+		case nil:
+		case *utility.CancelError:
+			values, err = nil, r
+		case *utility.NonFiniteError:
+			values, err = nil, r
+		default:
+			panic(r)
 		}
 	}()
 	return v.Values(c)
+}
+
+// RunPooled is the one composition of the evaluation pipeline for a caller
+// that owns its oracle: alg's deterministic plan for seed (PlanFor) is
+// evaluated on a pool of workers over o, then alg runs serially, seeded
+// with seed, in a fresh budget scope (utility.RunView) over the now-warm
+// cache. The scope meters the distinct coalitions this run requests, warm
+// or not, exactly as a fresh oracle would, so sampling decisions — and
+// hence the values — are bit-identical at every width and every cache
+// state; requests is that count. workers == 1 is the serial run: no plan,
+// no pool. workers <= 0 selects GOMAXPROCS.
+//
+// c carries what Run needs beyond the oracle — the optional FL spec and
+// cancellation context; its Oracle (the budget scope) and RNG are set here.
+// c.Ctx also stops the pool, so it may be nil only when workers == 1.
+func RunPooled(c *Context, o *utility.Oracle, alg Valuer, seed int64, workers int) (values Values, requests int, err error) {
+	if workers != 1 {
+		if plan, ok := PlanFor(alg, o.N(), seed); ok && len(plan) > 0 {
+			if err := o.Prefetch(c.Ctx, plan, workers); err != nil {
+				return nil, 0, err
+			}
+		}
+	}
+	view := utility.NewRunView(o)
+	c.Oracle, c.RNG = view, planRNG(seed)
+	values, err = Run(c, alg)
+	return values, view.Evals(), err
 }
 
 // Valuer estimates the data value of every client in the federation.
@@ -111,9 +147,3 @@ var ErrNeedsSpec = errors.New("shapley: algorithm requires an FL training spec")
 // model family — e.g. gradient-based baselines on tree ensembles, the "\"
 // cells of the paper's Table V.
 var ErrNotApplicable = errors.New("shapley: algorithm not applicable to this model")
-
-// mcWeight returns the MC-SV weight 1/(n·C(n-1, |S|)) for a coalition of
-// size s not containing the target client.
-func mcWeight(n, s int) float64 {
-	return 1.0 / (float64(n) * combin.Binomial(n-1, s))
-}

@@ -59,16 +59,12 @@ func (a *PermSampling) Name() string { return fmt.Sprintf("Perm-MC(γ=%d)", a.Ga
 // Source.Evals does. evals seeds the meter (the Source's count after U(∅);
 // 1 for a fresh budget scope).
 func (a *PermSampling) forEachPerm(n, evals int, rng *rand.Rand, visit func(perm []int) int) {
-	perms := 0
-	for (a.Gamma <= 0 || evals < a.Gamma) || perms == 0 {
-		if a.MaxPermutations > 0 && perms >= a.MaxPermutations {
-			break
-		}
+	limit := maxDraws
+	if a.MaxPermutations > 0 {
+		limit = min(limit, a.MaxPermutations)
+	}
+	for perms := 0; drawAgain(a.Gamma, evals, perms, limit); perms++ {
 		evals = visit(combin.RandomPermutation(n, rng))
-		perms++
-		if perms >= 1<<20 || a.Gamma <= 0 {
-			break
-		}
 	}
 }
 
@@ -76,26 +72,15 @@ func (a *PermSampling) forEachPerm(n, evals int, rng *rand.Rand, visit func(perm
 func (a *PermSampling) Values(ctx *Context) (Values, error) {
 	o := ctx.Oracle
 	n := o.N()
-	uEmpty := o.U(combin.Empty)
+	u := o.U
+	uEmpty := u(combin.Empty)
 	sums := make(Values, n)
 	perms := 0
 	a.forEachPerm(n, o.Evals(), ctx.RNG, func(perm []int) int {
-		var s combin.Coalition
-		prev := uEmpty
-		for _, i := range perm {
-			s = s.With(i)
-			cur := o.U(s)
-			sums[i] += cur - prev
-			prev = cur
-		}
+		walkPerm(sums, perm, uEmpty, u)
 		perms++
 		return o.Evals()
 	})
-	if perms > 0 {
-		inv := 1.0 / float64(perms)
-		for i := range sums {
-			sums[i] *= inv
-		}
-	}
+	sums.scale(1.0 / float64(perms))
 	return sums, nil
 }

@@ -166,25 +166,9 @@ func (a *Stratified) Values(ctx *Context) (Values, error) {
 	sampled := sampledSet(strata)
 
 	// Lines 9-17: pair sampled combinations per scheme and average.
-	sums := make([][]float64, n)
-	cnts := make([][]int, n)
-	for i := range sums {
-		sums[i] = make([]float64, n+1)
-		cnts[i] = make([]int, n+1)
-	}
+	acc := newStrataAcc(n)
 	a.forEachPair(n, strata, sampled, func(i, k int, s, pair combin.Coalition) {
-		sums[i][k] += o.U(s) - o.U(pair)
-		cnts[i][k]++
+		acc.add(i, k, o.U(s)-o.U(pair))
 	})
-	phi := make(Values, n)
-	for i := 0; i < n; i++ {
-		var total float64
-		for k := 1; k <= n; k++ {
-			if cnts[i][k] > 0 {
-				total += sums[i][k] / float64(cnts[i][k])
-			}
-		}
-		phi[i] = total / float64(n)
-	}
-	return phi, nil
+	return acc.values(nil), nil
 }

@@ -2,6 +2,7 @@ package shapley
 
 import (
 	"fmt"
+	"math"
 
 	"fedshap/internal/combin"
 )
@@ -39,7 +40,7 @@ func (a *TMC) Values(ctx *Context) (Values, error) {
 	}
 	uFull := o.U(combin.FullCoalition(n))
 	uEmpty := o.U(combin.Empty)
-	thresh := tol * abs(uFull)
+	thresh := tol * math.Abs(uFull)
 
 	sums := make(Values, n)
 	perms := 0
@@ -62,28 +63,18 @@ func (a *TMC) Values(ctx *Context) (Values, error) {
 			cur := o.U(s)
 			sums[i] += cur - prev
 			prev = cur
-			if abs(uFull-cur) < thresh {
+			if math.Abs(uFull-cur) < thresh {
 				truncated = true
 			}
 		}
 		perms++
-		if perms >= 1<<20 {
-			break // safety valve for degenerate budgets
+		if perms >= maxDraws {
+			break
 		}
 	}
 	if perms == 0 {
 		return make(Values, n), nil
 	}
-	inv := 1.0 / float64(perms)
-	for i := range sums {
-		sums[i] *= inv
-	}
+	sums.scale(1.0 / float64(perms))
 	return sums, nil
-}
-
-func abs(x float64) float64 {
-	if x < 0 {
-		return -x
-	}
-	return x
 }

@@ -15,6 +15,8 @@ package utility
 
 import (
 	"context"
+	"fmt"
+	"math"
 	"sync/atomic"
 	"time"
 
@@ -43,6 +45,21 @@ func (e *CancelError) Error() string { return "utility: evaluation cancelled: " 
 
 // Unwrap exposes the context error for errors.Is.
 func (e *CancelError) Unwrap() error { return e.Err }
+
+// NonFiniteError is the panic payload raised when an evaluation returns NaN
+// or ±Inf — a diverged model, a metric dividing by zero. Such a utility is
+// a failure of the run that asked for it, not a value: it is not cached,
+// not charged to the budget and not written through, and the run ends with
+// this error (Prefetch returns it, shapley.Run converts the panic).
+type NonFiniteError struct {
+	Coalition combin.Coalition
+	Value     float64
+}
+
+// Error implements error.
+func (e *NonFiniteError) Error() string {
+	return fmt.Sprintf("utility: non-finite utility %v for coalition %s", e.Value, e.Coalition)
+}
 
 // ContextBinder is implemented by Sources whose fresh evaluations can be
 // bound to a context for cooperative cancellation.
@@ -136,7 +153,8 @@ func (o *Oracle) ctxErr() error {
 }
 
 // U returns the utility of coalition s, evaluating and caching on first use.
-// If a bound context is done, a cache miss panics with *CancelError.
+// If a bound context is done, a cache miss panics with *CancelError; a
+// non-finite evaluation panics with *NonFiniteError.
 func (o *Oracle) U(s combin.Coalition) float64 {
 	hit, _ := o.onHit.Load().(func(float64))
 	var start time.Time
@@ -163,6 +181,9 @@ func (o *Oracle) fresh(s combin.Coalition) float64 {
 	// same coalition is possible but harmless (deterministic result), and
 	// only the first insert is charged.
 	v := o.eval(s)
+	if math.IsNaN(v) || math.IsInf(v, 0) {
+		panic(&NonFiniteError{Coalition: s, Value: v})
+	}
 	if o.cache.putIfAbsent(s, v) {
 		total := int(o.evals.Add(1))
 		if fn, ok := o.onEval.Load().(func(int)); ok && fn != nil {

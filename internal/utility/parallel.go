@@ -28,7 +28,9 @@ import (
 // warm cache. workers <= 0 selects GOMAXPROCS. Duplicate and
 // already-cached coalitions are skipped. When ctx is cancelled the pool
 // stops issuing fresh evaluations and Prefetch returns the context error;
-// utilities evaluated before the cancellation stay cached.
+// utilities evaluated before the cancellation stay cached. The first
+// non-finite utility stops the pool likewise and is returned as a
+// *NonFiniteError.
 //
 // This mirrors the paper's implementation note: coalition evaluations are
 // embarrassingly parallel because each trains an independent model, so the
@@ -64,7 +66,8 @@ func (o *Oracle) Prefetch(ctx context.Context, coalitions []combin.Coalition, wo
 	// the process; fail keeps the first one, siblings stop claiming, and it
 	// is re-raised below on the goroutine that called Prefetch, where it
 	// reaches whatever recover guards the caller (the service's job boundary
-	// turns it into a failed job).
+	// turns it into a failed job). A non-finite utility travels the same way
+	// and is returned as the error it is.
 	var (
 		next atomic.Int64
 		fail atomic.Pointer[any]
@@ -94,6 +97,9 @@ func (o *Oracle) Prefetch(ctx context.Context, coalitions []combin.Coalition, wo
 	}
 	wg.Wait()
 	if r := fail.Load(); r != nil {
+		if nf, ok := (*r).(*NonFiniteError); ok {
+			return nf
+		}
 		panic(*r)
 	}
 	return ctx.Err()

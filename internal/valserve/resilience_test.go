@@ -14,6 +14,7 @@ import (
 	"math"
 
 	"fedshap"
+	"fedshap/internal/combin"
 	"fedshap/internal/experiments"
 	"fedshap/internal/resilience"
 )
@@ -317,5 +318,55 @@ func TestHealthzDegraded(t *testing.T) {
 	}
 	if got := health(); got != "degraded" {
 		t.Fatalf("degraded /healthz status = %q", got)
+	}
+}
+
+// TestNonFiniteUtilityFailsOnlyItsJob: a NaN or +Inf utility is that job's
+// failure. It must not reach the store — json.Marshal rejects it, and a
+// failed append used to flip the whole daemon into degraded mode — and a
+// job running beside it completes.
+func TestNonFiniteUtilityFailsOnlyItsJob(t *testing.T) {
+	for _, workers := range []int{1, 2} { // reduce-only and prefetch → reduce
+		for _, poison := range []float64{math.NaN(), math.Inf(1)} {
+			dir := t.TempDir()
+			m, err := NewManager(Config{
+				Workers:     2,
+				EvalWorkers: workers,
+				CacheDir:    filepath.Join(dir, "cache"),
+				JournalPath: filepath.Join(dir, "journal.jsonl"),
+				BuildProblem: func(req fedshap.JobRequest) (*experiments.Problem, error) {
+					if req.N != 3 {
+						return gameBuilder(time.Millisecond, nil)(req)
+					}
+					return experiments.NewFuncProblem("diverged", req.N, func(s combin.Coalition) float64 {
+						if s.Size() == 2 {
+							return poison
+						}
+						return float64(s.Size())
+					}), nil
+				},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			good, err := m.Submit(fedshap.JobRequest{N: 5, Algorithm: "exact"})
+			if err != nil {
+				t.Fatal(err)
+			}
+			bad, err := m.Submit(fedshap.JobRequest{N: 3, Algorithm: "exact"})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if fin := waitState(t, m, bad.ID, terminal); fin.State != fedshap.JobFailed || !strings.Contains(fin.Error, "non-finite utility") {
+				t.Errorf("%v workers=%d: diverged job: %s (%q), want failed naming the non-finite utility", poison, workers, fin.State, fin.Error)
+			}
+			if fin := waitState(t, m, good.ID, terminal); fin.State != fedshap.JobDone {
+				t.Errorf("%v workers=%d: concurrent job: %s (%s)", poison, workers, fin.State, fin.Error)
+			}
+			if m.Degraded() {
+				t.Errorf("%v workers=%d: one job's utility degraded the daemon", poison, workers)
+			}
+			m.Close()
+		}
 	}
 }

@@ -271,8 +271,9 @@ func (r *run) anytimeDrive(plan []combin.Coalition) (*fedshap.Report, error) {
 
 // prefetch pipelines the plan through the job's evaluation pool (and, via
 // the wrapped eval function, across the remote fleet), so the sequential
-// reduction that follows runs against a warm cache. Cancellation
-// mid-prefetch falls through to shapley.Run, which reports it uniformly.
+// reduction that follows runs against a warm cache. A cancellation or a
+// non-finite utility mid-prefetch falls through to shapley.Run, which meets
+// the same condition on its first miss and reports it uniformly.
 func (r *run) prefetch(plan []combin.Coalition) {
 	span := r.j.trace.StartSpan("prefetch", "daemon")
 	span.SetInt("planned", int64(len(plan)))

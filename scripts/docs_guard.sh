@@ -3,9 +3,10 @@
 # every HTTP route documented in README/OPERATIONS/docs/api.md must be
 # registered verbatim in internal/valserve/http.go, every standalone
 # backtick-quoted `-flag` must be defined by some cmd/ binary, every
-# backtick-quoted internal/, cmd/ or scripts/ path must exist, and every
-# *.md file cited from a Go comment must be in the tree. Run from the
-# repo root: sh scripts/docs_guard.sh
+# backtick-quoted internal/, cmd/ or scripts/ path must exist, every
+# *.md file cited from a Go comment must be in the tree, and every
+# algorithm name the service accepts must have its row in ARCHITECTURE.md's
+# Estimator map. Run from the repo root: sh scripts/docs_guard.sh
 set -eu
 
 status=0
@@ -56,6 +57,22 @@ if [ "$documented" != "$actual" ]; then
 	status=1
 fi
 
+# --- Estimator map ----------------------------------------------------
+# The "Estimator map" table in ARCHITECTURE.md has one row per valuer; the
+# backticked names in its first column must be exactly the case labels of
+# valserve.NewValuer, so a new algorithm cannot land without saying what
+# it draws, how it reduces and how exact it is.
+documented=$(sed -n '/^## Estimator map/,/^## Anytime valuation flow/p' ARCHITECTURE.md |
+	grep -E '^\| `' | cut -d'|' -f2 | grep -oE '`[a-z-]+`' | tr -d '`' | sort)
+actual=$(sed -n '/^func NewValuer(/,/^}/p' internal/valserve/valserve.go |
+	grep -E '^[[:space:]]*case ' | grep -oE '"[a-z-]+"' | tr -d '"' | sort)
+if [ "$documented" != "$actual" ]; then
+	echo "stale docs: ARCHITECTURE.md \"Estimator map\" table does not match the algorithms of valserve.NewValuer" >&2
+	echo "documented: $(echo "$documented" | tr '\n' ' ')" >&2
+	echo "actual:     $(echo "$actual" | tr '\n' ' ')" >&2
+	status=1
+fi
+
 # --- Paths ------------------------------------------------------------
 # A backticked `internal/<pkg>`, `cmd/<bin>` or `scripts/<file>` (with or
 # without arguments or a deeper file path after it) must exist in the
@@ -91,6 +108,6 @@ $cited
 EOF
 
 if [ "$status" -eq 0 ]; then
-	echo "docs guard: all documented routes, flags, analyzers, paths and cited files exist"
+	echo "docs guard: all documented routes, flags, analyzers, algorithms, paths and cited files exist"
 fi
 exit "$status"
