@@ -11,6 +11,7 @@ package fl
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 
 	"fedshap/internal/dataset"
@@ -106,104 +107,127 @@ type Trace struct {
 // fitted on the merged data. Clients with empty datasets are skipped; if no
 // client has data, the freshly initialised model is returned.
 func Train(factory model.Factory, clients []*dataset.Dataset, cfg Config) model.Model {
-	m, _ := train(factory, clients, cfg, false)
+	m, _ := new(Arena).train(factory, clients, cfg, false)
 	return m
 }
 
 // TrainWithTrace is Train but additionally records the per-round updates.
 // It returns a nil trace for Fitter models.
 func TrainWithTrace(factory model.Factory, clients []*dataset.Dataset, cfg Config) (model.Model, *Trace) {
-	return train(factory, clients, cfg, true)
+	return new(Arena).train(factory, clients, cfg, true)
 }
 
-func train(factory model.Factory, clients []*dataset.Dataset, cfg Config, wantTrace bool) (model.Model, *Trace) {
-	m := factory(cfg.Seed)
-	switch mm := m.(type) {
-	case model.Parametric:
-		return fedAvg(mm, clients, cfg, wantTrace)
-	case model.Fitter:
-		merged := dataset.Merge("coalition", clients...)
-		if merged.Len() > 0 {
-			mm.Fit(merged)
+// Arena owns everything one federated training builds — the global model
+// and its initial parameters, the per-slot local models and RNGs, the
+// parameter, aggregate and per-client delta vectors, the weights — so that
+// training coalition after coalition through one Arena allocates nothing
+// once it is warm. The zero value is ready; Train is the one-shot case of a
+// fresh Arena that is then dropped.
+//
+// An Arena serves one factory and one training at a time. The model Train
+// returns is arena-owned: it is valid only until the next Train on the same
+// Arena, which retrains that very model, so a caller that keeps the Arena
+// must not retain the model. Every coalition of a factory and seed starts
+// from the same parameters, which is what makes starting over from the
+// recorded initial vector equal to running the factory again, bit for bit.
+type Arena struct {
+	global model.Parametric
+	// init is global's parameter vector as the factory built it under
+	// seed; a Config with another seed starts the Arena over.
+	init tensor.Vector
+	seed int64
+
+	// slots holds one local model and one RNG per pool slot, reused across
+	// clients, rounds and trainings: SetParams fully overwrites the
+	// trainable state and Seed restarts the stream a fresh rand.NewSource
+	// would give, so reuse changes nothing numerically.
+	slots []slot
+	// params is the round-start global vector, agg the round's aggregate
+	// and deltas[i] client i's update buffer. Outside trace mode a round
+	// allocates nothing; a trace keeps each round's updates, so there the
+	// buffer is handed over and the next round appends to nil.
+	params, agg  tensor.Vector
+	deltas       []tensor.Vector
+	weights      []float64
+	participants []int
+}
+
+type slot struct {
+	local model.Parametric
+	rng   *rand.Rand
+}
+
+// Train is fl.Train on the Arena's buffers; see the type for how long the
+// returned model stays valid.
+func (a *Arena) Train(factory model.Factory, clients []*dataset.Dataset, cfg Config) model.Model {
+	m, _ := a.train(factory, clients, cfg, false)
+	return m
+}
+
+func (a *Arena) train(factory model.Factory, clients []*dataset.Dataset, cfg Config, wantTrace bool) (model.Model, *Trace) {
+	if a.global == nil || a.seed != cfg.Seed {
+		switch m := factory(cfg.Seed).(type) {
+		case model.Parametric:
+			*a = Arena{global: m, init: m.Params(), seed: cfg.Seed}
+		case model.Fitter:
+			// A fit builds its ensemble from nothing, so there is no state
+			// an Arena could carry from one coalition to the next.
+			merged := dataset.Merge("coalition", clients...)
+			if merged.Len() > 0 {
+				m.Fit(merged)
+			}
+			return m, nil
+		default:
+			panic(fmt.Sprintf("fl: model %T is neither Parametric nor Fitter", m))
 		}
-		return mm, nil
-	default:
-		panic(fmt.Sprintf("fl: model %T is neither Parametric nor Fitter", m))
 	}
+	return a.fedAvg(clients, cfg, wantTrace)
 }
 
-func fedAvg(global model.Parametric, clients []*dataset.Dataset, cfg Config, wantTrace bool) (model.Model, *Trace) {
+// fedAvg trains a.global from a.init on the clients.
+func (a *Arena) fedAvg(clients []*dataset.Dataset, cfg Config, wantTrace bool) (model.Model, *Trace) {
 	n := len(clients)
-	weights := aggregationWeights(clients, cfg.WeightBySize)
-	participants := make([]int, 0, n)
-	for i, w := range weights {
+	a.weights = aggregationWeights(slices.Grow(a.weights[:0], n), clients, cfg.WeightBySize)
+	a.participants = slices.Grow(a.participants[:0], n)
+	for i, w := range a.weights {
 		if w > 0 {
-			participants = append(participants, i)
+			a.participants = append(a.participants, i)
 		}
 	}
 	var trace *Trace
 	if wantTrace {
-		trace = &Trace{Init: global.Params(), NumClients: n}
+		trace = &Trace{Init: a.init.Clone(), NumClients: n}
 	}
-	if len(participants) == 0 {
-		return global, trace
+	if len(a.participants) == 0 {
+		a.global.SetParams(a.init)
+		return a.global, trace
 	}
 
 	workers := cfg.Workers
-	if workers > len(participants) {
-		workers = len(participants)
+	if workers > len(a.participants) {
+		workers = len(a.participants)
 	}
 	if workers < 1 {
 		workers = 1
 	}
-	// One local model and one RNG per pool slot, reused across clients and
-	// rounds: SetParams fully overwrites the trainable state and Seed
-	// restarts the stream a fresh rand.NewSource would give, so reuse
-	// changes nothing numerically while dropping a Clone and a 5 KB source
-	// per client per round.
-	type slot struct {
-		local model.Parametric
-		rng   *rand.Rand
+	for len(a.slots) < workers {
+		a.slots = append(a.slots, slot{a.global.Clone().(model.Parametric), rand.New(rand.NewSource(0))})
 	}
-	slots := make([]slot, workers)
-	for w := range slots {
-		slots[w] = slot{global.Clone().(model.Parametric), rand.New(rand.NewSource(0))}
+	if n > len(a.deltas) {
+		a.deltas = slices.Grow(a.deltas, n-len(a.deltas))[:n]
 	}
-
-	params := global.Params()
-	// deltas[i] is client i's update buffer, agg the round's aggregate;
-	// both live across rounds, so outside trace mode a round allocates
-	// nothing. A trace keeps each round's updates, so there the buffer is
-	// handed over and the next round appends to nil.
-	deltas := make([]tensor.Vector, n)
-	agg := tensor.NewVector(len(params))
-	// trainClient runs client i's local update for one round against the
-	// round-start parameters (read-only here) and leaves its delta in
-	// deltas[i]. Per-client, per-round deterministic shuffling keeps every
-	// update independent of scheduling order.
-	trainClient := func(s slot, round, i int) {
-		s.local.SetParams(params)
-		s.rng.Seed(cfg.Seed + int64(round)*1009 + int64(i)*9176)
-		for e := 0; e < cfg.LocalEpochs; e++ {
-			s.local.TrainEpoch(clients[i], cfg.LR, s.rng)
-		}
-		delta := s.local.AppendParams(deltas[i][:0])
-		delta.AddScaled(-1, params) // delta = local - global
-		if cfg.Algorithm == FedProx && cfg.ProxMu > 0 {
-			// Proximal step: shrink the local deviation toward the
-			// global model by the closed-form factor 1/(1+μ).
-			delta.Scale(1 / (1 + cfg.ProxMu))
-		}
-		deltas[i] = delta
+	a.params = append(a.params[:0], a.init...)
+	if a.agg == nil {
+		a.agg = tensor.NewVector(len(a.init))
 	}
 
 	for round := 0; round < cfg.Rounds; round++ {
 		var rt RoundTrace
 		if wantTrace {
 			rt = RoundTrace{
-				Global:  params.Clone(),
+				Global:  a.params.Clone(),
 				Updates: make([]tensor.Vector, n),
-				Weights: append([]float64(nil), weights...),
+				Weights: append([]float64(nil), a.weights...),
 			}
 		}
 		// Per-slot delta collection: each participating client trains
@@ -211,7 +235,7 @@ func fedAvg(global model.Parametric, clients []*dataset.Dataset, cfg Config, wan
 		if workers > 1 {
 			var wg sync.WaitGroup
 			work := make(chan int)
-			for _, s := range slots {
+			for _, s := range a.slots[:workers] {
 				wg.Add(1)
 				// round is passed, not captured: a captured loop
 				// variable is heap-allocated once per iteration even
@@ -219,54 +243,73 @@ func fedAvg(global model.Parametric, clients []*dataset.Dataset, cfg Config, wan
 				go func(s slot, round int) {
 					defer wg.Done()
 					for i := range work {
-						trainClient(s, round, i)
+						a.trainClient(s, clients[i], cfg, round, i)
 					}
 				}(s, round)
 			}
-			for _, i := range participants {
+			for _, i := range a.participants {
 				work <- i
 			}
 			close(work)
 			wg.Wait()
 		} else {
-			for _, i := range participants {
-				trainClient(slots[0], round, i)
+			for _, i := range a.participants {
+				a.trainClient(a.slots[0], clients[i], cfg, round, i)
 			}
 		}
 		// ...and the reduction is sequential in fixed client order, so the
 		// floating-point aggregation sequence — and hence the trained
 		// model — is bit-identical to serial execution.
-		agg.Fill(0)
-		for _, i := range participants {
-			agg.AddScaled(weights[i], deltas[i])
+		a.agg.Fill(0)
+		for _, i := range a.participants {
+			a.agg.AddScaled(a.weights[i], a.deltas[i])
 			if wantTrace {
-				rt.Updates[i], deltas[i] = deltas[i], nil
+				rt.Updates[i], a.deltas[i] = a.deltas[i], nil
 			}
 		}
-		params.AddScaled(1, agg)
+		a.params.AddScaled(1, a.agg)
 		if wantTrace {
 			trace.Rounds = append(trace.Rounds, rt)
 		}
 	}
-	global.SetParams(params)
-	return global, trace
+	a.global.SetParams(a.params)
+	return a.global, trace
 }
 
-// aggregationWeights returns normalised FedAvg weights; clients without data
-// get weight zero.
-func aggregationWeights(clients []*dataset.Dataset, bySize bool) []float64 {
-	w := make([]float64, len(clients))
+// trainClient runs client i's local update for one round against the
+// round-start parameters (read-only here) and leaves its delta in
+// a.deltas[i]. Per-client, per-round deterministic shuffling keeps every
+// update independent of scheduling order.
+func (a *Arena) trainClient(s slot, ds *dataset.Dataset, cfg Config, round, i int) {
+	s.local.SetParams(a.params)
+	s.rng.Seed(cfg.Seed + int64(round)*1009 + int64(i)*9176)
+	for e := 0; e < cfg.LocalEpochs; e++ {
+		s.local.TrainEpoch(ds, cfg.LR, s.rng)
+	}
+	delta := s.local.AppendParams(a.deltas[i][:0])
+	delta.AddScaled(-1, a.params) // delta = local - global
+	if cfg.Algorithm == FedProx && cfg.ProxMu > 0 {
+		// Proximal step: shrink the local deviation toward the
+		// global model by the closed-form factor 1/(1+μ).
+		delta.Scale(1 / (1 + cfg.ProxMu))
+	}
+	a.deltas[i] = delta
+}
+
+// aggregationWeights appends the normalised FedAvg weights to w; clients
+// without data get weight zero.
+func aggregationWeights(w []float64, clients []*dataset.Dataset, bySize bool) []float64 {
 	var total float64
-	for i, ds := range clients {
-		if ds == nil || ds.Len() == 0 {
-			continue
+	for _, ds := range clients {
+		wi := 0.0
+		if ds != nil && ds.Len() > 0 {
+			wi = 1
+			if bySize {
+				wi = float64(ds.Len())
+			}
 		}
-		if bySize {
-			w[i] = float64(ds.Len())
-		} else {
-			w[i] = 1
-		}
-		total += w[i]
+		w = append(w, wi)
+		total += wi
 	}
 	if total > 0 {
 		for i := range w {

@@ -170,11 +170,11 @@ func TestAggregationWeights(t *testing.T) {
 	a := dataset.New("a", 10, 2, 2)
 	b := dataset.New("b", 30, 2, 2)
 	empty := dataset.New("e", 0, 2, 2)
-	w := aggregationWeights([]*dataset.Dataset{a, b, empty}, true)
+	w := aggregationWeights(nil, []*dataset.Dataset{a, b, empty}, true)
 	if math.Abs(w[0]-0.25) > 1e-12 || math.Abs(w[1]-0.75) > 1e-12 || w[2] != 0 {
 		t.Errorf("weights = %v", w)
 	}
-	weq := aggregationWeights([]*dataset.Dataset{a, b, empty}, false)
+	weq := aggregationWeights(nil, []*dataset.Dataset{a, b, empty}, false)
 	if math.Abs(weq[0]-0.5) > 1e-12 || math.Abs(weq[1]-0.5) > 1e-12 {
 		t.Errorf("equal weights = %v", weq)
 	}

@@ -50,6 +50,20 @@ func hashVector(v tensor.Vector) uint64 {
 	return h.Sum64()
 }
 
+// hashTrace hashes a trace in goldenTrace's order.
+func hashTrace(tr *Trace) uint64 {
+	h := fnv.New64a()
+	hashFloats(h, tr.Init)
+	for _, rt := range tr.Rounds {
+		hashFloats(h, rt.Global)
+		for _, u := range rt.Updates {
+			hashFloats(h, u)
+		}
+		hashFloats(h, rt.Weights)
+	}
+	return h.Sum64()
+}
+
 // goldenFederation is the fixed problem every golden hash is trained on: 6
 // FEMNIST-like writers × 40 samples (10×10 images, 10 classes) plus one
 // free-rider, so the skip-empty-client path is inside the hash too.
@@ -105,16 +119,7 @@ func TestGoldenTrace(t *testing.T) {
 	clients := goldenFederation()
 	factory := goldenFactories(clients[0])["mlp"]
 	m, trace := TrainWithTrace(factory, clients, goldenConfigs["fedavg"])
-	h := fnv.New64a()
-	hashFloats(h, trace.Init)
-	for _, rt := range trace.Rounds {
-		hashFloats(h, rt.Global)
-		for _, u := range rt.Updates {
-			hashFloats(h, u)
-		}
-		hashFloats(h, rt.Weights)
-	}
-	if got := h.Sum64(); got != goldenTrace {
+	if got := hashTrace(trace); got != goldenTrace {
 		t.Errorf("trace hash %#016x, want %#016x", got, goldenTrace)
 	}
 	// Recording the trace must not change what is trained.

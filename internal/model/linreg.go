@@ -1,6 +1,7 @@
 package model
 
 import (
+	"math"
 	"math/rand"
 	"slices"
 
@@ -26,8 +27,11 @@ func NewLinReg(dim int) *LinReg {
 
 // Score returns the single-element prediction [w·x + b].
 func (m *LinReg) Score(x tensor.Vector) tensor.Vector {
-	return tensor.Vector{m.W.Dot(x) + m.B}
+	return tensor.Vector{m.Predict(x)}
 }
+
+// Predict implements Regressor: w·x + b.
+func (m *LinReg) Predict(x tensor.Vector) float64 { return m.W.Dot(x) + m.B }
 
 // Clone returns a deep copy.
 func (m *LinReg) Clone() Model {
@@ -121,9 +125,9 @@ func solveGaussian(a *tensor.Matrix, b tensor.Vector) tensor.Vector {
 	for col := 0; col < n; col++ {
 		// Partial pivot.
 		piv := col
-		best := abs(a.At(col, col))
+		best := math.Abs(a.At(col, col))
 		for r := col + 1; r < n; r++ {
-			if v := abs(a.At(r, col)); v > best {
+			if v := math.Abs(a.At(r, col)); v > best {
 				best, piv = v, r
 			}
 		}
@@ -159,13 +163,6 @@ func solveGaussian(a *tensor.Matrix, b tensor.Vector) tensor.Vector {
 		if p := a.At(r, r); p != 0 {
 			x[r] = s / p
 		}
-	}
-	return x
-}
-
-func abs(x float64) float64 {
-	if x < 0 {
-		return -x
 	}
 	return x
 }

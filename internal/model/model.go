@@ -74,6 +74,23 @@ type Classifier interface {
 	PredictClass(x tensor.Vector) int
 }
 
+// Regressor is Classifier's counterpart for single-output models: Predict
+// returns Score(x)[0] without building the one-element vector. NegMSE and
+// NegMSEFloat — the utility of the paper's linear-regression theory — use it
+// when available.
+type Regressor interface {
+	Predict(x tensor.Vector) float64
+}
+
+// predictor returns m's scalar prediction function, the fast path when m
+// has one.
+func predictor(m Model) func(tensor.Vector) float64 {
+	if r, ok := m.(Regressor); ok {
+		return r.Predict
+	}
+	return func(x tensor.Vector) float64 { return m.Score(x)[0] }
+}
+
 // crossEntropyGrad turns softmax probabilities into the cross-entropy
 // gradient with respect to the logits, p − onehot(y), in place. A label
 // outside the model's classes has no one-hot entry to subtract, so such a
@@ -116,9 +133,10 @@ func NegMSE(m Model, ds *dataset.Dataset) float64 {
 	if ds.Len() == 0 {
 		return 0
 	}
+	predict := predictor(m)
 	var sum float64
 	for i := 0; i < ds.Len(); i++ {
-		diff := m.Score(ds.X.Row(i))[0] - float64(ds.Y[i])
+		diff := predict(ds.X.Row(i)) - float64(ds.Y[i])
 		sum += diff * diff
 	}
 	return -sum / float64(ds.Len())
@@ -129,9 +147,10 @@ func NegMSEFloat(m Model, X *tensor.Matrix, y []float64) float64 {
 	if X.Rows == 0 {
 		return 0
 	}
+	predict := predictor(m)
 	var sum float64
 	for i := 0; i < X.Rows; i++ {
-		diff := m.Score(X.Row(i))[0] - y[i]
+		diff := predict(X.Row(i)) - y[i]
 		sum += diff * diff
 	}
 	return -sum / float64(X.Rows)

@@ -1,6 +1,7 @@
 package model
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -66,5 +67,34 @@ func TestPredictClassMatchesScore(t *testing.T) {
 				t.Fatalf("%s sample %d: PredictClass = %d, Score argmax = %d", tc.name, i, got, want)
 			}
 		}
+	}
+}
+
+// scoreOnly hides a model's fast paths, leaving what Model promises.
+type scoreOnly struct{ Model }
+
+// TestNegMSEFastPathMatchesScore: the Regressor fast path must return the
+// bits the Score path returns, and a linear-regression utility must not
+// allocate per test sample.
+func TestNegMSEFastPathMatchesScore(t *testing.T) {
+	ds := benchData(200, 16, 4, 9)
+	m := NewLinReg(16)
+	rng := rand.New(rand.NewSource(5))
+	for e := 0; e < 3; e++ {
+		m.TrainEpoch(ds, 0.01, rng)
+	}
+	y := make([]float64, ds.Len())
+	for i := range y {
+		y[i] = float64(ds.Y[i]) + 0.25
+	}
+	if got, want := NegMSE(m, ds), NegMSE(scoreOnly{m}, ds); math.Float64bits(got) != math.Float64bits(want) {
+		t.Errorf("NegMSE fast path = %v, Score path = %v", got, want)
+	}
+	if got, want := NegMSEFloat(m, ds.X, y), NegMSEFloat(scoreOnly{m}, ds.X, y); math.Float64bits(got) != math.Float64bits(want) {
+		t.Errorf("NegMSEFloat fast path = %v, Score path = %v", got, want)
+	}
+	var sink float64
+	if avg := testing.AllocsPerRun(10, func() { sink += NegMSE(m, ds) + NegMSEFloat(m, ds.X, y) }); avg != 0 {
+		t.Errorf("NegMSE + NegMSEFloat on LinReg made %v allocations, want 0", avg)
 	}
 }

@@ -17,6 +17,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -234,7 +235,10 @@ func (o *Oracle) Reset() {
 	o.evals.Store(0)
 }
 
-// Metric scores a trained model on a test set.
+// Metric scores a trained model on a test set. Under NewFLOracle the model
+// is arena-owned and valid only until the evaluation returns — the next
+// coalition on the same pool slot retrains that very model — so a Metric
+// must not retain it (Clone what has to outlive the call).
 type Metric func(m model.Model, test *dataset.Dataset) float64
 
 // FLSpec bundles everything needed to evaluate coalitions by federated
@@ -255,15 +259,54 @@ func NewFLOracle(spec FLSpec) *Oracle {
 	if spec.Metric == nil {
 		spec.Metric = model.Accuracy
 	}
-	return NewOracle(len(spec.Clients), func(s combin.Coalition) float64 {
-		subset := make([]*dataset.Dataset, 0, s.Size())
-		for _, i := range s.Members() {
-			subset = append(subset, spec.Clients[i])
-		}
-		cfg := spec.Config
-		m := fl.Train(spec.Factory, subset, cfg)
-		return spec.Metric(m, spec.Test)
-	})
+	return NewOracle(len(spec.Clients), (&flEvaluator{spec: spec}).eval)
+}
+
+// flEvaluator is the EvalFunc behind NewFLOracle. It owns the training
+// arenas: an evaluation pops one off the free list (or starts a new one),
+// trains and scores in it, and pushes it back, so w concurrent callers —
+// the local pool, an evalnet worker, a service job, the serial path — hold
+// at most w arenas between them and a warm evaluation allocates nothing.
+// The list is a plain mutex-guarded slice, not a sync.Pool: arenas would
+// then come and go with the collector's cycles, and what an operation
+// allocates would stop repeating from run to run.
+type flEvaluator struct {
+	spec FLSpec
+
+	mu   sync.Mutex
+	free []*flScratch
+}
+
+// flScratch is what one evaluation needs beyond the spec.
+type flScratch struct {
+	arena   fl.Arena
+	members []int
+	subset  []*dataset.Dataset
+}
+
+func (e *flEvaluator) eval(s combin.Coalition) float64 {
+	e.mu.Lock()
+	var sc *flScratch
+	if last := len(e.free) - 1; last >= 0 {
+		sc, e.free = e.free[last], e.free[:last]
+	} else {
+		sc = new(flScratch)
+	}
+	e.mu.Unlock()
+
+	sc.members = s.AppendMembers(sc.members[:0])
+	sc.subset = sc.subset[:0]
+	for _, i := range sc.members {
+		sc.subset = append(sc.subset, e.spec.Clients[i])
+	}
+	v := e.spec.Metric(sc.arena.Train(e.spec.Factory, sc.subset, e.spec.Config), e.spec.Test)
+
+	// Not deferred: the arena of an evaluation that panics (a Metric, a
+	// Factory) is dropped, never handed to another evaluation.
+	e.mu.Lock()
+	e.free = append(e.free, sc)
+	e.mu.Unlock()
+	return v
 }
 
 // Snapshot returns a copy of the cache, for tests and reporting.
