@@ -21,7 +21,6 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"math/rand"
 	"os"
 	"os/signal"
 	"sort"
@@ -32,11 +31,8 @@ import (
 	"fedshap"
 	"fedshap/internal/dataset"
 	"fedshap/internal/experiments"
-	"fedshap/internal/fl"
-	"fedshap/internal/model"
 	"fedshap/internal/shapley"
 	"fedshap/internal/theory"
-	"fedshap/internal/utility"
 	"fedshap/internal/valserve"
 )
 
@@ -371,42 +367,11 @@ func csvProblem(file string, req fedshap.JobRequest) (*experiments.Problem, erro
 	if err != nil {
 		return nil, err
 	}
-	n, seed := req.N, req.Seed
 	pool, err := dataset.LoadCSV(file, 0)
 	if err != nil {
 		return nil, err
 	}
-	rng := rand.New(rand.NewSource(seed))
-	train, test := pool.Split(0.8, rng)
-	clients := dataset.PartitionEqualIID(train, n, rng)
-	spec := &utility.FLSpec{
-		Factory: csvFactory(kind, pool.Dim(), pool.NumClasses, sc),
-		Clients: clients,
-		Test:    test,
-		Config:  fl.Config{Rounds: sc.Rounds, LocalEpochs: sc.LocalEpochs, LR: 0.05, Seed: seed, WeightBySize: true},
-		Metric:  model.Accuracy,
-	}
-	return &experiments.Problem{
-		Name: fmt.Sprintf("csv:%s/n=%d/%s", file, n, kind),
-		N:    n,
-		Spec: spec,
-	}, nil
-}
-
-func csvFactory(kind experiments.ModelKind, dim, classes int, sc experiments.Scale) model.Factory {
-	switch kind {
-	case experiments.MLP:
-		return func(seed int64) model.Model { return model.NewMLP(dim, sc.Hidden, classes, seed) }
-	case experiments.LogReg:
-		return func(seed int64) model.Model { return model.NewLogReg(dim, classes, seed) }
-	case experiments.XGB:
-		cfg := model.DefaultXGBConfig()
-		cfg.Rounds = sc.XGBRounds
-		return func(seed int64) model.Model { return model.NewXGB(classes, cfg, seed) }
-	default:
-		// CSV data carries no image shape; CNN is not meaningful here.
-		return func(seed int64) model.Model { return model.NewMLP(dim, sc.Hidden, classes, seed) }
-	}
+	return experiments.NewCSVProblem(file, pool, req.N, kind, sc, req.Seed)
 }
 
 func fatal(err error) {

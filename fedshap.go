@@ -362,7 +362,6 @@ type Report struct {
 // Value runs a valuation algorithm against a fresh utility oracle.
 // The seed drives the algorithm's sampling decisions.
 func (f *Federation) Value(alg Valuer, seed int64) (*Report, error) {
-	//fedvallint:allow(ctxthread) context-free compat wrapper; ValueCtx is the cancellable entry point
 	return f.ValueCtx(context.Background(), alg, seed)
 }
 
@@ -391,7 +390,6 @@ func (f *Federation) ExactValues(seed int64) (*Report, error) {
 // workers == 1 is the serial path — no plan is computed and no pool started
 // (shapley.RunPooled owns the rule).
 func (f *Federation) ValueParallel(alg Valuer, seed int64, workers int) (*Report, error) {
-	//fedvallint:allow(ctxthread) context-free compat wrapper; ValueParallelCtx is the cancellable entry point
 	return f.ValueParallelCtx(context.Background(), alg, seed, workers)
 }
 

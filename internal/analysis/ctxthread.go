@@ -11,10 +11,13 @@ import (
 // context.Background()/TODO() inside such a function severs the
 // cancellation chain, which is exactly how a job cancel stops reaching a
 // hot loop. Outside functions that already hold a ctx, Background/TODO
-// is only legitimate at the process root: package main. Everywhere else
-// the site needs a //fedvallint:allow(ctxthread) annotation explaining
-// who owns the lifetime (context-free compat wrappers, daemon-scoped
-// background loops).
+// is only legitimate at the process root: package main, and in a
+// context-free twin, a method whose whole body is
+// `return <recv>.<Name>Ctx(context.Background(), <its own params>...)`:
+// it owns no lifetime, and its callers can switch to the Ctx twin.
+// Everywhere else the site needs a //fedvallint:allow(ctxthread)
+// annotation explaining who owns the lifetime (daemon-scoped background
+// loops, convenience APIs).
 var AnalyzerCtxThread = &Analyzer{
 	Name: "ctxthread",
 	Doc:  "received contexts are threaded to callees; no context.Background outside main",
@@ -38,6 +41,9 @@ func runCtxThread(pass *Pass) {
 		visit = func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.FuncDecl:
+				if isCtxTwin(pass, n) {
+					return false
+				}
 				stack = append(stack, fieldListHasContext(pass, n.Type.Params))
 				if n.Body != nil {
 					ast.Inspect(n.Body, visit)
@@ -79,6 +85,48 @@ func runCtxThread(pass *Pass) {
 		}
 		ast.Inspect(f, visit)
 	}
+}
+
+// isCtxTwin reports whether fn is a method whose whole body is
+// `return <recv>.<Name>Ctx(context.Background(), p1, ..., pn)`, passing
+// its own parameters p1..pn in order.
+func isCtxTwin(pass *Pass, fn *ast.FuncDecl) bool {
+	if fn.Recv == nil || len(fn.Recv.List[0].Names) != 1 || fn.Body == nil || len(fn.Body.List) != 1 {
+		return false
+	}
+	ret, ok := fn.Body.List[0].(*ast.ReturnStmt)
+	if !ok || len(ret.Results) != 1 {
+		return false
+	}
+	call, ok := ret.Results[0].(*ast.CallExpr)
+	if !ok || len(call.Args) != 1+fn.Type.Params.NumFields() || call.Ellipsis.IsValid() {
+		return false
+	}
+	sel, ok := call.Fun.(*ast.SelectorExpr)
+	if !ok || sel.Sel.Name != fn.Name.Name+"Ctx" || !usesDef(pass, sel.X, fn.Recv.List[0].Names[0]) {
+		return false
+	}
+	ctxArg, ok := call.Args[0].(*ast.CallExpr)
+	if !ok || !isFreshContextCall(pass, ctxArg) || calleeFunc(pass, ctxArg).Name() != "Background" {
+		return false
+	}
+	i := 1
+	for _, field := range fn.Type.Params.List {
+		for _, p := range field.Names {
+			if !usesDef(pass, call.Args[i], p) {
+				return false
+			}
+			i++
+		}
+	}
+	return i == len(call.Args) // false when a parameter is unnamed
+}
+
+// usesDef reports whether e is an identifier referring to the object def
+// declares.
+func usesDef(pass *Pass, e ast.Expr, def *ast.Ident) bool {
+	id, ok := e.(*ast.Ident)
+	return ok && pass.Info.Uses[id] != nil && pass.Info.Uses[id] == pass.Info.Defs[def]
 }
 
 // fieldListHasContext reports whether any parameter has type

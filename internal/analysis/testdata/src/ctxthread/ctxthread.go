@@ -45,3 +45,20 @@ func closureDrops(ctx context.Context) func() error {
 		return leaf(context.Background()) // want "already receives a ctx"
 	}
 }
+
+type svc struct{}
+
+func (s *svc) RunCtx(ctx context.Context, n int, name string) error { return leaf(ctx) }
+
+// Run is a context-free twin: it forwards Background and its own
+// parameters, in order, to RunCtx.
+func (s *svc) Run(n int, name string) error {
+	return s.RunCtx(context.Background(), n, name)
+}
+
+func (s *svc) WalkCtx(ctx context.Context, n int, name string) error { return leaf(ctx) }
+
+// Walk is not: it changes an argument on the way.
+func (s *svc) Walk(n int, name string) error {
+	return s.WalkCtx(context.Background(), n+1, name) // want "outside package main"
+}

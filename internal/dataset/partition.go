@@ -138,10 +138,3 @@ func AddFeatureNoise(d *Dataset, scale float64, rng *rand.Rand) {
 		d.X.Data[i] += scale * rng.NormFloat64()
 	}
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

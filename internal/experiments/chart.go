@@ -111,13 +111,6 @@ func (c *Chart) Render(w io.Writer) {
 	fmt.Fprintln(w)
 }
 
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // stripBudget removes a trailing "(γ=…)" so that the same algorithm at
 // different budgets forms one series.
 func stripBudget(name string) string {

@@ -201,6 +201,29 @@ func NewAdultProblem(n int, kind ModelKind, sc Scale, seed int64) *Problem {
 	}
 }
 
+// NewCSVProblem partitions a labelled pool, such as a user's CSV file, into
+// an IID federation of n clients with a held-out 20 % test split. Only a
+// pool that carries an image shape can train the CNN.
+func NewCSVProblem(name string, pool *dataset.Dataset, n int, kind ModelKind, sc Scale, seed int64) (*Problem, error) {
+	if kind == CNN && (pool.ImageW == 0 || pool.ImageH == 0) {
+		return nil, fmt.Errorf("model %s needs an image shape (width × height) and %s has none", kind, name)
+	}
+	rng := rand.New(rand.NewSource(seed))
+	train, test := pool.Split(0.8, rng)
+	spec := &utility.FLSpec{
+		Factory: factory(kind, pool.Dim(), pool.NumClasses, pool.ImageW, pool.ImageH, sc),
+		Clients: dataset.PartitionEqualIID(train, n, rng),
+		Test:    test,
+		Config:  flConfig(sc, seed),
+		Metric:  model.Accuracy,
+	}
+	return &Problem{
+		Name: fmt.Sprintf("csv:%s/n=%d/%s", name, n, kind),
+		N:    n,
+		Spec: spec,
+	}, nil
+}
+
 // SyntheticSetup identifies the five partitioning setups of Fig. 6.
 type SyntheticSetup string
 

@@ -42,14 +42,22 @@ const cnnKernel = 3
 
 // NewCNN constructs the convolutional model for imgW×imgH inputs.
 func NewCNN(imgW, imgH, filters, classes int, seed int64) *CNN {
+	m := newCNN(imgW, imgH, filters, classes)
+	rng := rand.New(rand.NewSource(seed))
+	m.K.GaussianInit(0.3, rng)
+	m.W.XavierInit(rng)
+	return m
+}
+
+// newCNN allocates a zero-parameter CNN of the given shape.
+func newCNN(imgW, imgH, filters, classes int) *CNN {
 	if imgW < cnnKernel || imgH < cnnKernel {
 		panic("model: CNN image smaller than kernel")
 	}
-	rng := rand.New(rand.NewSource(seed))
 	convW, convH := imgW-cnnKernel+1, imgH-cnnKernel+1
 	poolW, poolH := (convW+1)/2, (convH+1)/2
 	featDim := filters * poolW * poolH
-	m := &CNN{
+	return &CNN{
 		ImgW: imgW, ImgH: imgH, Filters: filters, Classes: classes,
 		K:  tensor.NewMatrix(filters, cnnKernel*cnnKernel),
 		KB: tensor.NewVector(filters),
@@ -64,9 +72,6 @@ func NewCNN(imgW, imgH, filters, classes int, seed int64) *CNN {
 		logits:  tensor.NewVector(classes),
 		dPool:   tensor.NewVector(featDim),
 	}
-	m.K.GaussianInit(0.3, rng)
-	m.W.XavierInit(rng)
-	return m
 }
 
 // forward runs the network on x (row-major imgH×imgW pixels), filling the
@@ -134,7 +139,7 @@ func (m *CNN) PredictClass(x tensor.Vector) int {
 
 // Clone returns a deep copy.
 func (m *CNN) Clone() Model {
-	c := NewCNN(m.ImgW, m.ImgH, m.Filters, m.Classes, 0)
+	c := newCNN(m.ImgW, m.ImgH, m.Filters, m.Classes)
 	copy(c.K.Data, m.K.Data)
 	copy(c.KB, m.KB)
 	copy(c.W.Data, m.W.Data)

@@ -41,9 +41,9 @@ func TestDeepMLPParamsRoundTrip(t *testing.T) {
 
 func TestDeepMLPCloneIsDeep(t *testing.T) {
 	m := NewDeepMLP([]int{4, 3, 2}, 1)
-	c := m.Clone().(*DeepMLP)
-	c.Ws[0].Data[0] += 7
-	if m.Ws[0].Data[0] == c.Ws[0].Data[0] {
+	c := m.Clone().(*Dense)
+	c.layers[0].w.Data[0] += 7
+	if m.layers[0].w.Data[0] == c.layers[0].w.Data[0] {
 		t.Errorf("Clone shares weight storage")
 	}
 }
@@ -63,22 +63,17 @@ func TestDeepMLPScoreIsProbability(t *testing.T) {
 	}
 }
 
-func TestDeepMLPMatchesShallowShape(t *testing.T) {
-	// A one-hidden-layer DeepMLP has the same parameter count as MLP.
-	deep := NewDeepMLP([]int{8, 6, 4}, 1)
-	flat := NewMLP(8, 6, 4, 1)
-	if deep.NumParams() != flat.NumParams() {
-		t.Errorf("param counts differ: %d vs %d", deep.NumParams(), flat.NumParams())
-	}
-}
-
 func TestDeepMLPRejectsTooShallow(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Errorf("no-hidden-layer DeepMLP should panic")
-		}
-	}()
-	NewDeepMLP([]int{4, 2}, 1)
+	for _, dims := range [][]int{nil, {4}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("NewDeepMLP(%v) should panic: a network needs at least [in, out]", dims)
+				}
+			}()
+			NewDeepMLP(dims, 1)
+		}()
+	}
 }
 
 func TestDeepMLPDeterministicTraining(t *testing.T) {

@@ -1,6 +1,7 @@
 // Package model implements the learning models used in the paper's
-// evaluation — linear regression, logistic (softmax) regression, a
-// multi-layer perceptron, a small convolutional network, and
+// evaluation — linear regression, one dense softmax network (Dense, whose
+// zero-, one- and many-hidden-layer shapes are logistic regression, the
+// paper's MLP and the DeepMLP), a small convolutional network, and
 // gradient-boosted trees (the XGB stand-in) — each trained from scratch
 // with stdlib-only code.
 //

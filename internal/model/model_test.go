@@ -3,6 +3,7 @@ package model
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -228,12 +229,36 @@ func TestParamsDetermineScore(t *testing.T) {
 	}
 }
 
+// A Dense clone shares neither parameters nor scratch with its source, and
+// its layers' w and b are views of its own parameter vector.
 func TestCloneIsDeep(t *testing.T) {
-	m := NewMLP(4, 3, 2, 1)
-	c := m.Clone().(*MLP)
-	c.W1.Data[0] += 5
-	if m.W1.Data[0] == c.W1.Data[0] {
-		t.Errorf("Clone shares W1 storage")
+	for _, m := range []*Dense{NewLogReg(4, 2, 1), NewMLP(4, 3, 2, 1), NewDeepMLP([]int{4, 3, 3, 2}, 1)} {
+		want := m.Params()
+		c := m.Clone().(*Dense)
+		if !slices.Equal(c.Params(), want) {
+			t.Fatalf("%v: Clone changed the parameters", m.dims)
+		}
+		layers := len(c.layers)
+		for l := range c.layers {
+			cl := &c.layers[l]
+			cl.w.Data[0] += 5
+			cl.b[0] += 5
+			if &cl.act[0] == &m.layers[l].act[0] {
+				t.Errorf("%v: Clone shares layer %d's activations", m.dims, l)
+			}
+		}
+		if !slices.Equal(m.Params(), want) {
+			t.Errorf("%v: Clone shares parameter storage", m.dims)
+		}
+		changed := 0
+		for i, x := range c.Params() {
+			if x != want[i] {
+				changed++
+			}
+		}
+		if changed != 2*layers {
+			t.Errorf("%v: %d parameters moved, want one w and one b per layer (%d)", m.dims, changed, 2*layers)
+		}
 	}
 }
 
