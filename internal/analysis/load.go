@@ -3,6 +3,7 @@ package analysis
 import (
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -92,11 +93,12 @@ func (l *Loader) Load(root string, patterns ...string) ([]*Package, error) {
 	return pkgs, nil
 }
 
-// LoadDir parses every non-test Go file in dir and type-checks them as
-// one package under the given import path. The import path is what
-// path-sensitive analyzers (determinism's value-affecting package list)
-// see, which is how the golden testdata suites impersonate real
-// packages.
+// LoadDir parses every non-test Go file in dir that the build constraints
+// select for the current GOOS/GOARCH (file-name suffixes and //go:build
+// lines, as the go command reads them) and type-checks them as one package
+// under the given import path. The import path is what path-sensitive
+// analyzers (determinism's value-affecting package list) see, which is how
+// the golden testdata suites impersonate real packages.
 func (l *Loader) LoadDir(dir, path string) (*Package, error) {
 	ents, err := os.ReadDir(dir)
 	if err != nil {
@@ -106,6 +108,11 @@ func (l *Loader) LoadDir(dir, path string) (*Package, error) {
 	for _, e := range ents {
 		name := e.Name()
 		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		if match, err := build.Default.MatchFile(dir, name); err != nil {
+			return nil, err
+		} else if !match {
 			continue
 		}
 		f, err := parser.ParseFile(l.fset, filepath.Join(dir, name), nil, parser.ParseComments)

@@ -134,7 +134,7 @@ func (m *CNN) Score(x tensor.Vector) tensor.Vector {
 
 // PredictClass implements Classifier without the per-sample copy Score pays.
 func (m *CNN) PredictClass(x tensor.Vector) int {
-	return m.forward(x).ArgMax()
+	return predictedClass(m.forward(x))
 }
 
 // Clone returns a deep copy.

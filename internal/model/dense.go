@@ -120,7 +120,7 @@ func (m *Dense) Score(x tensor.Vector) tensor.Vector {
 
 // PredictClass implements Classifier without the per-sample copy Score pays.
 func (m *Dense) PredictClass(x tensor.Vector) int {
-	return m.forward(x).ArgMax()
+	return predictedClass(m.forward(x))
 }
 
 // Clone returns a deep copy: a fresh layout of the same shape with the

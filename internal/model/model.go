@@ -19,6 +19,7 @@
 package model
 
 import (
+	"math"
 	"math/rand"
 
 	"fedshap/internal/dataset"
@@ -67,12 +68,38 @@ type Factory func(seed int64) Model
 
 // Classifier is the allocation-free scoring fast path: PredictClass returns
 // the argmax class for one sample without copying the score vector (Score
-// must clone because callers may retain its result). Every classifier in
-// this package implements it; Accuracy — the hot evaluation loop of the
-// utility oracle — uses it when available. Like the model's other scratch
-// state, PredictClass is not safe for concurrent use on one instance.
+// must clone because callers may retain its result), or -1 when a score is
+// NaN or ±Inf. Every classifier in this package implements it; Accuracy —
+// the hot evaluation loop of the utility oracle — uses it when available.
+// Like the model's other scratch state, PredictClass is not safe for
+// concurrent use on one instance.
 type Classifier interface {
 	PredictClass(x tensor.Vector) int
+}
+
+// predictedClass is the argmax of scores (first on ties), or -1 when any
+// score is NaN or ±Inf: a diverged model predicts no class, where ArgMax
+// would pick class 0 out of an all-NaN vector.
+func predictedClass(scores tensor.Vector) int {
+	best := -1
+	for i, s := range scores {
+		if math.IsNaN(s) || math.IsInf(s, 0) {
+			return -1
+		}
+		if best < 0 || s > scores[best] {
+			best = i
+		}
+	}
+	return best
+}
+
+// classifier returns m's class prediction function, the fast path when m
+// has one.
+func classifier(m Model) func(tensor.Vector) int {
+	if c, ok := m.(Classifier); ok {
+		return c.PredictClass
+	}
+	return func(x tensor.Vector) int { return predictedClass(m.Score(x)) }
 }
 
 // Regressor is Classifier's counterpart for single-output models: Predict
@@ -105,22 +132,21 @@ func crossEntropyGrad(probs tensor.Vector, y int) tensor.Vector {
 
 // Accuracy returns the fraction of samples whose argmax score matches the
 // label — the paper's default utility function U(·). An empty test set
-// yields 0.
+// yields 0. A model with a non-finite score on any sample has diverged and
+// yields NaN, which the utility oracle refuses as a value, rather than the
+// test set's share of class 0.
 func Accuracy(m Model, ds *dataset.Dataset) float64 {
 	if ds.Len() == 0 {
 		return 0
 	}
+	predict := classifier(m)
 	correct := 0
-	if c, ok := m.(Classifier); ok {
-		for i := 0; i < ds.Len(); i++ {
-			if c.PredictClass(ds.X.Row(i)) == ds.Y[i] {
-				correct++
-			}
-		}
-		return float64(correct) / float64(ds.Len())
-	}
 	for i := 0; i < ds.Len(); i++ {
-		if m.Score(ds.X.Row(i)).ArgMax() == ds.Y[i] {
+		c := predict(ds.X.Row(i))
+		if c < 0 {
+			return math.NaN()
+		}
+		if c == ds.Y[i] {
 			correct++
 		}
 	}

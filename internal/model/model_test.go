@@ -161,6 +161,35 @@ func TestAccuracyEmptySet(t *testing.T) {
 	}
 }
 
+// A diverged model — NaN parameters, so NaN scores — has no accuracy: the
+// argmax of an all-NaN vector is class 0, which on this half-class-0 set
+// would read as 0.5. Both the Classifier fast path and the Score fallback
+// must say NaN.
+func TestAccuracyOfDivergedModelIsNaN(t *testing.T) {
+	ds := dataset.New("four", 4, 3, 2)
+	for i := 0; i < 4; i++ {
+		ds.X.Set(i, i%3, 1)
+		ds.Y[i] = i % 2
+	}
+	for name, m := range map[string]Parametric{
+		"logreg": NewLogReg(3, 2, 1),
+		"mlp":    NewMLP(3, 4, 2, 1),
+	} {
+		if got := Accuracy(m, ds); math.IsNaN(got) {
+			t.Fatalf("%s: a finite model scored NaN", name)
+		}
+		nan := make(tensor.Vector, m.NumParams())
+		nan.Fill(math.NaN())
+		m.SetParams(nan)
+		if got := Accuracy(m, ds); !math.IsNaN(got) {
+			t.Errorf("%s with NaN parameters: Accuracy = %v, want NaN", name, got)
+		}
+		if got := Accuracy(scoreOnly{m}, ds); !math.IsNaN(got) {
+			t.Errorf("%s with NaN parameters, Score path: Accuracy = %v, want NaN", name, got)
+		}
+	}
+}
+
 // Params/SetParams round-trips for every parametric model.
 func TestParamsRoundTrip(t *testing.T) {
 	models := map[string]func() Parametric{

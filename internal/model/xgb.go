@@ -79,7 +79,7 @@ func (m *XGB) PredictClass(x tensor.Vector) int {
 			logits[c] += m.LR * t.predict(x)
 		}
 	}
-	return tensor.Softmax(logits, logits).ArgMax()
+	return predictedClass(tensor.Softmax(logits, logits))
 }
 
 // Clone returns a copy sharing the (immutable once fitted) trees.

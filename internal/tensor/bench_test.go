@@ -49,3 +49,7 @@ func BenchmarkMulVecT(b *testing.B) {
 func BenchmarkAddOuterScaled(b *testing.B) {
 	benchKernel(b, func(m *Matrix, u, v Vector) { m.AddOuterScaled(1e-9, u, v) })
 }
+
+func BenchmarkVectorAddScaled(b *testing.B) {
+	benchKernel(b, func(m *Matrix, u, v Vector) { m.Row(0).AddScaled(1e-9, v) })
+}

@@ -1,0 +1,298 @@
+#include "textflag.h"
+
+// AVX kernels behind useAVX2. Every 256-bit lane holds one output element
+// and receives that element's products in the order the Go loop in
+// tensor.go adds them; a multiply and the add that consumes it are always
+// two instructions (VMULPD, VADDPD), never a fused VFMADD, so each lane
+// rounds exactly as the scalar code does.
+
+// func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
+TEXT ·cpuid(SB), NOSPLIT, $0-24
+	MOVL leaf+0(FP), AX
+	MOVL sub+4(FP), CX
+	CPUID
+	MOVL AX, eax+8(FP)
+	MOVL BX, ebx+12(FP)
+	MOVL CX, ecx+16(FP)
+	MOVL DX, edx+20(FP)
+	RET
+
+// func xgetbv() (eax, edx uint32)
+TEXT ·xgetbv(SB), NOSPLIT, $0-8
+	MOVL $0, CX
+	XGETBV
+	MOVL AX, eax+0(FP)
+	MOVL DX, edx+4(FP)
+	RET
+
+// func mulVec8(a, v, dst []float64)
+//
+// Eight rows per pass, rows 0-3 accumulating in Y12 and rows 4-7 in Y13.
+// Each 4×4 block of a row quartet is transposed into four column vectors:
+// the low halves of rows 0|2 and 1|3 (and likewise the high halves) are
+// loaded as 128-bit pairs, and the in-lane VUNPCKLPD/VUNPCKHPD of a pair
+// yields columns j and j+1 in row order. The column vectors are multiplied
+// by the broadcast v[j] and added to the accumulators in ascending j.
+//
+// Registers: SI rows 0-3 and DI rows 4-7 of the group at the current
+// column, DX the row stride in bytes and R8 three strides, R11 &v[0] and
+// BX &v[j], CX the column blocks left, R9 the group's first row, R10 the
+// column blocks per row, R12 the group's dst and R13 the groups left. The
+// loads are half-row (128-bit) so that the transpose costs only the four
+// in-lane unpacks on the shuffle port; full-row loads would need two
+// VPERM2F128 more per block.
+TEXT ·mulVec8(SB), NOSPLIT, $0-72
+	MOVQ a_base+0(FP), R9
+	MOVQ v_base+24(FP), R11
+	MOVQ v_len+32(FP), DX
+	MOVQ dst_base+48(FP), R12
+	MOVQ dst_len+56(FP), R13
+	SHRQ $3, R13
+	JZ   mv_done
+	MOVQ DX, R10
+	SHRQ $2, R10
+	SHLQ $3, DX
+	LEAQ (DX)(DX*2), R8
+
+mv_group:
+	MOVQ   R9, SI
+	LEAQ   (R9)(DX*4), DI
+	MOVQ   R11, BX
+	MOVQ   R10, CX
+	VXORPD Y12, Y12, Y12
+	VXORPD Y13, Y13, Y13
+	TESTQ  CX, CX
+	JZ     mv_store
+
+mv_block:
+	VBROADCASTSD (BX), Y8
+	VBROADCASTSD 8(BX), Y9
+	VBROADCASTSD 16(BX), Y10
+	VBROADCASTSD 24(BX), Y11
+
+	// Rows 0-3.
+	VMOVUPD     (SI), X0
+	VINSERTF128 $1, (SI)(DX*2), Y0, Y0
+	VMOVUPD     (SI)(DX*1), X1
+	VINSERTF128 $1, (SI)(R8*1), Y1, Y1
+	VMOVUPD     16(SI), X2
+	VINSERTF128 $1, 16(SI)(DX*2), Y2, Y2
+	VMOVUPD     16(SI)(DX*1), X3
+	VINSERTF128 $1, 16(SI)(R8*1), Y3, Y3
+	VUNPCKLPD   Y1, Y0, Y4
+	VUNPCKHPD   Y1, Y0, Y5
+	VUNPCKLPD   Y3, Y2, Y6
+	VUNPCKHPD   Y3, Y2, Y7
+	VMULPD      Y8, Y4, Y4
+	VADDPD      Y4, Y12, Y12
+	VMULPD      Y9, Y5, Y5
+	VADDPD      Y5, Y12, Y12
+	VMULPD      Y10, Y6, Y6
+	VADDPD      Y6, Y12, Y12
+	VMULPD      Y11, Y7, Y7
+	VADDPD      Y7, Y12, Y12
+
+	// Rows 4-7.
+	VMOVUPD     (DI), X0
+	VINSERTF128 $1, (DI)(DX*2), Y0, Y0
+	VMOVUPD     (DI)(DX*1), X1
+	VINSERTF128 $1, (DI)(R8*1), Y1, Y1
+	VMOVUPD     16(DI), X2
+	VINSERTF128 $1, 16(DI)(DX*2), Y2, Y2
+	VMOVUPD     16(DI)(DX*1), X3
+	VINSERTF128 $1, 16(DI)(R8*1), Y3, Y3
+	VUNPCKLPD   Y1, Y0, Y4
+	VUNPCKHPD   Y1, Y0, Y5
+	VUNPCKLPD   Y3, Y2, Y6
+	VUNPCKHPD   Y3, Y2, Y7
+	VMULPD      Y8, Y4, Y4
+	VADDPD      Y4, Y13, Y13
+	VMULPD      Y9, Y5, Y5
+	VADDPD      Y5, Y13, Y13
+	VMULPD      Y10, Y6, Y6
+	VADDPD      Y6, Y13, Y13
+	VMULPD      Y11, Y7, Y7
+	VADDPD      Y7, Y13, Y13
+
+	ADDQ $32, SI
+	ADDQ $32, DI
+	ADDQ $32, BX
+	DECQ CX
+	JNZ  mv_block
+
+mv_store:
+	VMOVUPD Y12, (R12)
+	VMOVUPD Y13, 32(R12)
+	ADDQ    $64, R12
+	LEAQ    (R9)(DX*8), R9
+	DECQ    R13
+	JNZ     mv_group
+
+mv_done:
+	VZEROUPPER
+	RET
+
+// func mulVecT4(dst []float64, rows *[4]Vector, vs *[4]float64)
+//
+// dst[j] += rows[0][j]*vs[0], then rows[1], rows[2], rows[3], four columns
+// per iteration and the remaining columns one at a time.
+TEXT ·mulVecT4(SB), NOSPLIT, $0-40
+	MOVQ         dst_base+0(FP), DI
+	MOVQ         dst_len+8(FP), CX
+	MOVQ         rows+24(FP), AX
+	MOVQ         0(AX), R8
+	MOVQ         24(AX), R9
+	MOVQ         48(AX), R10
+	MOVQ         72(AX), R11
+	MOVQ         vs+32(FP), AX
+	VBROADCASTSD 0(AX), Y0
+	VBROADCASTSD 8(AX), Y1
+	VBROADCASTSD 16(AX), Y2
+	VBROADCASTSD 24(AX), Y3
+	XORQ         SI, SI
+	MOVQ         CX, DX
+	SHRQ         $2, DX
+	JZ           mt_tail
+
+mt_loop:
+	VMOVUPD (DI)(SI*1), Y4
+	VMULPD  (R8)(SI*1), Y0, Y5
+	VADDPD  Y5, Y4, Y4
+	VMULPD  (R9)(SI*1), Y1, Y6
+	VADDPD  Y6, Y4, Y4
+	VMULPD  (R10)(SI*1), Y2, Y7
+	VADDPD  Y7, Y4, Y4
+	VMULPD  (R11)(SI*1), Y3, Y8
+	VADDPD  Y8, Y4, Y4
+	VMOVUPD Y4, (DI)(SI*1)
+	ADDQ    $32, SI
+	DECQ    DX
+	JNZ     mt_loop
+
+mt_tail:
+	ANDQ $3, CX
+	JZ   mt_done
+
+mt_one:
+	VMOVSD (DI)(SI*1), X4
+	VMULSD (R8)(SI*1), X0, X5
+	VADDSD X5, X4, X4
+	VMULSD (R9)(SI*1), X1, X6
+	VADDSD X6, X4, X4
+	VMULSD (R10)(SI*1), X2, X7
+	VADDSD X7, X4, X4
+	VMULSD (R11)(SI*1), X3, X8
+	VADDSD X8, X4, X4
+	VMOVSD X4, (DI)(SI*1)
+	ADDQ   $8, SI
+	DECQ   CX
+	JNZ    mt_one
+
+mt_done:
+	VZEROUPPER
+	RET
+
+// func addOuter4(rows *[4]Vector, au *[4]float64, v []float64)
+//
+// rows[k][j] += au[k]*v[j] for k = 0..3, one pass over v: every element
+// gets its one update, four columns per iteration and the remaining
+// columns one at a time.
+TEXT ·addOuter4(SB), NOSPLIT, $0-40
+	MOVQ         rows+0(FP), AX
+	MOVQ         0(AX), R8
+	MOVQ         24(AX), R9
+	MOVQ         48(AX), R10
+	MOVQ         72(AX), R11
+	MOVQ         au+8(FP), AX
+	VBROADCASTSD 0(AX), Y0
+	VBROADCASTSD 8(AX), Y1
+	VBROADCASTSD 16(AX), Y2
+	VBROADCASTSD 24(AX), Y3
+	MOVQ         v_base+16(FP), DI
+	MOVQ         v_len+24(FP), CX
+	XORQ         SI, SI
+	MOVQ         CX, DX
+	SHRQ         $2, DX
+	JZ           ao_tail
+
+ao_loop:
+	VMOVUPD (DI)(SI*1), Y4
+	VMULPD  Y4, Y0, Y5
+	VADDPD  (R8)(SI*1), Y5, Y5
+	VMOVUPD Y5, (R8)(SI*1)
+	VMULPD  Y4, Y1, Y6
+	VADDPD  (R9)(SI*1), Y6, Y6
+	VMOVUPD Y6, (R9)(SI*1)
+	VMULPD  Y4, Y2, Y7
+	VADDPD  (R10)(SI*1), Y7, Y7
+	VMOVUPD Y7, (R10)(SI*1)
+	VMULPD  Y4, Y3, Y8
+	VADDPD  (R11)(SI*1), Y8, Y8
+	VMOVUPD Y8, (R11)(SI*1)
+	ADDQ    $32, SI
+	DECQ    DX
+	JNZ     ao_loop
+
+ao_tail:
+	ANDQ $3, CX
+	JZ   ao_done
+
+ao_one:
+	VMOVSD (DI)(SI*1), X4
+	VMULSD X4, X0, X5
+	VADDSD (R8)(SI*1), X5, X5
+	VMOVSD X5, (R8)(SI*1)
+	VMULSD X4, X1, X6
+	VADDSD (R9)(SI*1), X6, X6
+	VMOVSD X6, (R9)(SI*1)
+	VMULSD X4, X2, X7
+	VADDSD (R10)(SI*1), X7, X7
+	VMOVSD X7, (R10)(SI*1)
+	VMULSD X4, X3, X8
+	VADDSD (R11)(SI*1), X8, X8
+	VMOVSD X8, (R11)(SI*1)
+	ADDQ   $8, SI
+	DECQ   CX
+	JNZ    ao_one
+
+ao_done:
+	VZEROUPPER
+	RET
+
+// func axpy(alpha float64, x, y []float64)
+//
+// y[i] += alpha*x[i] over len(y), four elements per iteration and the
+// remaining elements one at a time.
+TEXT ·axpy(SB), NOSPLIT, $0-56
+	VBROADCASTSD alpha+0(FP), Y0
+	MOVQ         x_base+8(FP), AX
+	MOVQ         y_base+32(FP), DI
+	MOVQ         y_len+40(FP), CX
+	XORQ         SI, SI
+	MOVQ         CX, DX
+	SHRQ         $2, DX
+	JZ           ax_tail
+
+ax_loop:
+	VMULPD  (AX)(SI*1), Y0, Y1
+	VADDPD  (DI)(SI*1), Y1, Y1
+	VMOVUPD Y1, (DI)(SI*1)
+	ADDQ    $32, SI
+	DECQ    DX
+	JNZ     ax_loop
+
+ax_tail:
+	ANDQ $3, CX
+	JZ   ax_done
+
+ax_one:
+	VMULSD (AX)(SI*1), X0, X1
+	VADDSD (DI)(SI*1), X1, X1
+	VMOVSD X1, (DI)(SI*1)
+	ADDQ   $8, SI
+	DECQ   CX
+	JNZ    ax_one
+
+ax_done:
+	VZEROUPPER
+	RET

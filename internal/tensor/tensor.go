@@ -13,6 +13,18 @@
 // to keep independent additions in flight, but it never reassociates a
 // sum, so a faster kernel produces the same bits as the naive loop (which
 // tensor_test.go keeps as the reference).
+//
+// On amd64 CPUs with AVX2, chosen once from CPUID when the package
+// initialises, MulVec, MulVecT, AddOuterScaled and Vector.AddScaled run
+// assembly (kernels_amd64.s) under the same invariant. Every SIMD lane is
+// one output element: MulVec's lanes are rows, whose 4×4 blocks are
+// transposed so that each lane still adds its columns left to right, and
+// the other kernels' lanes are columns, which already are independent
+// outputs. A product and the add that consumes it stay two roundings
+// (VMULPD, then VADDPD; never a fused multiply-add), as in the Go loops —
+// the Go compiler does not fuse them on amd64. The Go loops remain the
+// portable path on every other CPU and architecture, and the reference the
+// assembly is tested against bit for bit on both paths.
 package tensor
 
 import (
@@ -50,6 +62,10 @@ func (v Vector) Dot(w Vector) float64 {
 func (v Vector) AddScaled(alpha float64, w Vector) {
 	if len(v) != len(w) {
 		panic(fmt.Sprintf("tensor: AddScaled dimension mismatch %d vs %d", len(v), len(w)))
+	}
+	if useAVX2 {
+		axpy(alpha, w, v)
+		return
 	}
 	for i := range v {
 		v[i] += alpha * w[i]
@@ -129,6 +145,9 @@ func (m *Matrix) Clone() *Matrix {
 // Four rows are reduced per pass over v, one accumulator each: the four
 // chains are independent, so the adds overlap instead of queueing behind
 // one another, while every dst[i] is still the left-to-right sum over j.
+// With AVX2 the assembly takes whole groups of eight rows over whole
+// blocks of four columns, and the loop below continues each of those sums
+// over the last cols%4 columns.
 func (m *Matrix) MulVec(v Vector, dst Vector) Vector {
 	if len(v) != m.Cols {
 		panic(fmt.Sprintf("tensor: MulVec dimension mismatch: cols=%d len(v)=%d", m.Cols, len(v)))
@@ -140,6 +159,19 @@ func (m *Matrix) MulVec(v Vector, dst Vector) Vector {
 	}
 	cols := len(v)
 	i := 0
+	if useAVX2 && m.Rows >= 8 {
+		i = m.Rows &^ 7
+		mulVec8(m.Data[:i*cols], v, dst[:i])
+		if tail := cols &^ 3; tail < cols {
+			for r := range dst[:i] {
+				row, s := m.Row(r), dst[r]
+				for j := tail; j < cols; j++ {
+					s += row[j] * v[j]
+				}
+				dst[r] = s
+			}
+		}
+	}
 	for ; i+4 <= m.Rows; i += 4 {
 		// Slicing each row to len(v) lets the compiler drop the bounds
 		// checks on rK[j] inside the loop.
@@ -193,6 +225,10 @@ func (m *Matrix) MulVecT(v Vector, dst Vector) Vector {
 			continue
 		}
 		k = 0
+		if useAVX2 {
+			mulVecT4(dst, &rows, &vs)
+			continue
+		}
 		r0, r1, r2, r3 := rows[0][:len(dst)], rows[1][:len(dst)], rows[2][:len(dst)], rows[3][:len(dst)]
 		v0, v1, v2, v3 := vs[0], vs[1], vs[2], vs[3]
 		for j, d := range dst {
@@ -204,10 +240,7 @@ func (m *Matrix) MulVecT(v Vector, dst Vector) Vector {
 		}
 	}
 	for r := 0; r < k; r++ {
-		row, vi := rows[r][:len(dst)], vs[r]
-		for j := range dst {
-			dst[j] += row[j] * vi
-		}
+		dst.AddScaled(vs[r], rows[r])
 	}
 	return dst
 }
@@ -236,6 +269,10 @@ func (m *Matrix) AddOuterScaled(alpha float64, u, v Vector) {
 			continue
 		}
 		k = 0
+		if useAVX2 {
+			addOuter4(&rows, &au, v)
+			continue
+		}
 		r0, r1, r2, r3 := rows[0][:len(v)], rows[1][:len(v)], rows[2][:len(v)], rows[3][:len(v)]
 		a0, a1, a2, a3 := au[0], au[1], au[2], au[3]
 		for j, x := range v {
@@ -246,10 +283,7 @@ func (m *Matrix) AddOuterScaled(alpha float64, u, v Vector) {
 		}
 	}
 	for r := 0; r < k; r++ {
-		row, a := rows[r][:len(v)], au[r]
-		for j, x := range v {
-			row[j] += a * x
-		}
+		rows[r].AddScaled(au[r], v)
 	}
 }
 

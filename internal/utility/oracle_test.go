@@ -1,6 +1,9 @@
 package utility
 
 import (
+	"context"
+	"errors"
+	"math"
 	"sync"
 	"testing"
 
@@ -121,6 +124,35 @@ func TestFLOracleEmptyCoalition(t *testing.T) {
 	// The untrained model should be near chance (1/4) on a 4-class task.
 	if u < 0 || u > 0.6 {
 		t.Errorf("empty-coalition utility %v looks wrong for untrained model", u)
+	}
+}
+
+// TestFLOracleDivergedTrainingFailsPrefetch: a learning rate that drives
+// every trained model to NaN parameters gives every non-empty coalition a
+// NaN accuracy, so the pool stops with *NonFiniteError instead of caching
+// the class-0 share of the test set as those coalitions' utility.
+func TestFLOracleDivergedTrainingFailsPrefetch(t *testing.T) {
+	cfg := dataset.DefaultFEMNISTLike(3, 20, 23)
+	cfg.Classes = 4
+	clients, test := dataset.FEMNISTLike(cfg)
+	spec := FLSpec{
+		Factory: func(seed int64) model.Model { return model.NewMLP(clients[0].Dim(), 8, 4, seed) },
+		Clients: clients,
+		Test:    test,
+		Config:  fl.Config{Rounds: 1, LocalEpochs: 1, LR: 1e300, Seed: 7},
+	}
+	var all []combin.Coalition
+	combin.AllSubsets(3, func(s combin.Coalition) { all = append(all, s) })
+	for _, workers := range []int{1, 2} {
+		o := NewFLOracle(spec)
+		err := o.Prefetch(context.Background(), all, workers)
+		var nf *NonFiniteError
+		if !errors.As(err, &nf) || nf.Coalition == combin.Empty || !math.IsNaN(nf.Value) {
+			t.Fatalf("workers=%d: Prefetch = %v, want a *NonFiniteError with a NaN value for a non-empty coalition", workers, err)
+		}
+		if o.Cached(nf.Coalition) {
+			t.Errorf("workers=%d: the diverged coalition %s was cached", workers, nf.Coalition)
+		}
 	}
 }
 
