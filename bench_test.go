@@ -328,7 +328,7 @@ func BenchmarkUtilityEvalInstrumented(b *testing.B) {
 			hits.Add(1)
 			atomic.AddUint64(&seconds, math.Float64bits(s))
 		})
-		oracle.OnEval(func(total int) { evals.Add(1) })
+		oracle.OnFresh(func(combin.Coalition, float64, int) { evals.Add(1) })
 		oracle.WrapEval(func(inner utility.EvalFunc) utility.EvalFunc {
 			return func(s combin.Coalition) float64 {
 				start := time.Now()

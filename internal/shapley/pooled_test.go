@@ -26,7 +26,7 @@ func TestRunPooledNonFiniteUtilityFailsTheRun(t *testing.T) {
 				}
 				return float64(s.Size())
 			})
-			o.WriteThrough(func(combin.Coalition, float64) { written.Add(1) })
+			o.OnFresh(func(combin.Coalition, float64, int) { written.Add(1) })
 			c := &Context{Ctx: context.Background()}
 			values, _, err := RunPooled(c, o, ExactMC{}, 1, workers)
 			var nf *utility.NonFiniteError

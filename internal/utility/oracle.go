@@ -81,14 +81,14 @@ type Oracle struct {
 	// Entries inserted via Warm (e.g. from a persistent Store) are free.
 	evals atomic.Int64
 
-	// ctx, onEval, onEvalValue, writeThrough and onHit are set before a
-	// run and read on the evaluation path; atomic.Value keeps them
-	// race-free against concurrent U calls from a prefetch pool.
-	ctx          atomic.Value // context.Context
-	onEval       atomic.Value // func(total int)
-	onEvalValue  atomic.Value // func(combin.Coalition, float64)
-	writeThrough atomic.Value // func(combin.Coalition, float64)
-	onHit        atomic.Value // func(seconds float64)
+	// ctx and onHit are set before a run and read on the evaluation path;
+	// atomic.Value keeps them race-free against concurrent U calls from a
+	// prefetch pool.
+	ctx   atomic.Value // context.Context
+	onHit atomic.Value // func(seconds float64)
+	// onFresh holds the OnFresh hooks in registration order. Like
+	// WrapEval, registration precedes evaluation, so it is read unlocked.
+	onFresh []func(s combin.Coalition, u float64, total int)
 }
 
 // NewOracle wraps an evaluation function for a federation of n clients.
@@ -114,27 +114,17 @@ func (o *Oracle) SetContext(ctx context.Context) {
 	o.ctx.Store(ctx)
 }
 
-// OnEval registers a hook invoked after every fresh evaluation with the
-// running distinct-evaluation total. The hook may be called concurrently
-// from evaluation workers and must be cheap and thread-safe.
-func (o *Oracle) OnEval(fn func(total int)) {
-	o.onEval.Store(fn)
-}
-
-// OnEvalValue registers a hook invoked with every fresh (coalition,
-// utility) pair — the marginal-attribution seam: an anytime tracker folds
-// each result into running per-client statistics as it lands. Unlike
-// WriteThrough (reserved for the persistent Store), this hook is for
-// in-process consumers. It may be called concurrently from evaluation
-// workers and must be cheap and thread-safe.
-func (o *Oracle) OnEvalValue(fn func(s combin.Coalition, u float64)) {
-	o.onEvalValue.Store(fn)
-}
-
-// WriteThrough registers a hook invoked with every fresh (coalition,
-// utility) pair, the seam the persistent Store attaches to.
-func (o *Oracle) WriteThrough(fn func(s combin.Coalition, u float64)) {
-	o.writeThrough.Store(fn)
+// OnFresh registers a hook invoked after every fresh evaluation with the
+// coalition, its utility and the running distinct-evaluation total — the
+// one seam for write-through persistence (Store.Attach), progress
+// reporting and anytime observers. Warmed and cached lookups never fire
+// it. Hooks fire in registration order, so the store a job attaches
+// first has written a utility before the job's progress event reports
+// it. Register before evaluations begin, never concurrently with U; the
+// hooks themselves may be called concurrently from evaluation workers
+// and must be cheap and thread-safe.
+func (o *Oracle) OnFresh(fn func(s combin.Coalition, u float64, total int)) {
+	o.onFresh = append(o.onFresh, fn)
 }
 
 // OnCacheHit registers a hook invoked with the lookup latency of every
@@ -187,14 +177,8 @@ func (o *Oracle) fresh(s combin.Coalition) float64 {
 	}
 	if o.cache.putIfAbsent(s, v) {
 		total := int(o.evals.Add(1))
-		if fn, ok := o.onEval.Load().(func(int)); ok && fn != nil {
-			fn(total)
-		}
-		if fn, ok := o.onEvalValue.Load().(func(combin.Coalition, float64)); ok && fn != nil {
-			fn(s, v)
-		}
-		if fn, ok := o.writeThrough.Load().(func(combin.Coalition, float64)); ok && fn != nil {
-			fn(s, v)
+		for _, fn := range o.onFresh {
+			fn(s, v, total)
 		}
 	}
 	return v

@@ -3,7 +3,9 @@ package utility
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"testing"
 
@@ -169,16 +171,23 @@ func TestSnapshot(t *testing.T) {
 	}
 }
 
-func TestOnEvalValue(t *testing.T) {
+func TestOnFresh(t *testing.T) {
 	o := NewOracle(3, func(s combin.Coalition) float64 { return float64(s.Size()) })
 	var mu sync.Mutex
 	got := make(map[combin.Coalition]float64)
-	o.OnEvalValue(func(s combin.Coalition, u float64) {
+	var order []string
+	o.OnFresh(func(s combin.Coalition, u float64, total int) {
 		mu.Lock()
 		got[s] = u
+		order = append(order, fmt.Sprintf("first:%d", total))
 		mu.Unlock()
 	})
-	// Warmed entries must not fire the hook — only fresh evaluations carry
+	o.OnFresh(func(_ combin.Coalition, _ float64, total int) {
+		mu.Lock()
+		order = append(order, fmt.Sprintf("second:%d", total))
+		mu.Unlock()
+	})
+	// Warmed entries must not fire the hooks — only fresh evaluations carry
 	// new information for an anytime consumer.
 	o.Warm(map[combin.Coalition]float64{combin.Empty: 0})
 	a := combin.NewCoalition(0)
@@ -191,5 +200,9 @@ func TestOnEvalValue(t *testing.T) {
 	defer mu.Unlock()
 	if len(got) != 2 || got[a] != 1 || got[b] != 2 {
 		t.Fatalf("hook saw %v, want exactly {%v: 1, %v: 2}", got, a, b)
+	}
+	// Hooks fire in registration order with the running fresh total.
+	if want := []string{"first:1", "second:1", "first:2", "second:2"}; !slices.Equal(order, want) {
+		t.Fatalf("hook calls %v, want %v", order, want)
 	}
 }

@@ -12,8 +12,8 @@ import (
 // Parallel evaluation: one bounded worker pool over the oracle's evaluation
 // function. Coalition trainings are embarrassingly parallel — each trains
 // an independent model — so the wall-clock of every algorithm scales down
-// by the worker count while the budget accounting (distinct evaluations),
-// the OnEval progress hook and the write-through persistence seam behave
+// by the worker count while the budget accounting (distinct evaluations)
+// and the OnFresh hooks (progress, write-through persistence) behave
 // exactly as under serial evaluation.
 //
 //   - Prefetch is the pool: it deduplicates a known list, drops

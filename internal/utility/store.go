@@ -1,6 +1,7 @@
 package utility
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -8,6 +9,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"fedshap/internal/combin"
 	"fedshap/internal/resilience"
@@ -33,22 +35,22 @@ type Store struct {
 	// full or failing disk. Set it before the store is shared between
 	// goroutines.
 	Fault *resilience.Hook
-	// OnError, when set, observes every write failure (outside the
-	// store mutex). The valuation service hooks it to flip into
-	// degraded, memory-only operation. Set before sharing.
-	OnError func(error)
 
 	mu      sync.Mutex
 	files   map[string]*AppendFile // append handles per fingerprint; guarded by mu
 	err     error                  // first write error, reported by Close; guarded by mu
 	pending []pendingWrite         // utilities buffered while the disk fails; guarded by mu
+	// npending is len(pending), stored under mu and read without it:
+	// the valuation service derives its degraded state from it on every
+	// job event, which must not wait behind a Compact holding mu.
+	npending atomic.Int64
 }
 
 // pendingWrite is one utility that could not be persisted when it was
 // produced. Buffering instead of dropping is what makes degraded mode
-// lossless: FlushPending replays the buffer once writes succeed again,
-// so a degrade/restore cycle leaves the cache exactly as if the disk
-// had never failed.
+// lossless: the buffer is replayed once writes succeed again, so a
+// degrade/restore cycle leaves the cache exactly as if the disk had
+// never failed.
 type pendingWrite struct {
 	fp  string
 	rec storeRecord
@@ -111,81 +113,74 @@ func (st *Store) Load(fingerprint string) (map[combin.Coalition]float64, error) 
 // mutex, serialised against Compact's handle-retire-then-rename — an
 // append can never slip in between and land in the unlinked
 // pre-compaction file.
+//
+// A failed write is buffered, not dropped (see PendingWrites), and is
+// returned. While the buffer holds anything, a new utility joins its
+// tail without a write attempt and Append returns the latched error:
+// only FlushPending drains a backlog, so utilities reach the disk in
+// production order and PendingWrites stays non-zero from the first
+// failed write until a FlushPending succeeds.
 func (st *Store) Append(fingerprint string, s combin.Coalition, u float64) error {
 	if err := checkFingerprint(fingerprint); err != nil {
 		return err
 	}
 	lo, hi := s.Words()
-	rec := storeRecord{Lo: lo, Hi: hi, U: u}
-	st.mu.Lock()
-	err := st.appendLocked(fingerprint, rec)
-	if err != nil {
-		st.pending = append(st.pending, pendingWrite{fp: fingerprint, rec: rec})
-		st.recordErr(err)
-	}
-	onErr := st.OnError
-	st.mu.Unlock()
-	if err != nil && onErr != nil {
-		onErr(err)
-	}
+	_, err := st.flush(pendingWrite{fp: fingerprint, rec: storeRecord{Lo: lo, Hi: hi, U: u}})
 	return err
-}
-
-// appendLocked writes one record through the fault hook and the
-// per-fingerprint append handle. Call with st.mu held.
-func (st *Store) appendLocked(fingerprint string, rec storeRecord) error {
-	if err := st.Fault.Check("store.append"); err != nil {
-		return err
-	}
-	//fedvallint:allow(lockhygiene) locked helper by contract: "Call with st.mu held" (Append, FlushPending)
-	f, ok := st.files[fingerprint]
-	if !ok {
-		f = NewAppendFile(st.path(fingerprint))
-		st.files[fingerprint] = f
-	}
-	return f.Append(rec)
 }
 
 // FlushPending replays utilities buffered while the disk was failing,
 // in production order. On the first failure it stops, keeping the
-// unwritten tail for the next probe; after a complete flush the latched
-// write error is cleared — the disk has caught up, so Close should not
-// report a stale fault. It returns the number of records flushed.
-func (st *Store) FlushPending() (int, error) {
+// unwritten tail for the next probe. It returns the number of records
+// flushed.
+func (st *Store) FlushPending() (int, error) { return st.flush() }
+
+// flush is the one write path. With next set (Append) it writes next
+// unless a backlog is waiting, in which case next only queues behind it;
+// without (FlushPending) it writes the backlog out in order. Writes go
+// through the fault hook and the per-fingerprint append handles and stop
+// at the first failure, keeping the unwritten tail. Every write failure
+// is latched for Close — callers on the evaluation hot path ignore
+// per-record errors, since persistence must not fail a valuation — and a
+// flush that empties the backlog clears the latch: the disk has caught
+// up, so Close should not report a stale fault.
+func (st *Store) flush(next ...pendingWrite) (written int, err error) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	flushed := 0
-	for len(st.pending) > 0 {
-		p := st.pending[0]
-		if err := st.appendLocked(p.fp, p.rec); err != nil {
-			return flushed, err
-		}
-		st.pending = st.pending[1:]
-		flushed++
+	backlog := len(st.pending)
+	st.pending = append(st.pending, next...)
+	if backlog > 0 && len(next) > 0 {
+		st.npending.Store(int64(len(st.pending)))
+		return 0, st.err
 	}
-	st.pending = nil
-	st.err = nil
-	return flushed, nil
+	for _, p := range st.pending {
+		if err = st.Fault.Check("store.append"); err != nil {
+			break
+		}
+		f, ok := st.files[p.fp]
+		if !ok {
+			f = NewAppendFile(st.path(p.fp))
+			st.files[p.fp] = f
+		}
+		if err = f.Append(p.rec); err != nil {
+			break
+		}
+		written++
+	}
+	st.pending = append(st.pending[:0], st.pending[written:]...)
+	st.npending.Store(int64(len(st.pending)))
+	switch {
+	case err != nil:
+		st.err = cmp.Or(st.err, err)
+	case backlog > 0:
+		st.err = nil
+	}
+	return written, err
 }
 
 // PendingWrites reports the number of utilities waiting in the
-// degraded-mode buffer.
-func (st *Store) PendingWrites() int {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return len(st.pending)
-}
-
-// recordErr keeps the first write failure for Close. Callers on the
-// evaluation hot path deliberately ignore per-record errors (persistence
-// must not fail a valuation), so Close is where they surface. Call with
-// st.mu held.
-func (st *Store) recordErr(err error) {
-	//fedvallint:allow(lockhygiene) locked helper by contract: "Call with st.mu held" (Append, Compact, Close)
-	if st.err == nil {
-		st.err = err
-	}
-}
+// degraded-mode buffer. It takes no lock.
+func (st *Store) PendingWrites() int { return int(st.npending.Load()) }
 
 // Attach layers the store under an oracle for one problem fingerprint:
 // persisted utilities warm the cache without charging the budget, and
@@ -197,9 +192,9 @@ func (st *Store) Attach(o *Oracle, fingerprint string) (int, error) {
 		return 0, err
 	}
 	warmed := o.Warm(entries)
-	o.WriteThrough(func(s combin.Coalition, u float64) {
-		//fedvallint:allow(durability) persistence must not fail a valuation; Append latches the error and OnError flips degraded mode
-		_ = st.Append(fingerprint, s, u) // surfaced by Close
+	o.OnFresh(func(s combin.Coalition, u float64, _ int) {
+		//fedvallint:allow(durability) persistence must not fail a valuation; Append buffers what it could not write and latches the error
+		_ = st.Append(fingerprint, s, u) // surfaced by PendingWrites and Close
 	})
 	return warmed, nil
 }
@@ -291,7 +286,7 @@ func (st *Store) Compact(fingerprint string) (kept, dropped int, err error) {
 	})
 	if scanErr != nil {
 		err := fmt.Errorf("utility: compact: %w", scanErr)
-		st.recordErr(err)
+		st.err = cmp.Or(st.err, err)
 		return 0, 0, err
 	}
 	kept = len(entries)
@@ -317,7 +312,7 @@ func (st *Store) Compact(fingerprint string) (kept, dropped int, err error) {
 		// Remembered like write errors: callers on background sweeps drop
 		// per-run errors, so Close is where a failing disk surfaces.
 		err := fmt.Errorf("utility: compact: %w", rerr)
-		st.recordErr(err)
+		st.err = cmp.Or(st.err, err)
 		return kept, dropped, err
 	}
 	return kept, dropped, nil
@@ -357,7 +352,7 @@ func (st *Store) Close() error {
 	sort.Strings(fps)
 	for _, fp := range fps {
 		if err := st.files[fp].Close(); err != nil {
-			st.recordErr(err)
+			st.err = cmp.Or(st.err, err)
 		}
 		delete(st.files, fp)
 	}

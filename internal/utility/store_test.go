@@ -2,11 +2,13 @@ package utility
 
 import (
 	"bufio"
+	"errors"
 	"os"
 	"path/filepath"
 	"testing"
 
 	"fedshap/internal/combin"
+	"fedshap/internal/resilience"
 )
 
 func countLines(t *testing.T, path string) int {
@@ -153,6 +155,52 @@ func TestStoreCompactWithOpenAppendHandle(t *testing.T) {
 	}
 	if len(entries) != 2 || entries[a] != 2.0 || entries[b] != 3.0 {
 		t.Errorf("entries = %v, want {a:2, b:3}", entries)
+	}
+}
+
+// TestStorePendingWritesDrainInOrder: utilities whose write failed wait
+// in the pending buffer, and an append after the disk heals still only
+// queues behind them; FlushPending drains the backlog, so records land in
+// production order and Close reports no stale fault.
+func TestStorePendingWritesDrainInOrder(t *testing.T) {
+	dir := t.TempDir()
+	st, err := OpenStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st.Fault = &resilience.Hook{}
+	const fp = "beef4567"
+	st.Fault.Set(func(string) error { return errors.New("induced: disk full") })
+	for i := 0; i < 2; i++ {
+		if err := st.Append(fp, combin.NewCoalition(i), float64(i)); err == nil {
+			t.Fatalf("append %d succeeded on a failing disk", i)
+		}
+	}
+	if n := st.PendingWrites(); n != 2 {
+		t.Fatalf("PendingWrites() = %d on a failing disk, want 2", n)
+	}
+	st.Fault.Clear()
+	if err := st.Append(fp, combin.NewCoalition(2), 2); err == nil {
+		t.Fatal("append behind a backlog returned no error; want the latched one")
+	}
+	if n := st.PendingWrites(); n != 3 {
+		t.Fatalf("PendingWrites() = %d after an append behind the backlog, want 3", n)
+	}
+	if n, err := st.FlushPending(); n != 3 || err != nil {
+		t.Fatalf("FlushPending() = %d, %v; want 3, nil", n, err)
+	}
+	if n := st.PendingWrites(); n != 0 {
+		t.Fatalf("PendingWrites() = %d after the flush, want 0", n)
+	}
+	data, err := os.ReadFile(filepath.Join(dir, fp+".jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := "{\"lo\":1,\"u\":0}\n{\"lo\":2,\"u\":1}\n{\"lo\":4,\"u\":2}\n"; string(data) != want {
+		t.Errorf("store file:\n%s\nwant, in production order:\n%s", data, want)
+	}
+	if err := st.Close(); err != nil {
+		t.Errorf("Close after the backlog drained: %v", err)
 	}
 }
 

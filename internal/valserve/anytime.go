@@ -39,7 +39,7 @@ const defaultValuesEvery = 100 * time.Millisecond
 //     estimates, intervals and the stop position are bit-identical across
 //     worker counts.
 //
-//   - Observer (everything else): the oracle's OnEvalValue hook feeds
+//   - Observer (everything else): an oracle OnFresh hook feeds
 //     fresh evaluations in completion order. Intervals remain anytime-valid
 //     under any fold order, but the fold sequence is racy, so this mode
 //     never stops a job — it only reports.
@@ -64,9 +64,9 @@ func newAnytimeState(m *Manager, j *Job, n int, confidence float64, plan []combi
 	}
 }
 
-// observe is the observer-mode hook (utility.Oracle.OnEvalValue): fold one
+// observe is the observer-mode hook (utility.Oracle.OnFresh): fold one
 // fresh evaluation and maybe publish a throttled snapshot.
-func (a *anytimeState) observe(s combin.Coalition, u float64) {
+func (a *anytimeState) observe(s combin.Coalition, u float64, _ int) {
 	a.mu.Lock()
 	a.rp.Add(s, u)
 	a.publishLocked(false)

@@ -1,11 +1,13 @@
 package valserve
 
 import (
+	"cmp"
 	"encoding/json"
 	"errors"
 	"os"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"fedshap"
@@ -87,14 +89,14 @@ type Journal struct {
 	// the injectable seam tests and the chaos harness use to simulate a
 	// full or failing disk. Set it before the journal is shared.
 	Fault *resilience.Hook
-	// OnError, when set, observes every write failure (under the journal
-	// mutex — it must not call back into the journal). The valuation
-	// service hooks it to flip into degraded, memory-only operation.
-	OnError func(error)
 
 	mu           sync.Mutex
-	err          error
 	lastProgress map[string]time.Time
+	// err latches the first write error since the last successful
+	// rewrite: Close reports it, and while it is set the valuation service
+	// runs degraded. It is stored under mu and read without it, so
+	// deriving the degraded state never waits behind a rewrite.
+	err atomic.Pointer[error]
 }
 
 // OpenJournal opens (creating parent directories if needed) the journal
@@ -131,8 +133,12 @@ func (jl *Journal) Size() int64 {
 }
 
 // Append records one event. Progress events are throttled per job
-// (ProgressEvery); everything else is written unconditionally. Errors are
-// recorded and surfaced by Close — a failing disk must not fail jobs.
+// (ProgressEvery); everything else is written unless a write error is
+// latched. Errors are latched and surfaced by Close — a failing disk must
+// not fail jobs. While the latch holds, Append writes nothing: only a
+// rewrite clears the latch, and a rewrite rebuilds every live job's
+// record, so each skipped event is restored by the same rewrite that
+// heals the journal.
 //
 // The write happens under the journal mutex, fully serialised against
 // Compact: an append can never slip between Compact's handle retirement
@@ -154,6 +160,9 @@ func (jl *Journal) Append(event string, st *fedshap.JobStatus) {
 	if st.State.Terminal() {
 		delete(jl.lastProgress, st.ID)
 	}
+	if jl.failure() != nil {
+		return
+	}
 	err := jl.Fault.Check("journal.append")
 	if err == nil {
 		err = jl.file.Append(journalRecord{Event: event, ID: st.ID, At: now, Status: st})
@@ -163,15 +172,21 @@ func (jl *Journal) Append(event string, st *fedshap.JobStatus) {
 	}
 }
 
-// failLocked latches the journal's first write error for Close and tells
-// OnError about every one. Call with jl.mu held.
-func (jl *Journal) failLocked(err error) {
-	if jl.err == nil {
-		jl.err = err
+// failLocked latches the journal's first write error. Call with jl.mu
+// held.
+func (jl *Journal) failLocked(err error) { jl.err.CompareAndSwap(nil, &err) }
+
+// failure returns the latched write error: nil while every record since
+// the last rewrite reached the disk, and for a nil journal. It takes no
+// lock.
+func (jl *Journal) failure() error {
+	if jl == nil {
+		return nil
 	}
-	if jl.OnError != nil {
-		jl.OnError(err)
+	if p := jl.err.Load(); p != nil {
+		return *p
 	}
+	return nil
 }
 
 // Replay reads the whole journal and returns the last recorded status of
@@ -230,23 +245,11 @@ func (jl *Journal) CompactWith(collect func() []*fedshap.JobStatus) error {
 	return jl.rewriteLocked(collect())
 }
 
-// Restore attempts one full snapshot rewrite and, on success, clears
-// the journal's latched write error — the degraded-mode recovery probe.
-// A successful rewrite re-journals every live job from scratch, so any
-// records lost while the disk was failing are reconstructed; the stale
-// error must not survive to Close once the file on disk is whole again.
-func (jl *Journal) Restore(collect func() []*fedshap.JobStatus) error {
-	jl.mu.Lock()
-	defer jl.mu.Unlock()
-	if err := jl.rewriteLocked(collect()); err != nil {
-		return err
-	}
-	jl.err = nil
-	return nil
-}
-
 // rewriteLocked replaces the journal with one snapshot per live job.
-// Call with jl.mu held.
+// Success clears the latched write error: the rewrite re-journals every
+// live job from scratch, so any record lost while the disk was failing
+// is reconstructed, and a stale error must not survive to Close or keep
+// the service degraded. Call with jl.mu held.
 func (jl *Journal) rewriteLocked(live []*fedshap.JobStatus) error {
 	if err := jl.Fault.Check("journal.rewrite"); err != nil {
 		jl.failLocked(err)
@@ -273,6 +276,7 @@ func (jl *Journal) rewriteLocked(live []*fedshap.JobStatus) error {
 		jl.failLocked(err)
 		return err
 	}
+	jl.err.Store(nil)
 	return nil
 }
 
@@ -281,9 +285,5 @@ func (jl *Journal) rewriteLocked(live []*fedshap.JobStatus) error {
 func (jl *Journal) Close() error {
 	jl.mu.Lock()
 	defer jl.mu.Unlock()
-	cerr := jl.file.Close()
-	if jl.err != nil {
-		return jl.err
-	}
-	return cerr
+	return cmp.Or(jl.failure(), jl.file.Close())
 }

@@ -92,10 +92,11 @@ type Config struct {
 	// fail persistence writes on demand (see internal/resilience.Hook and
 	// the FEDVALD_FAULT_FILE switch in cmd/fedvald).
 	Fault *resilience.Hook
-	// DegradedProbeEvery is how often a degraded manager re-probes
-	// persistence: each probe rewrites the journal from live state and
-	// flushes the store's pending-write buffer, clearing the degraded
-	// flag once both succeed (default 1s).
+	// DegradedProbeEvery is how often the manager probes persistence:
+	// while degraded, each probe rewrites the journal from live state and
+	// flushes the store's pending-write buffer, and the entering and
+	// leaving log lines land on the probe that observes the edge
+	// (default 1s).
 	DegradedProbeEvery time.Duration
 	// Logger receives structured job-lifecycle logs (submissions,
 	// transitions, terminal outcomes) with job-ID correlation; nil
@@ -124,11 +125,6 @@ type Manager struct {
 	// compactions / compactDropped feed the /metrics cache section.
 	compactions    atomic.Int64
 	compactDropped atomic.Int64
-
-	// degraded is set by the first journal/store write failure: the
-	// manager keeps serving jobs memory-only while the background probe
-	// retries persistence (see onPersistError / tryRestore).
-	degraded atomic.Bool
 
 	// drainMu guards the queue-drain EWMA behind Retry-After estimation:
 	// the smoothed interval between job dequeues, observed by the worker
@@ -189,7 +185,6 @@ func NewManager(cfg Config) (*Manager, error) {
 			return nil, err
 		}
 		st.Fault = cfg.Fault
-		st.OnError = m.onPersistError
 		m.store = st
 	}
 	var pending []*Job
@@ -199,7 +194,6 @@ func NewManager(cfg Config) (*Manager, error) {
 			return nil, err
 		}
 		jl.Fault = cfg.Fault
-		jl.OnError = m.onPersistError
 		m.journal = jl
 		if pending, err = m.replay(); err != nil {
 			return nil, err
@@ -240,11 +234,8 @@ func NewManager(cfg Config) (*Manager, error) {
 		m.every(cfg.CompactEvery, 0, func() { _, _ = m.CompactNow() })
 	}
 	if m.journal != nil || m.store != nil {
-		m.every(cfg.DegradedProbeEvery, time.Second, func() {
-			if m.degraded.Load() {
-				m.tryRestore()
-			}
-		})
+		was := false // the state the previous probe left; only the probe touches it
+		m.every(cfg.DegradedProbeEvery, time.Second, func() { was = m.probe(was) })
 	}
 	return m, nil
 }
@@ -271,45 +262,64 @@ func (m *Manager) every(interval, fallback time.Duration, fn func()) {
 	}()
 }
 
-// onPersistError flips the manager into degraded, memory-only operation
-// on a journal or store write failure. Serving jobs beats preserving
-// them: valuation keeps running and results stay available over the
-// API, while the background probe retries persistence and re-journals
-// everything once the disk recovers.
-func (m *Manager) onPersistError(err error) {
-	if m.degraded.CompareAndSwap(false, true) {
-		m.logger.Error("persistence failed; entering degraded (memory-only) mode",
-			"error", err.Error())
-	}
+// Degraded reports memory-only operation: utilities wait in the store's
+// pending buffer, or the journal latched a write error that no rewrite
+// has healed since. It is derived from those two sources on every call,
+// and neither read takes a lock. Serving jobs beats preserving them:
+// valuation keeps running and results stay available over the API while
+// the probe retries persistence. Exposed on /healthz and as the
+// fedvald_degraded gauge.
+func (m *Manager) Degraded() bool {
+	return m.pendingWrites() > 0 || m.journal.failure() != nil
 }
 
-// Degraded reports memory-only operation: a persistence write failed
-// and the background probe has not yet restored the disk. Exposed on
-// /healthz and as the fedvald_degraded gauge.
-func (m *Manager) Degraded() bool { return m.degraded.Load() }
+// pendingWrites is the store's pending-buffer length, 0 without a store.
+func (m *Manager) pendingWrites() int {
+	if m.store == nil {
+		return 0
+	}
+	return m.store.PendingWrites()
+}
 
-// tryRestore attempts to leave degraded mode: rewrite the journal from
-// live job state — reconstructing every record lost while the disk was
-// failing, including transitions that happened memory-only — then flush
-// the store's pending utility buffer. The degraded flag clears only
-// when both succeed; a partial recovery keeps probing.
-func (m *Manager) tryRestore() {
+// probe is one tick of the persistence probe: while Degraded holds it
+// tries to restore, and it logs each edge of Degraded it observes — at
+// most one probe interval after the write that caused it. was is the
+// state the previous tick left; the result is the state this one leaves.
+func (m *Manager) probe(was bool) bool {
+	if m.Degraded() {
+		if !was {
+			attrs := []any{"pending_writes", m.pendingWrites()}
+			if err := m.journal.failure(); err != nil {
+				attrs = append(attrs, "journal_error", err.Error())
+			}
+			m.logger.Error("persistence failed; entering degraded (memory-only) mode", attrs...)
+		}
+		was = true
+		_ = m.tryRestore() // a failure leaves its source set, and the next tick retries
+	}
+	if was && !m.Degraded() {
+		m.logger.Info("persistence restored; leaving degraded mode")
+		return false
+	}
+	return was
+}
+
+// tryRestore is one recovery attempt: rewrite the journal from live job
+// state — reconstructing every record lost while the disk was failing,
+// including transitions that happened memory-only, and clearing its
+// latch — then flush the store's pending buffer. A failure leaves its
+// source set, so Degraded still holds and the next probe retries.
+func (m *Manager) tryRestore() error {
 	if m.journal != nil {
-		if err := m.journal.Restore(m.snapshotsOldestFirst); err != nil {
-			return
+		if err := m.journal.CompactWith(m.snapshotsOldestFirst); err != nil {
+			return err
 		}
 	}
-	var flushed int
 	if m.store != nil {
-		var err error
-		if flushed, err = m.store.FlushPending(); err != nil {
-			return
-		}
+		_, err := m.store.FlushPending()
+		return err
 	}
-	if m.degraded.CompareAndSwap(true, false) {
-		m.logger.Info("persistence restored; leaving degraded mode",
-			"store_flushed", flushed)
-	}
+	return nil
 }
 
 // checkJournalPlacement rejects a journal that store compaction would
@@ -339,12 +349,9 @@ func checkJournalPlacement(cfg Config) error {
 // publish is every job's notify: it fans one transition event into the
 // journal, the event hub and the log.
 func (m *Manager) publish(event string, st *fedshap.JobStatus) {
-	// While degraded, transitions stay memory-only: the append would
-	// fail anyway, and the recovery probe re-journals every job from
-	// live state, so nothing is missing once the disk heals.
-	if m.journal != nil && !m.degraded.Load() {
-		m.journal.Append(event, st)
-	}
+	// A latched journal skips the record, and the rewrite that clears
+	// the latch re-journals this job from live state (see Journal.Append).
+	m.journal.Append(event, st)
 	m.hub.publish(st.ID, Event{Type: event, Status: st})
 	lvl := slog.LevelInfo
 	if event == EventProgress {
@@ -389,8 +396,8 @@ func (m *Manager) replay() ([]*Job, error) {
 	if err := m.journal.Compact(m.snapshotsOldestFirst()); err != nil {
 		// A failing disk must not block startup: the journal already
 		// replayed into memory, so serve degraded and let the background probe
-		// restore persistence (the Compact failure flipped the flag via
-		// OnError).
+		// restore persistence (the failed rewrite latched the journal, which
+		// is what Degraded reads).
 		m.logger.Warn("startup journal compaction failed; continuing degraded",
 			"error", err.Error())
 	}

@@ -1,13 +1,18 @@
 package valserve
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
 	"strconv"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -167,6 +172,273 @@ func TestDegradedJobBitIdentical(t *testing.T) {
 		if ref.Report.Values[i] != againSt.Report.Values[i] {
 			t.Fatalf("value[%d] differs across degrade window: %v vs %v",
 				i, ref.Report.Values[i], againSt.Report.Values[i])
+		}
+	}
+}
+
+// TestDegradedStoreFaultKeepsJournal: a fault on store writes alone
+// degrades the manager but not the journal, which keeps recording every
+// transition, so a crash before the next probe replays finished jobs as
+// finished rather than rerunning them. Once the disk heals, appends only
+// queue behind the backlog: the manager stays degraded until a probe
+// flushes it.
+func TestDegradedStoreFaultKeepsJournal(t *testing.T) {
+	dir := t.TempDir()
+	hook := &resilience.Hook{}
+	m, err := NewManager(Config{
+		Workers:            1,
+		CacheDir:           filepath.Join(dir, "cache"),
+		JournalPath:        filepath.Join(dir, "journal.jsonl"),
+		Fault:              hook,
+		DegradedProbeEvery: time.Hour, // the test drives the recovery attempt
+		BuildProblem:       gameBuilder(0, nil),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	run := func(seed int64) string {
+		t.Helper()
+		st, err := m.Submit(fedshap.JobRequest{N: 4, Algorithm: "ipss", Gamma: 6, Seed: seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if done := waitState(t, m, st.ID, terminal); done.State != fedshap.JobDone {
+			t.Fatalf("job %s state = %s", st.ID, done.State)
+		}
+		return st.ID
+	}
+
+	hook.Set(func(op string) error {
+		if op == "store.append" {
+			return errors.New("induced: cache disk full")
+		}
+		return nil
+	})
+	ids := []string{run(1)}
+	if !m.Degraded() || m.Journal().failure() != nil {
+		t.Fatalf("store-only fault: Degraded() = %v, journal error %v; want degraded with a healthy journal",
+			m.Degraded(), m.Journal().failure())
+	}
+	hook.Clear()
+	ids = append(ids, run(2))
+	pending := m.Store().PendingWrites()
+	if pending == 0 || !m.Degraded() {
+		t.Fatalf("healed disk before any probe: %d pending writes, Degraded() = %v; want the backlog held for the probe",
+			pending, m.Degraded())
+	}
+
+	replayed, err := m.Journal().Replay()
+	if err != nil {
+		t.Fatal(err)
+	}
+	state := make(map[string]fedshap.JobState)
+	for _, st := range replayed {
+		state[st.ID] = st.State
+	}
+	for _, id := range ids {
+		if state[id] != fedshap.JobDone {
+			t.Errorf("journal replays job %s as %q, want done", id, state[id])
+		}
+	}
+
+	if err := m.tryRestore(); err != nil {
+		t.Fatal(err)
+	}
+	if n := m.Store().PendingWrites(); n != 0 || m.Degraded() {
+		t.Fatalf("after one healthy probe: %d pending writes, Degraded() = %v", n, m.Degraded())
+	}
+}
+
+// TestDegradedTracksItsSource pins degraded mode to its two sources under
+// a flapping disk. Each round races a recovery attempt against concurrent
+// store and journal appends; afterwards Degraded must be exactly "store
+// writes pending or journal latched", and every utility must be on disk
+// or still buffered — none stranded, none lost. The disk cycles through
+// a healthy round, two failing rounds and a round in which it fails from
+// some point on, so the fault also flips while writes are in flight.
+// With the fault off, one attempt drains the buffer and leaves the
+// manager healthy.
+func TestDegradedTracksItsSource(t *testing.T) {
+	dir := t.TempDir()
+	hook := &resilience.Hook{}
+	m, err := NewManager(Config{
+		Workers:            1,
+		CacheDir:           filepath.Join(dir, "cache"),
+		JournalPath:        filepath.Join(dir, "journal.jsonl"),
+		Fault:              hook,
+		DegradedProbeEvery: time.Hour, // the test drives every recovery attempt
+		BuildProblem:       gameBuilder(0, nil),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	var down atomic.Bool
+	hook.Set(func(op string) error {
+		if down.Load() {
+			return errors.New("induced: flapping disk")
+		}
+		return nil
+	})
+
+	const fp, rounds, appenders, perAppender = "flapping", 100, 3, 4
+	st, jl := m.Store(), m.Journal()
+	check := func(when string, appended int) {
+		t.Helper()
+		pending, latched := st.PendingWrites(), jl.failure() != nil
+		if got, want := m.Degraded(), pending > 0 || latched; got != want {
+			t.Fatalf("%s: Degraded() = %v with %d pending writes and journal latched %v", when, got, pending, latched)
+		}
+		onDisk, err := st.Load(fp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(onDisk)+pending != appended {
+			t.Fatalf("%s: %d utilities on disk + %d pending, want %d appended", when, len(onDisk), pending, appended)
+		}
+	}
+	appended, degradedRounds := 0, 0
+	for round := 0; round < rounds; round++ {
+		phase := round % 4
+		down.Store(phase == 1 || phase == 2)
+		var wg sync.WaitGroup
+		if phase == 3 {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				down.Store(true)
+			}()
+		}
+		for a := 0; a < appenders; a++ {
+			first := appended
+			appended += perAppender
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := first; i < first+perAppender; i++ {
+					_ = st.Append(fp, combin.FromWords(uint64(i)+1, 0), float64(i))
+				}
+			}()
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			jl.Append(EventSubmitted, &fedshap.JobStatus{ID: fmt.Sprintf("j%04d-flap", round)})
+		}()
+		_ = m.tryRestore()
+		wg.Wait()
+		check(fmt.Sprintf("round %d", round), appended)
+		if m.Degraded() {
+			degradedRounds++
+		}
+	}
+	if degradedRounds == 0 || degradedRounds == rounds {
+		t.Fatalf("degraded after %d of %d rounds: the flapping disk must leave both states", degradedRounds, rounds)
+	}
+
+	down.Store(false)
+	if err := m.tryRestore(); err != nil {
+		t.Fatalf("recovery with the fault off: %v", err)
+	}
+	if n := st.PendingWrites(); n != 0 || m.Degraded() {
+		t.Fatalf("after one healthy probe: %d pending writes, Degraded() = %v", n, m.Degraded())
+	}
+	check("healthy", appended)
+}
+
+// logCapture is a slog.Handler recording every message, for tests that
+// assert which log lines a code path emits.
+type logCapture struct {
+	mu   sync.Mutex
+	msgs []string
+}
+
+func (c *logCapture) Enabled(context.Context, slog.Level) bool { return true }
+func (c *logCapture) WithAttrs([]slog.Attr) slog.Handler       { return c }
+func (c *logCapture) WithGroup(string) slog.Handler            { return c }
+
+func (c *logCapture) Handle(_ context.Context, r slog.Record) error {
+	c.mu.Lock()
+	c.msgs = append(c.msgs, r.Message)
+	c.mu.Unlock()
+	return nil
+}
+
+// count reports how many recorded messages contain substr.
+func (c *logCapture) count(substr string) int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	n := 0
+	for _, msg := range c.msgs {
+		if strings.Contains(msg, substr) {
+			n++
+		}
+	}
+	return n
+}
+
+// TestDegradedLogsAndSeries is the disk-full row of the failure-mode
+// table, observed the way an operator would: over one degrade/restore
+// cycle the "entering degraded" and "leaving degraded" log lines each
+// appear exactly once, and the fedvald_degraded and
+// fedvald_store_pending_writes series rise and return to zero.
+func TestDegradedLogsAndSeries(t *testing.T) {
+	dir := t.TempDir()
+	hook := &resilience.Hook{}
+	logs := &logCapture{}
+	m, err := NewManager(Config{
+		Workers:            1,
+		CacheDir:           filepath.Join(dir, "cache"),
+		JournalPath:        filepath.Join(dir, "journal.jsonl"),
+		Fault:              hook,
+		DegradedProbeEvery: 10 * time.Millisecond,
+		BuildProblem:       gameBuilder(0, nil),
+		Logger:             slog.New(logs),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	h := NewHandler(m)
+	series := func() (degraded, pending float64) {
+		s := scrapeProm(t, h)
+		return s["fedvald_degraded"], s["fedvald_store_pending_writes"]
+	}
+	waitLog := func(substr string) {
+		t.Helper()
+		deadline := time.Now().Add(10 * time.Second)
+		for logs.count(substr) == 0 {
+			if time.Now().After(deadline) {
+				t.Fatalf("no %q log line", substr)
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+	}
+	const entering, leaving = "entering degraded", "leaving degraded"
+
+	if d, p := series(); d != 0 || p != 0 {
+		t.Fatalf("healthy: fedvald_degraded %v, fedvald_store_pending_writes %v", d, p)
+	}
+	hook.Set(func(op string) error { return errors.New("induced: disk full") })
+	st, err := m.Submit(fedshap.JobRequest{N: 4, Algorithm: "ipss", Gamma: 6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, m, st.ID, terminal)
+	if d, p := series(); d != 1 || p == 0 {
+		t.Fatalf("disk full: fedvald_degraded %v, fedvald_store_pending_writes %v; want 1 and > 0", d, p)
+	}
+	waitLog(entering)
+
+	hook.Clear()
+	waitLog(leaving)
+	if d, p := series(); d != 0 || p != 0 {
+		t.Fatalf("restored: fedvald_degraded %v, fedvald_store_pending_writes %v", d, p)
+	}
+	for _, line := range []string{entering, leaving} {
+		if n := logs.count(line); n != 1 {
+			t.Errorf("%q logged %d times over one cycle, want once", line, n)
 		}
 	}
 }

@@ -121,7 +121,7 @@ func (r *run) stages() (*fedshap.Report, error) {
 	}
 	if r.req.Confidence > 0 {
 		r.any = newAnytimeState(r.m, r.j, r.p.N, r.req.Confidence, nil)
-		r.oracle.OnEvalValue(r.any.observe)
+		r.oracle.OnFresh(r.any.observe)
 	}
 	if r.workers > 1 && len(plan) > 0 {
 		r.prefetch(plan)
@@ -181,7 +181,7 @@ func (r *run) warmStart() error {
 // the width of the evaluation pool.
 func (r *run) wireOracle() {
 	tel := r.m.tel
-	r.oracle.OnEval(r.j.setFresh)
+	r.oracle.OnFresh(func(_ combin.Coalition, _ float64, total int) { r.j.setFresh(total) })
 	// Eval-source latency series: cache hits via the oracle's hit hook,
 	// in-process trainings via an innermost eval wrapper — installed
 	// before the coordinator session wraps it, so the session's

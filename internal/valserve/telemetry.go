@@ -104,7 +104,7 @@ func (m *Manager) sample() *sample {
 		s.Fleet = &fleet
 		s.wantedWorkers = c.WantedWorkers(wantedWorkersTarget)
 	}
-	s.Degraded = m.degraded.Load()
+	s.Degraded = m.Degraded()
 	s.subscribers = m.hub.subscriberCount()
 	return &s
 }
