@@ -363,7 +363,7 @@ func BenchmarkIPSS(b *testing.B) {
 }
 
 // BenchmarkFederationValue measures the public-API path end to end — the
-// acceptance benchmark of the two-level evaluation pipeline: IPSS on an MLP
+// acceptance benchmark of the evaluation pipeline: IPSS on an MLP
 // federation, serial against a full worker pool. The workers=N/workers=1
 // wall-clock ratio is the pipeline's speedup; values and evaluation counts
 // are bit-identical across the variants (the parallel determinism suite

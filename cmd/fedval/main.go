@@ -60,26 +60,25 @@ func main() {
 		file  = flag.String("file", "", "CSV file for -data csv (features..., integer label last; header auto-detected)")
 		setup = flag.String("setup", string(experiments.SameSizeSameDist),
 			"synthetic partition setup: same-size-same-distr | same-size-diff-distr | diff-size-same-distr | same-size-noisy-label | same-size-noisy-feature")
-		noise        = flag.Float64("noise", 0.1, "noise level for the noisy synthetic setups (0..0.2)")
-		modelKind    = flag.String("model", "mlp", "FL model: mlp | cnn | xgb | logreg | deepmlp")
-		n            = flag.Int("n", 6, "number of FL clients (2..127)")
-		algName      = flag.String("alg", "ipss", "algorithm: ipss | ipss-rescaled | exact | perm | stratified-mc | stratified-cc | kgreedy | tmc | gtb | ccshapley | digfl | or | lambdamr | gtg")
-		gamma        = flag.Int("gamma", 0, "sampling budget γ (0 = paper's Table III / n·ln n policy)")
-		k            = flag.Int("k", 2, "K for kgreedy")
-		seed         = flag.Int64("seed", 1, "random seed")
-		scaleName    = flag.String("scale", "small", "substrate scale: tiny | small")
-		compare      = flag.Bool("compare", false, "also compute exact values and report the l2 error (2^n trainings)")
-		jsonOut      = flag.Bool("json", false, "emit the result as JSON")
-		server       = flag.String("server", "", "fedvald base URL; when set, run the job remotely instead of locally")
-		showTrace    = flag.Bool("trace", false, "in -server mode, fetch the job's trace timeline after it finishes and print it to stderr")
-		poll         = flag.Duration("poll", 300*time.Millisecond, "polling-fallback interval in -server mode (progress normally streams over server-sent events)")
-		workers      = flag.Int("workers", 0, "concurrent coalition evaluations in -server mode (0 = daemon default)")
-		confidence   = flag.Float64("confidence", 0, "in -server mode, stream anytime confidence intervals at this simultaneous level, e.g. 0.9 (0 = off)")
-		rankStop     = flag.Bool("rank-stop", false, "in -server mode, stop the job early once every pairwise client ranking is resolved at -confidence (plan-exhaustive algorithms only)")
-		watchValues  = flag.Bool("watch-values", false, "in -server mode, print each interim values snapshot as it streams in")
-		deadline     = flag.Duration("deadline", 0, "in -server mode, bound the job's run time once it starts executing; an overrunning job terminates as timed_out (0 = no deadline)")
-		evalWorkers  = flag.Int("eval-workers", 1, "concurrent coalition evaluations in local mode: the algorithm's deterministic sampling plan is trained on this many workers, bit-identically to serial (0 = all cores, 1 = serial)")
-		trainWorkers = flag.Int("train-workers", 0, "concurrent per-client local trainings inside each FL round in local mode (<= 1 trains serially; results are bit-identical at any value)")
+		noise       = flag.Float64("noise", 0.1, "noise level for the noisy synthetic setups (0..0.2)")
+		modelKind   = flag.String("model", "mlp", "FL model: mlp | cnn | xgb | logreg | deepmlp")
+		n           = flag.Int("n", 6, "number of FL clients (2..127)")
+		algName     = flag.String("alg", "ipss", "algorithm: ipss | ipss-rescaled | exact | perm | stratified-mc | stratified-cc | kgreedy | tmc | gtb | ccshapley | digfl | or | lambdamr | gtg")
+		gamma       = flag.Int("gamma", 0, "sampling budget γ (0 = paper's Table III / n·ln n policy)")
+		k           = flag.Int("k", 2, "K for kgreedy")
+		seed        = flag.Int64("seed", 1, "random seed")
+		scaleName   = flag.String("scale", "small", "substrate scale: tiny | small")
+		compare     = flag.Bool("compare", false, "also compute exact values and report the l2 error (2^n trainings)")
+		jsonOut     = flag.Bool("json", false, "emit the result as JSON")
+		server      = flag.String("server", "", "fedvald base URL; when set, run the job remotely instead of locally")
+		showTrace   = flag.Bool("trace", false, "in -server mode, fetch the job's trace timeline after it finishes and print it to stderr")
+		poll        = flag.Duration("poll", 300*time.Millisecond, "polling-fallback interval in -server mode (progress normally streams over server-sent events)")
+		workers     = flag.Int("workers", 0, "concurrent coalition evaluations in -server mode (0 = daemon default)")
+		confidence  = flag.Float64("confidence", 0, "in -server mode, stream anytime confidence intervals at this simultaneous level, e.g. 0.9 (0 = off)")
+		rankStop    = flag.Bool("rank-stop", false, "in -server mode, stop the job early once every pairwise client ranking is resolved at -confidence (plan-exhaustive algorithms only)")
+		watchValues = flag.Bool("watch-values", false, "in -server mode, print each interim values snapshot as it streams in")
+		deadline    = flag.Duration("deadline", 0, "in -server mode, bound the job's run time once it starts executing; an overrunning job terminates as timed_out (0 = no deadline)")
+		evalWorkers = flag.Int("eval-workers", 1, "concurrent coalition evaluations in local mode: the algorithm's deterministic sampling plan is trained on this many workers, bit-identically to serial (0 = all cores, 1 = serial)")
 	)
 	flag.Parse()
 
@@ -132,9 +131,6 @@ func main() {
 	}
 	if err != nil {
 		fatal(err)
-	}
-	if *trainWorkers > 1 && p.Spec != nil {
-		p.Spec.Config.Workers = *trainWorkers
 	}
 	alg, err := valserve.NewValuer(req.Algorithm, req.Gamma, req.K)
 	if err != nil {

@@ -65,7 +65,6 @@ func main() {
 		addr         = flag.String("addr", "127.0.0.1:8787", "listen address")
 		workers      = flag.Int("workers", 2, "concurrent valuation jobs")
 		evalWorkers  = flag.Int("eval-workers", 0, "concurrent coalition evaluations per job (0 = GOMAXPROCS)")
-		trainWorkers = flag.Int("train-workers", 0, "concurrent per-client local trainings inside each FL round (<= 1 trains serially; results are bit-identical at any value)")
 		queueCap     = flag.Int("queue", 64, "pending-job queue capacity")
 		cacheDir     = flag.String("cache-dir", "fedval-cache", "persistent utility cache directory (empty disables persistence)")
 		journal      = flag.String("journal", "fedval-jobs.jsonl", "durable job journal file: restart recovery replays it (empty disables durability)")
@@ -112,7 +111,6 @@ func main() {
 	mgr, err := valserve.NewManager(valserve.Config{
 		Workers:        *workers,
 		EvalWorkers:    *evalWorkers,
-		TrainWorkers:   *trainWorkers,
 		QueueCap:       *queueCap,
 		AdmitWatermark: *admitMark,
 		CacheDir:       *cacheDir,

@@ -41,15 +41,13 @@ import (
 
 func main() {
 	var (
-		coordinator  = flag.String("coordinator", "127.0.0.1:8788", "coordinator worker-listener address (fedvald -worker-addr)")
-		capacity     = flag.Int("capacity", 0, "concurrent coalition evaluations (0 = GOMAXPROCS)")
-		trainWorkers = flag.Int("train-workers", 0, "concurrent per-client local trainings inside each FL round of one evaluation (<= 1 trains serially; pair -capacity 1 with -train-workers = cores for few-coalition jobs)")
-		name         = flag.String("name", "", "worker name in the fleet listing (default: hostname)")
-		retry        = flag.Duration("retry", 2*time.Second, "reconnect backoff cap after a lost coordinator: delays grow exponentially with full jitter from 100ms up to this")
-		warm         = flag.Bool("warm", true, "apply coordinator-shipped warm-start utilities instead of retraining them (disable only for debugging)")
-		pprofAddr    = flag.String("pprof", "", "diagnostics listener address serving /debug/pprof/ and Prometheus /metrics (empty disables)")
-		logLevel     = flag.String("log-level", "info", "structured log level: debug, info, warn or error")
-		logFormat    = flag.String("log-format", "text", "structured log format: text or json")
+		coordinator = flag.String("coordinator", "127.0.0.1:8788", "coordinator worker-listener address (fedvald -worker-addr)")
+		capacity    = flag.Int("capacity", 0, "concurrent coalition evaluations (0 = GOMAXPROCS)")
+		name        = flag.String("name", "", "worker name in the fleet listing (default: hostname)")
+		retry       = flag.Duration("retry", 2*time.Second, "reconnect backoff cap after a lost coordinator: delays grow exponentially with full jitter from 100ms up to this")
+		pprofAddr   = flag.String("pprof", "", "diagnostics listener address serving /debug/pprof/ and Prometheus /metrics (empty disables)")
+		logLevel    = flag.String("log-level", "info", "structured log level: debug, info, warn or error")
+		logFormat   = flag.String("log-format", "text", "structured log format: text or json")
 	)
 	flag.Parse()
 
@@ -81,12 +79,11 @@ func main() {
 
 	logger := obs.NewLogger(os.Stderr, *logLevel, *logFormat)
 	w := &evalnet.Worker{
-		Name:             *name,
-		Capacity:         cap,
-		Build:            valserve.WorkerEvaluatorWith(*trainWorkers),
-		DisableWarmStart: !*warm,
-		Observe:          tel.Observe,
-		Logger:           logger,
+		Name:     *name,
+		Capacity: cap,
+		Build:    valserve.WorkerEvaluator,
+		Observe:  tel.Observe,
+		Logger:   logger,
 	}
 	fmt.Fprintf(os.Stderr, "fedvalworker: %s (capacity %d) dialling %s\n", *name, cap, *coordinator)
 

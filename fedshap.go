@@ -226,22 +226,6 @@ func WithSeed(seed int64) Option {
 	}
 }
 
-// WithTrainWorkers parallelises per-client local training inside each
-// FedAvg round across the given number of workers (client-level
-// parallelism). Training stays bit-identical at any worker count: client
-// updates are independent and are aggregated in fixed client order. This
-// speeds up a single coalition evaluation, so it composes with — and
-// trades off against — the coalition-level pool of ValueParallel; prefer
-// coalition-level workers when many coalitions are pending and client-level
-// workers when evaluating few coalitions over many clients. workers <= 1
-// trains serially (the default).
-func WithTrainWorkers(workers int) Option {
-	return func(f *Federation) error {
-		f.config.Workers = workers
-		return nil
-	}
-}
-
 // WithAccuracyUtility scores coalitions by test accuracy (the default).
 func WithAccuracyUtility() Option {
 	return func(f *Federation) error {

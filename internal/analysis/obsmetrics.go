@@ -47,7 +47,6 @@ var registrars = map[string]struct {
 	typ        obs.Type
 }{
 	"NewCounter":   {2, obs.TypeCounter},
-	"NewGauge":     {2, obs.TypeGauge},
 	"NewGaugeFunc": {3, obs.TypeGauge},
 	"NewHistogram": {3, obs.TypeHistogram},
 	"NewCollector": {-1, ""},

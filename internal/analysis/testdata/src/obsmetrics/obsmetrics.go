@@ -8,8 +8,6 @@ type Registry struct{}
 
 func (r *Registry) NewCounter(name, help string, labels ...string) int { return 0 }
 
-func (r *Registry) NewGauge(name, help string, labels ...string) int { return 0 }
-
 func (r *Registry) NewGaugeFunc(name, help string, fn func() float64, labels ...string) {}
 
 func (r *Registry) NewHistogram(name, help string, bounds []float64, labels ...string) int {
@@ -22,8 +20,8 @@ func register(r *Registry, dynamic string) {
 	r.NewCounter("fedvald_good_total", "A well-named counter.")
 	r.NewCounter("fedvald_bad_counter", "Missing suffix.") // want "counter must end in _total"
 	r.NewCounter("wrong_prefix_total", "Missing prefix.")  // want "process prefix"
-	r.NewGauge("fedvald_depth_jobs", "A well-named gauge.")
-	r.NewGauge("fedvald_depth", "Bad gauge suffix.") // want "gauge must end"
+	r.NewGaugeFunc("fedvald_depth_jobs", "A well-named gauge.", nil)
+	r.NewGaugeFunc("fedvald_depth", "Bad gauge suffix.", nil) // want "gauge must end"
 	r.NewHistogram("fedvald_latency_seconds", "A histogram.", nil)
 	r.NewHistogram("fedvald_latency", "Bad histogram suffix.", nil)                                    // want "histogram must end"
 	r.NewCounter(dynamic, "Dynamic name.")                                                             // want "not a compile-time constant"

@@ -44,7 +44,7 @@ func additiveTable(n int) map[combin.Coalition]float64 {
 }
 
 // oracleBuilder builds a worker evaluator backed by its own oracle — the
-// shape valserve.WorkerEvaluatorWith produces — counting the evaluations
+// shape valserve.WorkerEvaluator produces — counting the evaluations
 // that actually train (cache misses), and optionally slowing them down.
 func oracleBuilder(fresh *atomic.Int64, delay time.Duration) func(ProblemSpec) (Evaluator, error) {
 	return func(spec ProblemSpec) (Evaluator, error) {
@@ -208,42 +208,6 @@ func TestWarmStartShipsCache(t *testing.T) {
 		if w.EWMAMillis != 0 {
 			t.Errorf("worker %s EWMA = %vms from warm answers, want 0", w.Name, w.EWMAMillis)
 		}
-	}
-}
-
-// TestWarmStartDisabled checks the worker-side opt-out: with
-// DisableWarmStart the shipped utilities are dropped and every coalition
-// is trained locally on the worker.
-func TestWarmStartDisabled(t *testing.T) {
-	c, addr := startCoordinator(t)
-	n := 4
-	warm := additiveTable(n)
-
-	var freshOnWorker atomic.Int64
-	w := &Worker{Name: "cold", Capacity: 4, Build: oracleBuilder(&freshOnWorker, 0), DisableWarmStart: true}
-	conn := dialCoordinator(t, addr)
-	go func() { _ = w.Serve(context.Background(), conn) }()
-	waitWorkers(t, c, 1)
-
-	oracle := utility.NewOracle(n, additive)
-	var sess *Session
-	oracle.WrapEval(func(inner utility.EvalFunc) utility.EvalFunc {
-		sess = c.NewSessionWith(context.Background(), SessionConfig{
-			Spec:         ProblemSpec{ID: "cold-spec", N: n},
-			Local:        inner,
-			LocalLimit:   4,
-			WarmSnapshot: func() map[combin.Coalition]float64 { return warm },
-		})
-		return sess.Eval
-	})
-	t.Cleanup(sess.Close)
-
-	all := allCoalitions(n)
-	if err := oracle.Prefetch(context.Background(), all, 4); err != nil {
-		t.Fatal(err)
-	}
-	if got := freshOnWorker.Load(); got != int64(len(all)) {
-		t.Errorf("opted-out worker trained %d coalitions, want %d", got, len(all))
 	}
 }
 

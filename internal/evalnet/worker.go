@@ -22,7 +22,7 @@ import (
 // how many were new; Cached, when non-nil, reports whether a coalition
 // is already in the cache — answers that were never trained are flagged
 // on the wire so they stay out of the coordinator's latency tracking.
-// valserve.WorkerEvaluatorWith builds all three from a fresh per-spec
+// valserve.WorkerEvaluator builds all three from a fresh per-spec
 // oracle.
 type Evaluator struct {
 	Eval   utility.EvalFunc
@@ -40,7 +40,7 @@ type Worker struct {
 	// it is announced to the coordinator, which never exceeds it.
 	Capacity int
 	// Build constructs the evaluator for a spec, called once per spec and
-	// cached. The standard builder (valserve.WorkerEvaluatorWith) rebuilds
+	// cached. The standard builder (valserve.WorkerEvaluator) rebuilds
 	// the problem from the spec's request and evaluates through a fresh
 	// oracle, so repeated coalitions within a job are served from the
 	// worker's own cache and coordinator-shipped warm utilities are never
@@ -48,10 +48,6 @@ type Worker struct {
 	// When nil, every task is answered with an error and the coordinator
 	// evaluates it locally.
 	Build func(spec ProblemSpec) (Evaluator, error)
-	// DisableWarmStart drops coordinator-shipped warm utilities instead of
-	// applying them — every assigned coalition is then trained locally
-	// (fedvalworker -warm=false; mainly for debugging and benchmarks).
-	DisableWarmStart bool
 	// Observe, when non-nil, is invoked after every answered assignment
 	// with its outcome ("fresh", "warm" or "error") and wall time — the
 	// seam cmd/fedvalworker's fedvalworker_* metric series hang off.
@@ -123,7 +119,7 @@ func (w *Worker) Serve(ctx context.Context, conn net.Conn) error {
 		case e.Spec != nil:
 			if _, ok := specs[e.Spec.Spec.ID]; !ok {
 				ws := &workerSpec{spec: e.Spec.Spec}
-				if !w.DisableWarmStart && len(e.Spec.Warm) > 0 {
+				if len(e.Spec.Warm) > 0 {
 					ws.warm = make(map[combin.Coalition]float64, len(e.Spec.Warm))
 					for _, entry := range e.Spec.Warm {
 						ws.warm[combin.FromWords(entry.Lo, entry.Hi)] = entry.U

@@ -31,8 +31,7 @@ func TestArenaReuseBitIdentical(t *testing.T) {
 	}
 	fedavg := Config{Rounds: 2, LocalEpochs: 2, LR: 0.01, Seed: 11, WeightBySize: true}
 	fedprox := Config{Algorithm: FedProx, ProxMu: 0.5, Rounds: 2, LocalEpochs: 1, LR: 0.01, Seed: 11}
-	pooled, reseeded := fedavg, fedavg
-	pooled.Workers = 2
+	reseeded := fedavg
 	reseeded.Seed = 12
 	runs := []struct {
 		name    string
@@ -44,7 +43,6 @@ func TestArenaReuseBitIdentical(t *testing.T) {
 		{"empty", nil, fedavg},
 		{"fedprox", clients[1:4], fedprox},
 		{"free-rider", withFreeRider, fedavg},
-		{"workers=2", clients, pooled},
 		{"pair", clients[:2], fedavg},
 		{"reseeded", clients[2:5], reseeded},
 		{"triple", clients[:3], fedprox},

@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
-	"sync"
 
 	"fedshap/internal/dataset"
 	"fedshap/internal/model"
@@ -63,14 +62,6 @@ type Config struct {
 	// WeightBySize aggregates client updates weighted by |D_i| (standard
 	// FedAvg); when false, clients with data are weighted equally.
 	WeightBySize bool
-	// Workers bounds concurrent per-client local training within one
-	// aggregation round; <= 1 trains clients serially. Client updates are
-	// independent (each trains from the round's global parameters with its
-	// own seeded RNG) and are reduced sequentially in client order after
-	// the round's trainings complete, so the trained model is bit-identical
-	// at any worker count. Workers is an execution knob, not part of the
-	// training problem: it never participates in problem fingerprints.
-	Workers int
 }
 
 // DefaultConfig is sized for laptop-scale valuation experiments, where the
@@ -118,7 +109,7 @@ func TrainWithTrace(factory model.Factory, clients []*dataset.Dataset, cfg Confi
 }
 
 // Arena owns everything one federated training builds — the global model
-// and its initial parameters, the per-slot local models and RNGs, the
+// and its initial parameters, the local model and RNG, the
 // parameter, aggregate and per-client delta vectors, the weights — so that
 // training coalition after coalition through one Arena allocates nothing
 // once it is warm. The zero value is ready; Train is the one-shot case of a
@@ -137,11 +128,12 @@ type Arena struct {
 	init tensor.Vector
 	seed int64
 
-	// slots holds one local model and one RNG per pool slot, reused across
-	// clients, rounds and trainings: SetParams fully overwrites the
-	// trainable state and Seed restarts the stream a fresh rand.NewSource
-	// would give, so reuse changes nothing numerically.
-	slots []slot
+	// local and rng are reused across clients, rounds and trainings:
+	// SetParams fully overwrites the trainable state and Seed restarts the
+	// stream a fresh rand.NewSource would give, so reuse changes nothing
+	// numerically.
+	local model.Parametric
+	rng   *rand.Rand
 	// params is the round-start global vector, agg the round's aggregate
 	// and deltas[i] client i's update buffer. Outside trace mode a round
 	// allocates nothing; a trace keeps each round's updates, so there the
@@ -150,11 +142,6 @@ type Arena struct {
 	deltas       []tensor.Vector
 	weights      []float64
 	participants []int
-}
-
-type slot struct {
-	local model.Parametric
-	rng   *rand.Rand
 }
 
 // Train is fl.Train on the Arena's buffers; see the type for how long the
@@ -203,15 +190,8 @@ func (a *Arena) fedAvg(clients []*dataset.Dataset, cfg Config, wantTrace bool) (
 		return a.global, trace
 	}
 
-	workers := cfg.Workers
-	if workers > len(a.participants) {
-		workers = len(a.participants)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	for len(a.slots) < workers {
-		a.slots = append(a.slots, slot{a.global.Clone().(model.Parametric), rand.New(rand.NewSource(0))})
+	if a.local == nil {
+		a.local, a.rng = a.global.Clone().(model.Parametric), rand.New(rand.NewSource(0))
 	}
 	if n > len(a.deltas) {
 		a.deltas = slices.Grow(a.deltas, n-len(a.deltas))[:n]
@@ -230,36 +210,11 @@ func (a *Arena) fedAvg(clients []*dataset.Dataset, cfg Config, wantTrace bool) (
 				Weights: append([]float64(nil), a.weights...),
 			}
 		}
-		// Per-slot delta collection: each participating client trains
-		// independently on a pool slot...
-		if workers > 1 {
-			var wg sync.WaitGroup
-			work := make(chan int)
-			for _, s := range a.slots[:workers] {
-				wg.Add(1)
-				// round is passed, not captured: a captured loop
-				// variable is heap-allocated once per iteration even
-				// when this branch never runs.
-				go func(s slot, round int) {
-					defer wg.Done()
-					for i := range work {
-						a.trainClient(s, clients[i], cfg, round, i)
-					}
-				}(s, round)
-			}
-			for _, i := range a.participants {
-				work <- i
-			}
-			close(work)
-			wg.Wait()
-		} else {
-			for _, i := range a.participants {
-				a.trainClient(a.slots[0], clients[i], cfg, round, i)
-			}
+		for _, i := range a.participants {
+			a.trainClient(clients[i], cfg, round, i)
 		}
-		// ...and the reduction is sequential in fixed client order, so the
-		// floating-point aggregation sequence — and hence the trained
-		// model — is bit-identical to serial execution.
+		// The reduction runs in fixed client order, which fixes the
+		// floating-point aggregation sequence and hence the trained bits.
 		a.agg.Fill(0)
 		for _, i := range a.participants {
 			a.agg.AddScaled(a.weights[i], a.deltas[i])
@@ -279,14 +234,14 @@ func (a *Arena) fedAvg(clients []*dataset.Dataset, cfg Config, wantTrace bool) (
 // trainClient runs client i's local update for one round against the
 // round-start parameters (read-only here) and leaves its delta in
 // a.deltas[i]. Per-client, per-round deterministic shuffling keeps every
-// update independent of scheduling order.
-func (a *Arena) trainClient(s slot, ds *dataset.Dataset, cfg Config, round, i int) {
-	s.local.SetParams(a.params)
-	s.rng.Seed(cfg.Seed + int64(round)*1009 + int64(i)*9176)
+// update independent of the order clients train in.
+func (a *Arena) trainClient(ds *dataset.Dataset, cfg Config, round, i int) {
+	a.local.SetParams(a.params)
+	a.rng.Seed(cfg.Seed + int64(round)*1009 + int64(i)*9176)
 	for e := 0; e < cfg.LocalEpochs; e++ {
-		s.local.TrainEpoch(ds, cfg.LR, s.rng)
+		a.local.TrainEpoch(ds, cfg.LR, a.rng)
 	}
-	delta := s.local.AppendParams(a.deltas[i][:0])
+	delta := a.local.AppendParams(a.deltas[i][:0])
 	delta.AddScaled(-1, a.params) // delta = local - global
 	if cfg.Algorithm == FedProx && cfg.ProxMu > 0 {
 		// Proximal step: shrink the local deviation toward the

@@ -103,12 +103,9 @@ func TestGoldenTrainedParams(t *testing.T) {
 	for mname, factory := range goldenFactories(clients[0]) {
 		for cname, cfg := range goldenConfigs {
 			name := mname + "/" + cname
-			for _, workers := range []int{1, 4} {
-				cfg.Workers = workers
-				got := hashVector(Train(factory, clients, cfg).(model.Parametric).Params())
-				if want := goldenParams[name]; got != want {
-					t.Errorf("%s workers=%d: params hash %#016x, want %#016x", name, workers, got, want)
-				}
+			got := hashVector(Train(factory, clients, cfg).(model.Parametric).Params())
+			if want := goldenParams[name]; got != want {
+				t.Errorf("%s: params hash %#016x, want %#016x", name, got, want)
 			}
 		}
 	}

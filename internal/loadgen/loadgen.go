@@ -275,8 +275,9 @@ func (r *Runner) Run(ctx context.Context) (*Report, error) {
 	ctx, cancel := context.WithTimeout(ctx, r.cfg.Timeout)
 	defer cancel()
 
-	//fedvallint:allow(ctxthread) the scraper deliberately outlives the run ctx so the final fold over /metrics still happens after a timeout
-	scrapeCtx, stopScraper := context.WithCancel(context.Background())
+	// The scraper outlives the run's deadline, so the final fold over
+	// /metrics still happens after a timeout.
+	scrapeCtx, stopScraper := context.WithCancel(context.WithoutCancel(ctx))
 	defer stopScraper()
 	go r.scraper.run(scrapeCtx)
 

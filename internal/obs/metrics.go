@@ -44,28 +44,6 @@ func (c *Counter) Add(n int64) { c.v.Add(n) }
 // Value returns the current count.
 func (c *Counter) Value() int64 { return c.v.Load() }
 
-// Gauge is a settable instantaneous value.
-type Gauge struct {
-	bits atomic.Uint64
-}
-
-// Set stores v.
-func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
-
-// Add adjusts the gauge by delta (negative deltas decrease it).
-func (g *Gauge) Add(delta float64) {
-	for {
-		old := g.bits.Load()
-		next := math.Float64bits(math.Float64frombits(old) + delta)
-		if g.bits.CompareAndSwap(old, next) {
-			return
-		}
-	}
-}
-
-// Value returns the current value.
-func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
-
 // Histogram is a fixed-bucket latency/size histogram. Buckets are
 // cumulative-on-read: Observe touches exactly one bucket counter plus the
 // sum and count, so the hot path is three atomic operations and no locks.
@@ -142,7 +120,6 @@ const (
 type series struct {
 	labels  []string // "key", "value" pairs
 	counter *Counter
-	gauge   *Gauge
 	gfn     func() float64
 	hist    *Histogram
 }
@@ -207,16 +184,6 @@ func (r *Registry) NewCounter(name, help string, labels ...string) *Counter {
 	f := r.fam(name, help, TypeCounter)
 	f.series = append(f.series, &series{labels: labels, counter: c})
 	return c
-}
-
-// NewGauge registers and returns a settable gauge.
-func (r *Registry) NewGauge(name, help string, labels ...string) *Gauge {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	g := &Gauge{}
-	f := r.fam(name, help, TypeGauge)
-	f.series = append(f.series, &series{labels: labels, gauge: g})
-	return g
 }
 
 // NewGaugeFunc registers a gauge whose value is sampled at scrape time —
@@ -308,8 +275,6 @@ func (r *Registry) render() []byte {
 			switch {
 			case s.counter != nil:
 				writeSample(bw, f.name, s.labels, "", float64(s.counter.Value()))
-			case s.gauge != nil:
-				writeSample(bw, f.name, s.labels, "", s.gauge.Value())
 			case s.gfn != nil:
 				writeSample(bw, f.name, s.labels, "", s.gfn())
 			case s.hist != nil:

@@ -147,9 +147,7 @@ func TestExpositionFormat(t *testing.T) {
 	failed := r.NewCounter("fedvald_jobs_completed_total", "Jobs finished.", "state", "failed")
 	done.Add(2)
 	failed.Inc()
-	g := r.NewGauge("fedvald_sse_subscribers", "Attached SSE subscribers.")
-	g.Set(4)
-	g.Add(-1)
+	r.NewGaugeFunc("fedvald_sse_subscribers", "Attached SSE subscribers.", func() float64 { return 3 })
 	r.NewGaugeFunc("fedvald_journal_bytes", "Journal size.", func() float64 { return 123 })
 	h := r.NewHistogram("fedvald_job_duration_seconds", "End-to-end job latency.", []float64{0.1, 1, 10})
 	h.Observe(0.05)
@@ -261,25 +259,6 @@ func TestLint(t *testing.T) {
 	}
 }
 
-func TestGaugeConcurrentAdd(t *testing.T) {
-	var g Gauge
-	donech := make(chan struct{})
-	for i := 0; i < 4; i++ {
-		go func() {
-			for j := 0; j < 1000; j++ {
-				g.Add(1)
-			}
-			donech <- struct{}{}
-		}()
-	}
-	for i := 0; i < 4; i++ {
-		<-donech
-	}
-	if g.Value() != 4000 {
-		t.Fatalf("gauge = %g, want 4000", g.Value())
-	}
-}
-
 func TestRegistryTypeConflictPanics(t *testing.T) {
 	r := NewRegistry()
 	r.NewCounter("fedvald_x_total", "x")
@@ -288,5 +267,5 @@ func TestRegistryTypeConflictPanics(t *testing.T) {
 			t.Fatal("re-registering a counter as a gauge did not panic")
 		}
 	}()
-	r.NewGauge("fedvald_x_total", "x")
+	r.NewGaugeFunc("fedvald_x_total", "x", func() float64 { return 0 })
 }

@@ -58,7 +58,7 @@ type cell struct {
 
 // NewTracker builds a tracker over the full stratum family: every cell's
 // population is the whole stratum, M = C(n−1, k). Suitable when the sampler
-// may touch any coalition (the OnFresh hook path).
+// may touch any coalition (valserve's observer mode).
 func NewTracker(n int, confidence float64) *Tracker {
 	t := &Tracker{n: n, confidence: confidence, lo: -1, hi: 1,
 		cells: make([]cell, n*n)}

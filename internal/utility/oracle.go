@@ -116,8 +116,8 @@ func (o *Oracle) SetContext(ctx context.Context) {
 
 // OnFresh registers a hook invoked after every fresh evaluation with the
 // coalition, its utility and the running distinct-evaluation total — the
-// one seam for write-through persistence (Store.Attach), progress
-// reporting and anytime observers. Warmed and cached lookups never fire
+// one seam for write-through persistence (Store.Attach) and progress
+// reporting. Warmed and cached lookups never fire
 // it. Hooks fire in registration order, so the store a job attaches
 // first has written a utility before the job's progress event reports
 // it. Register before evaluations begin, never concurrently with U; the

@@ -3,7 +3,6 @@ package valserve
 import (
 	"context"
 	"fmt"
-	"sync"
 	"time"
 
 	"fedshap"
@@ -29,8 +28,8 @@ const defaultValuesEvery = 100 * time.Millisecond
 
 // anytimeState is one job's anytime-valuation bookkeeping: a Replay
 // folding evaluated coalitions into confidence intervals, plus the
-// publication throttle for interim values events. Two execution modes
-// share it:
+// publication throttle for interim values events. Every fold runs on the
+// job's run goroutine. Two execution modes share it:
 //
 //   - Plan-driven (algorithms where PlanExhaustive holds): drivePlan
 //     evaluates the complete plan in fixed-size chunks, folds each chunk in
@@ -39,42 +38,57 @@ const defaultValuesEvery = 100 * time.Millisecond
 //     estimates, intervals and the stop position are bit-identical across
 //     worker counts.
 //
-//   - Observer (everything else): an oracle OnFresh hook feeds
-//     fresh evaluations in completion order. Intervals remain anytime-valid
-//     under any fold order, but the fold sequence is racy, so this mode
-//     never stops a job — it only reports.
+//   - Observer (everything else): the algorithm's reduction runs in an
+//     observedView, which folds every distinct coalition the run requests,
+//     warm from the store or freshly trained, in request order. That order
+//     is a pure function of the seed too, so a warm resubmit reports the
+//     intervals of its cold run at any worker count. Without a complete
+//     plan the tracker cannot tell pruned strata from unvisited ones, so
+//     this mode never stops a job — it only reports.
 type anytimeState struct {
-	m     *Manager
-	j     *Job
-	names []string
+	m        *Manager
+	j        *Job
+	names    []string
+	observer bool
 
-	// mu serialises Replay mutation (the observer hook fires from the
-	// evaluation pool) and the publication throttle.
-	mu      sync.Mutex
 	rp      *shapley.Replay
 	lastPub time.Time
 }
 
+// newAnytimeState builds the plan-driven state for a plan, or the observer
+// state for a nil one.
 func newAnytimeState(m *Manager, j *Job, n int, confidence float64, plan []combin.Coalition) *anytimeState {
 	return &anytimeState{
-		m:     m,
-		j:     j,
-		names: clientNames(n),
-		rp:    shapley.NewReplay(n, confidence, plan),
+		m:        m,
+		j:        j,
+		names:    clientNames(n),
+		observer: plan == nil,
+		rp:       shapley.NewReplay(n, confidence, plan),
 	}
 }
 
-// observe is the observer-mode hook (utility.Oracle.OnFresh): fold one
-// fresh evaluation and maybe publish a throttled snapshot.
-func (a *anytimeState) observe(s combin.Coalition, u float64, _ int) {
-	a.mu.Lock()
-	a.rp.Add(s, u)
-	a.publishLocked(false)
-	a.mu.Unlock()
+// observedView is the observer-mode budget scope: a RunView that folds each
+// coalition into the tracker the first time the run requests it. N, Cached,
+// Evals and SetContext are the RunView's own, so cancellation still reaches
+// the oracle.
+type observedView struct {
+	*utility.RunView
+	a *anytimeState
 }
 
-// interimLocked renders the current Replay state as the wire snapshot.
-func (a *anytimeState) interimLocked() *fedshap.InterimValues {
+// U implements utility.Source.
+func (v observedView) U(s combin.Coalition) float64 {
+	first := !v.Cached(s)
+	u := v.RunView.U(s)
+	if first {
+		v.a.rp.Add(s, u)
+		v.a.publish(false)
+	}
+	return u
+}
+
+// interim renders the current Replay state as the wire snapshot.
+func (a *anytimeState) interim() *fedshap.InterimValues {
 	snap := a.rp.Snapshot()
 	return &fedshap.InterimValues{
 		JobID:             a.j.snapshot().ID,
@@ -91,17 +105,17 @@ func (a *anytimeState) interimLocked() *fedshap.InterimValues {
 	}
 }
 
-// publishLocked emits a values event to the job's SSE subscribers,
-// throttled unless force. Values events go straight to the hub — never
-// through j.notify — so they are not journaled: they are high-churn
-// derived state the final report supersedes.
-func (a *anytimeState) publishLocked(force bool) {
+// publish emits a values event to the job's SSE subscribers, throttled
+// unless force. Values events go straight to the hub — never through
+// j.notify — so they are not journaled: they are high-churn derived state
+// the final report supersedes.
+func (a *anytimeState) publish(force bool) {
 	now := time.Now()
 	if !force && now.Sub(a.lastPub) < defaultValuesEvery {
 		return
 	}
 	a.lastPub = now
-	iv := a.interimLocked()
+	iv := a.interim()
 	a.m.hub.publish(iv.JobID, Event{Type: EventValues, Values: iv})
 	a.m.tel.valuesSnapshots.Inc()
 }
@@ -121,13 +135,11 @@ func (a *anytimeState) drivePlan(ctx context.Context, oracle *utility.Oracle, pl
 		if err != nil {
 			return false, err
 		}
-		a.mu.Lock()
 		for i, s := range chunk {
 			a.rp.Add(s, us[i])
 		}
 		resolved := rankStop && a.rp.Tracker().Resolved()
-		a.publishLocked(resolved)
-		a.mu.Unlock()
+		a.publish(resolved)
 		if resolved {
 			return true, nil
 		}
@@ -140,9 +152,7 @@ func (a *anytimeState) drivePlan(ctx context.Context, oracle *utility.Oracle, pl
 // ran — together with the intervals certifying the ranking and the unspent
 // budget the stop saved.
 func (a *anytimeState) report(algName string, budget int, evals int, seconds float64) *fedshap.Report {
-	a.mu.Lock()
 	snap := a.rp.Snapshot()
-	a.mu.Unlock()
 	return &fedshap.Report{
 		Algorithm:     algName,
 		Values:        snap.Values,
@@ -163,13 +173,11 @@ func (a *anytimeState) report(algName string, budget int, evals int, seconds flo
 // without anytime tracking), and the tracker's estimates and intervals
 // ride along for consumers that want uncertainty.
 func (a *anytimeState) decorate(rep *fedshap.Report) {
-	a.mu.Lock()
 	snap := a.rp.Snapshot()
 	// The stream's last word should match the report, so the final
 	// snapshot is published unthrottled before the terminal event closes
 	// the subscribers.
-	a.publishLocked(true)
-	a.mu.Unlock()
+	a.publish(true)
 	rep.Confidence = a.j.snapshot().Request.Confidence
 	rep.AnytimeValues = snap.Values
 	rep.CILow = snap.Lo

@@ -162,7 +162,7 @@ func TestVersionsFingerprint(t *testing.T) {
 // reports bit-identical values and evaluation counts to the same job run
 // without one — per algorithm, at one and at three evaluation workers.
 // Plan-driven algorithms exercise the chunked drive path, tmc the passive
-// observer hook.
+// observer.
 func TestAnytimeDeterminism(t *testing.T) {
 	for _, alg := range []string{"ipss", "exact", "stratified-mc", "tmc"} {
 		var baseline *fedshap.Report
@@ -416,5 +416,57 @@ func TestRevalueDelta(t *testing.T) {
 	}
 	if v := r2.Report.Values[2]; !near(v, 3+20) {
 		t.Errorf("chained revaluation value[2] = %g, want 23", v)
+	}
+}
+
+// TestAnytimeWarmResubmitMatchesCold: a resubmit served entirely from the
+// store reports the anytime estimates and intervals of the cold run that
+// filled it, at one and at three evaluation workers — tmc through the
+// observer, ipss through the plan drive. The observer used to fold only
+// fresh evaluations, so a warm tmc rerun reported zeros inside [-1, 1].
+func TestAnytimeWarmResubmitMatchesCold(t *testing.T) {
+	for _, alg := range []string{"tmc", "ipss"} {
+		var want *fedshap.Report
+		for _, workers := range []int{1, 3} {
+			dir := t.TempDir()
+			for _, pass := range []string{"cold", "warm"} {
+				m, err := NewManager(Config{Workers: 1, CacheDir: dir, BuildProblem: gameBuilder(0, nil)})
+				if err != nil {
+					t.Fatal(err)
+				}
+				st, err := m.Submit(fedshap.JobRequest{N: 6, Algorithm: alg, Gamma: 40, Seed: 7, Workers: workers, Confidence: 0.9})
+				if err != nil {
+					t.Fatal(err)
+				}
+				st = waitState(t, m, st.ID, terminal)
+				if err := m.Close(); err != nil {
+					t.Fatal(err)
+				}
+				if st.State != fedshap.JobDone {
+					t.Fatalf("%s workers=%d %s: %s (%s)", alg, workers, pass, st.State, st.Error)
+				}
+				if pass == "warm" && st.FreshEvals != 0 {
+					t.Fatalf("%s workers=%d: warm run made %d fresh evaluations", alg, workers, st.FreshEvals)
+				}
+				rep := st.Report
+				if want == nil {
+					want = rep
+					continue
+				}
+				if !equalFloats(rep.AnytimeValues, want.AnytimeValues) || !equalFloats(rep.CILow, want.CILow) || !equalFloats(rep.CIHigh, want.CIHigh) {
+					t.Errorf("%s workers=%d %s: anytime %v in [%v, %v], want %v in [%v, %v]", alg, workers, pass,
+						rep.AnytimeValues, rep.CILow, rep.CIHigh, want.AnytimeValues, want.CILow, want.CIHigh)
+				}
+			}
+		}
+		// tmc's tracker covers every stratum, so its intervals hold the
+		// additive game's Shapley values i+1.
+		if alg == "tmc" {
+			for i := range want.CILow {
+				if v := float64(i + 1); want.CILow[i] > v || v > want.CIHigh[i] {
+					t.Errorf("tmc client %d: [%g, %g] excludes the true value %g", i, want.CILow[i], want.CIHigh[i], v)
+				}
+			}
+		}
 	}
 }

@@ -34,12 +34,12 @@ func TestMain(m *testing.M) {
 }
 
 // runTestWorker serves evaluations until the coordinator link drops. The
-// default problem builder is the production one (WorkerEvaluatorWith, real
+// default problem builder is the production one (WorkerEvaluator, real
 // FL training); FEDSHAP_TEST_WORKER_GAME_DELAY_MS switches to the additive
 // test game used by the kill/cancel tests.
 func runTestWorker(addr string) {
 	capacity, _ := strconv.Atoi(os.Getenv("FEDSHAP_TEST_WORKER_CAP"))
-	build := WorkerEvaluatorWith(0)
+	build := WorkerEvaluator
 	if ms := os.Getenv("FEDSHAP_TEST_WORKER_GAME_DELAY_MS"); ms != "" {
 		delay, _ := strconv.Atoi(ms)
 		build = func(evalnet.ProblemSpec) (evalnet.Evaluator, error) {

@@ -196,3 +196,40 @@ func TestServiceHTTPErrors(t *testing.T) {
 		t.Errorf("invalid submit err = %v, want HTTP 400", err)
 	}
 }
+
+// TestAdmissionBoundsCoalitions: a job is admitted only when every
+// coalition it may evaluate fits the service limit of 2^25, whatever the
+// algorithm — kgreedy evaluates C(n, ≤K) coalitions however small γ is, a
+// sampler up to γ — and a kgreedy job reports that count as its budget.
+func TestAdmissionBoundsCoalitions(t *testing.T) {
+	client, _ := startDaemon(t, Config{Workers: 1, BuildProblem: gameBuilder(0, nil)})
+	ctx := context.Background()
+	for _, req := range []fedshap.JobRequest{
+		{N: 30, Algorithm: "kgreedy", K: 30},
+		{N: 10, Algorithm: "ipss", Gamma: 1 << 40},
+		{N: 26, Algorithm: "exact"},
+	} {
+		// Submitting one that validates would enumerate its plan.
+		norm := req
+		Normalize(&norm)
+		if ValidateRequest(norm, true) == nil {
+			t.Fatalf("%s n=%d validates", req.Algorithm, req.N)
+		}
+		var se *fedshap.ServiceError
+		if _, err := client.Submit(ctx, req); !errors.As(err, &se) || se.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s n=%d: err = %v, want HTTP 400", req.Algorithm, req.N, err)
+		}
+	}
+	st, err := client.Submit(ctx, fedshap.JobRequest{N: 6, Algorithm: "kgreedy", K: 2, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fin, err := client.Wait(ctx, st.ID, 10*time.Millisecond, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fin.State != fedshap.JobDone || fin.Budget != 22 || fin.FreshEvals != fin.Budget {
+		t.Errorf("kgreedy n=6 K=2: %s, budget %d, fresh %d; want done with budget = fresh = C(6, ≤2) = 22",
+			fin.State, fin.Budget, fin.FreshEvals)
+	}
+}

@@ -1,7 +1,6 @@
 package valserve
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"log/slog"
@@ -32,14 +31,6 @@ type Config struct {
 	// hard cap: the evaluation pool is then never widened to an attached
 	// worker fleet's capacity.
 	EvalWorkers int
-	// TrainWorkers parallelises per-client local training inside each
-	// FedAvg round of every coalition evaluation (client-level
-	// parallelism; see fl.Config.Workers). Training is bit-identical at
-	// any value. <= 1 trains clients serially — the right default when
-	// EvalWorkers already saturates the cores; raise it instead of
-	// EvalWorkers for jobs that evaluate few coalitions over many
-	// clients.
-	TrainWorkers int
 	// QueueCap bounds pending jobs; Submit fails when full (default 64).
 	QueueCap int
 	// AdmitWatermark, when in (0, 1), lowers the admission bound below
@@ -353,16 +344,15 @@ func (m *Manager) publish(event string, st *fedshap.JobStatus) {
 	// the latch re-journals this job from live state (see Journal.Append).
 	m.journal.Append(event, st)
 	m.hub.publish(st.ID, Event{Type: event, Status: st})
-	lvl := slog.LevelInfo
-	if event == EventProgress {
-		lvl = slog.LevelDebug
-	}
 	attrs := []any{"job", st.ID, "state", string(st.State), "fresh", st.FreshEvals}
 	if st.Error != "" {
 		attrs = append(attrs, "error", st.Error)
 	}
-	//fedvallint:allow(ctxthread) slog.Log requires a ctx; job lifecycle logging has no request-scoped one
-	m.logger.Log(context.Background(), lvl, "job "+event, attrs...)
+	if event == EventProgress {
+		m.logger.Debug("job "+event, attrs...)
+	} else {
+		m.logger.Info("job "+event, attrs...)
+	}
 }
 
 // replay rebuilds the job table from the journal: terminal jobs are
@@ -703,9 +693,11 @@ func (m *Manager) SweepExpired() int {
 	if expired > 0 && m.journal != nil {
 		// Jobs are live during a sweep: collect the snapshots inside the
 		// journal's critical section so a terminal record appended
-		// mid-compaction cannot be lost. The error is kept for Close.
-		//fedvallint:allow(durability) best-effort sweep compaction; CompactWith latches its error for Close
-		_ = m.journal.CompactWith(m.snapshotsOldestFirst)
+		// mid-compaction cannot be lost. CompactWith also keeps a failure
+		// for Close.
+		if err := m.journal.CompactWith(m.snapshotsOldestFirst); err != nil {
+			m.logger.Warn("ttl sweep: journal compaction failed", "error", err)
+		}
 	}
 	return expired
 }

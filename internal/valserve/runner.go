@@ -109,10 +109,11 @@ func (r *run) stages() (*fedshap.Report, error) {
 	// plan is evaluated chunk by chunk in plan order (replacing the
 	// prefetch pass), streaming interim snapshots and, with rank_stop,
 	// finishing the job the moment every pairwise ranking is resolved.
-	// Algorithms without a complete plan get a passive observer hook: fresh
-	// evaluations feed the tracker in completion order and the intervals
-	// ride along on the final report, but the job never stops early
-	// (ValidateRequest already rejected rank_stop for them).
+	// Algorithms without a complete plan get a passive observer: the
+	// reduction folds every coalition it requests, warm or fresh, in
+	// request order, and the intervals ride along on the final report, but
+	// the job never stops early (ValidateRequest already rejected rank_stop
+	// for them).
 	if r.req.Confidence > 0 && len(plan) > 0 && shapley.PlanExhaustive(r.alg) {
 		if rep, err := r.anytimeDrive(plan); rep != nil || err != nil {
 			return rep, err
@@ -121,7 +122,6 @@ func (r *run) stages() (*fedshap.Report, error) {
 	}
 	if r.req.Confidence > 0 {
 		r.any = newAnytimeState(r.m, r.j, r.p.N, r.req.Confidence, nil)
-		r.oracle.OnFresh(r.any.observe)
 	}
 	if r.workers > 1 && len(plan) > 0 {
 		r.prefetch(plan)
@@ -147,12 +147,6 @@ func (r *run) buildProblem() (err error) {
 	span.SetAttr("problem", r.p.Name)
 	span.End()
 	r.j.update(func(st *fedshap.JobStatus) { st.Problem = r.p.Name })
-	// Client-level training parallelism is configured before the oracle is
-	// built (the oracle snapshots the FL spec). It never changes results,
-	// so it stays out of the problem fingerprint.
-	if r.m.cfg.TrainWorkers > 1 && r.p.Spec != nil {
-		r.p.Spec.Config.Workers = r.m.cfg.TrainWorkers
-	}
 	r.oracle = r.p.Oracle()
 	return nil
 }
@@ -290,13 +284,18 @@ func (r *run) prefetch(plan []combin.Coalition) {
 // cache would make such a sampler draw far past its budget over cached
 // lookups. The view charges every distinct coalition this run requests
 // (warm or fresh), exactly as a fresh oracle would, while FreshEvals/Report
-// keep counting only real training work.
+// keep counting only real training work. An observer-mode anytime job
+// reduces in an observedView over it, which feeds the tracker.
 func (r *run) aggregate() (*fedshap.Report, error) {
 	start := time.Now()
 	span := r.j.trace.StartSpan("aggregate", "daemon")
 	span.SetAttr("algorithm", r.alg.Name())
 	view := utility.NewRunView(r.oracle)
-	sctx := shapley.NewContext(view, r.req.Seed+2).WithSpec(r.p.Spec).WithContext(r.ctx)
+	var src utility.Source = view
+	if r.any != nil && r.any.observer {
+		src = observedView{view, r.any}
+	}
+	sctx := shapley.NewContext(src, r.req.Seed+2).WithSpec(r.p.Spec).WithContext(r.ctx)
 	values, err := shapley.Run(sctx, r.alg)
 	span.SetInt("evaluations", int64(r.oracle.Evals()))
 	span.End()

@@ -38,6 +38,7 @@ import (
 	"strings"
 
 	"fedshap"
+	"fedshap/internal/combin"
 	"fedshap/internal/dataset"
 	"fedshap/internal/evalnet"
 	"fedshap/internal/experiments"
@@ -185,25 +186,31 @@ func NewValuer(name string, gamma, k int) (shapley.Valuer, error) {
 	}
 }
 
-// exactFamily reports whether the algorithm enumerates the full power set.
-func exactFamily(name string) bool {
-	switch strings.ToLower(name) {
-	case "exact", "mc", "perm":
-		return true
-	}
-	return false
-}
-
-// maxExactN bounds the federation size the daemon accepts for power-set
-// algorithms: beyond it, 2ⁿ trainings are infeasible for a service and the
-// enumeration guards in combin would panic long before finishing.
+// maxExactN bounds how many coalitions the daemon admits one job to
+// evaluate: 2^maxExactN, the power set at n = maxExactN. Beyond it the
+// trainings are infeasible for a service, and the plan alone outgrows
+// memory before the first one starts.
 const maxExactN = 25
 
-// budgetFor resolves the progress denominator a job reports against: the
-// sampling budget γ for budgeted algorithms, 2ⁿ for the exact family.
+// budgetFor resolves how many coalitions a job may evaluate, the progress
+// denominator it reports against: 2ⁿ for the exact family, C(n, ≤K) for
+// kgreedy (every coalition of at most K clients, whatever γ is), and the
+// sampling budget γ otherwise. A count above the admission bound saturates
+// just past it, so 2ⁿ cannot overflow.
 func budgetFor(req fedshap.JobRequest) int {
-	if exactFamily(req.Algorithm) && req.N <= maxExactN {
-		return 1 << uint(req.N)
+	const over = 1<<maxExactN + 1
+	switch strings.ToLower(req.Algorithm) {
+	case "exact", "mc", "perm":
+		if req.N > maxExactN {
+			return over
+		}
+		return 1 << req.N
+	case "kgreedy":
+		var c float64
+		for k := 0; k <= min(max(req.K, 1), req.N); k++ {
+			c += combin.Binomial(req.N, k)
+		}
+		return int(min(c, over))
 	}
 	return req.Gamma
 }
@@ -219,8 +226,8 @@ func ValidateRequest(req fedshap.JobRequest, lenientData bool) error {
 	if err != nil {
 		return err
 	}
-	if exactFamily(req.Algorithm) && req.N > maxExactN {
-		return fmt.Errorf("algorithm %q enumerates 2^n coalitions; n=%d exceeds the service limit %d",
+	if budgetFor(req) > 1<<maxExactN {
+		return fmt.Errorf("algorithm %q at n=%d may evaluate more than 2^%d coalitions, the service limit",
 			req.Algorithm, req.N, maxExactN)
 	}
 	if req.Gamma < 0 {
@@ -279,7 +286,7 @@ func ValidateRequest(req fedshap.JobRequest, lenientData bool) error {
 	return nil
 }
 
-// WorkerEvaluatorWith is the standard problem builder for a remote
+// WorkerEvaluator is the standard problem builder for a remote
 // evaluation worker (cmd/fedvalworker): it rebuilds the spec's valuation
 // problem from the normalized request — dataset generation and training are
 // deterministic per seed, so the worker's utilities are bit-identical to
@@ -289,27 +296,22 @@ func ValidateRequest(req fedshap.JobRequest, lenientData bool) error {
 // exposed too, so coordinator-shipped warm-start utilities land in that
 // cache and a recycled fleet never retrains a coalition the daemon already
 // knows.
-//
-// Every coalition the worker evaluates trains its clients across
-// trainWorkers concurrent slots (see fl.Config.Workers). Training is
-// bit-identical at any value, so a mixed fleet still agrees on every
-// utility. The right setting depends on the worker's -capacity: a worker
-// evaluating one coalition at a time wants trainWorkers ≈ its core count,
-// while capacity ≈ cores pairs with serial training.
-func WorkerEvaluatorWith(trainWorkers int) func(evalnet.ProblemSpec) (evalnet.Evaluator, error) {
-	return func(spec evalnet.ProblemSpec) (evalnet.Evaluator, error) {
-		req := spec.Request
-		Normalize(&req)
-		p, err := BuildProblem(req)
-		if err != nil {
-			return evalnet.Evaluator{}, err
-		}
-		if trainWorkers > 1 && p.Spec != nil {
-			p.Spec.Config.Workers = trainWorkers
-		}
-		oracle := p.Oracle()
-		return evalnet.Evaluator{Eval: oracle.U, Warm: oracle.Warm, Cached: oracle.Cached}, nil
+func WorkerEvaluator(spec evalnet.ProblemSpec) (evalnet.Evaluator, error) {
+	req := spec.Request
+	Normalize(&req)
+	p, err := BuildProblem(req)
+	if err != nil {
+		return evalnet.Evaluator{}, err
 	}
+	oracle := p.Oracle()
+	return evalnet.Evaluator{Eval: oracle.U, Warm: oracle.Warm, Cached: oracle.Cached}, nil
+}
+
+// WorkerEvaluatorWith returns WorkerEvaluator; its argument is ignored.
+//
+// Deprecated: use WorkerEvaluator.
+func WorkerEvaluatorWith(int) func(evalnet.ProblemSpec) (evalnet.Evaluator, error) {
+	return WorkerEvaluator
 }
 
 // BuildProblem constructs the valuation problem for a normalized request

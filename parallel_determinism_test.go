@@ -108,42 +108,6 @@ func TestParallelDeterminismAllValuers(t *testing.T) {
 	}
 }
 
-// TestParallelDeterminismWithTrainWorkers stacks both parallelism levels:
-// client-level training workers under coalition-level evaluation workers
-// must still reproduce the serial run bit for bit.
-func TestParallelDeterminismWithTrainWorkers(t *testing.T) {
-	clients, test := FederatedWriters(4, 16, 48, 13)
-	build := func(trainWorkers int) *Federation {
-		fed, err := NewFederation(
-			WithDatasets(clients...),
-			WithTestSet(test),
-			WithMLP(8),
-			WithFLRounds(2),
-			WithTrainWorkers(trainWorkers),
-		)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return fed
-	}
-	serial, err := build(1).Value(IPSS(6), 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := build(4).ValueParallel(IPSS(6), 7, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if par.Evaluations != serial.Evaluations {
-		t.Errorf("evaluations = %d, serial = %d", par.Evaluations, serial.Evaluations)
-	}
-	for i := range serial.Values {
-		if par.Values[i] != serial.Values[i] {
-			t.Fatalf("value[%d] = %v, serial = %v (must be bit-identical)", i, par.Values[i], serial.Values[i])
-		}
-	}
-}
-
 // TestValueParallelCtxCancelledPrefetch regresses the context-threading
 // fix: a cancelled valuation context must stop the prefetch pool, not just
 // the sequential pass.

@@ -2,7 +2,8 @@
 # docs_guard.sh — fails CI when the documentation drifts from the code:
 # every HTTP route documented in README/OPERATIONS/docs/api.md must be
 # registered verbatim in internal/valserve/http.go, every standalone
-# backtick-quoted `-flag` must be defined by some cmd/ binary, every
+# backtick-quoted `-flag` must be defined by some cmd/ binary and every
+# flag a cmd/ binary defines must be quoted in one of those docs, every
 # backtick-quoted internal/, cmd/ or scripts/ path must exist, every
 # *.md file cited from a Go comment must be in the tree, and every
 # algorithm name the service accepts must have its row in ARCHITECTURE.md's
@@ -41,6 +42,23 @@ while IFS= read -r f; do
 	fi
 done <<EOF
 $flags
+EOF
+
+# The reverse: every flag a cmd/*/main.go defines must appear as a
+# backticked `-flag` in README.md, OPERATIONS.md or docs/api.md, alone or
+# with arguments (`-data femnist`), so no flag ships undocumented.
+documented=$(grep -ohE '`-[a-z][a-z0-9-]*' README.md OPERATIONS.md docs/api.md |
+	tr -d '`' | sed 's/^-//' | sort -u)
+defined=$(grep -ohE 'flag\.[A-Za-z0-9]+\("[a-z][a-z0-9-]*"' cmd/*/main.go |
+	sed 's/^.*("//; s/"$//' | sort -u)
+while IFS= read -r f; do
+	[ -n "$f" ] || continue
+	if ! printf '%s\n' "$documented" | grep -qxF -- "$f"; then
+		echo "undocumented flag: \"-$f\" is defined in a cmd/*/main.go but quoted in none of README.md, OPERATIONS.md, docs/api.md" >&2
+		status=1
+	fi
+done <<EOF
+$defined
 EOF
 
 # --- fedvallint analyzers ---------------------------------------------
