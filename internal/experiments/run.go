@@ -133,7 +133,7 @@ func StandardSuite(gamma int) []shapley.Valuer {
 		shapley.NewTMC(gamma),
 		shapley.NewGTB(gamma),
 		shapley.NewCCShapley(gamma),
-		&shapley.GTGShapley{},
+		shapley.GTGShapley{},
 		shapley.OR{},
 		&shapley.LambdaMR{},
 		shapley.NewIPSS(gamma),

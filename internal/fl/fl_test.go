@@ -8,6 +8,7 @@ import (
 	"fedshap/internal/combin"
 	"fedshap/internal/dataset"
 	"fedshap/internal/model"
+	"fedshap/internal/tensor"
 )
 
 func femClients(n, perClient int, seed int64) ([]*dataset.Dataset, *dataset.Dataset) {
@@ -122,8 +123,8 @@ func TestReconstructFullCoalitionExact(t *testing.T) {
 	cfg := Config{Rounds: 3, LocalEpochs: 1, LR: 0.05, Seed: 7, WeightBySize: true}
 	f := mlpFactory(clients[0].Dim(), 4)
 	final, trace := TrainWithTrace(f, clients, cfg)
-	rec := ReconstructFull(f, trace, combin.FullCoalition(4), cfg.Seed)
-	got := rec.(model.Parametric).Params()
+	got := make(tensor.Vector, len(trace.Init))
+	ReconstructFull(got, trace, combin.FullCoalition(4))
 	want := final.(model.Parametric).Params()
 	for i := range got {
 		if math.Abs(got[i]-want[i]) > 1e-9 {
@@ -138,8 +139,8 @@ func TestReconstructEmptyCoalition(t *testing.T) {
 	cfg := DefaultConfig(7)
 	f := mlpFactory(clients[0].Dim(), 4)
 	_, trace := TrainWithTrace(f, clients, cfg)
-	rec := ReconstructFull(f, trace, combin.Empty, cfg.Seed)
-	got := rec.(model.Parametric).Params()
+	got := make(tensor.Vector, len(trace.Init))
+	ReconstructFull(got, trace, combin.Empty)
 	for i := range got {
 		if got[i] != trace.Init[i] {
 			t.Fatalf("empty reconstruction differs from init at %d", i)
@@ -154,9 +155,9 @@ func TestReconstructRoundConsistency(t *testing.T) {
 	cfg := Config{Rounds: 3, LocalEpochs: 1, LR: 0.05, Seed: 7, WeightBySize: true}
 	f := mlpFactory(clients[0].Dim(), 4)
 	_, trace := TrainWithTrace(f, clients, cfg)
+	got := make(tensor.Vector, len(trace.Init))
 	for r := 0; r < len(trace.Rounds)-1; r++ {
-		rec := ReconstructRound(f, trace, r, combin.FullCoalition(3), cfg.Seed)
-		got := rec.(model.Parametric).Params()
+		ReconstructRound(got, trace, r, combin.FullCoalition(3))
 		want := trace.Rounds[r+1].Global
 		for i := range got {
 			if math.Abs(got[i]-want[i]) > 1e-9 {

@@ -2,7 +2,6 @@ package fl
 
 import (
 	"fedshap/internal/combin"
-	"fedshap/internal/model"
 	"fedshap/internal/tensor"
 )
 
@@ -11,32 +10,28 @@ import (
 // the single all-client run. Two reconstruction styles exist in the
 // literature, both provided here.
 
-// ReconstructFull rebuilds M_S across all rounds (Song et al.'s OR / "one
-// round of communication" construction): starting from the initial global
-// parameters, each round applies the weight-renormalised aggregate of the
-// updates of clients in S. The approximation is that each client's recorded
-// update was computed against the *actual* global trajectory, not the
-// counterfactual one.
-func ReconstructFull(factory model.Factory, trace *Trace, s combin.Coalition, seed int64) model.Model {
-	m := factory(seed).(model.Parametric)
-	params := trace.Init.Clone()
+// ReconstructFull rebuilds M_S's parameters across all rounds into params
+// (Song et al.'s OR / "one round of communication" construction): starting
+// from the initial global parameters, each round applies the
+// weight-renormalised aggregate of the updates of clients in S. The
+// approximation is that each client's recorded update was computed against
+// the *actual* global trajectory, not the counterfactual one. params is
+// caller-owned and as long as trace.Init.
+func ReconstructFull(params tensor.Vector, trace *Trace, s combin.Coalition) {
+	copy(params, trace.Init)
 	for _, rt := range trace.Rounds {
 		applyCoalitionUpdate(params, &rt, s)
 	}
-	m.SetParams(params)
-	return m
 }
 
-// ReconstructRound rebuilds the single-round counterfactual for round r
-// (used by λ-MR and GTG-Shapley): the round's actual starting global
-// parameters plus the renormalised aggregate of S's updates for that round.
-func ReconstructRound(factory model.Factory, trace *Trace, r int, s combin.Coalition, seed int64) model.Model {
-	m := factory(seed).(model.Parametric)
+// ReconstructRound rebuilds the single-round counterfactual for round r into
+// params (used by λ-MR, GTG-Shapley and DIG-FL): the round's actual starting
+// global parameters plus the renormalised aggregate of S's updates for that
+// round.
+func ReconstructRound(params tensor.Vector, trace *Trace, r int, s combin.Coalition) {
 	rt := &trace.Rounds[r]
-	params := rt.Global.Clone()
+	copy(params, rt.Global)
 	applyCoalitionUpdate(params, rt, s)
-	m.SetParams(params)
-	return m
 }
 
 // applyCoalitionUpdate adds the weight-renormalised aggregate update of

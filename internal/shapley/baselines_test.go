@@ -1,6 +1,7 @@
 package shapley
 
 import (
+	"context"
 	"errors"
 	"math"
 	"testing"
@@ -135,7 +136,7 @@ func TestSamplingBaselinesNeedNoSpec(t *testing.T) {
 
 func TestGradientBaselinesRequireSpec(t *testing.T) {
 	o := monotoneGame(3, 17)
-	for _, alg := range []Valuer{OR{}, &LambdaMR{}, &GTGShapley{}, DIGFL{}} {
+	for _, alg := range []Valuer{OR{}, &LambdaMR{}, GTGShapley{}, DIGFL{}} {
 		_, err := alg.Values(NewContext(o, 1))
 		if !errors.Is(err, ErrNeedsSpec) {
 			t.Errorf("%s without spec: err = %v, want ErrNeedsSpec", alg.Name(), err)
@@ -148,7 +149,7 @@ func TestGradientBaselinesOnFLGame(t *testing.T) {
 	exactCtx := flContext(spec, 1)
 	exact := mustValues(t, ExactMC{}, exactCtx)
 
-	for _, alg := range []Valuer{OR{}, &LambdaMR{}, &GTGShapley{}, DIGFL{}} {
+	for _, alg := range []Valuer{OR{}, &LambdaMR{}, GTGShapley{}, DIGFL{}} {
 		t.Run(alg.Name(), func(t *testing.T) {
 			ctx := flContext(spec, 2)
 			phi := mustValues(t, alg, ctx)
@@ -178,7 +179,7 @@ func TestGradientBaselinesNotApplicableToXGB(t *testing.T) {
 		Config:  fl.DefaultConfig(7),
 		Metric:  model.Accuracy,
 	}
-	for _, alg := range []Valuer{OR{}, &LambdaMR{}, &GTGShapley{}} {
+	for _, alg := range []Valuer{OR{}, &LambdaMR{}, GTGShapley{}} {
 		_, err := alg.Values(flContext(spec, 1))
 		if !errors.Is(err, ErrNotApplicable) {
 			t.Errorf("%s on XGB: err = %v, want ErrNotApplicable", alg.Name(), err)
@@ -198,11 +199,11 @@ func TestORReconstructionAnchoredAtFullCoalition(t *testing.T) {
 	// OR's reconstruction of the grand coalition equals the actual trained
 	// model, so U-recon(N) must equal the oracle's U(N).
 	spec := flSpec(3, 23)
-	_, trace, err := trainTrace(spec)
+	trace, err := trainTrace(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := reconEvalFull(spec, trace, combin.FullCoalition(3))
+	got := reconGame(&Context{Spec: spec}, trace, -1).U(combin.FullCoalition(3))
 	oracle := utility.NewFLOracle(*spec)
 	want := oracle.U(combin.FullCoalition(3))
 	if math.Abs(got-want) > 1e-9 {
@@ -238,7 +239,7 @@ func TestValuerNames(t *testing.T) {
 		ExactPerm{}:     "Perm-Shapley",
 		OR{}:            "OR",
 		&LambdaMR{}:     "λ-MR",
-		&GTGShapley{}:   "GTG-Shapley",
+		GTGShapley{}:    "GTG-Shapley",
 		DIGFL{}:         "DIG-FL",
 		NewTMC(5):       "Extended-TMC(γ=5)",
 		NewGTB(5):       "Extended-GTB(γ=5)",
@@ -270,20 +271,94 @@ func TestTMCCustomTolerance(t *testing.T) {
 	}
 }
 
-func TestGTGCustomKnobs(t *testing.T) {
-	spec := flSpec(3, 73)
-	alg := &GTGShapley{PermsPerRound: 2, BetweenTol: 1e-9, WithinTol: 1e-9}
-	phi := mustValues(t, alg, flContext(spec, 1))
-	if len(phi) != 3 {
-		t.Fatalf("len = %d", len(phi))
+// meterMetric wraps spec's metric to count its calls and, when hook is
+// non-nil, to pass each utility through hook with its 1-based call number.
+func meterMetric(spec *utility.FLSpec, hook func(call int, u float64) float64) *int {
+	metric, calls := spec.Metric, 0
+	spec.Metric = func(m model.Model, d *dataset.Dataset) float64 {
+		calls++
+		if hook == nil {
+			return metric(m, d)
+		}
+		return hook(calls, metric(m, d))
 	}
-	// Huge between-round tolerance truncates every round → all zeros.
-	lazy := &GTGShapley{PermsPerRound: 2, BetweenTol: 1e9}
-	phi2 := mustValues(t, lazy, flContext(spec, 1))
-	for i, v := range phi2 {
+	return &calls
+}
+
+// TestGTGBetweenRoundTruncation: when no round moves the utility (LR = 0
+// leaves every update zero), GTG truncates every round, so all values are
+// zero and the metric runs once for the initial model plus once for U(N)
+// per round.
+func TestGTGBetweenRoundTruncation(t *testing.T) {
+	spec := flSpec(3, 73)
+	spec.Config.LR = 0
+	calls := meterMetric(spec, nil)
+	phi := mustValues(t, GTGShapley{}, flContext(spec, 1))
+	for i, v := range phi {
 		if v != 0 {
 			t.Errorf("client %d: %v, want 0 under total between-round truncation", i, v)
 		}
+	}
+	if want := 1 + spec.Config.Rounds; *calls != want {
+		t.Errorf("metric called %d times, want %d", *calls, want)
+	}
+}
+
+// TestGradientBaselinesEvaluateThroughAnOracle: every reconstructed
+// coalition goes through a utility.Oracle, so a non-finite utility and a
+// cancelled context end the run at the call that caused them, and the
+// metric runs once per coalition — the counts valserve admits jobs by.
+func TestGradientBaselinesEvaluateThroughAnOracle(t *testing.T) {
+	const n = 6
+	rounds := flSpec(n, 29).Config.Rounds
+	for _, tc := range []struct {
+		alg   Valuer
+		calls int // exact metric calls, or the bound when exact is false
+		exact bool
+	}{
+		{OR{}, 1 << n, true},
+		{&LambdaMR{}, rounds << n, true},
+		{GTGShapley{}, rounds * max(8, 2*n) * n, false},
+		{DIGFL{}, rounds * (n + 1), true},
+	} {
+		t.Run(tc.alg.Name(), func(t *testing.T) {
+			countingCtx := func(hook func(call int, u float64) float64) (*Context, *int) {
+				spec := flSpec(n, 29)
+				calls := meterMetric(spec, hook)
+				return flContext(spec, 2), calls
+			}
+
+			c, _ := countingCtx(func(call int, u float64) float64 {
+				if call == 3 {
+					return math.NaN()
+				}
+				return u
+			})
+			values, err := Run(c, tc.alg)
+			var nf *utility.NonFiniteError
+			if !errors.As(err, &nf) || values != nil {
+				t.Errorf("NaN on call 3: values %v, err %v; want nil and *NonFiniteError", values, err)
+			}
+
+			cctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			c, calls := countingCtx(func(call int, u float64) float64 {
+				if call == 3 {
+					cancel()
+				}
+				return u
+			})
+			if values, err := Run(c.WithContext(cctx), tc.alg); !errors.Is(err, context.Canceled) || values != nil || *calls != 3 {
+				t.Errorf("cancelled on call 3: values %v, err %v after %d calls; want nil, context.Canceled after 3",
+					values, err, *calls)
+			}
+
+			c, calls = countingCtx(nil)
+			mustValues(t, tc.alg, c)
+			if (tc.exact && *calls != tc.calls) || *calls > tc.calls {
+				t.Errorf("%d metric calls, want %d (exact: %v)", *calls, tc.calls, tc.exact)
+			}
+		})
 	}
 }
 

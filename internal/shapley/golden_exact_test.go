@@ -126,7 +126,7 @@ func TestGoldenGradient(t *testing.T) {
 		{"or", OR{}, logreg, 0x6ea2a32a86306099},
 		{"lambda-mr(1)", &LambdaMR{Lambda: 1}, logreg, 0x8531ad31b8f6e787},
 		{"lambda-mr(0.5)", &LambdaMR{Lambda: 0.5}, logreg, 0x2d421efe6478201f},
-		{"gtg-shapley", &GTGShapley{}, logreg, 0x01a4648f0675e096},
+		{"gtg-shapley", GTGShapley{}, logreg, 0x01a4648f0675e096},
 		{"dig-fl", DIGFL{}, logreg, 0x310afc70e2f484ef},
 		{"dig-fl/xgb", DIGFL{}, xgb, 0x38df027feef53ad2},
 	} {

@@ -1,12 +1,13 @@
 package shapley
 
 import (
-	"fmt"
+	"errors"
 	"math"
 
 	"fedshap/internal/combin"
 	"fedshap/internal/fl"
 	"fedshap/internal/model"
+	"fedshap/internal/tensor"
 	"fedshap/internal/utility"
 )
 
@@ -18,29 +19,40 @@ import (
 // trainTrace runs the single traced all-client training. It returns
 // ErrNotApplicable for Fitter (tree) models, which produce no usable trace —
 // the "\" cells of Table V.
-func trainTrace(spec *utility.FLSpec) (model.Model, *fl.Trace, error) {
+func trainTrace(spec *utility.FLSpec) (*fl.Trace, error) {
 	if spec == nil {
-		return nil, nil, ErrNeedsSpec
+		return nil, ErrNeedsSpec
 	}
 	if _, ok := spec.Factory(spec.Config.Seed).(model.Parametric); !ok {
-		return nil, nil, ErrNotApplicable
+		return nil, ErrNotApplicable
 	}
-	m, trace := fl.TrainWithTrace(spec.Factory, spec.Clients, spec.Config)
-	return m, trace, nil
+	_, trace := fl.TrainWithTrace(spec.Factory, spec.Clients, spec.Config)
+	return trace, nil
 }
 
-// reconEvalFull evaluates the utility of the full-trajectory reconstruction
-// of coalition s (Song et al.'s construction).
-func reconEvalFull(spec *utility.FLSpec, trace *fl.Trace, s combin.Coalition) float64 {
-	m := fl.ReconstructFull(spec.Factory, trace, s, spec.Config.Seed)
-	return spec.Metric(m, spec.Test)
-}
-
-// reconEvalRound evaluates the utility of the round-r reconstruction of
-// coalition s.
-func reconEvalRound(spec *utility.FLSpec, trace *fl.Trace, r int, s combin.Coalition) float64 {
-	m := fl.ReconstructRound(spec.Factory, trace, r, s, spec.Config.Seed)
-	return spec.Metric(m, spec.Test)
+// reconGame is the game a gradient baseline values: U(S) is the metric of
+// S's reconstruction, across the whole trace when round < 0 (OR) and from
+// round round's global model otherwise. It is an oracle like any other, so
+// each coalition is evaluated once, a non-finite utility ends the run and
+// ctx.Ctx cancels it. One model and one parameter vector serve every
+// coalition, so the game is for serial use.
+func reconGame(ctx *Context, trace *fl.Trace, round int) *utility.Oracle {
+	spec := ctx.Spec
+	m := spec.Factory(spec.Config.Seed).(model.Parametric)
+	params := make(tensor.Vector, len(trace.Init))
+	g := utility.NewOracle(len(spec.Clients), func(s combin.Coalition) float64 {
+		if round < 0 {
+			fl.ReconstructFull(params, trace, s)
+		} else {
+			fl.ReconstructRound(params, trace, round, s)
+		}
+		m.SetParams(params)
+		return spec.Metric(m, spec.Test)
+	})
+	if ctx.Ctx != nil {
+		g.SetContext(ctx.Ctx)
+	}
+	return g
 }
 
 // OR is Song et al.'s gradient-based baseline: it reconstructs M_S for
@@ -55,15 +67,12 @@ func (OR) Name() string { return "OR" }
 
 // Values implements Valuer.
 func (OR) Values(ctx *Context) (Values, error) {
-	spec := ctx.Spec
-	_, trace, err := trainTrace(spec)
+	trace, err := trainTrace(ctx.Spec)
 	if err != nil {
 		return nil, err
 	}
-	n := len(spec.Clients)
-	return exactMC(n, denseTable(n, func(s combin.Coalition) float64 {
-		return reconEvalFull(spec, trace, s)
-	})), nil
+	n := len(ctx.Spec.Clients)
+	return exactMC(n, denseTable(n, reconGame(ctx, trace, -1).U)), nil
 }
 
 // LambdaMR is Wei et al.'s multi-round gradient baseline (λ-MR): in every
@@ -82,7 +91,7 @@ func (a *LambdaMR) Name() string { return "λ-MR" }
 
 // Values implements Valuer.
 func (a *LambdaMR) Values(ctx *Context) (Values, error) {
-	rounds, err := PerRoundValues(ctx.Spec)
+	rounds, err := perRoundValues(ctx)
 	if err != nil {
 		return nil, err
 	}
@@ -112,16 +121,18 @@ func (a *LambdaMR) Values(ctx *Context) (Values, error) {
 // evaluation of the round-r reconstruction. Useful for auditing *when* in
 // training each client contributed. Requires a parametric model.
 func PerRoundValues(spec *utility.FLSpec) ([]Values, error) {
-	_, trace, err := trainTrace(spec)
+	return perRoundValues(&Context{Spec: spec})
+}
+
+func perRoundValues(ctx *Context) ([]Values, error) {
+	trace, err := trainTrace(ctx.Spec)
 	if err != nil {
 		return nil, err
 	}
-	n := len(spec.Clients)
+	n := len(ctx.Spec.Clients)
 	out := make([]Values, 0, len(trace.Rounds))
 	for r := range trace.Rounds {
-		out = append(out, exactMC(n, denseTable(n, func(s combin.Coalition) float64 {
-			return reconEvalRound(spec, trace, r, s)
-		})))
+		out = append(out, exactMC(n, denseTable(n, reconGame(ctx, trace, r).U)))
 	}
 	return out, nil
 }
@@ -135,72 +146,50 @@ func pow(x float64, k int) float64 {
 }
 
 // GTGShapley is Liu et al.'s guided-truncation gradient baseline: per
-// training round it Monte-Carlo-samples permutations over single-round
-// reconstructions, with between-round truncation (rounds that barely move
-// the utility are skipped entirely) and within-permutation truncation (a
-// permutation walk stops once the running utility reaches the round's full
-// utility). Per-round values are summed over rounds.
-type GTGShapley struct {
-	// PermsPerRound is the number of sampled permutations per round
-	// (default max(8, 2n)).
-	PermsPerRound int
-	// BetweenTol is the between-round truncation threshold (default 0.01).
-	BetweenTol float64
-	// WithinTol is the within-permutation truncation threshold
-	// (default 0.005).
-	WithinTol float64
-}
+// training round it Monte-Carlo-samples max(8, 2n) permutations over
+// single-round reconstructions, with between-round truncation (a round that
+// moves the utility by less than 0.01 is skipped entirely) and
+// within-permutation truncation (a permutation walk stops once the running
+// utility is within 0.005 of the round's full utility). Per-round values
+// are summed over rounds.
+type GTGShapley struct{}
+
+// GTG-Shapley's truncation thresholds.
+const (
+	gtgBetweenTol = 0.01
+	gtgWithinTol  = 0.005
+)
 
 // Name implements Valuer.
-func (a *GTGShapley) Name() string { return "GTG-Shapley" }
+func (GTGShapley) Name() string { return "GTG-Shapley" }
 
 // Values implements Valuer.
-func (a *GTGShapley) Values(ctx *Context) (Values, error) {
-	spec := ctx.Spec
-	_, trace, err := trainTrace(spec)
+func (GTGShapley) Values(ctx *Context) (Values, error) {
+	trace, err := trainTrace(ctx.Spec)
 	if err != nil {
 		return nil, err
 	}
-	n := len(spec.Clients)
-	perms := a.PermsPerRound
-	if perms <= 0 {
-		perms = 2 * n
-		if perms < 8 {
-			perms = 8
-		}
-	}
-	betweenTol := a.BetweenTol
-	if betweenTol <= 0 {
-		betweenTol = 0.01
-	}
-	withinTol := a.WithinTol
-	if withinTol <= 0 {
-		withinTol = 0.005
-	}
-	fullC := combin.FullCoalition(n)
+	n := len(ctx.Spec.Clients)
+	perms := max(8, 2*n)
+	full := combin.FullCoalition(n)
 
 	phi := make(Values, n)
-	prevRoundU := spec.Metric(initModel(spec), spec.Test)
+	var prevRoundU float64
 	for r := range trace.Rounds {
-		uFull := reconEvalRound(spec, trace, r, fullC)
-		if math.Abs(uFull-prevRoundU) < betweenTol {
+		g := reconGame(ctx, trace, r)
+		if r == 0 {
+			// Round 0 starts from the initial model, so its U(∅) is the
+			// initial model's utility.
+			prevRoundU = g.U(combin.Empty)
+		}
+		uFull := g.U(full)
+		if math.Abs(uFull-prevRoundU) < gtgBetweenTol {
 			// Between-round truncation: this round changed little; its
 			// per-round SV is taken as zero.
 			prevRoundU = uFull
 			continue
 		}
-		uEmpty := reconEvalRound(spec, trace, r, combin.Empty)
-		cache := newUtilityTable(2)
-		cache.put(combin.Empty, uEmpty)
-		cache.put(fullC, uFull)
-		evalRound := func(s combin.Coalition) float64 {
-			if v, ok := cache.get(s); ok {
-				return v
-			}
-			v := reconEvalRound(spec, trace, r, s)
-			cache.put(s, v)
-			return v
-		}
+		uEmpty := g.U(combin.Empty)
 		roundPhi := make(Values, n)
 		for p := 0; p < perms; p++ {
 			perm := combin.RandomPermutation(n, ctx.RNG)
@@ -208,10 +197,10 @@ func (a *GTGShapley) Values(ctx *Context) (Values, error) {
 			prev := uEmpty
 			for _, i := range perm {
 				s = s.With(i)
-				if math.Abs(uFull-prev) < withinTol {
+				if math.Abs(uFull-prev) < gtgWithinTol {
 					break // within-permutation truncation
 				}
-				cur := evalRound(s)
+				cur := g.U(s)
 				roundPhi[i] += cur - prev
 				prev = cur
 			}
@@ -222,10 +211,6 @@ func (a *GTGShapley) Values(ctx *Context) (Values, error) {
 		prevRoundU = uFull
 	}
 	return phi, nil
-}
-
-func initModel(spec *utility.FLSpec) model.Model {
-	return spec.Factory(spec.Config.Seed)
 }
 
 // DIGFL is Wang et al.'s efficient contribution-evaluation baseline
@@ -242,29 +227,22 @@ func (DIGFL) Name() string { return "DIG-FL" }
 
 // Values implements Valuer.
 func (DIGFL) Values(ctx *Context) (Values, error) {
-	spec := ctx.Spec
-	if spec == nil {
-		return nil, ErrNeedsSpec
-	}
-	n := len(spec.Clients)
-	if _, ok := spec.Factory(spec.Config.Seed).(model.Parametric); !ok {
+	trace, err := trainTrace(ctx.Spec)
+	if errors.Is(err, ErrNotApplicable) {
 		// No trace to reconstruct from: leave-one-out retraining.
-		if ctx.Oracle == nil {
-			return nil, fmt.Errorf("shapley: DIG-FL fallback requires an oracle")
-		}
 		return LeaveOneOut{}.Values(ctx)
 	}
-	_, trace, err := trainTrace(spec)
 	if err != nil {
 		return nil, err
 	}
+	n := len(ctx.Spec.Clients)
 	full := combin.FullCoalition(n)
 	phi := make(Values, n)
 	for r := range trace.Rounds {
-		uAll := reconEvalRound(spec, trace, r, full)
+		g := reconGame(ctx, trace, r)
+		uAll := g.U(full)
 		for i := 0; i < n; i++ {
-			uWithout := reconEvalRound(spec, trace, r, full.Without(i))
-			phi[i] += uAll - uWithout
+			phi[i] += uAll - g.U(full.Without(i))
 		}
 	}
 	return phi, nil

@@ -44,8 +44,8 @@ type Planner interface {
 
 // PlanFor returns the deterministic evaluation plan of alg for a federation
 // of n clients and a run seeded with seed. ok is false when the algorithm
-// exposes no plan at all (the gradient-based baselines, whose cost is one
-// traced training run, not oracle calls).
+// exposes no plan at all (the gradient-based baselines, which evaluate
+// reconstructed games on oracles of their own, not on the run's Source).
 func PlanFor(alg Valuer, n int, seed int64) (plan []combin.Coalition, ok bool) {
 	if p, ok := alg.(Planner); ok {
 		return p.SamplePlan(n, seed), true

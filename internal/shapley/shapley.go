@@ -7,10 +7,13 @@
 //
 // Every algorithm consumes coalition utilities through a utility.Source,
 // so budget accounting (distinct train+evaluate calls, the paper's γ) and
-// caching are uniform across methods. Each algorithm is a draw (which
-// coalitions to request) plus a reducer; the reducers — the dense MC-SV
-// sum, the truncated-strata sum, the per-stratum mean fold, the budget stop
-// rule, the permutation walk — live once each in reduce.go, and
+// caching are uniform across methods. The gradient baselines (OR, λ-MR,
+// GTG-Shapley, DIG-FL) train once with a trace and value reconstructed
+// games, each on a utility.Oracle of its own (reconGame), so cancellation
+// and the non-finite check hold for them too. Each algorithm is a draw
+// (which coalitions to request) plus a reducer; the reducers — the dense
+// MC-SV sum, the truncated-strata sum, the per-stratum mean fold, the
+// budget stop rule, the permutation walk — live once each in reduce.go, and
 // ARCHITECTURE.md's "Estimator map" says which algorithm uses which.
 // RunPooled is the one composition of plan → prefetch → budget view → Run
 // for callers that own their oracle.
@@ -45,9 +48,10 @@ func (v Values) Sum() float64 {
 
 // Context carries the inputs a valuation algorithm may need. Oracle is
 // always required. Spec is required only by the gradient-based baselines,
-// which train once with a trace and evaluate reconstructed models; it is nil
-// when the game exists only as a utility table. Ctx, when non-nil, makes
-// the run cooperatively cancellable (see Run).
+// which train once with a trace and evaluate reconstructed models on an
+// oracle per reconstructed game, bound to Ctx; it is nil when the game
+// exists only as a utility table. Ctx, when non-nil, makes the run
+// cooperatively cancellable (see Run).
 type Context struct {
 	Oracle utility.Source
 	Spec   *utility.FLSpec

@@ -199,8 +199,9 @@ func TestServiceHTTPErrors(t *testing.T) {
 
 // TestAdmissionBoundsCoalitions: a job is admitted only when every
 // coalition it may evaluate fits the service limit of 2^25, whatever the
-// algorithm — kgreedy evaluates C(n, ≤K) coalitions however small γ is, a
-// sampler up to γ — and a kgreedy job reports that count as its budget.
+// algorithm — kgreedy evaluates C(n, ≤K) coalitions however small γ is, or
+// and lambdamr 2ⁿ reconstructions (per round), a sampler up to γ — and a
+// kgreedy job reports that count as its budget.
 func TestAdmissionBoundsCoalitions(t *testing.T) {
 	client, _ := startDaemon(t, Config{Workers: 1, BuildProblem: gameBuilder(0, nil)})
 	ctx := context.Background()
@@ -208,6 +209,8 @@ func TestAdmissionBoundsCoalitions(t *testing.T) {
 		{N: 30, Algorithm: "kgreedy", K: 30},
 		{N: 10, Algorithm: "ipss", Gamma: 1 << 40},
 		{N: 26, Algorithm: "exact"},
+		{N: 30, Algorithm: "or"},
+		{N: 30, Algorithm: "lambdamr"},
 	} {
 		// Submitting one that validates would enumerate its plan.
 		norm := req

@@ -3,6 +3,10 @@ package valserve
 import (
 	"encoding/binary"
 	"hash/fnv"
+	"os"
+	"regexp"
+	"slices"
+	"strings"
 	"testing"
 
 	"fedshap/internal/shapley"
@@ -63,5 +67,51 @@ func TestPlanTableAcrossValuers(t *testing.T) {
 	}
 	if _, err := NewValuer("no-such-algorithm", gamma, k); err == nil {
 		t.Error("NewValuer accepted an unknown name; add its row to the table above")
+	}
+}
+
+// TestEstimatorMapPlanColumn checks the Plan column of ARCHITECTURE.md's
+// Estimator map against what the code answers for every service name in
+// it: "complete" when the plan is exhaustive, "prefix" when there is a
+// plan that is not, "none" when PlanFor has no plan.
+func TestEstimatorMapPlanColumn(t *testing.T) {
+	doc, err := os.ReadFile("../../ARCHITECTURE.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, section, _ := strings.Cut(string(doc), "\n## Estimator map\n")
+	section, _, _ = strings.Cut(section, "\n## ")
+	planCol, rows := -1, 0
+	backticked := regexp.MustCompile("`([a-z-]+)`")
+	for _, line := range strings.Split(section, "\n") {
+		cells := strings.Split(strings.ReplaceAll(line, `\|`, ""), "|") // \| is a literal bar
+		if planCol < 0 {
+			planCol = slices.Index(cells, " Plan ")
+			continue
+		}
+		if !strings.HasPrefix(line, "| `") || len(cells) <= planCol {
+			continue
+		}
+		documented, _, _ := strings.Cut(strings.TrimSpace(cells[planCol]), " ")
+		for _, name := range backticked.FindAllStringSubmatch(cells[1], -1) {
+			alg, err := NewValuer(name[1], 8, 2)
+			if err != nil {
+				t.Fatalf("Estimator map row %q: %v", name[1], err)
+			}
+			kind := "none"
+			if _, ok := shapley.PlanFor(alg, 6, 1); ok {
+				kind = "prefix"
+				if shapley.PlanExhaustive(alg) {
+					kind = "complete"
+				}
+			}
+			if documented != kind {
+				t.Errorf("Estimator map: %q has Plan %q, the code says %q", name[1], documented, kind)
+			}
+			rows++
+		}
+	}
+	if planCol < 0 || rows == 0 {
+		t.Fatalf("no Estimator map rows with a Plan column found in ARCHITECTURE.md")
 	}
 }

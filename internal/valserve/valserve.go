@@ -180,7 +180,7 @@ func NewValuer(name string, gamma, k int) (shapley.Valuer, error) {
 	case "lambdamr":
 		return &shapley.LambdaMR{}, nil
 	case "gtg":
-		return &shapley.GTGShapley{}, nil
+		return shapley.GTGShapley{}, nil
 	default:
 		return nil, fmt.Errorf("unknown algorithm %q", name)
 	}
@@ -194,15 +194,22 @@ const maxExactN = 25
 
 // budgetFor resolves how many coalitions a job may evaluate, the progress
 // denominator it reports against: 2ⁿ for the exact family, C(n, ≤K) for
-// kgreedy (every coalition of at most K clients, whatever γ is), and the
-// sampling budget γ otherwise. A count above the admission bound saturates
-// just past it, so 2ⁿ cannot overflow.
+// kgreedy (every coalition of at most K clients, whatever γ is), what the
+// reconstruction baselines evaluate over the scale's rounds (2ⁿ for or,
+// rounds × 2ⁿ for lambdamr, at most rounds × max(8, 2n) × n for gtg's
+// truncated walks, rounds × (n + 1) for digfl), and the sampling budget γ
+// otherwise. A count above the admission bound saturates just past it, so
+// 2ⁿ cannot overflow.
 func budgetFor(req fedshap.JobRequest) int {
 	const over = 1<<maxExactN + 1
-	switch strings.ToLower(req.Algorithm) {
-	case "exact", "mc", "perm":
+	sc, _ := ParseScale(req.Scale) // an unknown scale counts no rounds
+	switch alg := strings.ToLower(req.Algorithm); alg {
+	case "exact", "mc", "perm", "or", "lambdamr":
 		if req.N > maxExactN {
 			return over
+		}
+		if alg == "lambdamr" {
+			return min(sc.Rounds<<req.N, over)
 		}
 		return 1 << req.N
 	case "kgreedy":
@@ -211,6 +218,10 @@ func budgetFor(req fedshap.JobRequest) int {
 			c += combin.Binomial(req.N, k)
 		}
 		return int(min(c, over))
+	case "gtg":
+		return sc.Rounds * max(8, 2*req.N) * req.N
+	case "digfl":
+		return sc.Rounds * (req.N + 1)
 	}
 	return req.Gamma
 }

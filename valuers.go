@@ -88,7 +88,7 @@ func LambdaMR(lambda float64) Valuer { return &shapley.LambdaMR{Lambda: lambda} 
 
 // GTGShapley returns the GTG-Shapley guided-truncation gradient baseline
 // (Liu et al.). Not applicable to tree models.
-func GTGShapley() Valuer { return &shapley.GTGShapley{} }
+func GTGShapley() Valuer { return shapley.GTGShapley{} }
 
 // LeaveOneOut returns the O(n) leave-one-out baseline φᵢ = U(N) − U(N\{i}).
 // Cheap but not a Shapley value: perfect substitutes are both zeroed.
