@@ -100,9 +100,7 @@ func (m *Dense) forward(x tensor.Vector) tensor.Vector {
 	for l := range m.layers[:last] {
 		ly := &m.layers[l]
 		ly.w.MulVec(x, ly.act)
-		for j, b := range ly.b {
-			ly.act[j] = tensor.ReLU(ly.act[j] + b)
-		}
+		ly.act.BiasReLU(ly.b)
 		x = ly.act
 	}
 	out := &m.layers[last]
@@ -162,11 +160,7 @@ func (m *Dense) TrainEpoch(ds *dataset.Dataset, lr float64, rng *rand.Rand) {
 			ly, below := &m.layers[l], &m.layers[l-1]
 			// Backprop into the layer below needs w before its update.
 			ly.w.MulVecT(g, below.grad)
-			for j, a := range below.act {
-				if a <= 0 {
-					below.grad[j] = 0
-				}
-			}
+			below.grad.ReLUMask(below.act)
 			ly.b.AddScaled(-lr, g)
 			ly.w.AddOuterScaled(-lr, g, below.act)
 			g = below.grad

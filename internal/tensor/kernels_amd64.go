@@ -1,9 +1,9 @@
 package tensor
 
-// useAVX2 routes MulVec, MulVecT, AddOuterScaled and Vector.AddScaled to
-// the assembly in kernels_amd64.s. It is read from CPUID once, when the
-// package initialises; the package's tests clear it to run the Go loops on
-// the same machine.
+// useAVX2 routes MulVec, MulVecT, AddOuterScaled, Vector.AddScaled,
+// Vector.BiasReLU and Vector.ReLUMask to the assembly in kernels_amd64.s.
+// It is read from CPUID once, when the package initialises; the package's
+// tests clear it to run the Go loops on the same machine.
 var useAVX2 = cpuHasAVX2()
 
 // cpuHasAVX2 reports whether the CPU has AVX and AVX2 and the operating
@@ -39,19 +39,33 @@ func xgetbv() (eax, edx uint32)
 //go:noescape
 func mulVec8(a, v, dst []float64)
 
-// mulVecT4 performs dst[j] += rows[k][j]*vs[k] for k = 0, 1, 2, 3 in that
-// order. Every row is at least len(dst) long.
+// mulVecTRows performs, for each r in rows in order, dst[j] += a[r][j]*v[r],
+// where data holds the rows a[r] of len(dst) elements each: groups of four
+// rows share one pass over dst, and the last len(rows)%4 rows take one
+// pass each. Every r indexes a row of data and an element of v.
 //
 //go:noescape
-func mulVecT4(dst []float64, rows *[4]Vector, vs *[4]float64)
+func mulVecTRows(dst, data []float64, rows []uint8, v []float64)
 
-// addOuter4 performs rows[k][j] += au[k]*v[j] for k = 0..3. Every row is
-// at least len(v) long.
+// addOuterRows performs, for each r in rows, a[r][j] += (alpha*u[r])*v[j],
+// where data holds the rows a[r] of len(v) elements each: groups of four
+// rows share one pass over v, and the last len(rows)%4 rows take one pass
+// each. Every r indexes a row of data and an element of u.
 //
 //go:noescape
-func addOuter4(rows *[4]Vector, au *[4]float64, v []float64)
+func addOuterRows(data []float64, rows []uint8, alpha float64, u, v []float64)
 
 // axpy performs y[i] += alpha*x[i]; x is at least len(y) long.
 //
 //go:noescape
 func axpy(alpha float64, x, y []float64)
+
+// biasReLU performs v[i] = ReLU(v[i] + b[i]); b is at least len(v) long.
+//
+//go:noescape
+func biasReLU(v, b []float64)
+
+// reluMask sets v[i] to +0 where act[i] <= 0; act is at least len(v) long.
+//
+//go:noescape
+func reluMask(v, act []float64)

@@ -4,7 +4,9 @@
 // and receives that element's products in the order the Go loop in
 // tensor.go adds them; a multiply and the add that consumes it are always
 // two instructions (VMULPD, VADDPD), never a fused VFMADD, so each lane
-// rounds exactly as the scalar code does.
+// rounds exactly as the scalar code does. The ReLU epilogues compute each
+// element exactly as the Go expression does, NaN and signed zeros
+// included.
 
 // func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 TEXT ·cpuid(SB), NOSPLIT, $0-24
@@ -132,29 +134,51 @@ mv_done:
 	VZEROUPPER
 	RET
 
-// func mulVecT4(dst []float64, rows *[4]Vector, vs *[4]float64)
+// func mulVecTRows(dst, data []float64, rows []uint8, v []float64)
 //
-// dst[j] += rows[0][j]*vs[0], then rows[1], rows[2], rows[3], four columns
-// per iteration and the remaining columns one at a time.
-TEXT ·mulVecT4(SB), NOSPLIT, $0-40
-	MOVQ         dst_base+0(FP), DI
-	MOVQ         dst_len+8(FP), CX
-	MOVQ         rows+24(FP), AX
-	MOVQ         0(AX), R8
-	MOVQ         24(AX), R9
-	MOVQ         48(AX), R10
-	MOVQ         72(AX), R11
-	MOVQ         vs+32(FP), AX
-	VBROADCASTSD 0(AX), Y0
-	VBROADCASTSD 8(AX), Y1
-	VBROADCASTSD 16(AX), Y2
-	VBROADCASTSD 24(AX), Y3
-	XORQ         SI, SI
-	MOVQ         CX, DX
-	SHRQ         $2, DX
-	JZ           mt_tail
+// For each group of four rows: dst[j] += row0[j]*v[r0], then row1, row2
+// and row3, four columns per iteration and the remaining columns one at a
+// time. Each of the last len(rows)%4 rows then takes a pass of its own.
+// Row r starts r*len(dst) elements into data.
+//
+// Registers: DI &dst[0] and AX len(dst), R12 &data[0], R13 the next row
+// index and BX the rows left, R8-R11 the group's rows, Y0-Y3 their
+// broadcast scales, SI the column in bytes, DX/CX the column blocks and
+// columns left (DX also &v[0] while a group is set up).
+TEXT ·mulVecTRows(SB), NOSPLIT, $0-96
+	MOVQ dst_base+0(FP), DI
+	MOVQ dst_len+8(FP), AX
+	MOVQ data_base+24(FP), R12
+	MOVQ rows_base+48(FP), R13
+	MOVQ rows_len+56(FP), BX
+	SUBQ $4, BX
+	JLT  mt_rows
 
-mt_loop:
+mt_group:
+	MOVQ         v_base+72(FP), DX
+	MOVBQZX      0(R13), R8
+	MOVBQZX      1(R13), R9
+	MOVBQZX      2(R13), R10
+	MOVBQZX      3(R13), R11
+	VBROADCASTSD (DX)(R8*8), Y0
+	VBROADCASTSD (DX)(R9*8), Y1
+	VBROADCASTSD (DX)(R10*8), Y2
+	VBROADCASTSD (DX)(R11*8), Y3
+	IMULQ        AX, R8
+	LEAQ         (R12)(R8*8), R8
+	IMULQ        AX, R9
+	LEAQ         (R12)(R9*8), R9
+	IMULQ        AX, R10
+	LEAQ         (R12)(R10*8), R10
+	IMULQ        AX, R11
+	LEAQ         (R12)(R11*8), R11
+	ADDQ         $4, R13
+	XORQ         SI, SI
+	MOVQ         AX, DX
+	SHRQ         $2, DX
+	JZ           mt_gtail
+
+mt_gloop:
 	VMOVUPD (DI)(SI*1), Y4
 	VMULPD  (R8)(SI*1), Y0, Y5
 	VADDPD  Y5, Y4, Y4
@@ -167,13 +191,14 @@ mt_loop:
 	VMOVUPD Y4, (DI)(SI*1)
 	ADDQ    $32, SI
 	DECQ    DX
-	JNZ     mt_loop
+	JNZ     mt_gloop
 
-mt_tail:
+mt_gtail:
+	MOVQ AX, CX
 	ANDQ $3, CX
-	JZ   mt_done
+	JZ   mt_gnext
 
-mt_one:
+mt_gone:
 	VMOVSD (DI)(SI*1), X4
 	VMULSD (R8)(SI*1), X0, X5
 	VADDSD X5, X4, X4
@@ -186,36 +211,110 @@ mt_one:
 	VMOVSD X4, (DI)(SI*1)
 	ADDQ   $8, SI
 	DECQ   CX
-	JNZ    mt_one
+	JNZ    mt_gone
+
+mt_gnext:
+	SUBQ $4, BX
+	JGE  mt_group
+
+mt_rows:
+	ADDQ $4, BX
+	JZ   mt_done
+
+mt_row:
+	MOVQ         v_base+72(FP), DX
+	MOVBQZX      0(R13), R8
+	VBROADCASTSD (DX)(R8*8), Y0
+	IMULQ        AX, R8
+	LEAQ         (R12)(R8*8), R8
+	INCQ         R13
+	XORQ         SI, SI
+	MOVQ         AX, DX
+	SHRQ         $2, DX
+	JZ           mt_rtail
+
+mt_rloop:
+	VMOVUPD (DI)(SI*1), Y4
+	VMULPD  (R8)(SI*1), Y0, Y5
+	VADDPD  Y5, Y4, Y4
+	VMOVUPD Y4, (DI)(SI*1)
+	ADDQ    $32, SI
+	DECQ    DX
+	JNZ     mt_rloop
+
+mt_rtail:
+	MOVQ AX, CX
+	ANDQ $3, CX
+	JZ   mt_rnext
+
+mt_rone:
+	VMOVSD (DI)(SI*1), X4
+	VMULSD (R8)(SI*1), X0, X5
+	VADDSD X5, X4, X4
+	VMOVSD X4, (DI)(SI*1)
+	ADDQ   $8, SI
+	DECQ   CX
+	JNZ    mt_rone
+
+mt_rnext:
+	DECQ BX
+	JNZ  mt_row
 
 mt_done:
 	VZEROUPPER
 	RET
 
-// func addOuter4(rows *[4]Vector, au *[4]float64, v []float64)
+// func addOuterRows(data []float64, rows []uint8, alpha float64, u, v []float64)
 //
-// rows[k][j] += au[k]*v[j] for k = 0..3, one pass over v: every element
-// gets its one update, four columns per iteration and the remaining
-// columns one at a time.
-TEXT ·addOuter4(SB), NOSPLIT, $0-40
-	MOVQ         rows+0(FP), AX
-	MOVQ         0(AX), R8
-	MOVQ         24(AX), R9
-	MOVQ         48(AX), R10
-	MOVQ         72(AX), R11
-	MOVQ         au+8(FP), AX
-	VBROADCASTSD 0(AX), Y0
-	VBROADCASTSD 8(AX), Y1
-	VBROADCASTSD 16(AX), Y2
-	VBROADCASTSD 24(AX), Y3
-	MOVQ         v_base+16(FP), DI
-	MOVQ         v_len+24(FP), CX
-	XORQ         SI, SI
-	MOVQ         CX, DX
-	SHRQ         $2, DX
-	JZ           ao_tail
+// For each group of four rows: rowk[j] += (alpha*u[rk])*v[j] for k = 0..3
+// in one pass over v, four columns per iteration and the remaining columns
+// one at a time, so every element gets its one update. Each of the last
+// len(rows)%4 rows then takes a pass of its own. Row r starts r*len(v)
+// elements into data.
+//
+// Registers: R12 &data[0], R13 the next row index and BX the rows left, DI
+// &v[0] and AX len(v), X9 alpha, R8-R11 the group's rows, Y0-Y3 their
+// broadcast scales, SI the column in bytes, DX/CX the column blocks and
+// columns left (DX also &u[0] while a group is set up).
+TEXT ·addOuterRows(SB), NOSPLIT, $0-104
+	MOVQ   data_base+0(FP), R12
+	MOVQ   rows_base+24(FP), R13
+	MOVQ   rows_len+32(FP), BX
+	VMOVSD alpha+48(FP), X9
+	MOVQ   v_base+80(FP), DI
+	MOVQ   v_len+88(FP), AX
+	SUBQ   $4, BX
+	JLT    ao_rows
 
-ao_loop:
+ao_group:
+	MOVQ         u_base+56(FP), DX
+	MOVBQZX      0(R13), R8
+	MOVBQZX      1(R13), R9
+	MOVBQZX      2(R13), R10
+	MOVBQZX      3(R13), R11
+	VMULSD       (DX)(R8*8), X9, X0
+	VMULSD       (DX)(R9*8), X9, X1
+	VMULSD       (DX)(R10*8), X9, X2
+	VMULSD       (DX)(R11*8), X9, X3
+	VBROADCASTSD X0, Y0
+	VBROADCASTSD X1, Y1
+	VBROADCASTSD X2, Y2
+	VBROADCASTSD X3, Y3
+	IMULQ        AX, R8
+	LEAQ         (R12)(R8*8), R8
+	IMULQ        AX, R9
+	LEAQ         (R12)(R9*8), R9
+	IMULQ        AX, R10
+	LEAQ         (R12)(R10*8), R10
+	IMULQ        AX, R11
+	LEAQ         (R12)(R11*8), R11
+	ADDQ         $4, R13
+	XORQ         SI, SI
+	MOVQ         AX, DX
+	SHRQ         $2, DX
+	JZ           ao_gtail
+
+ao_gloop:
 	VMOVUPD (DI)(SI*1), Y4
 	VMULPD  Y4, Y0, Y5
 	VADDPD  (R8)(SI*1), Y5, Y5
@@ -231,13 +330,14 @@ ao_loop:
 	VMOVUPD Y8, (R11)(SI*1)
 	ADDQ    $32, SI
 	DECQ    DX
-	JNZ     ao_loop
+	JNZ     ao_gloop
 
-ao_tail:
+ao_gtail:
+	MOVQ AX, CX
 	ANDQ $3, CX
-	JZ   ao_done
+	JZ   ao_gnext
 
-ao_one:
+ao_gone:
 	VMOVSD (DI)(SI*1), X4
 	VMULSD X4, X0, X5
 	VADDSD (R8)(SI*1), X5, X5
@@ -253,7 +353,53 @@ ao_one:
 	VMOVSD X8, (R11)(SI*1)
 	ADDQ   $8, SI
 	DECQ   CX
-	JNZ    ao_one
+	JNZ    ao_gone
+
+ao_gnext:
+	SUBQ $4, BX
+	JGE  ao_group
+
+ao_rows:
+	ADDQ $4, BX
+	JZ   ao_done
+
+ao_row:
+	MOVQ         u_base+56(FP), DX
+	MOVBQZX      0(R13), R8
+	VMULSD       (DX)(R8*8), X9, X0
+	VBROADCASTSD X0, Y0
+	IMULQ        AX, R8
+	LEAQ         (R12)(R8*8), R8
+	INCQ         R13
+	XORQ         SI, SI
+	MOVQ         AX, DX
+	SHRQ         $2, DX
+	JZ           ao_rtail
+
+ao_rloop:
+	VMULPD  (DI)(SI*1), Y0, Y5
+	VADDPD  (R8)(SI*1), Y5, Y5
+	VMOVUPD Y5, (R8)(SI*1)
+	ADDQ    $32, SI
+	DECQ    DX
+	JNZ     ao_rloop
+
+ao_rtail:
+	MOVQ AX, CX
+	ANDQ $3, CX
+	JZ   ao_rnext
+
+ao_rone:
+	VMULSD (DI)(SI*1), X0, X5
+	VADDSD (R8)(SI*1), X5, X5
+	VMOVSD X5, (R8)(SI*1)
+	ADDQ   $8, SI
+	DECQ   CX
+	JNZ    ao_rone
+
+ao_rnext:
+	DECQ BX
+	JNZ  ao_row
 
 ao_done:
 	VZEROUPPER
@@ -294,5 +440,92 @@ ax_one:
 	JNZ    ax_one
 
 ax_done:
+	VZEROUPPER
+	RET
+
+// func biasReLU(v, b []float64)
+//
+// v[i] = max(v[i]+b[i], 0) over len(v), four elements per iteration and
+// the remaining elements one at a time. The zero is VMAXPD's second source,
+// which the instruction returns whenever the comparison first > second is
+// false: for a NaN sum and for a sum of either zero, as the Go ReLU returns
+// +0 for both.
+TEXT ·biasReLU(SB), NOSPLIT, $0-48
+	MOVQ   v_base+0(FP), DI
+	MOVQ   v_len+8(FP), CX
+	MOVQ   b_base+24(FP), AX
+	VXORPD Y1, Y1, Y1
+	XORQ   SI, SI
+	MOVQ   CX, DX
+	SHRQ   $2, DX
+	JZ     br_tail
+
+br_loop:
+	VMOVUPD (DI)(SI*1), Y0
+	VADDPD  (AX)(SI*1), Y0, Y0
+	VMAXPD  Y1, Y0, Y0
+	VMOVUPD Y0, (DI)(SI*1)
+	ADDQ    $32, SI
+	DECQ    DX
+	JNZ     br_loop
+
+br_tail:
+	ANDQ $3, CX
+	JZ   br_done
+
+br_one:
+	VMOVSD (DI)(SI*1), X0
+	VADDSD (AX)(SI*1), X0, X0
+	VMAXSD X1, X0, X0
+	VMOVSD X0, (DI)(SI*1)
+	ADDQ   $8, SI
+	DECQ   CX
+	JNZ    br_one
+
+br_done:
+	VZEROUPPER
+	RET
+
+// func reluMask(v, act []float64)
+//
+// v[i] = +0 where act[i] <= 0 over len(v), four elements per iteration and
+// the remaining elements one at a time. The mask is the ordered,
+// signalling less-or-equal (predicate 2, LE_OS), false for a NaN act[i]
+// as Go's <= is, and VANDNPD clears v[i] where it is set and passes the
+// bits through where it is not.
+TEXT ·reluMask(SB), NOSPLIT, $0-48
+	MOVQ   v_base+0(FP), DI
+	MOVQ   v_len+8(FP), CX
+	MOVQ   act_base+24(FP), AX
+	VXORPD Y1, Y1, Y1
+	XORQ   SI, SI
+	MOVQ   CX, DX
+	SHRQ   $2, DX
+	JZ     rm_tail
+
+rm_loop:
+	VMOVUPD (AX)(SI*1), Y0
+	VCMPPD  $2, Y1, Y0, Y0
+	VANDNPD (DI)(SI*1), Y0, Y0
+	VMOVUPD Y0, (DI)(SI*1)
+	ADDQ    $32, SI
+	DECQ    DX
+	JNZ     rm_loop
+
+rm_tail:
+	ANDQ $3, CX
+	JZ   rm_done
+
+rm_one:
+	VMOVSD  (AX)(SI*1), X0
+	VCMPSD  $2, X1, X0, X0
+	VMOVSD  (DI)(SI*1), X2
+	VANDNPD X2, X0, X0
+	VMOVSD  X0, (DI)(SI*1)
+	ADDQ    $8, SI
+	DECQ    CX
+	JNZ     rm_one
+
+rm_done:
 	VZEROUPPER
 	RET

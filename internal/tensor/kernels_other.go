@@ -7,9 +7,11 @@ package tensor
 // tensor.go compile.
 const useAVX2 = false
 
-func mulVec8(a, v, dst []float64)                             { panic(noSIMD) }
-func mulVecT4(dst []float64, rows *[4]Vector, vs *[4]float64) { panic(noSIMD) }
-func addOuter4(rows *[4]Vector, au *[4]float64, v []float64)  { panic(noSIMD) }
-func axpy(alpha float64, x, y []float64)                      { panic(noSIMD) }
+func mulVec8(a, v, dst []float64)                                              { panic(noSIMD) }
+func mulVecTRows(dst, data []float64, rows []uint8, v []float64)               { panic(noSIMD) }
+func addOuterRows(data []float64, rows []uint8, alpha float64, u, v []float64) { panic(noSIMD) }
+func axpy(alpha float64, x, y []float64)                                       { panic(noSIMD) }
+func biasReLU(v, b []float64)                                                  { panic(noSIMD) }
+func reluMask(v, act []float64)                                                { panic(noSIMD) }
 
 const noSIMD = "tensor: no SIMD kernels on this architecture"

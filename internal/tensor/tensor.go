@@ -25,6 +25,27 @@
 // the Go compiler does not fuse them on amd64. The Go loops remain the
 // portable path on every other CPU and architecture, and the reference the
 // assembly is tested against bit for bit on both paths.
+//
+// Vector.BiasReLU and Vector.ReLUMask, the per-element glue of a hidden
+// layer, run assembly too. They sum nothing, so their rule is that each
+// instruction computes exactly the Go expression. BiasReLU is VADDPD, then
+// VMAXPD with zero as the second source, which the instruction returns
+// whenever "first > second" is false: a NaN sum and a sum of either zero
+// become +0, as in Go's x > 0 ? x : 0. ReLUMask compares act with the
+// ordered less-or-equal predicate (LE_OS), false on NaN as Go's <= is, and
+// VANDNPD clears v where the mask is set and passes v's bits through
+// everywhere else. NaN is therefore safe in both: ReLU turns every NaN into
+// +0 and the mask only copies bits, so no result depends on which of two
+// NaN payloads an instruction keeps.
+//
+// MulVecT and AddOuterScaled skip the rows whose scale is an exact zero.
+// Behind a ReLU about half of them are, in a pattern that changes with
+// every sample, so a branch per row is mispredicted about every other row
+// and costs more than the skip saves. The rows are compacted without a
+// branch instead: every row's index is written to a small stack array and
+// the count advances by a conditional move, and the assembly then takes
+// the compacted rows four at a time, addressing each from the matrix's
+// base and its index.
 package tensor
 
 import (
@@ -69,6 +90,38 @@ func (v Vector) AddScaled(alpha float64, w Vector) {
 	}
 	for i := range v {
 		v[i] += alpha * w[i]
+	}
+}
+
+// BiasReLU performs v[i] = ReLU(v[i] + b[i]), the epilogue of a hidden
+// layer's affine map.
+func (v Vector) BiasReLU(b Vector) {
+	if len(v) != len(b) {
+		panic(fmt.Sprintf("tensor: BiasReLU dimension mismatch %d vs %d", len(v), len(b)))
+	}
+	if useAVX2 {
+		biasReLU(v, b)
+		return
+	}
+	for i, x := range b {
+		v[i] = ReLU(v[i] + x)
+	}
+}
+
+// ReLUMask sets v[i] to zero wherever act[i] <= 0: the backward pass of a
+// ReLU whose outputs are act. A NaN activation keeps its v[i].
+func (v Vector) ReLUMask(act Vector) {
+	if len(v) != len(act) {
+		panic(fmt.Sprintf("tensor: ReLUMask dimension mismatch %d vs %d", len(v), len(act)))
+	}
+	if useAVX2 {
+		reluMask(v, act)
+		return
+	}
+	for i, a := range act {
+		if a <= 0 {
+			v[i] = 0
+		}
 	}
 }
 
@@ -200,6 +253,9 @@ func (m *Matrix) MulVec(v Vector, dst Vector) Vector {
 
 // MulVecT computes dst = Mᵀ * v, allocating dst when nil. Rows with
 // v[i] == 0 contribute nothing and are skipped.
+//
+// The non-zero rows are compacted as in AddOuterScaled and added to dst in
+// ascending order, each group of four in one pass over dst.
 func (m *Matrix) MulVecT(v Vector, dst Vector) Vector {
 	if len(v) != m.Rows {
 		panic(fmt.Sprintf("tensor: MulVecT dimension mismatch: rows=%d len(v)=%d", m.Rows, len(v)))
@@ -211,36 +267,17 @@ func (m *Matrix) MulVecT(v Vector, dst Vector) Vector {
 	} else {
 		dst.Fill(0)
 	}
-	var (
-		rows [4]Vector
-		vs   [4]float64
-		k    int
-	)
-	for i, vi := range v {
-		if vi == 0 {
-			continue
-		}
-		rows[k], vs[k] = m.Row(i), vi
-		if k++; k < 4 {
-			continue
-		}
-		k = 0
+	var idx [rowBlock]uint8
+	for base := 0; base < len(v); base += rowBlock {
+		vb := v[base:min(base+rowBlock, len(v))]
+		// 1·v[i] is v[i]: the test is v[i] != 0.
+		rows := idx[:nonZeroRows(&idx, 1, vb)]
+		block := m.Data[base*m.Cols : (base+len(vb))*m.Cols]
 		if useAVX2 {
-			mulVecT4(dst, &rows, &vs)
-			continue
+			mulVecTRows(dst, block, rows, vb)
+		} else {
+			mulVecTRowsGo(dst, block, rows, vb)
 		}
-		r0, r1, r2, r3 := rows[0][:len(dst)], rows[1][:len(dst)], rows[2][:len(dst)], rows[3][:len(dst)]
-		v0, v1, v2, v3 := vs[0], vs[1], vs[2], vs[3]
-		for j, d := range dst {
-			d += r0[j] * v0
-			d += r1[j] * v1
-			d += r2[j] * v2
-			d += r3[j] * v3
-			dst[j] = d
-		}
-	}
-	for r := 0; r < k; r++ {
-		dst.AddScaled(vs[r], rows[r])
 	}
 	return dst
 }
@@ -254,27 +291,80 @@ func (m *Matrix) AddOuterScaled(alpha float64, u, v Vector) {
 	if len(u) != m.Rows || len(v) != m.Cols {
 		panic("tensor: AddOuterScaled dimension mismatch")
 	}
-	var (
-		rows [4]Vector
-		au   [4]float64
-		k    int
-	)
-	for i, ui := range u {
-		a := alpha * ui
-		if a == 0 {
-			continue
-		}
-		rows[k], au[k] = m.Row(i), a
-		if k++; k < 4 {
-			continue
-		}
-		k = 0
+	var idx [rowBlock]uint8
+	for base := 0; base < len(u); base += rowBlock {
+		ub := u[base:min(base+rowBlock, len(u))]
+		rows := idx[:nonZeroRows(&idx, alpha, ub)]
+		block := m.Data[base*m.Cols : (base+len(ub))*m.Cols]
 		if useAVX2 {
-			addOuter4(&rows, &au, v)
-			continue
+			addOuterRows(block, rows, alpha, ub, v)
+		} else {
+			addOuterRowsGo(block, rows, alpha, ub, v)
 		}
-		r0, r1, r2, r3 := rows[0][:len(v)], rows[1][:len(v)], rows[2][:len(v)], rows[3][:len(v)]
-		a0, a1, a2, a3 := au[0], au[1], au[2], au[3]
+	}
+}
+
+// rowBlock is how many rows one compaction covers: a 32-wide hidden layer
+// fits in one, and a row's index within it fits a byte.
+const rowBlock = 32
+
+// nonZeroRows writes to idx, in ascending order, the indices i of the
+// elements of u (at most rowBlock of them) with alpha*u[i] != 0, and
+// returns how many there are.
+//
+// Every index is written and the count advances only past the non-zero
+// rows: a conditional move, not a branch (see the package comment).
+// Inlined into its callers, the loop shares registers with their kernel
+// call and the count goes through the stack on every row.
+//
+//go:noinline
+func nonZeroRows(idx *[rowBlock]uint8, alpha float64, u Vector) int {
+	k := 0
+	for i, ui := range u {
+		idx[k&(rowBlock-1)] = uint8(i)
+		if alpha*ui != 0 {
+			k++
+		}
+	}
+	return k
+}
+
+// mulVecTRowsGo is mulVecTRows on the Go loops: for each r in rows, in
+// order, dst[j] += row r of data times v[r], four rows per pass over dst.
+func mulVecTRowsGo(dst, data []float64, rows []uint8, v []float64) {
+	n := len(dst)
+	g := 0
+	for ; g+4 <= len(rows); g += 4 {
+		q := rows[g : g+4 : g+4]
+		i0, i1, i2, i3 := int(q[0]), int(q[1]), int(q[2]), int(q[3])
+		r0, r1, r2, r3 := data[i0*n:][:n], data[i1*n:][:n], data[i2*n:][:n], data[i3*n:][:n]
+		v0, v1, v2, v3 := v[i0], v[i1], v[i2], v[i3]
+		for j, d := range dst {
+			d += r0[j] * v0
+			d += r1[j] * v1
+			d += r2[j] * v2
+			d += r3[j] * v3
+			dst[j] = d
+		}
+	}
+	for _, i := range rows[g:] {
+		row, a := data[int(i)*n:][:n], v[i]
+		for j := range dst {
+			dst[j] += row[j] * a
+		}
+	}
+}
+
+// addOuterRowsGo is addOuterRows on the Go loops: for each r in rows,
+// row r of data += alpha*u[r] times v, four rows per pass over v.
+func addOuterRowsGo(data []float64, rows []uint8, alpha float64, u, v []float64) {
+	n := len(v)
+	g := 0
+	for ; g+4 <= len(rows); g += 4 {
+		q := rows[g : g+4 : g+4]
+		i0, i1, i2, i3 := int(q[0]), int(q[1]), int(q[2]), int(q[3])
+		r0, r1, r2, r3 := data[i0*n:][:n], data[i1*n:][:n], data[i2*n:][:n], data[i3*n:][:n]
+		a0, a1, a2, a3 := alpha*u[i0], alpha*u[i1], alpha*u[i2], alpha*u[i3]
 		for j, x := range v {
 			r0[j] += a0 * x
 			r1[j] += a1 * x
@@ -282,8 +372,11 @@ func (m *Matrix) AddOuterScaled(alpha float64, u, v Vector) {
 			r3[j] += a3 * x
 		}
 	}
-	for r := 0; r < k; r++ {
-		rows[r].AddScaled(au[r], v)
+	for _, i := range rows[g:] {
+		row, a := data[int(i)*n:][:n], alpha*u[i]
+		for j, x := range v {
+			row[j] += a * x
+		}
 	}
 }
 
