@@ -109,11 +109,10 @@ func TrainWithTrace(factory model.Factory, clients []*dataset.Dataset, cfg Confi
 }
 
 // Arena owns everything one federated training builds — the global model
-// and its initial parameters, the local model and RNG, the
-// parameter, aggregate and per-client delta vectors, the weights — so that
-// training coalition after coalition through one Arena allocates nothing
-// once it is warm. The zero value is ready; Train is the one-shot case of a
-// fresh Arena that is then dropped.
+// and its initial parameters, the RNG, the parameter, aggregate and delta
+// vectors, the weights — so that training coalition after coalition
+// through one Arena allocates nothing once it is warm. The zero value is
+// ready; Train is the one-shot case of a fresh Arena that is then dropped.
 //
 // An Arena serves one factory and one training at a time. The model Train
 // returns is arena-owned: it is valid only until the next Train on the same
@@ -122,26 +121,26 @@ func TrainWithTrace(factory model.Factory, clients []*dataset.Dataset, cfg Confi
 // from the same parameters, which is what makes starting over from the
 // recorded initial vector equal to running the factory again, bit for bit.
 type Arena struct {
+	// global is also where every client trains: SetParams overwrites its
+	// trainable state with the round-start parameters before each client,
+	// and the last SetParams of a training restores the aggregate. rng is
+	// reused across clients, rounds and trainings: Seed restarts the stream
+	// a fresh rand.NewSource would give, so reuse changes nothing
+	// numerically.
 	global model.Parametric
 	// init is global's parameter vector as the factory built it under
 	// seed; a Config with another seed starts the Arena over.
 	init tensor.Vector
 	seed int64
-
-	// local and rng are reused across clients, rounds and trainings:
-	// SetParams fully overwrites the trainable state and Seed restarts the
-	// stream a fresh rand.NewSource would give, so reuse changes nothing
-	// numerically.
-	local model.Parametric
-	rng   *rand.Rand
+	rng  *rand.Rand
 	// params is the round-start global vector, agg the round's aggregate
-	// and deltas[i] client i's update buffer. Outside trace mode a round
-	// allocates nothing; a trace keeps each round's updates, so there the
-	// buffer is handed over and the next round appends to nil.
-	params, agg  tensor.Vector
-	deltas       []tensor.Vector
-	weights      []float64
-	participants []int
+	// and delta the update buffer of the client in training, added to agg
+	// as soon as that client finishes. Outside trace mode a round
+	// allocates nothing; a trace keeps each client's update, so there the
+	// buffer is handed over and the next client appends to nil.
+	params, agg, delta tensor.Vector
+	weights            []float64
+	participants       []int
 }
 
 // Train is fl.Train on the Arena's buffers; see the type for how long the
@@ -190,11 +189,8 @@ func (a *Arena) fedAvg(clients []*dataset.Dataset, cfg Config, wantTrace bool) (
 		return a.global, trace
 	}
 
-	if a.local == nil {
-		a.local, a.rng = a.global.Clone().(model.Parametric), rand.New(rand.NewSource(0))
-	}
-	if n > len(a.deltas) {
-		a.deltas = slices.Grow(a.deltas, n-len(a.deltas))[:n]
+	if a.rng == nil {
+		a.rng = rand.New(rand.NewSource(0))
 	}
 	a.params = append(a.params[:0], a.init...)
 	if a.agg == nil {
@@ -210,16 +206,15 @@ func (a *Arena) fedAvg(clients []*dataset.Dataset, cfg Config, wantTrace bool) (
 				Weights: append([]float64(nil), a.weights...),
 			}
 		}
-		for _, i := range a.participants {
-			a.trainClient(clients[i], cfg, round, i)
-		}
-		// The reduction runs in fixed client order, which fixes the
-		// floating-point aggregation sequence and hence the trained bits.
+		// Clients train and are added in fixed participant order, which
+		// fixes the floating-point aggregation sequence and hence the
+		// trained bits.
 		a.agg.Fill(0)
 		for _, i := range a.participants {
-			a.agg.AddScaled(a.weights[i], a.deltas[i])
+			a.trainClient(clients[i], cfg, round, i)
+			a.agg.AddScaled(a.weights[i], a.delta)
 			if wantTrace {
-				rt.Updates[i], a.deltas[i] = a.deltas[i], nil
+				rt.Updates[i], a.delta = a.delta, nil
 			}
 		}
 		a.params.AddScaled(1, a.agg)
@@ -231,24 +226,24 @@ func (a *Arena) fedAvg(clients []*dataset.Dataset, cfg Config, wantTrace bool) (
 	return a.global, trace
 }
 
-// trainClient runs client i's local update for one round against the
-// round-start parameters (read-only here) and leaves its delta in
-// a.deltas[i]. Per-client, per-round deterministic shuffling keeps every
-// update independent of the order clients train in.
+// trainClient runs client i's local update for one round from the
+// round-start parameters (read-only here), in a.global, and leaves its
+// delta in a.delta. Per-client, per-round deterministic shuffling keeps
+// every update independent of the order clients train in.
 func (a *Arena) trainClient(ds *dataset.Dataset, cfg Config, round, i int) {
-	a.local.SetParams(a.params)
+	a.global.SetParams(a.params)
 	a.rng.Seed(cfg.Seed + int64(round)*1009 + int64(i)*9176)
 	for e := 0; e < cfg.LocalEpochs; e++ {
-		a.local.TrainEpoch(ds, cfg.LR, a.rng)
+		a.global.TrainEpoch(ds, cfg.LR, a.rng)
 	}
-	delta := a.local.AppendParams(a.deltas[i][:0])
+	delta := a.global.AppendParams(a.delta[:0])
 	delta.AddScaled(-1, a.params) // delta = local - global
 	if cfg.Algorithm == FedProx && cfg.ProxMu > 0 {
 		// Proximal step: shrink the local deviation toward the
 		// global model by the closed-form factor 1/(1+μ).
 		delta.Scale(1 / (1 + cfg.ProxMu))
 	}
-	a.deltas[i] = delta
+	a.delta = delta
 }
 
 // aggregationWeights appends the normalised FedAvg weights to w; clients

@@ -1,7 +1,9 @@
 package model
 
 import (
+	"encoding/binary"
 	"math"
+	"slices"
 	"testing"
 
 	"fedshap/internal/tensor"
@@ -89,4 +91,89 @@ func TestDeepMLPDeterministicTraining(t *testing.T) {
 			t.Fatalf("identical seeds diverged at param %d", i)
 		}
 	}
+}
+
+// TestPackedParamsRoundTrip: with a hidden layer the first layer's weights
+// are stored in tensor's panel layout, element (r, k) of a panel of h rows
+// from row p at p·in + k·h + r − p, and Params, AppendParams, SetParams and
+// Clone still see the row-major [W0, B0, W1, B1, ...].
+func TestPackedParamsRoundTrip(t *testing.T) {
+	for _, dims := range [][]int{{5, 4, 3}, {5, 6, 3}, {7, 32, 4}, {3, 13, 5, 2}} {
+		m := NewDeepMLP(dims, 1)
+		q := make(tensor.Vector, m.NumParams())
+		for i := range q {
+			q[i] = float64(i) + 0.5
+		}
+		m.SetParams(q)
+		in, rows := dims[0], dims[1]
+		w := m.layers[0].w.Data
+		for r := range rows {
+			p := r &^ 3
+			h := min(4, rows-p)
+			for k := range in {
+				if got, want := w[p*in+k*h+r-p], q[r*in+k]; got != want {
+					t.Fatalf("%v: weight (%d, %d) stored as %v, want %v", dims, r, k, got, want)
+				}
+			}
+		}
+		c := m.Clone().(Parametric)
+		for name, got := range map[string]tensor.Vector{
+			"Params":       m.Params(),
+			"AppendParams": m.AppendParams(tensor.Vector{-1})[1:],
+			"Clone.Params": c.Params(),
+		} {
+			if !slices.Equal(got, q) {
+				t.Errorf("%v: %s is not the vector SetParams was given", dims, name)
+			}
+		}
+	}
+}
+
+// FuzzPredictClass: Dense.PredictClass picks the class from the logits
+// (logitClass) and must agree with predictedClass(Softmax(z)), −1 for a
+// diverged model included. Logits are decoded from raw bytes, eight per
+// value, and then once more as ulp offsets from the first logit, which
+// makes exact ties and near-ties.
+func FuzzPredictClass(f *testing.F) {
+	bits := func(xs ...float64) []byte {
+		var b []byte
+		for _, x := range xs {
+			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(x))
+		}
+		return b
+	}
+	f.Add(bits(0.3, 1.2, -0.7), []byte{})
+	f.Add(bits(2, 2, 1), []byte{0, 0, 1})
+	f.Add(bits(1, 1+1e-13, 1+2e-12, 0.5), []byte{0, 1, 255, 2})
+	f.Add(bits(1e5, 1e5-1e-11, 3), []byte{128, 127})
+	// exp(z[0] − z[1]) rounds to 1, so the softmax ties the two classes.
+	f.Add(bits(1e-3), []byte{0, 1})
+	f.Add(bits(1, math.Inf(1), 0), []byte{})
+	f.Add(bits(math.Inf(-1), math.Inf(-1)), []byte{})
+	f.Add(bits(0, math.NaN(), 5), []byte{})
+	f.Add(bits(-1e308, 1e308, 1e308), []byte{})
+	f.Add(bits(math.Copysign(0, -1), 0), []byte{0, 0})
+	f.Fuzz(func(t *testing.T, data, ulps []byte) {
+		check := func(z tensor.Vector) {
+			want := predictedClass(tensor.Softmax(z.Clone(), nil))
+			if got := logitClass(z.Clone()); got != want {
+				t.Fatalf("logits %v: class %d, softmax path %d", z, got, want)
+			}
+		}
+		var z tensor.Vector
+		for ; len(data) >= 8 && len(z) < 16; data = data[8:] {
+			z = append(z, math.Float64frombits(binary.LittleEndian.Uint64(data)))
+		}
+		if len(z) == 0 {
+			return
+		}
+		check(z)
+		near := make(tensor.Vector, 0, 16)
+		for _, u := range ulps[:min(len(ulps), 16)] {
+			near = append(near, math.Float64frombits(math.Float64bits(z[0])+uint64(int64(int8(u)))))
+		}
+		if len(near) > 0 {
+			check(near)
+		}
+	})
 }

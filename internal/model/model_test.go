@@ -258,6 +258,15 @@ func TestParamsDetermineScore(t *testing.T) {
 	}
 }
 
+// widths returns m's layer widths [in, hidden..., out].
+func widths(m *Dense) []int {
+	w := make([]int, len(m.layers)+1)
+	for l := range w {
+		w[l] = m.width(l)
+	}
+	return w
+}
+
 // A Dense clone shares neither parameters nor scratch with its source, and
 // its layers' w and b are views of its own parameter vector.
 func TestCloneIsDeep(t *testing.T) {
@@ -265,7 +274,7 @@ func TestCloneIsDeep(t *testing.T) {
 		want := m.Params()
 		c := m.Clone().(*Dense)
 		if !slices.Equal(c.Params(), want) {
-			t.Fatalf("%v: Clone changed the parameters", m.dims)
+			t.Fatalf("%v: Clone changed the parameters", widths(m))
 		}
 		layers := len(c.layers)
 		for l := range c.layers {
@@ -273,11 +282,11 @@ func TestCloneIsDeep(t *testing.T) {
 			cl.w.Data[0] += 5
 			cl.b[0] += 5
 			if &cl.act[0] == &m.layers[l].act[0] {
-				t.Errorf("%v: Clone shares layer %d's activations", m.dims, l)
+				t.Errorf("%v: Clone shares layer %d's activations", widths(m), l)
 			}
 		}
 		if !slices.Equal(m.Params(), want) {
-			t.Errorf("%v: Clone shares parameter storage", m.dims)
+			t.Errorf("%v: Clone shares parameter storage", widths(m))
 		}
 		changed := 0
 		for i, x := range c.Params() {
@@ -286,7 +295,7 @@ func TestCloneIsDeep(t *testing.T) {
 			}
 		}
 		if changed != 2*layers {
-			t.Errorf("%v: %d parameters moved, want one w and one b per layer (%d)", m.dims, changed, 2*layers)
+			t.Errorf("%v: %d parameters moved, want one w and one b per layer (%d)", widths(m), changed, 2*layers)
 		}
 	}
 }

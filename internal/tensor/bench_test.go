@@ -87,3 +87,36 @@ func BenchmarkVectorAddScaled(b *testing.B) {
 func BenchmarkAddOuterScaledReLU(b *testing.B) {
 	benchReLUKernel(b, func(m *Matrix, u, v Vector) { m.AddOuterScaled(1e-9, u, v) })
 }
+
+// The first-layer shapes of the MLPs the workloads train: MLP(32) and
+// MLP(16) over 100 features, in the panel layout.
+var panelShapes = [][2]int{{32, 100}, {16, 100}}
+
+func benchPanelKernel(b *testing.B, kernel func(m *Matrix, u, v Vector)) {
+	for _, s := range panelShapes {
+		m, u, v := benchOperands(s[0], s[1])
+		m.PackPanels(m.Clone().Data)
+		b.Run(fmt.Sprintf("%dx%d", s[0], s[1]), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				kernel(m, u, v)
+			}
+		})
+	}
+}
+
+func BenchmarkPanelMulVec(b *testing.B) {
+	benchPanelKernel(b, func(m *Matrix, u, v Vector) { m.PanelMulVec(v, u) })
+}
+
+// The update uses u as its scales and writes the product to u's twin, so
+// successive calls do not feed each other. The tiny alpha keeps the
+// weights bounded over b.N updates.
+func BenchmarkPanelAddOuterMulVec(b *testing.B) {
+	var dst Vector
+	benchPanelKernel(b, func(m *Matrix, u, v Vector) {
+		if len(dst) != len(u) {
+			dst = NewVector(len(u))
+		}
+		m.PanelAddOuterMulVec(1e-9, u, v, v, dst)
+	})
+}

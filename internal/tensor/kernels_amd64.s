@@ -529,3 +529,360 @@ rm_one:
 rm_done:
 	VZEROUPPER
 	RET
+
+// func panelMulVec(w, x, dst []float64)
+//
+// dst = W·x for W in the panel layout, len(dst)/4 whole panels of
+// 4·len(x) elements each. Panels are taken eight at a time, then four,
+// then one, with one accumulator per panel: for each k in ascending order
+// x[k] is broadcast, multiplied by the panel's four weights of column k
+// (one contiguous load) and added, so each lane is one row summed left to
+// right.
+//
+// Registers: R9 the current panel, DX the panel stride in bytes and R8
+// three strides, SI (and DI, four panels on) the column within the group,
+// R11 &x[0] and BX &x[k], R10 len(x) and CX the columns left, R12 the
+// group's dst and R13 the panels left; Y8 the broadcast x[k].
+TEXT ·panelMulVec(SB), NOSPLIT, $0-72
+	MOVQ w_base+0(FP), R9
+	MOVQ x_base+24(FP), R11
+	MOVQ x_len+32(FP), R10
+	MOVQ dst_base+48(FP), R12
+	MOVQ dst_len+56(FP), R13
+	SHRQ $2, R13
+	MOVQ R10, DX
+	SHLQ $5, DX
+	LEAQ (DX)(DX*2), R8
+
+pm_8:
+	CMPQ   R13, $8
+	JLT    pm_4
+	MOVQ   R9, SI
+	LEAQ   (R9)(DX*4), DI
+	MOVQ   R11, BX
+	MOVQ   R10, CX
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	VXORPD Y4, Y4, Y4
+	VXORPD Y5, Y5, Y5
+	VXORPD Y6, Y6, Y6
+	VXORPD Y7, Y7, Y7
+	TESTQ  CX, CX
+	JZ     pm_8store
+
+pm_8loop:
+	VBROADCASTSD (BX), Y8
+	VMULPD       (SI), Y8, Y9
+	VADDPD       Y9, Y0, Y0
+	VMULPD       (SI)(DX*1), Y8, Y10
+	VADDPD       Y10, Y1, Y1
+	VMULPD       (SI)(DX*2), Y8, Y11
+	VADDPD       Y11, Y2, Y2
+	VMULPD       (SI)(R8*1), Y8, Y12
+	VADDPD       Y12, Y3, Y3
+	VMULPD       (DI), Y8, Y13
+	VADDPD       Y13, Y4, Y4
+	VMULPD       (DI)(DX*1), Y8, Y14
+	VADDPD       Y14, Y5, Y5
+	VMULPD       (DI)(DX*2), Y8, Y15
+	VADDPD       Y15, Y6, Y6
+	VMULPD       (DI)(R8*1), Y8, Y9
+	VADDPD       Y9, Y7, Y7
+	ADDQ         $32, SI
+	ADDQ         $32, DI
+	ADDQ         $8, BX
+	DECQ         CX
+	JNZ          pm_8loop
+
+pm_8store:
+	VMOVUPD Y0, (R12)
+	VMOVUPD Y1, 32(R12)
+	VMOVUPD Y2, 64(R12)
+	VMOVUPD Y3, 96(R12)
+	VMOVUPD Y4, 128(R12)
+	VMOVUPD Y5, 160(R12)
+	VMOVUPD Y6, 192(R12)
+	VMOVUPD Y7, 224(R12)
+	ADDQ    $256, R12
+	LEAQ    (R9)(DX*8), R9
+	SUBQ    $8, R13
+	JMP     pm_8
+
+pm_4:
+	CMPQ   R13, $4
+	JLT    pm_1
+	MOVQ   R9, SI
+	MOVQ   R11, BX
+	MOVQ   R10, CX
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	TESTQ  CX, CX
+	JZ     pm_4store
+
+pm_4loop:
+	VBROADCASTSD (BX), Y8
+	VMULPD       (SI), Y8, Y9
+	VADDPD       Y9, Y0, Y0
+	VMULPD       (SI)(DX*1), Y8, Y10
+	VADDPD       Y10, Y1, Y1
+	VMULPD       (SI)(DX*2), Y8, Y11
+	VADDPD       Y11, Y2, Y2
+	VMULPD       (SI)(R8*1), Y8, Y12
+	VADDPD       Y12, Y3, Y3
+	ADDQ         $32, SI
+	ADDQ         $8, BX
+	DECQ         CX
+	JNZ          pm_4loop
+
+pm_4store:
+	VMOVUPD Y0, (R12)
+	VMOVUPD Y1, 32(R12)
+	VMOVUPD Y2, 64(R12)
+	VMOVUPD Y3, 96(R12)
+	ADDQ    $128, R12
+	LEAQ    (R9)(DX*4), R9
+	SUBQ    $4, R13
+
+pm_1:
+	TESTQ  R13, R13
+	JZ     pm_done
+	MOVQ   R9, SI
+	MOVQ   R11, BX
+	MOVQ   R10, CX
+	VXORPD Y0, Y0, Y0
+	TESTQ  CX, CX
+	JZ     pm_1store
+
+pm_1loop:
+	VBROADCASTSD (BX), Y8
+	VMULPD       (SI), Y8, Y9
+	VADDPD       Y9, Y0, Y0
+	ADDQ         $32, SI
+	ADDQ         $8, BX
+	DECQ         CX
+	JNZ          pm_1loop
+
+pm_1store:
+	VMOVUPD Y0, (R12)
+	ADDQ    $32, R12
+	ADDQ    DX, R9
+	DECQ    R13
+	JMP     pm_1
+
+pm_done:
+	VZEROUPPER
+	RET
+
+// func panelAddOuter(w []float64, alpha float64, u, x []float64)
+//
+// W(r, k) += (alpha·u[r])·x[k] for every element of len(u)/4 whole panels,
+// four panels at a time and then one: each panel's four scales alpha·u[r]
+// stay in a register, and for each k the broadcast x[k] is multiplied by
+// them and added to the panel's column k, product first as in
+// addOuterRows.
+//
+// Registers: R9 the current panel, DX the panel stride in bytes and R8
+// three strides, SI the column within the group, AX the group's &u, R11
+// &x[0] and BX &x[k], R10 len(x) and CX the columns left, R13 the panels
+// left; Y15 alpha, Y0-Y3 the scales and Y8 the broadcast x[k].
+TEXT ·panelAddOuter(SB), NOSPLIT, $0-80
+	MOVQ         w_base+0(FP), R9
+	VBROADCASTSD alpha+24(FP), Y15
+	MOVQ         u_base+32(FP), AX
+	MOVQ         u_len+40(FP), R13
+	SHRQ         $2, R13
+	MOVQ         x_base+56(FP), R11
+	MOVQ         x_len+64(FP), R10
+	MOVQ         R10, DX
+	SHLQ         $5, DX
+	LEAQ         (DX)(DX*2), R8
+
+pa_4:
+	CMPQ   R13, $4
+	JLT    pa_1
+	VMULPD (AX), Y15, Y0
+	VMULPD 32(AX), Y15, Y1
+	VMULPD 64(AX), Y15, Y2
+	VMULPD 96(AX), Y15, Y3
+	MOVQ   R9, SI
+	MOVQ   R11, BX
+	MOVQ   R10, CX
+	TESTQ  CX, CX
+	JZ     pa_4next
+
+pa_4loop:
+	VBROADCASTSD (BX), Y8
+	VMULPD       Y8, Y0, Y9
+	VADDPD       (SI), Y9, Y9
+	VMOVUPD      Y9, (SI)
+	VMULPD       Y8, Y1, Y10
+	VADDPD       (SI)(DX*1), Y10, Y10
+	VMOVUPD      Y10, (SI)(DX*1)
+	VMULPD       Y8, Y2, Y11
+	VADDPD       (SI)(DX*2), Y11, Y11
+	VMOVUPD      Y11, (SI)(DX*2)
+	VMULPD       Y8, Y3, Y12
+	VADDPD       (SI)(R8*1), Y12, Y12
+	VMOVUPD      Y12, (SI)(R8*1)
+	ADDQ         $32, SI
+	ADDQ         $8, BX
+	DECQ         CX
+	JNZ          pa_4loop
+
+pa_4next:
+	ADDQ $128, AX
+	LEAQ (R9)(DX*4), R9
+	SUBQ $4, R13
+	JMP  pa_4
+
+pa_1:
+	TESTQ  R13, R13
+	JZ     pa_done
+	VMULPD (AX), Y15, Y0
+	MOVQ   R9, SI
+	MOVQ   R11, BX
+	MOVQ   R10, CX
+	TESTQ  CX, CX
+	JZ     pa_1next
+
+pa_1loop:
+	VBROADCASTSD (BX), Y8
+	VMULPD       Y8, Y0, Y9
+	VADDPD       (SI), Y9, Y9
+	VMOVUPD      Y9, (SI)
+	ADDQ         $32, SI
+	ADDQ         $8, BX
+	DECQ         CX
+	JNZ          pa_1loop
+
+pa_1next:
+	ADDQ $32, AX
+	ADDQ DX, R9
+	DECQ R13
+	JMP  pa_1
+
+pa_done:
+	VZEROUPPER
+	RET
+
+// func panelAddOuterMulVec(w []float64, alpha float64, u, x, next, dst []float64)
+//
+// panelAddOuter(w, alpha, u, x) and then panelMulVec(w, next, dst) in one
+// pass: for each k the panel's column k is updated as in panelAddOuter,
+// stored, and multiplied by the broadcast next[k] into the panel's
+// accumulator, four panels at a time and then one. Every weight receives
+// its update before it is read for the product, as in the two kernels run
+// one after the other.
+//
+// Registers: R9 the current panel, DX the panel stride in bytes and R8
+// three strides, SI the column within the group, AX the group's &u, R11
+// &x[0], DI &next[0], CX the column k and R10 len(x), R12 the group's dst
+// and R13 the panels left; Y15 alpha, Y0-Y3 the scales, Y4-Y7 the
+// accumulators, Y8 the broadcast x[k] and Y9 the broadcast next[k].
+TEXT ·panelAddOuterMulVec(SB), NOSPLIT, $0-128
+	MOVQ         w_base+0(FP), R9
+	VBROADCASTSD alpha+24(FP), Y15
+	MOVQ         u_base+32(FP), AX
+	MOVQ         x_base+56(FP), R11
+	MOVQ         x_len+64(FP), R10
+	MOVQ         next_base+80(FP), DI
+	MOVQ         dst_base+104(FP), R12
+	MOVQ         dst_len+112(FP), R13
+	SHRQ         $2, R13
+	MOVQ         R10, DX
+	SHLQ         $5, DX
+	LEAQ         (DX)(DX*2), R8
+
+pf_4:
+	CMPQ   R13, $4
+	JLT    pf_1
+	VMULPD (AX), Y15, Y0
+	VMULPD 32(AX), Y15, Y1
+	VMULPD 64(AX), Y15, Y2
+	VMULPD 96(AX), Y15, Y3
+	VXORPD Y4, Y4, Y4
+	VXORPD Y5, Y5, Y5
+	VXORPD Y6, Y6, Y6
+	VXORPD Y7, Y7, Y7
+	MOVQ   R9, SI
+	XORQ   CX, CX
+	TESTQ  R10, R10
+	JZ     pf_4store
+
+pf_4loop:
+	VBROADCASTSD (R11)(CX*8), Y8
+	VBROADCASTSD (DI)(CX*8), Y9
+	VMULPD       Y8, Y0, Y10
+	VADDPD       (SI), Y10, Y10
+	VMOVUPD      Y10, (SI)
+	VMULPD       Y9, Y10, Y10
+	VADDPD       Y10, Y4, Y4
+	VMULPD       Y8, Y1, Y11
+	VADDPD       (SI)(DX*1), Y11, Y11
+	VMOVUPD      Y11, (SI)(DX*1)
+	VMULPD       Y9, Y11, Y11
+	VADDPD       Y11, Y5, Y5
+	VMULPD       Y8, Y2, Y12
+	VADDPD       (SI)(DX*2), Y12, Y12
+	VMOVUPD      Y12, (SI)(DX*2)
+	VMULPD       Y9, Y12, Y12
+	VADDPD       Y12, Y6, Y6
+	VMULPD       Y8, Y3, Y13
+	VADDPD       (SI)(R8*1), Y13, Y13
+	VMOVUPD      Y13, (SI)(R8*1)
+	VMULPD       Y9, Y13, Y13
+	VADDPD       Y13, Y7, Y7
+	ADDQ         $32, SI
+	INCQ         CX
+	CMPQ         CX, R10
+	JLT          pf_4loop
+
+pf_4store:
+	VMOVUPD Y4, (R12)
+	VMOVUPD Y5, 32(R12)
+	VMOVUPD Y6, 64(R12)
+	VMOVUPD Y7, 96(R12)
+	ADDQ    $128, R12
+	ADDQ    $128, AX
+	LEAQ    (R9)(DX*4), R9
+	SUBQ    $4, R13
+	JMP     pf_4
+
+pf_1:
+	TESTQ  R13, R13
+	JZ     pf_done
+	VMULPD (AX), Y15, Y0
+	VXORPD Y4, Y4, Y4
+	MOVQ   R9, SI
+	XORQ   CX, CX
+	TESTQ  R10, R10
+	JZ     pf_1store
+
+pf_1loop:
+	VBROADCASTSD (R11)(CX*8), Y8
+	VBROADCASTSD (DI)(CX*8), Y9
+	VMULPD       Y8, Y0, Y10
+	VADDPD       (SI), Y10, Y10
+	VMOVUPD      Y10, (SI)
+	VMULPD       Y9, Y10, Y10
+	VADDPD       Y10, Y4, Y4
+	ADDQ         $32, SI
+	INCQ         CX
+	CMPQ         CX, R10
+	JLT          pf_1loop
+
+pf_1store:
+	VMOVUPD Y4, (R12)
+	ADDQ    $32, R12
+	ADDQ    $32, AX
+	ADDQ    DX, R9
+	DECQ    R13
+	JMP     pf_1
+
+pf_done:
+	VZEROUPPER
+	RET

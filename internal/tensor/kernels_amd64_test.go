@@ -8,7 +8,7 @@ import (
 	"testing"
 )
 
-// kernelCase is one set of operands for all six dispatched kernels.
+// kernelCase is one set of operands for all the dispatched kernels.
 type kernelCase struct {
 	m       *Matrix
 	u, v, w Vector // len(u) == m.Rows; len(v) == len(w) == m.Cols
@@ -21,10 +21,27 @@ type kernelCase struct {
 	describe  string
 }
 
-// runKernels applies MulVec, MulVecT, AddOuterScaled, Vector.AddScaled,
-// Vector.BiasReLU and Vector.ReLUMask to c on whichever path is selected,
-// leaving c's operands untouched.
-func runKernels(c kernelCase) [6][]float64 {
+// kernelNames names runKernels' results in order. The panel kernels run on
+// m packed into the panel layout; their matrices are compared unpacked.
+var kernelNames = [...]string{
+	"MulVec", "MulVecT", "AddOuterScaled", "Vector.AddScaled", "Vector.BiasReLU", "Vector.ReLUMask",
+	"PanelMulVec", "PanelAddOuter", "PanelAddOuterMulVec (weights)", "PanelAddOuterMulVec (product)",
+	"PanelAddOuterScaled",
+}
+
+type kernelResults [len(kernelNames)][]float64
+
+// packed returns a copy of m in the panel layout.
+func packed(m *Matrix) *Matrix {
+	p := NewMatrix(m.Rows, m.Cols)
+	p.PackPanels(m.Data)
+	return p
+}
+
+// runKernels applies every dispatched kernel to c on whichever path is
+// selected, leaving c's operands untouched. PanelAddOuterMulVec updates
+// with v and multiplies by w.
+func runKernels(c kernelCase) kernelResults {
 	outer := c.m.Clone()
 	outer.AddOuterScaled(c.alpha, c.u, c.v)
 	y := c.w.Clone()
@@ -33,11 +50,21 @@ func runKernels(c kernelCase) [6][]float64 {
 	relu.BiasReLU(c.b)
 	mask := c.x.Clone()
 	mask.ReLUMask(c.act)
-	return [6][]float64{c.m.MulVec(c.v, nil), c.m.MulVecT(c.u, nil), outer.Data, y, relu, mask}
+	panelMV := NewVector(c.m.Rows)
+	packed(c.m).PanelMulVec(c.v, panelMV)
+	panelOuter := packed(c.m)
+	panelOuter.PanelAddOuter(c.alpha, c.u, c.v)
+	fused, fusedMV := packed(c.m), NewVector(c.m.Rows)
+	fused.PanelAddOuterMulVec(c.alpha, c.u, c.v, c.w, fusedMV)
+	panelSkip := packed(c.m)
+	panelSkip.PanelAddOuterScaled(c.alpha, c.u, c.v)
+	return kernelResults{c.m.MulVec(c.v, nil), c.m.MulVecT(c.u, nil), outer.Data, y, relu, mask,
+		panelMV, panelOuter.AppendUnpacked(nil), fused.AppendUnpacked(nil), fusedMV, panelSkip.AppendUnpacked(nil)}
 }
 
-// naiveKernels is runKernels on the one-output-at-a-time reference loops.
-func naiveKernels(c kernelCase) [6][]float64 {
+// naiveKernels is runKernels on the one-output-at-a-time reference loops,
+// all of them row-major.
+func naiveKernels(c kernelCase) kernelResults {
 	mv, mvt := NewVector(c.m.Rows), NewVector(c.m.Cols)
 	naiveMulVec(c.m, c.v, mv)
 	naiveMulVecT(c.m, c.u, mvt)
@@ -61,17 +88,19 @@ func naiveKernels(c kernelCase) [6][]float64 {
 			mask[i] = 0
 		}
 	}
-	return [6][]float64{mv, mvt, outer.Data, y, relu, mask}
+	every := c.m.Clone()
+	naiveAddOuter(every, c.alpha, c.u, c.v)
+	fusedMV := NewVector(c.m.Rows)
+	naiveMulVec(every, c.w, fusedMV)
+	return kernelResults{mv, mvt, outer.Data, y, relu, mask, mv, every.Data, every.Data, fusedMV, outer.Data}
 }
-
-var kernelNames = [6]string{"MulVec", "MulVecT", "AddOuterScaled", "Vector.AddScaled", "Vector.BiasReLU", "Vector.ReLUMask"}
 
 // checkPaths compares the assembly, the Go loops and the naive reference
 // on c bit for bit.
 func checkPaths(t *testing.T, c kernelCase) {
 	t.Helper()
 	want := naiveKernels(c)
-	var goLoops [6][]float64
+	var goLoops kernelResults
 	WithGoLoops(func() { goLoops = runKernels(c) })
 	asm := runKernels(c)
 	for k, name := range kernelNames {
@@ -143,6 +172,18 @@ func TestKernelPathsMatchNaiveBitForBit(t *testing.T) {
 				c.describe = fmt.Sprintf("%dx%d special=%v", rows, cols, special)
 				checkPaths(t, c)
 			}
+		}
+	}
+	// The panel kernels take eight whole panels, then four, then one, then
+	// a last panel of one to three rows: these heights reach every mix.
+	for _, rows := range []int{28, 31, 32, 33, 35, 36, 44, 45, 47} {
+		for _, cols := range []int{1, 4, 7, 100} {
+			c := randomCase(rng, rows, cols, 0.1)
+			for i := 1; i < rows; i += 3 {
+				c.u[i] = 0
+			}
+			c.describe = fmt.Sprintf("%dx%d panels", rows, cols)
+			checkPaths(t, c)
 		}
 	}
 }
@@ -238,7 +279,7 @@ func FuzzKernels(f *testing.F) {
 	})
 }
 
-// TestKernelsDoNotAllocate: on both paths none of the six kernels
+// TestKernelsDoNotAllocate: on both paths none of the kernels
 // allocates. The operands live in arrays local to each call, so they stay
 // on the stack only while no kernel lets a pointer escape — which is what
 // //go:noescape on the assembly declarations promises the compiler.
@@ -281,6 +322,35 @@ func TestKernelsDoNotAllocate(t *testing.T) {
 		{"Vector.ReLUMask", func() {
 			var x, act [19]float64
 			Vector(x[:]).ReLUMask(act[:])
+		}},
+		{"PanelMulVec", func() {
+			var a [35 * 6]float64
+			var x [6]float64
+			var y [35]float64
+			m := Matrix{Rows: 35, Cols: 6, Data: a[:]}
+			m.PanelMulVec(x[:], y[:])
+		}},
+		{"PanelAddOuter", func() {
+			var a [35 * 6]float64
+			var u [35]float64
+			var x [6]float64
+			m := Matrix{Rows: 35, Cols: 6, Data: a[:]}
+			m.PanelAddOuter(0.5, u[:], x[:])
+		}},
+		{"PanelAddOuterMulVec", func() {
+			var a [35 * 6]float64
+			var u, y [35]float64
+			var x, next [6]float64
+			m := Matrix{Rows: 35, Cols: 6, Data: a[:]}
+			m.PanelAddOuterMulVec(0.5, u[:], x[:], next[:], y[:])
+		}},
+		{"PanelAddOuterScaled", func() {
+			var a [35 * 6]float64
+			var u [35]float64
+			var x [6]float64
+			u[0], u[5] = 1, 2
+			m := Matrix{Rows: 35, Cols: 6, Data: a[:]}
+			m.PanelAddOuterScaled(0.5, u[:], x[:])
 		}},
 	}
 	paths := []struct {

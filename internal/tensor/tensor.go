@@ -46,6 +46,38 @@
 // the count advances by a conditional move, and the assembly then takes
 // the compacted rows four at a time, addressing each from the matrix's
 // base and its index.
+//
+// The first layer of a network with a hidden layer is its widest matrix,
+// and MulVec spends its time on the shuffles that transpose row-major
+// blocks. The Panel* methods (panels.go) take that matrix in a panel
+// layout instead: each panel holds four rows column by column, so column
+// k's four weights are one contiguous vector and a lane per row needs only
+// a broadcast of x[k]. PanelMulVec keeps MulVec's sums, left to right.
+// PanelAddOuter updates every row, zero scales included, and
+// PanelAddOuterMulVec does that update and then the next product in one
+// pass over the weights, which lets a trainer defer each sample's update
+// into the next sample's forward: nothing reads the weights in between.
+//
+// Updating a row whose scale alpha·u[r] is zero adds 0·x[k] to each of
+// its weights w, where AddOuterScaled leaves the row alone. The bits agree
+// when x[k] is finite, so that 0·x[k] is ±0, and w is neither −0 (−0 + +0
+// is +0) nor a signalling NaN (which the add would quiet); w + ±0 is w for
+// every other w, a quiet NaN included. So the caller keeps the weights
+// free of −0 and NaN, checking them with NoNegZeroOrNaN where they come
+// in. Training then keeps the invariant: under round-to-nearest, x + y is
+// −0 only when both are −0, and arithmetic never produces a signalling
+// NaN. x[k] is checked through the forward pass: a non-finite x[k] makes
+// every product of column k, hence every sum W·x, NaN or ±Inf, so one
+// finite output of W·x proves every x[k] finite. When either check fails
+// the update must skip the zero-scale rows: PanelAddOuterScaled.
+//
+// A classifier's prediction is the argmax of the softmax of its logits z.
+// Softmax scales every exp(z[c] − max) by one factor, so the largest
+// probability is the first maximal logit's, and an earlier class ties with
+// it only if its logit is within a few ulps of the maximum. The model
+// package therefore takes the first strict maximum of z, and falls back to
+// the softmax when a logit is NaN or ±Inf or an earlier logit is within
+// 1e-12 of the maximum.
 package tensor
 
 import (
@@ -200,7 +232,10 @@ func (m *Matrix) Clone() *Matrix {
 // one another, while every dst[i] is still the left-to-right sum over j.
 // With AVX2 the assembly takes whole groups of eight rows over whole
 // blocks of four columns, and the loop below continues each of those sums
-// over the last cols%4 columns.
+// over the last cols%4 columns. When the rows are not a multiple of eight,
+// the last group is the last eight rows: it overlaps the group before it,
+// whose rows it computes again to the same bits, so no row is left to a
+// scalar chain.
 func (m *Matrix) MulVec(v Vector, dst Vector) Vector {
 	if len(v) != m.Cols {
 		panic(fmt.Sprintf("tensor: MulVec dimension mismatch: cols=%d len(v)=%d", m.Cols, len(v)))
@@ -215,6 +250,10 @@ func (m *Matrix) MulVec(v Vector, dst Vector) Vector {
 	if useAVX2 && m.Rows >= 8 {
 		i = m.Rows &^ 7
 		mulVec8(m.Data[:i*cols], v, dst[:i])
+		if i < m.Rows {
+			i = m.Rows
+			mulVec8(m.Data[(i-8)*cols:i*cols], v, dst[i-8:i])
+		}
 		if tail := cols &^ 3; tail < cols {
 			for r := range dst[:i] {
 				row, s := m.Row(r), dst[r]
@@ -400,11 +439,14 @@ func (m *Matrix) Scale(alpha float64) {
 // XavierInit fills the matrix with Uniform(-a, a), a = sqrt(6/(fanIn+fanOut)),
 // the Glorot/Xavier scheme that keeps activations well-scaled at init.
 func (m *Matrix) XavierInit(rng *rand.Rand) {
-	a := math.Sqrt(6.0 / float64(m.Rows+m.Cols))
+	a := xavierBound(m)
 	for i := range m.Data {
 		m.Data[i] = (rng.Float64()*2 - 1) * a
 	}
 }
+
+// xavierBound is XavierInit's a for m's shape.
+func xavierBound(m *Matrix) float64 { return math.Sqrt(6.0 / float64(m.Rows+m.Cols)) }
 
 // GaussianInit fills the matrix with N(0, std²).
 func (m *Matrix) GaussianInit(std float64, rng *rand.Rand) {

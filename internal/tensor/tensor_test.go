@@ -393,6 +393,18 @@ func naiveAddOuterScaled(m *Matrix, alpha float64, u, v Vector) {
 	}
 }
 
+// naiveAddOuter is naiveAddOuterScaled without the skip: every row gets
+// its update, zero scales included.
+func naiveAddOuter(m *Matrix, alpha float64, u, v Vector) {
+	for i := 0; i < m.Rows; i++ {
+		au := alpha * u[i]
+		row := m.Row(i)
+		for j, x := range v {
+			row[j] += au * x
+		}
+	}
+}
+
 func sameBits(t *testing.T, what string, got, want []float64) {
 	t.Helper()
 	if len(got) != len(want) {
