@@ -22,6 +22,12 @@ import (
 // and SetParams convert, so every caller sees row-major weights. The first
 // layer's forward is then shuffle-free, and TrainEpoch defers each sample's
 // first-layer update into the next sample's forward (see TrainEpoch).
+//
+// A network without a hidden layer stays row-major. Packed, the 100×10
+// softmax regression of the femnist problems trained 17 % more slowly
+// (median of 16 alternating pairs, none faster) and scored no faster: its
+// last panel has two rows, whose update runs on the Go loop, where
+// AddOuterScaled's assembly takes every row.
 type Dense struct {
 	params tensor.Vector // [W0, B0, W1, B1, ...]; every layer's w and b are views into it
 	layers []layer
@@ -110,7 +116,7 @@ func (m *Dense) width(l int) int {
 }
 
 // packed reports whether the first layer's weights are in the panel
-// layout: whenever the network has a hidden layer.
+// layout: whenever the network has a hidden layer (see Dense).
 func (m *Dense) packed() bool { return len(m.layers) > 1 }
 
 // take splits the first n elements off *v as a view that cannot grow into
@@ -244,12 +250,12 @@ func (m *Dense) SetParams(p tensor.Vector) {
 // TrainEpoch runs one epoch of per-sample SGD backprop on cross-entropy.
 //
 // With a hidden layer, each sample's first-layer weight update is deferred
-// into the next sample's forward (tensor.PanelAddOuterMulVec), and the
-// last one is done before returning; nothing reads those weights in
-// between. That update runs on every row, zero scales included, which
-// gives the skipping update's bits while zeroSafe holds and x is finite
-// (see the tensor package comment); a finite first pre-activation proves
-// x finite. Otherwise the update skips (tensor.PanelAddOuterScaled).
+// into the next sample's forward (tensor.PanelAddOuterMulVec); nothing
+// reads those weights in between. That update runs on every row, zero
+// scales included, which gives the skipping update's bits while zeroSafe
+// holds and x is finite (see the tensor package comment); a finite first
+// pre-activation proves x finite. Otherwise, and for the epoch's last
+// sample, the update skips (tensor.PanelAddOuterScaled).
 func (m *Dense) TrainEpoch(ds *dataset.Dataset, lr float64, rng *rand.Rand) {
 	m.perm = permInto(rng, ds.Len(), m.perm)
 	first := &m.layers[0]
@@ -296,11 +302,7 @@ func (m *Dense) TrainEpoch(ds *dataset.Dataset, lr float64, rng *rand.Rand) {
 		first.b.AddScaled(-lr, g)
 		prev = x
 	}
-	switch {
-	case prev == nil:
-	case fused:
-		first.w.PanelAddOuter(-lr, first.grad, prev)
-	default:
+	if prev != nil {
 		first.w.PanelAddOuterScaled(-lr, first.grad, prev)
 	}
 }

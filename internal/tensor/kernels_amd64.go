@@ -1,8 +1,8 @@
 package tensor
 
 // useAVX2 routes MulVec, MulVecT, AddOuterScaled, Vector.AddScaled,
-// Vector.BiasReLU, Vector.ReLUMask and the Panel* kernels (but not
-// PanelAddOuterScaled) to the assembly in kernels_amd64.s.
+// Vector.BiasReLU, Vector.ReLUMask, PanelMulVec and PanelAddOuterMulVec to
+// the assembly in kernels_amd64.s.
 // It is read from CPUID once, when the package initialises; the package's
 // tests clear it to run the Go loops on the same machine.
 var useAVX2 = cpuHasAVX2()
@@ -78,14 +78,9 @@ func reluMask(v, act []float64)
 //go:noescape
 func panelMulVec(w, x, dst []float64)
 
-// panelAddOuter performs W(r, k) += (alpha·u[r])·x[k] on every element of
-// len(u)/4 whole panels of len(x) columns in w.
-//
-//go:noescape
-func panelAddOuter(w []float64, alpha float64, u, x []float64)
-
-// panelAddOuterMulVec is panelAddOuter(w, alpha, u, x) and then
-// panelMulVec(w, next, dst) in one pass over w; len(u) == len(dst).
+// panelAddOuterMulVec performs W(r, k) += (alpha·u[r])·x[k] on every
+// element of len(u)/4 whole panels of len(x) columns in w, and then sets
+// dst = W·next, in one pass over w; len(u) == len(dst).
 //
 //go:noescape
 func panelAddOuterMulVec(w []float64, alpha float64, u, x, next, dst []float64)

@@ -677,106 +677,16 @@ pm_done:
 	VZEROUPPER
 	RET
 
-// func panelAddOuter(w []float64, alpha float64, u, x []float64)
-//
-// W(r, k) += (alpha·u[r])·x[k] for every element of len(u)/4 whole panels,
-// four panels at a time and then one: each panel's four scales alpha·u[r]
-// stay in a register, and for each k the broadcast x[k] is multiplied by
-// them and added to the panel's column k, product first as in
-// addOuterRows.
-//
-// Registers: R9 the current panel, DX the panel stride in bytes and R8
-// three strides, SI the column within the group, AX the group's &u, R11
-// &x[0] and BX &x[k], R10 len(x) and CX the columns left, R13 the panels
-// left; Y15 alpha, Y0-Y3 the scales and Y8 the broadcast x[k].
-TEXT ·panelAddOuter(SB), NOSPLIT, $0-80
-	MOVQ         w_base+0(FP), R9
-	VBROADCASTSD alpha+24(FP), Y15
-	MOVQ         u_base+32(FP), AX
-	MOVQ         u_len+40(FP), R13
-	SHRQ         $2, R13
-	MOVQ         x_base+56(FP), R11
-	MOVQ         x_len+64(FP), R10
-	MOVQ         R10, DX
-	SHLQ         $5, DX
-	LEAQ         (DX)(DX*2), R8
-
-pa_4:
-	CMPQ   R13, $4
-	JLT    pa_1
-	VMULPD (AX), Y15, Y0
-	VMULPD 32(AX), Y15, Y1
-	VMULPD 64(AX), Y15, Y2
-	VMULPD 96(AX), Y15, Y3
-	MOVQ   R9, SI
-	MOVQ   R11, BX
-	MOVQ   R10, CX
-	TESTQ  CX, CX
-	JZ     pa_4next
-
-pa_4loop:
-	VBROADCASTSD (BX), Y8
-	VMULPD       Y8, Y0, Y9
-	VADDPD       (SI), Y9, Y9
-	VMOVUPD      Y9, (SI)
-	VMULPD       Y8, Y1, Y10
-	VADDPD       (SI)(DX*1), Y10, Y10
-	VMOVUPD      Y10, (SI)(DX*1)
-	VMULPD       Y8, Y2, Y11
-	VADDPD       (SI)(DX*2), Y11, Y11
-	VMOVUPD      Y11, (SI)(DX*2)
-	VMULPD       Y8, Y3, Y12
-	VADDPD       (SI)(R8*1), Y12, Y12
-	VMOVUPD      Y12, (SI)(R8*1)
-	ADDQ         $32, SI
-	ADDQ         $8, BX
-	DECQ         CX
-	JNZ          pa_4loop
-
-pa_4next:
-	ADDQ $128, AX
-	LEAQ (R9)(DX*4), R9
-	SUBQ $4, R13
-	JMP  pa_4
-
-pa_1:
-	TESTQ  R13, R13
-	JZ     pa_done
-	VMULPD (AX), Y15, Y0
-	MOVQ   R9, SI
-	MOVQ   R11, BX
-	MOVQ   R10, CX
-	TESTQ  CX, CX
-	JZ     pa_1next
-
-pa_1loop:
-	VBROADCASTSD (BX), Y8
-	VMULPD       Y8, Y0, Y9
-	VADDPD       (SI), Y9, Y9
-	VMOVUPD      Y9, (SI)
-	ADDQ         $32, SI
-	ADDQ         $8, BX
-	DECQ         CX
-	JNZ          pa_1loop
-
-pa_1next:
-	ADDQ $32, AX
-	ADDQ DX, R9
-	DECQ R13
-	JMP  pa_1
-
-pa_done:
-	VZEROUPPER
-	RET
-
 // func panelAddOuterMulVec(w []float64, alpha float64, u, x, next, dst []float64)
 //
-// panelAddOuter(w, alpha, u, x) and then panelMulVec(w, next, dst) in one
-// pass: for each k the panel's column k is updated as in panelAddOuter,
-// stored, and multiplied by the broadcast next[k] into the panel's
-// accumulator, four panels at a time and then one. Every weight receives
-// its update before it is read for the product, as in the two kernels run
-// one after the other.
+// W(r, k) += (alpha·u[r])·x[k] on every element of len(u)/4 whole panels,
+// and then panelMulVec(w, next, dst), in one pass, four panels at a time
+// and then one: each panel's four scales alpha·u[r] stay in a register,
+// and for each k the broadcast x[k] is multiplied by them and added to the
+// panel's column k, product first as in addOuterRows; the column is stored
+// and multiplied by the broadcast next[k] into the panel's accumulator.
+// Every weight receives its update before it is read for the product, as
+// in the update and the product run one after the other.
 //
 // Registers: R9 the current panel, DX the panel stride in bytes and R8
 // three strides, SI the column within the group, AX the group's &u, R11

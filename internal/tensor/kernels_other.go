@@ -14,7 +14,6 @@ func axpy(alpha float64, x, y []float64)                                        
 func biasReLU(v, b []float64)                                                   { panic(noSIMD) }
 func reluMask(v, act []float64)                                                 { panic(noSIMD) }
 func panelMulVec(w, x, dst []float64)                                           { panic(noSIMD) }
-func panelAddOuter(w []float64, alpha float64, u, x []float64)                  { panic(noSIMD) }
 func panelAddOuterMulVec(w []float64, alpha float64, u, x, next, dst []float64) { panic(noSIMD) }
 
 const noSIMD = "tensor: no SIMD kernels on this architecture"

@@ -146,20 +146,13 @@ func (m *Matrix) PanelMulVec(x, dst Vector) {
 // every element the one update M(r, k) += (alpha·u[r])·x[k], zero scales
 // included: unlike AddOuterScaled it skips no row. The bits equal
 // AddOuterScaled's when every x[k] is finite and no element of M is −0 or
-// NaN (see the package comment).
-//
-// With AVX2 the assembly takes the whole panels, four or one at a time, and
-// the last panel of one to three rows runs on the Go loop.
+// NaN (see the package comment). It runs on the Go loop on every path; it
+// is the reference for PanelAddOuterMulVec's update.
 func (m *Matrix) PanelAddOuter(alpha float64, u, x Vector) {
 	if len(u) != m.Rows || len(x) != m.Cols {
 		panic("tensor: PanelAddOuter dimension mismatch")
 	}
-	p := 0
-	if useAVX2 {
-		p = m.Rows &^ 3
-		panelAddOuter(m.Data[:p*m.Cols], alpha, u[:p], x)
-	}
-	for ; p < m.Rows; p += 4 {
+	for p := 0; p < m.Rows; p += 4 {
 		d, h := m.panel(p)
 		if h == 4 {
 			s0, s1, s2, s3 := alpha*u[p], alpha*u[p+1], alpha*u[p+2], alpha*u[p+3]
@@ -206,9 +199,9 @@ func (m *Matrix) PanelAddOuterMulVec(alpha float64, u, x, next, dst Vector) {
 }
 
 // PanelAddOuterScaled is AddOuterScaled for M in the panel layout: rows
-// with alpha·u[r] == 0 are left untouched, whatever x holds. It is the
-// update for the cases PanelAddOuter does not cover, and runs on the Go
-// loop on every path.
+// with alpha·u[r] == 0 are left untouched, whatever x holds, so its bits
+// are AddOuterScaled's on every input. It runs on the Go loop on every
+// path.
 func (m *Matrix) PanelAddOuterScaled(alpha float64, u, x Vector) {
 	if len(u) != m.Rows || len(x) != m.Cols {
 		panic("tensor: PanelAddOuterScaled dimension mismatch")
