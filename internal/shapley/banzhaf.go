@@ -2,7 +2,6 @@ package shapley
 
 import (
 	"fmt"
-	"math/rand"
 
 	"fedshap/internal/combin"
 )
@@ -58,39 +57,25 @@ func NewMCBanzhaf(gamma int) *MCBanzhaf { return &MCBanzhaf{Gamma: gamma} }
 // Name implements Valuer.
 func (a *MCBanzhaf) Name() string { return fmt.Sprintf("Banzhaf-MC(γ=%d)", a.Gamma) }
 
-// forEachDraw replays the Monte-Carlo toggle draws: each iteration draws a
-// uniform coalition and a client to toggle, and hands the (with, without)
-// pair to visit, which evaluates (or, for planning, records) it and returns
-// the run's distinct-request count — the budget meter driving the stop
-// condition exactly as Source.Evals does. evals seeds the meter (0 for a
-// fresh budget scope).
-func (a *MCBanzhaf) forEachDraw(n, evals int, rng *rand.Rand, visit func(i int, with, without combin.Coalition) int) {
-	for draws := 0; drawAgain(a.Gamma, evals, draws, maxDraws); draws++ {
-		// Uniform coalition: each member joins with probability 1/2.
-		var s combin.Coalition
-		for i := 0; i < n; i++ {
-			if rng.Intn(2) == 1 {
-				s = s.With(i)
-			}
-		}
-		// Toggle one uniformly chosen client to form the marginal pair.
-		i := rng.Intn(n)
-		evals = visit(i, s.With(i), s.Without(i))
-	}
-}
-
 // Values implements Valuer.
 func (a *MCBanzhaf) Values(ctx *Context) (Values, error) {
 	o := ctx.Oracle
 	n := o.N()
 	sums := make(Values, n)
 	counts := make([]int, n)
-	a.forEachDraw(n, o.Evals(), ctx.RNG, func(i int, with, without combin.Coalition) int {
-		d := o.U(with) - o.U(without)
-		sums[i] += d
+	for draws := 0; drawAgain(a.Gamma, o.Evals(), draws, maxDraws); draws++ {
+		// Uniform coalition: each member joins with probability 1/2.
+		var s combin.Coalition
+		for i := 0; i < n; i++ {
+			if ctx.RNG.Intn(2) == 1 {
+				s = s.With(i)
+			}
+		}
+		// Toggle one uniformly chosen client to form the marginal pair.
+		i := ctx.RNG.Intn(n)
+		sums[i] += o.U(s.With(i)) - o.U(s.Without(i))
 		counts[i]++
-		return o.Evals()
-	})
+	}
 	for i := range sums {
 		if counts[i] > 0 {
 			sums[i] /= float64(counts[i])

@@ -2,7 +2,6 @@ package shapley
 
 import (
 	"fmt"
-	"math/rand"
 
 	"fedshap/internal/combin"
 )
@@ -25,21 +24,6 @@ func NewCCShapley(gamma int) *CCShapley { return &CCShapley{Gamma: gamma} }
 // Name implements Valuer.
 func (a *CCShapley) Name() string { return fmt.Sprintf("CC-Shapley(γ=%d)", a.Gamma) }
 
-// forEachDraw replays the sampler's draw sequence: each iteration draws a
-// size, a coalition of that size and its complement, and hands them to
-// visit, which evaluates (or, for planning, records) the pair and returns
-// the run's distinct-request count — the budget meter that drives the stop
-// condition exactly as Source.Evals does. evals seeds the meter (the
-// Source's count before the run; 0 for a fresh budget scope).
-func (a *CCShapley) forEachDraw(n, evals int, rng *rand.Rand, visit func(k int, s, comp combin.Coalition) int) {
-	full := combin.FullCoalition(n)
-	for draws := 0; drawAgain(a.Gamma, evals, draws, maxDraws); draws++ {
-		k := 1 + rng.Intn(n) // coalition size 1..n
-		s := combin.RandomSubsetOfSize(n, k, rng)
-		evals = visit(k, s, full.Minus(s))
-	}
-}
-
 // Values implements Valuer.
 func (a *CCShapley) Values(ctx *Context) (Values, error) {
 	o := ctx.Oracle
@@ -49,7 +33,11 @@ func (a *CCShapley) Values(ctx *Context) (Values, error) {
 	// stratum k (the size of the coalition containing i).
 	acc := newStrataAcc(n)
 	var members [combin.MaxPlayers]int
-	a.forEachDraw(n, o.Evals(), ctx.RNG, func(k int, s, comp combin.Coalition) int {
+	full := combin.FullCoalition(n)
+	for draws := 0; drawAgain(a.Gamma, o.Evals(), draws, maxDraws); draws++ {
+		k := 1 + ctx.RNG.Intn(n) // coalition size 1..n
+		s := combin.RandomSubsetOfSize(n, k, ctx.RNG)
+		comp := full.Minus(s)
 		us := o.U(s)
 		uc := o.U(comp)
 		cc := us - uc
@@ -62,8 +50,7 @@ func (a *CCShapley) Values(ctx *Context) (Values, error) {
 				acc.add(i, ck, -cc)
 			}
 		}
-		return o.Evals()
-	})
+	}
 
 	return acc.values(nil), nil
 }

@@ -2,7 +2,6 @@ package shapley
 
 import (
 	"fmt"
-	"math/rand"
 
 	"fedshap/internal/combin"
 )
@@ -26,29 +25,6 @@ func NewGTB(gamma int) *GTB { return &GTB{Gamma: gamma} }
 // Name implements Valuer.
 func (a *GTB) Name() string { return fmt.Sprintf("Extended-GTB(γ=%d)", a.Gamma) }
 
-// forEachDraw replays the group-testing sampling loop: each iteration draws
-// a size from q(k) ∝ 1/(k(n−k)) and a coalition of that size, and hands it
-// to visit, which evaluates (or, for planning, records) it and returns the
-// run's distinct-request count — the budget meter driving the stop
-// condition exactly as Source.Evals does. evals seeds the meter (the
-// Source's count after U(N) and U(∅); 2 for a fresh budget scope).
-func (a *GTB) forEachDraw(n, evals int, rng *rand.Rand, visit func(s combin.Coalition) int) {
-	// Group-testing size distribution over k = 1..n-1.
-	qk := make([]float64, n) // qk[k], k=1..n-1
-	var z float64
-	for k := 1; k <= n-1; k++ {
-		qk[k] = 1.0 / float64(k*(n-k))
-		z += qk[k]
-	}
-	for k := 1; k <= n-1; k++ {
-		qk[k] /= z
-	}
-	for draws := 0; drawAgain(a.Gamma, evals, draws, maxDraws); draws++ {
-		k := sampleSize(qk, rng)
-		evals = visit(combin.RandomSubsetOfSize(n, k, rng))
-	}
-}
-
 // Values implements Valuer.
 func (a *GTB) Values(ctx *Context) (Values, error) {
 	o := ctx.Oracle
@@ -62,20 +38,31 @@ func (a *GTB) Values(ctx *Context) (Values, error) {
 
 	zn := 2.0 * harmonic(n-1) // the Z constant of the estimator
 
+	// Group-testing size distribution over k = 1..n-1.
+	qk := make([]float64, n) // qk[k], k=1..n-1
+	var z float64
+	for k := 1; k <= n-1; k++ {
+		qk[k] = 1.0 / float64(k*(n-k))
+		z += qk[k]
+	}
+	for k := 1; k <= n-1; k++ {
+		qk[k] /= z
+	}
+
 	// Sample until the budget is consumed, folding each observation into
 	// the per-client weighted indicator sums as it lands:
 	// Δ̂ᵢⱼ = (Z/T) Σ_t u_t (β_ti − β_tj) = (Z/T)(cᵢ − cⱼ).
 	c := make(Values, n)
 	var members [combin.MaxPlayers]int
 	draws := 0
-	a.forEachDraw(n, o.Evals(), ctx.RNG, func(s combin.Coalition) int {
+	for ; drawAgain(a.Gamma, o.Evals(), draws, maxDraws); draws++ {
+		k := sampleSize(qk, ctx.RNG)
+		s := combin.RandomSubsetOfSize(n, k, ctx.RNG)
 		u := o.U(s)
 		for _, i := range s.AppendMembers(members[:0]) {
 			c[i] += u
 		}
-		draws++
-		return o.Evals()
-	})
+	}
 	c.scale(zn / float64(draws))
 
 	// Least-squares feasibility solve: with Δ̂ᵢⱼ = cᵢ − cⱼ exactly

@@ -2,6 +2,7 @@ package shapley
 
 import (
 	"math"
+	"runtime/debug"
 	"testing"
 
 	"fedshap/internal/combin"
@@ -39,9 +40,11 @@ func (r *recordingSource) Cached(s combin.Coalition) bool {
 
 func (r *recordingSource) Evals() int { return len(r.requests) }
 
-// planners lists every seeded sampler with the plan kind it promises:
-// exact plans reproduce the full request sequence, prefix plans a certain
-// prefix of it.
+// planners lists every Planner with the plan kind it promises: exact plans
+// reproduce the full request sequence, prefix plans a certain prefix of it.
+// The draw-loop samplers among them are planned by a dry run that answers 0
+// for every coalition, so comparing with a run on irregular utilities is
+// what shows their requests do not depend on a utility.
 func planners(gamma int) []struct {
 	alg   Valuer
 	exact bool
@@ -62,6 +65,9 @@ func planners(gamma int) []struct {
 		{NewPermSampling(gamma), true},
 		{NewStratifiedNeyman(gamma), false},
 		{NewTMC(gamma), false},
+		{LeaveOneOut{}, true},
+		{&KGreedy{K: 2}, true},
+		{ExactMC{}, true},
 	}
 }
 
@@ -139,5 +145,65 @@ func TestPlanForDispatch(t *testing.T) {
 	// Gradient baselines have none.
 	if _, ok := PlanFor(OR{}, 4, 1); ok {
 		t.Fatal("PlanFor(OR) = ok, want no plan")
+	}
+}
+
+// planBenchN and planBenchGamma are the benchmark harness's sampler-free
+// shape, and planBenchSuite its samplers in run order.
+const (
+	planBenchN     = 24
+	planBenchGamma = 6000
+)
+
+var planBenchSuite = []struct {
+	name string
+	alg  Valuer
+}{
+	{"ipss", NewIPSS(planBenchGamma)},
+	{"cc-shapley", NewCCShapley(planBenchGamma)},
+	{"perm-mc", NewPermSampling(planBenchGamma)},
+	{"extended-gtb", NewGTB(planBenchGamma)},
+	{"mc-banzhaf", NewMCBanzhaf(planBenchGamma)},
+	{"extended-tmc", NewTMC(planBenchGamma)},
+	{"stratified-neyman", NewStratifiedNeyman(planBenchGamma)},
+}
+
+// TestPlanForAllocs pins what planning a budget loop allocates at
+// sampler-free's shape. A dry run presizes its recorder for γ + n distinct
+// requests: a draw starts while fewer than γ coalitions were requested and
+// adds at most n. A recorder sized too small still plans right but grows,
+// and every growth adds allocations here. Perm-MC's count is mostly one
+// permutation slice per walk.
+func TestPlanForAllocs(t *testing.T) {
+	// Keep the collector's own bookkeeping out of exact counts.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	for _, tc := range []struct {
+		alg    Valuer
+		allocs float64
+	}{
+		{NewCCShapley(planBenchGamma), 10},
+		{NewGTB(planBenchGamma), 10},
+		{NewMCBanzhaf(planBenchGamma), 9},
+		{NewPermSampling(planBenchGamma), 305},
+	} {
+		got := testing.AllocsPerRun(10, func() { PlanFor(tc.alg, planBenchN, 7) })
+		if got != tc.allocs {
+			t.Errorf("PlanFor(%s, n=%d): %v allocations, want %v", tc.alg.Name(), planBenchN, got, tc.allocs)
+		}
+	}
+}
+
+var planSink []combin.Coalition
+
+// BenchmarkPlanFor plans each of sampler-free's samplers once per
+// iteration.
+func BenchmarkPlanFor(b *testing.B) {
+	for _, tc := range planBenchSuite {
+		b.Run(tc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				planSink, _ = PlanFor(tc.alg, planBenchN, int64(i))
+			}
+		})
 	}
 }

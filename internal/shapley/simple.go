@@ -2,7 +2,6 @@ package shapley
 
 import (
 	"fmt"
-	"math/rand"
 
 	"fedshap/internal/combin"
 )
@@ -52,22 +51,6 @@ func NewPermSampling(gamma int) *PermSampling { return &PermSampling{Gamma: gamm
 // Name implements Valuer.
 func (a *PermSampling) Name() string { return fmt.Sprintf("Perm-MC(γ=%d)", a.Gamma) }
 
-// forEachPerm replays the permutation draws: each iteration draws one
-// client ordering and hands it to visit, which walks it evaluating (or, for
-// planning, recording) every prefix and returns the run's distinct-request
-// count — the budget meter driving the stop condition exactly as
-// Source.Evals does. evals seeds the meter (the Source's count after U(∅);
-// 1 for a fresh budget scope).
-func (a *PermSampling) forEachPerm(n, evals int, rng *rand.Rand, visit func(perm []int) int) {
-	limit := maxDraws
-	if a.MaxPermutations > 0 {
-		limit = min(limit, a.MaxPermutations)
-	}
-	for perms := 0; drawAgain(a.Gamma, evals, perms, limit); perms++ {
-		evals = visit(combin.RandomPermutation(n, rng))
-	}
-}
-
 // Values implements Valuer.
 func (a *PermSampling) Values(ctx *Context) (Values, error) {
 	o := ctx.Oracle
@@ -75,12 +58,14 @@ func (a *PermSampling) Values(ctx *Context) (Values, error) {
 	u := o.U
 	uEmpty := u(combin.Empty)
 	sums := make(Values, n)
+	limit := maxDraws
+	if a.MaxPermutations > 0 {
+		limit = min(limit, a.MaxPermutations)
+	}
 	perms := 0
-	a.forEachPerm(n, o.Evals(), ctx.RNG, func(perm []int) int {
-		walkPerm(sums, perm, uEmpty, u)
-		perms++
-		return o.Evals()
-	})
+	for ; drawAgain(a.Gamma, o.Evals(), perms, limit); perms++ {
+		walkPerm(sums, combin.RandomPermutation(n, ctx.RNG), uEmpty, u)
+	}
 	sums.scale(1.0 / float64(perms))
 	return sums, nil
 }

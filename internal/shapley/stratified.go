@@ -89,9 +89,8 @@ func (a *Stratified) rounds(n int) []int {
 	return m
 }
 
-// draw replays Alg. 1's per-stratum sampling (lines 1-8), consuming rng
-// exactly as the valuation pass does; strata[k] holds the sampled
-// coalitions of size k. Both Values and SamplePlan consume it.
+// draw is Alg. 1's per-stratum sampling (lines 1-8); strata[k] holds the
+// sampled coalitions of size k.
 func (a *Stratified) draw(n int, rng *rand.Rand) [][]combin.Coalition {
 	m := a.rounds(n)
 	strata := make([][]combin.Coalition, n+1)
@@ -122,11 +121,25 @@ func sampledSet(strata [][]combin.Coalition) *combin.Set {
 	return sampled
 }
 
-// forEachPair invokes fn for every (S, pair) term the reduce pass of
-// lines 9-17 evaluates, in evaluation order (client-major, then stratum,
-// then sample). Terms whose pair was not sampled are skipped unless
-// ForcePairs evaluates them anyway.
-func (a *Stratified) forEachPair(n int, strata [][]combin.Coalition, sampled *combin.Set, fn func(i, k int, s, pair combin.Coalition)) {
+// Values implements Valuer, following Alg. 1 line by line.
+func (a *Stratified) Values(ctx *Context) (Values, error) {
+	o := ctx.Oracle
+	n := o.N()
+
+	// Lines 1-8: sample each stratum and evaluate sampled coalitions.
+	strata := a.draw(n, ctx.RNG)
+	for k := 1; k <= n; k++ {
+		for _, c := range strata[k] {
+			o.U(c)
+		}
+	}
+	o.U(combin.Empty)
+	sampled := sampledSet(strata)
+
+	// Lines 9-17: pair sampled combinations per scheme and average, in
+	// client-major, then stratum, then sample order. Terms whose pair was
+	// not sampled are skipped unless ForcePairs evaluates them anyway.
+	acc := newStrataAcc(n)
 	full := combin.FullCoalition(n)
 	for i := 0; i < n; i++ {
 		for k := 1; k <= n; k++ {
@@ -144,31 +157,9 @@ func (a *Stratified) forEachPair(n int, strata [][]combin.Coalition, sampled *co
 				if !a.ForcePairs && !sampled.Has(pair) {
 					continue
 				}
-				fn(i, k, s, pair)
+				acc.add(i, k, o.U(s)-o.U(pair))
 			}
 		}
 	}
-}
-
-// Values implements Valuer, following Alg. 1 line by line.
-func (a *Stratified) Values(ctx *Context) (Values, error) {
-	o := ctx.Oracle
-	n := o.N()
-
-	// Lines 1-8: sample each stratum and evaluate sampled coalitions.
-	strata := a.draw(n, ctx.RNG)
-	for k := 1; k <= n; k++ {
-		for _, c := range strata[k] {
-			o.U(c)
-		}
-	}
-	o.U(combin.Empty)
-	sampled := sampledSet(strata)
-
-	// Lines 9-17: pair sampled combinations per scheme and average.
-	acc := newStrataAcc(n)
-	a.forEachPair(n, strata, sampled, func(i, k int, s, pair combin.Coalition) {
-		acc.add(i, k, o.U(s)-o.U(pair))
-	})
 	return acc.values(nil), nil
 }
