@@ -57,9 +57,7 @@ func (f *Federation) ValueByTestSlice(alg Valuer, slices [][]int, seed int64) (*
 		sub := f.test.Subset(fmt.Sprintf("%s/slice-%d", f.test.Name, k), sl)
 		spec := f.spec()
 		spec.Test = sub
-		oracle := utility.NewFLOracle(*spec)
-		ctx := shapley.NewContext(oracle, seed+int64(k)).WithSpec(spec)
-		v, err := alg.Values(ctx)
+		v, _, err := shapley.RunPooled(&shapley.Context{Spec: spec}, utility.NewFLOracle(*spec), alg, seed+int64(k), 1)
 		if err != nil {
 			return nil, fmt.Errorf("fedshap: slice %d: %w", k, err)
 		}
@@ -81,9 +79,7 @@ func (f *Federation) ValueByTestSlice(alg Valuer, slices [][]int, seed int64) (*
 	union := f.test.Subset(f.test.Name+"/union", unionIdx)
 	spec := f.spec()
 	spec.Test = union
-	oracle := utility.NewFLOracle(*spec)
-	ctx := shapley.NewContext(oracle, seed+997).WithSpec(spec)
-	v, err := alg.Values(ctx)
+	v, _, err := shapley.RunPooled(&shapley.Context{Spec: spec}, utility.NewFLOracle(*spec), alg, seed+997, 1)
 	if err != nil {
 		return nil, fmt.Errorf("fedshap: union: %w", err)
 	}

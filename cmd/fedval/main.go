@@ -73,12 +73,11 @@ func main() {
 		server      = flag.String("server", "", "fedvald base URL; when set, run the job remotely instead of locally")
 		showTrace   = flag.Bool("trace", false, "in -server mode, fetch the job's trace timeline after it finishes and print it to stderr")
 		poll        = flag.Duration("poll", 300*time.Millisecond, "polling-fallback interval in -server mode (progress normally streams over server-sent events)")
-		workers     = flag.Int("workers", 0, "concurrent coalition evaluations in -server mode (0 = daemon default)")
 		confidence  = flag.Float64("confidence", 0, "in -server mode, stream anytime confidence intervals at this simultaneous level, e.g. 0.9 (0 = off)")
 		rankStop    = flag.Bool("rank-stop", false, "in -server mode, stop the job early once every pairwise client ranking is resolved at -confidence (plan-exhaustive algorithms only)")
 		watchValues = flag.Bool("watch-values", false, "in -server mode, print each interim values snapshot as it streams in")
 		deadline    = flag.Duration("deadline", 0, "in -server mode, bound the job's run time once it starts executing; an overrunning job terminates as timed_out (0 = no deadline)")
-		evalWorkers = flag.Int("eval-workers", 1, "concurrent coalition evaluations in local mode: the algorithm's deterministic sampling plan is trained on this many workers, bit-identically to serial (0 = all cores, 1 = serial)")
+		evalWorkers = flag.Int("eval-workers", 0, "concurrent coalition evaluations: the algorithm's deterministic sampling plan is trained on this many workers, bit-identically to serial (0 = all cores locally, the daemon's default with -server; 1 = serial)")
 	)
 	flag.Parse()
 
@@ -97,7 +96,7 @@ func main() {
 		K:               *k,
 		Seed:            *seed,
 		Scale:           *scaleName,
-		Workers:         *workers,
+		Workers:         *evalWorkers,
 		Confidence:      *confidence,
 		RankStop:        *rankStop,
 		DeadlineSeconds: deadline.Seconds(),
@@ -146,9 +145,6 @@ func main() {
 	res := experiments.RunAlgorithmParallel(context.Background(), p, alg, exact, *seed+2, *evalWorkers)
 	if res.RunErr != nil {
 		fatal(res.RunErr)
-	}
-	if res.NotApplicable {
-		fatal(fmt.Errorf("%s is not applicable to model %s", alg.Name(), req.Model))
 	}
 
 	if *jsonOut {

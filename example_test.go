@@ -66,8 +66,14 @@ func ExampleFederation_Utility() {
 	if err != nil {
 		panic(err)
 	}
-	full := fed.Utility([]int{0, 1, 2})
-	empty := fed.Utility(nil)
+	full, err := fed.Utility([]int{0, 1, 2})
+	if err != nil {
+		panic(err)
+	}
+	empty, err := fed.Utility(nil)
+	if err != nil {
+		panic(err)
+	}
 	fmt.Printf("U(N) > U(empty): %v\n", full > empty)
 	// Output:
 	// U(N) > U(empty): true

@@ -66,12 +66,15 @@ func TestValueParallelNonPrefetchable(t *testing.T) {
 func TestUtilitiesBatchMatchesUtility(t *testing.T) {
 	fed := tinyFederation(t)
 	coalitions := [][]int{{0}, {1, 2}, {0, 1, 2}, {0}} // incl. a duplicate
-	got := fed.Utilities(coalitions, 4)
+	got, err := fed.Utilities(coalitions, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(got) != len(coalitions) {
 		t.Fatalf("got %d utilities, want %d", len(got), len(coalitions))
 	}
 	for i, c := range coalitions {
-		if want := fed.Utility(c); got[i] != want {
+		if want := mustUtility(t, fed, c); got[i] != want {
 			t.Errorf("utilities[%d] = %v, want %v", i, got[i], want)
 		}
 	}
@@ -106,8 +109,8 @@ func TestFedProxFederation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	uProx := fed.Utility([]int{0, 1})
-	uAvg := fedAvg.Utility([]int{0, 1})
+	uProx := mustUtility(t, fed, []int{0, 1})
+	uAvg := mustUtility(t, fedAvg, []int{0, 1})
 	if uProx == uAvg {
 		t.Logf("FedProx and FedAvg coincide on this coalition (possible but unusual): %v", uProx)
 	}
@@ -396,16 +399,40 @@ func TestValueParallelSerialWidthSkipsPlan(t *testing.T) {
 	}
 }
 
-// A metric that diverges fails the valuation with the oracle's typed error
-// instead of reporting NaN values.
+// A metric that diverges fails every public entry point with the oracle's
+// typed error instead of reporting NaN values or panicking.
 func TestValueNonFiniteUtilityFails(t *testing.T) {
 	fed := tinyFederation(t)
 	fed.metric = func(model.Model, *dataset.Dataset) float64 { return math.Inf(1) }
-	for _, workers := range []int{1, 2} {
-		_, err := fed.ValueParallel(IPSS(6), 5, workers)
-		var nf *utility.NonFiniteError
-		if !errors.As(err, &nf) {
-			t.Fatalf("workers=%d: err = %v, want *utility.NonFiniteError", workers, err)
-		}
+	for _, tc := range []struct {
+		name string
+		call func() error
+	}{
+		{"Value", func() error { _, err := fed.Value(IPSS(6), 5); return err }},
+		{"ValueParallel/1", func() error { _, err := fed.ValueParallel(IPSS(6), 5, 1); return err }},
+		{"ValueParallel/2", func() error { _, err := fed.ValueParallel(IPSS(6), 5, 2); return err }},
+		{"ValueRepeated", func() error { _, err := fed.ValueRepeated(IPSS(6), 2, 5); return err }},
+		{"ValueByTestSlice", func() error {
+			_, err := fed.ValueByTestSlice(IPSS(6), [][]int{{0, 1}, {2, 3}}, 5)
+			return err
+		}},
+		{"Utility", func() error { _, err := fed.Utility([]int{0, 1}); return err }},
+		{"Utilities", func() error { _, err := fed.Utilities([][]int{{0}, {1, 2}}, 2); return err }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var err error
+			func() {
+				defer func() {
+					if r := recover(); r != nil {
+						t.Fatalf("panicked: %v", r)
+					}
+				}()
+				err = tc.call()
+			}()
+			var nf *utility.NonFiniteError
+			if !errors.As(err, &nf) {
+				t.Fatalf("err = %v, want *utility.NonFiniteError", err)
+			}
+		})
 	}
 }

@@ -399,29 +399,31 @@ func (f *Federation) ValueParallelCtx(ctx context.Context, alg Valuer, seed int6
 }
 
 // Utility trains and evaluates the model for one explicit coalition —
-// useful for inspecting the game a valuation runs on.
-func (f *Federation) Utility(coalition Coalition) float64 {
-	spec := f.spec()
-	oracle := utility.NewFLOracle(*spec)
-	return oracle.U(toCoalition(coalition))
+// useful for inspecting the game a valuation runs on. A metric that
+// diverges returns the oracle's *utility.NonFiniteError.
+func (f *Federation) Utility(coalition Coalition) (float64, error) {
+	u, err := f.Utilities([]Coalition{coalition}, 1)
+	if err != nil {
+		return 0, err
+	}
+	return u[0], nil
 }
 
 // Utilities is the batch companion of Utility: it trains and evaluates the
 // given coalitions concurrently on a bounded worker pool (the same
 // evaluation pool ValueParallel uses) and returns their utilities aligned
 // with the input; duplicate coalitions are trained once. workers <= 0
-// selects GOMAXPROCS.
-func (f *Federation) Utilities(coalitions []Coalition, workers int) []float64 {
+// selects GOMAXPROCS. The first failed evaluation, such as a
+// *utility.NonFiniteError from a diverging metric, is returned instead.
+func (f *Federation) Utilities(coalitions []Coalition, workers int) ([]float64, error) {
 	spec := f.spec()
 	oracle := utility.NewFLOracle(*spec)
 	in := make([]combin.Coalition, len(coalitions))
 	for i, c := range coalitions {
 		in[i] = toCoalition(c)
 	}
-	// A background context cannot be cancelled, so EvalBatch cannot fail.
 	//fedvallint:allow(ctxthread) context-free convenience API; the cancellable path is Oracle.EvalBatch
-	out, _ := oracle.EvalBatch(context.Background(), in, workers)
-	return out
+	return oracle.EvalBatch(context.Background(), in, workers)
 }
 
 // RecommendedGamma returns the paper's sampling budget policy for this

@@ -23,6 +23,16 @@ func tinyFederation(t *testing.T) *Federation {
 	return fed
 }
 
+// mustUtility is fed.Utility(c), failing the test on an error.
+func mustUtility(t *testing.T, fed *Federation, c []int) float64 {
+	t.Helper()
+	u, err := fed.Utility(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return u
+}
+
 func TestFederationExactValue(t *testing.T) {
 	fed := tinyFederation(t)
 	rep, err := fed.ExactValues(1)
@@ -36,7 +46,7 @@ func TestFederationExactValue(t *testing.T) {
 		t.Errorf("exact used %d evaluations, want 8", rep.Evaluations)
 	}
 	// Efficiency: Σφ = U(N) − U(∅).
-	want := fed.Utility([]int{0, 1, 2}) - fed.Utility(nil)
+	want := mustUtility(t, fed, []int{0, 1, 2}) - mustUtility(t, fed, nil)
 	if math.Abs(rep.Values.Sum()-want) > 1e-9 {
 		t.Errorf("Σφ = %v, want %v", rep.Values.Sum(), want)
 	}
@@ -202,8 +212,8 @@ func TestDuplicateClientsSymmetry(t *testing.T) {
 
 func TestUtilityMonotoneExtremes(t *testing.T) {
 	fed := tinyFederation(t)
-	full := fed.Utility([]int{0, 1, 2})
-	empty := fed.Utility(nil)
+	full := mustUtility(t, fed, []int{0, 1, 2})
+	empty := mustUtility(t, fed, nil)
 	if full <= empty {
 		t.Errorf("U(N)=%v should exceed U(∅)=%v on a learnable task", full, empty)
 	}

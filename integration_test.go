@@ -100,7 +100,7 @@ func TestPipelineExactVsIPSS(t *testing.T) {
 			for i := range all {
 				all[i] = i
 			}
-			want := fed.Utility(all) - fed.Utility(nil)
+			want := mustUtility(t, fed, all) - mustUtility(t, fed, nil)
 			if math.Abs(exact.Values.Sum()-want) > 1e-9 {
 				t.Errorf("efficiency violated: Σφ=%v want %v", exact.Values.Sum(), want)
 			}

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math"
 	"strings"
@@ -368,5 +369,10 @@ func TestSybilSplit(t *testing.T) {
 	}
 	if _, err := SybilSplit(p, 0, 1, func(g int) shapley.Valuer { return shapley.NewIPSS(g) }, 1); err == nil {
 		t.Errorf("k=1 accepted")
+	}
+	// A "\" cell is the run's error, not a panic on its missing values.
+	xgb := NewAdultProblem(3, XGB, sc, 2)
+	if _, err := SybilSplit(xgb, 0, 2, func(int) shapley.Valuer { return shapley.OR{} }, 1); !errors.Is(err, shapley.ErrNotApplicable) {
+		t.Errorf("OR on XGB: err = %v, want shapley.ErrNotApplicable", err)
 	}
 }

@@ -270,12 +270,10 @@ func Fig10(cfg FigConfig, ns []int, gammas []int) *Report {
 				variance := func(scheme shapley.Scheme) float64 {
 					var runs [][]float64
 					for rr := 0; rr < cfg.Scale.Reps; rr++ {
-						ctx := shapley.NewContext(oracle, cfg.Seed+int64(1000*gamma+rr)).WithSpec(p.Spec)
-						v, err := shapley.NewStratified(scheme, gamma).Values(ctx)
-						if err != nil {
-							continue
+						r := RunWithOracle(p, oracle, shapley.NewStratified(scheme, gamma), nil, cfg.Seed+int64(1000*gamma+rr))
+						if r.RunErr == nil {
+							runs = append(runs, r.Values)
 						}
-						runs = append(runs, v)
 					}
 					return metrics.VectorVariance(runs)
 				}

@@ -3,6 +3,7 @@ package experiments
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"time"
 
@@ -16,7 +17,7 @@ import (
 type Result struct {
 	// Algorithm is the display name.
 	Algorithm string
-	// Values are the estimated data values (nil when NotApplicable).
+	// Values are the estimated data values (nil when RunErr is set).
 	Values shapley.Values
 	// Seconds is the wall-clock run time, including all training and
 	// evaluation the algorithm triggered.
@@ -27,9 +28,10 @@ type Result struct {
 	// Err is the ℓ2 relative error against the exact values (NaN when no
 	// ground truth was provided).
 	Err float64
-	// NotApplicable marks the "\" cells of Table V.
+	// NotApplicable marks the "\" cells of Table V: RunErr wraps
+	// shapley.ErrNotApplicable.
 	NotApplicable bool
-	// RunErr carries unexpected failures.
+	// RunErr is the run's failure, prefixed with the algorithm's name.
 	RunErr error
 }
 
@@ -73,11 +75,8 @@ func run(c *shapley.Context, oracle *utility.Oracle, alg shapley.Valuer, exact s
 		Err:       math.NaN(),
 	}
 	if err != nil {
-		if errors.Is(err, shapley.ErrNotApplicable) {
-			res.NotApplicable = true
-		} else {
-			res.RunErr = err
-		}
+		res.RunErr = fmt.Errorf("%s: %w", res.Algorithm, err)
+		res.NotApplicable = errors.Is(err, shapley.ErrNotApplicable)
 		return res
 	}
 	if exact != nil {

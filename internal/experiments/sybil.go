@@ -26,6 +26,9 @@ func SybilSplit(p *Problem, attacker, k int, mkAlg func(gamma int) shapley.Value
 	// Baseline valuation.
 	gammaBefore := theory.GammaForN(p.N)
 	before := RunAlgorithm(p, mkAlg(gammaBefore), nil, seed)
+	if before.RunErr != nil {
+		return nil, before.RunErr
+	}
 
 	// Build the post-split federation: attacker's data divided into k
 	// IID shares, each becoming its own client.
@@ -49,6 +52,9 @@ func SybilSplit(p *Problem, attacker, k int, mkAlg func(gamma int) shapley.Value
 
 	gammaAfter := theory.GammaForN(split.N)
 	after := RunAlgorithm(split, mkAlg(gammaAfter), nil, seed+2)
+	if after.RunErr != nil {
+		return nil, after.RunErr
+	}
 
 	var sybilTotal float64
 	for _, i := range sybilIdx {

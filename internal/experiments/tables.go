@@ -91,14 +91,14 @@ func valuationTable(title string, cfg TableConfig, build func(int, ModelKind) *P
 				fmtSecs(permRes.Seconds), fmtSecs(exactRes.Seconds)}
 			errRow := []string{"", "", "Error(l2)", "-", "-"}
 			for _, r := range results {
-				if r.RunErr != nil {
-					timeRow = append(timeRow, "err")
-					errRow = append(errRow, "err")
-					continue
-				}
 				if r.NotApplicable {
 					timeRow = append(timeRow, `\`)
 					errRow = append(errRow, `\`)
+					continue
+				}
+				if r.RunErr != nil {
+					timeRow = append(timeRow, "err")
+					errRow = append(errRow, "err")
 					continue
 				}
 				timeRow = append(timeRow, fmtSecs(r.Seconds))

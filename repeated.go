@@ -53,9 +53,7 @@ func (f *Federation) ValueRepeated(alg Valuer, runs int, seed int64) (*RepeatedR
 	start := time.Now()
 	all := make([][]float64, 0, runs)
 	for r := 0; r < runs; r++ {
-		view := utility.NewRunView(oracle)
-		ctx := shapley.NewContext(view, seed+int64(r)).WithSpec(spec)
-		v, err := alg.Values(ctx)
+		v, _, err := shapley.RunPooled(&shapley.Context{Spec: spec}, oracle, alg, seed+int64(r), 1)
 		if err != nil {
 			return nil, fmt.Errorf("fedshap: run %d: %w", r, err)
 		}

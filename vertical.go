@@ -71,9 +71,8 @@ func (v *VerticalFederation) Value(alg Valuer, seed int64) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	ctx := shapley.NewContext(oracle, seed)
 	start := time.Now()
-	values, err := alg.Values(ctx)
+	values, _, err := shapley.RunPooled(&shapley.Context{}, oracle, alg, seed, 1)
 	if err != nil {
 		return nil, fmt.Errorf("fedshap: vertical %s: %w", alg.Name(), err)
 	}
