@@ -112,10 +112,17 @@ func (t *cacheTable) grown(capacity int) *cacheTable {
 
 func newShardedCache() *shardedCache { return &shardedCache{} }
 
+// shardOf returns the shard of a coalition whose hash is h.
+func shardOf(h uint64) int { return int(h & (numShards - 1)) }
+
 // get returns the cached utility of s, if present. It takes no lock.
 func (c *shardedCache) get(s combin.Coalition) (float64, bool) {
-	h := s.Hash()
-	t := c.shards[h&(numShards-1)].table.Load()
+	return c.lookup(s, s.Hash())
+}
+
+// lookup is get for a coalition whose hash h the caller already has.
+func (c *shardedCache) lookup(s combin.Coalition, h uint64) (float64, bool) {
+	t := c.shards[shardOf(h)].table.Load()
 	if t == nil {
 		return 0, false
 	}
@@ -130,7 +137,7 @@ func (c *shardedCache) get(s combin.Coalition) (float64, bool) {
 // coalition, so a lost race returns an equal value.
 func (c *shardedCache) putIfAbsent(s combin.Coalition, v float64) bool {
 	h := s.Hash()
-	sh := &c.shards[h&(numShards-1)]
+	sh := &c.shards[shardOf(h)]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	t := sh.table.Load()

@@ -3,6 +3,7 @@ package utility
 import (
 	"context"
 	"fmt"
+	"math/rand"
 	"runtime"
 	"sync"
 	"testing"
@@ -169,6 +170,54 @@ func BenchmarkOraclePrefetch(b *testing.B) {
 				if err := o.Prefetch(context.Background(), coals, workers); err != nil {
 					b.Fatal(err)
 				}
+			}
+		})
+	}
+}
+
+// BenchmarkOraclePrefetchCancellable measures the pool where its shared
+// cache lines cost the most: 6,000 coalitions of a game as cheap as
+// sampler-free's, v(S) = (Σ_{i∈S} wᵢ)² over 24 players, on a cancellable
+// context bound to the oracle too, so both per-entry cancellation checks
+// see a context whose Err would lock. Beside wall time it reports the
+// process's CPU time per call (cpu-ns/op), where contention shows first: a
+// pool of two must cost well under twice the CPU of a pool of one.
+func BenchmarkOraclePrefetchCancellable(b *testing.B) {
+	const n = 24
+	rng := rand.New(rand.NewSource(1))
+	w := make([]float64, n)
+	for i := range w {
+		w[i] = 0.5 + rng.Float64()
+	}
+	eval := func(s combin.Coalition) float64 {
+		t := 0.0
+		for i := range n {
+			if s.Has(i) {
+				t += w[i]
+			}
+		}
+		return t * t
+	}
+	coals := make([]combin.Coalition, 6000)
+	for i := range coals {
+		coals[i] = combin.FromMask(rng.Uint64() & (1<<n - 1))
+	}
+	for _, workers := range []int{1, 2} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			cpu0, ok := processCPU()
+			b.ResetTimer()
+			for range b.N {
+				o := NewOracle(n, eval)
+				o.SetContext(ctx)
+				if err := o.Prefetch(ctx, coals, workers); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			if cpu1, _ := processCPU(); ok {
+				b.ReportMetric(float64(cpu1-cpu0)/float64(b.N), "cpu-ns/op")
 			}
 		})
 	}

@@ -77,9 +77,6 @@ type Oracle struct {
 	eval EvalFunc
 
 	cache *shardedCache
-	// evals counts distinct fresh evaluations — the consumed budget.
-	// Entries inserted via Warm (e.g. from a persistent Store) are free.
-	evals atomic.Int64
 
 	// ctx and onHit are set before a run and read on the evaluation path;
 	// atomic.Value keeps them race-free against concurrent U calls from a
@@ -89,7 +86,20 @@ type Oracle struct {
 	// onFresh holds the OnFresh hooks in registration order. Like
 	// WrapEval, registration precedes evaluation, so it is read unlocked.
 	onFresh []func(s combin.Coalition, u float64, total int)
+
+	// evals counts distinct fresh evaluations — the consumed budget.
+	// Entries inserted via Warm (e.g. from a persistent Store) are free.
+	// Every fresh evaluation on every pool worker writes it, so it has a
+	// cache line to itself, away from the fields above that every
+	// evaluation reads.
+	_     [cacheLinePad]byte
+	evals atomic.Int64
+	_     [cacheLinePad]byte
 }
+
+// cacheLinePad is a 64-byte cache line less an 8-byte counter: that much
+// padding on both sides keeps the counter's line private at any alignment.
+const cacheLinePad = 64 - 8
 
 // NewOracle wraps an evaluation function for a federation of n clients.
 func NewOracle(n int, eval EvalFunc) *Oracle {
@@ -120,7 +130,8 @@ func (o *Oracle) SetContext(ctx context.Context) {
 // reporting. Warmed and cached lookups never fire
 // it. Hooks fire in registration order, so the store a job attaches
 // first has written a utility before the job's progress event reports
-// it. Register before evaluations begin, never concurrently with U; the
+// it. Under Prefetch, evaluations — and so the hooks — run in the pool's
+// shard-major claim order, not in the order of the list. Register before evaluations begin, never concurrently with U; the
 // hooks themselves may be called concurrently from evaluation workers
 // and must be cheap and thread-safe.
 func (o *Oracle) OnFresh(fn func(s combin.Coalition, u float64, total int)) {
@@ -136,9 +147,17 @@ func (o *Oracle) OnCacheHit(fn func(seconds float64)) {
 	o.onHit.Store(fn)
 }
 
+// ctxErr returns the bound context's error once it is done. It reads the
+// Done channel, which takes no lock: Err locks the context's mutex (as of
+// Go 1.24), and pool workers checking on every fresh evaluation contend on
+// it.
 func (o *Oracle) ctxErr() error {
 	if ctx, ok := o.ctx.Load().(context.Context); ok {
-		return ctx.Err()
+		select {
+		case <-ctx.Done():
+			return ctx.Err()
+		default:
+		}
 	}
 	return nil
 }

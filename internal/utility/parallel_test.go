@@ -2,6 +2,9 @@ package utility
 
 import (
 	"context"
+	"reflect"
+	"slices"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -99,32 +102,6 @@ func TestEvalBatchCancelled(t *testing.T) {
 	}
 }
 
-// TestPrefetchClaimsEveryEntryOnce covers the chunked claim: a list long
-// enough for multi-entry chunks, with a tail shorter than a chunk, is
-// evaluated exactly once per coalition.
-func TestPrefetchClaimsEveryEntryOnce(t *testing.T) {
-	const n = 16
-	coals := combin.AppendSubsetsUpTo(nil, n, 4) // 2517: chunks of 13 at 3 workers
-	calls := make([]atomic.Int32, 1<<n)
-	o := NewOracle(n, func(s combin.Coalition) float64 {
-		calls[s.Index()].Add(1)
-		return float64(s.Size())
-	})
-	o.U(coals[5]) // already cached: the pool must not see it
-	withDups := append(append([]combin.Coalition{}, coals...), coals[:100]...)
-	if err := o.Prefetch(context.Background(), withDups, 3); err != nil {
-		t.Fatal(err)
-	}
-	for _, s := range coals {
-		if got := calls[s.Index()].Load(); got != 1 {
-			t.Fatalf("coalition %v evaluated %d times, want 1", s, got)
-		}
-	}
-	if o.Evals() != len(coals) || o.Size() != len(coals) {
-		t.Errorf("Evals = %d, Size = %d, want %d", o.Evals(), o.Size(), len(coals))
-	}
-}
-
 // TestPrefetchAllocatesPerBatch: what a cold Prefetch allocates is its
 // dedupe set, its pending list and the shard tables — nothing per entry (a
 // recovered value that escaped from the pool's deferred recover once cost
@@ -143,6 +120,158 @@ func TestPrefetchAllocatesPerBatch(t *testing.T) {
 	}
 }
 
+// TestPrefetchStopsOnOracleCancel: once the oracle's bound context cancels
+// an evaluation, every worker stops. A pool that swallowed the cancellation
+// and claimed on panicked, recovered and allocated once per remaining
+// entry. Cancellation is still no failure: Prefetch returns its own
+// context's error, nil here.
+func TestPrefetchStopsOnOracleCancel(t *testing.T) {
+	const n = 16
+	coals := combin.AppendSubsetsUpTo(nil, n, 4)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	var calls atomic.Int64
+	eval := func(s combin.Coalition) float64 {
+		calls.Add(1)
+		return float64(s.Size())
+	}
+	avg := testing.AllocsPerRun(5, func() {
+		o := NewOracle(n, eval)
+		o.SetContext(ctx)
+		if err := o.Prefetch(context.Background(), coals, 2); err != nil {
+			t.Fatal(err)
+		}
+		if o.Evals() != 0 {
+			t.Fatalf("a cancelled oracle charged %d evaluations", o.Evals())
+		}
+	})
+	if avg > float64(len(coals)/4) {
+		t.Errorf("Prefetch of %d coalitions on a cancelled oracle made %v allocations, want well under one per entry", len(coals), avg)
+	}
+	if calls.Load() != 0 {
+		t.Errorf("a cancelled oracle ran %d evaluations", calls.Load())
+	}
+}
+
+// claimOrder is the evaluation order Prefetch documents for a pool of the
+// given width over a duplicate-free, uncached list: the list grouped by
+// cache shard in list order, dealt in claims of
+// max(1, len/(workers·64)) entries, round by round over the shards in the
+// order 0, 5, 10, … (mod 64). It is written out from the documentation, not
+// from the pool's code.
+func claimOrder(list []combin.Coalition, workers int) [][]combin.Coalition {
+	var shards [64][]combin.Coalition
+	for _, s := range list {
+		sh := s.Hash() % 64
+		shards[sh] = append(shards[sh], s)
+	}
+	chunk := max(1, len(list)/(workers*64))
+	var claims [][]combin.Coalition
+	for taken := 0; taken < len(list); {
+		for k := 0; k < 64; k++ {
+			sh := &shards[k*5%64]
+			c := (*sh)[:min(chunk, len(*sh))]
+			*sh = (*sh)[len(c):]
+			if len(c) > 0 {
+				claims = append(claims, c)
+				taken += len(c)
+			}
+		}
+	}
+	return claims
+}
+
+// TestPrefetchClaimsEveryEntryOnce covers the shard-disjoint claims at
+// several widths, on a list long enough for multi-entry claims with
+// duplicates and an entry cached beforehand: every entry is evaluated
+// once, the OnFresh totals are 1…N once each, the cache and the counter
+// match a serial U loop, every claim lies in one shard and holds at most a
+// chunk, and a pool of one evaluates in the documented claim order.
+func TestPrefetchClaimsEveryEntryOnce(t *testing.T) {
+	const n = 16
+	coals := combin.AppendSubsetsUpTo(nil, n, 4) // 2517: chunks of 39, 19 and 4 at widths 1, 2 and 8
+	cached := coals[7]
+	withDups := append(append([]combin.Coalition{}, coals...), coals[:300]...)
+	eval := func(s combin.Coalition) float64 { return float64(s.Size()) + float64(s.Index())/1e6 }
+
+	serial := NewOracle(n, eval)
+	for _, s := range coals {
+		serial.U(s)
+	}
+
+	for _, workers := range []int{1, 2, 8} {
+		calls := make([]atomic.Int32, 1<<n)
+		var mu sync.Mutex
+		var order []combin.Coalition
+		o := NewOracle(n, func(s combin.Coalition) float64 {
+			calls[s.Index()].Add(1)
+			mu.Lock()
+			order = append(order, s)
+			mu.Unlock()
+			return eval(s)
+		})
+		totals := make([]atomic.Int32, len(coals)+1)
+		o.OnFresh(func(_ combin.Coalition, _ float64, total int) { totals[total].Add(1) })
+		o.U(cached) // already cached (total 1): the pool must not see it
+		if err := o.Prefetch(context.Background(), withDups, workers); err != nil {
+			t.Fatal(err)
+		}
+
+		for _, s := range coals {
+			if got := calls[s.Index()].Load(); got != 1 {
+				t.Fatalf("workers=%d: coalition %v evaluated %d times, want 1", workers, s, got)
+			}
+		}
+		for total := 1; total < len(totals); total++ {
+			if got := totals[total].Load(); got != 1 {
+				t.Fatalf("workers=%d: OnFresh reported total %d %d times, want once", workers, total, got)
+			}
+		}
+		if o.Evals() != serial.Evals() {
+			t.Errorf("workers=%d: Evals = %d, serial %d", workers, o.Evals(), serial.Evals())
+		}
+		if got, want := o.Snapshot(), serial.Snapshot(); !reflect.DeepEqual(got, want) {
+			t.Errorf("workers=%d: Snapshot differs from the serial loop's (%d vs %d entries)", workers, len(got), len(want))
+		}
+
+		// The claims themselves, on the same list with nothing cached.
+		p := NewOracle(n, eval).planClaims(withDups, workers)
+		var want []combin.Coalition
+		for _, c := range claimOrder(coals, workers) {
+			want = append(want, c...)
+		}
+		var got []combin.Coalition
+		for c := 0; c < p.claims; c++ {
+			lo, hi := p.claim(c)
+			if hi-lo > p.chunk {
+				t.Fatalf("workers=%d: claim %d holds %d entries, over the chunk of %d", workers, c, hi-lo, p.chunk)
+			}
+			for _, s := range p.list[lo:hi] {
+				if shardOf(s.Hash()) != shardOf(p.list[lo].Hash()) {
+					t.Fatalf("workers=%d: claim %d spans shards %d and %d", workers, c, shardOf(p.list[lo].Hash()), shardOf(s.Hash()))
+				}
+			}
+			got = append(got, p.list[lo:hi]...)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("workers=%d: the claims do not deal the list in the documented order", workers)
+		}
+
+		// A pool of one evaluates claim by claim, in the documented order
+		// of what was pending: the list less the entry cached beforehand.
+		if workers == 1 {
+			var wantOrder []combin.Coalition
+			pending := slices.DeleteFunc(slices.Clone(coals), func(s combin.Coalition) bool { return s == cached })
+			for _, c := range claimOrder(pending, 1) {
+				wantOrder = append(wantOrder, c...)
+			}
+			if !reflect.DeepEqual(order[1:], wantOrder) {
+				t.Errorf("a pool of one did not evaluate in the documented claim order")
+			}
+		}
+	}
+}
+
 // TestPoolPanicReachesCaller: a utility that panics on a pool goroutine
 // must not end the process. The pool stops claiming, drains, and re-raises
 // the first panic on the goroutine that called it — where the service's job
@@ -150,8 +279,17 @@ func TestPrefetchAllocatesPerBatch(t *testing.T) {
 func TestPoolPanicReachesCaller(t *testing.T) {
 	const n = 12
 	coals := combin.AppendSubsetsUpTo(nil, n, 3)
-	badAt := len(coals) / 3
-	bad := coals[badAt]
+	bad := coals[len(coals)/3]
+	// A pool of one evaluates in the documented claim order, so what it
+	// evaluates before the panic is the entries ahead of bad in that order.
+	badAt := 0
+	for _, c := range claimOrder(coals, 1) {
+		if i := slices.Index(c, bad); i >= 0 {
+			badAt += i
+			break
+		}
+		badAt += len(c)
+	}
 	newOracle := func(evals *atomic.Int64) *Oracle {
 		return NewOracle(n, func(s combin.Coalition) float64 {
 			if s == bad {
@@ -172,7 +310,7 @@ func TestPoolPanicReachesCaller(t *testing.T) {
 	// the panic and the moment they see it is the scheduler's business (on
 	// an oversubscribed box they can finish the list), so the count is
 	// pinned where it is exact: a pool of one claims nothing after its
-	// failure, and evaluates exactly the entries before the bad one.
+	// failure, and evaluates exactly the entries claimed before the bad one.
 	var evals atomic.Int64
 	for _, entry := range []struct {
 		name string
