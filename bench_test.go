@@ -311,23 +311,20 @@ func BenchmarkUtilityEval(b *testing.B) {
 	}
 }
 
-// BenchmarkUtilityEvalInstrumented is BenchmarkUtilityEval with the full
-// daemon telemetry installed on the oracle — the cache-hit latency hook,
-// the progress hook and the eval-timing wrapper valserve jobs run with.
-// The acceptance bound for the observability layer is < 2% overhead
-// against the uninstrumented variant; compare the two ns/op directly.
+// BenchmarkUtilityEvalInstrumented is BenchmarkUtilityEval with the
+// daemon telemetry valserve jobs install on the oracle — the progress hook
+// and the eval-timing wrapper; cache hits are timed above the oracle, by
+// the job's view. The acceptance bound for the observability layer is
+// < 2% overhead against the uninstrumented variant; compare the two ns/op
+// directly.
 func BenchmarkUtilityEvalInstrumented(b *testing.B) {
 	sc := benchScale()
 	p := experiments.NewFEMNISTProblem(6, experiments.MLP, sc, 1)
-	var hits, evals atomic.Int64
+	var evals atomic.Int64
 	var seconds uint64 // float64 bits; same pattern as the histogram sum
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		oracle := p.Oracle()
-		oracle.OnCacheHit(func(s float64) {
-			hits.Add(1)
-			atomic.AddUint64(&seconds, math.Float64bits(s))
-		})
 		oracle.OnFresh(func(combin.Coalition, float64, int) { evals.Add(1) })
 		oracle.WrapEval(func(inner utility.EvalFunc) utility.EvalFunc {
 			return func(s combin.Coalition) float64 {

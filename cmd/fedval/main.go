@@ -21,6 +21,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"os/signal"
 	"sort"
@@ -31,6 +32,7 @@ import (
 	"fedshap"
 	"fedshap/internal/dataset"
 	"fedshap/internal/experiments"
+	"fedshap/internal/metrics"
 	"fedshap/internal/shapley"
 	"fedshap/internal/theory"
 	"fedshap/internal/valserve"
@@ -136,28 +138,40 @@ func main() {
 		fatal(err)
 	}
 
+	// Each run trains on a fresh oracle, its plan first evaluated on the
+	// -eval-workers pool.
+	run := func(alg shapley.Valuer, seed int64) (shapley.Values, int) {
+		c := &shapley.Context{Spec: p.Spec, Ctx: context.Background()}
+		values, evals, err := shapley.RunPooled(c, p.Oracle(), alg, seed, *evalWorkers)
+		if err != nil {
+			fatal(fmt.Errorf("%s: %w", alg.Name(), err))
+		}
+		return values, evals
+	}
 	var exact shapley.Values
 	if *compare {
 		fmt.Fprintf(os.Stderr, "computing exact values (%d coalition trainings)...\n", 1<<uint(*n))
-		exact, _ = experiments.ExactValuesParallel(context.Background(), p, *seed+1, *evalWorkers)
+		exact, _ = run(shapley.ExactMC{}, *seed+1)
 	}
-
-	res := experiments.RunAlgorithmParallel(context.Background(), p, alg, exact, *seed+2, *evalWorkers)
-	if res.RunErr != nil {
-		fatal(res.RunErr)
+	start := time.Now()
+	values, evals := run(alg, *seed+2)
+	seconds := time.Since(start).Seconds()
+	l2 := math.NaN()
+	if exact != nil {
+		l2 = metrics.L2RelativeError(values, exact)
 	}
 
 	if *jsonOut {
 		out := jsonResult{
 			Problem:     p.Name,
-			Algorithm:   res.Algorithm,
-			Seconds:     res.Seconds,
-			Evaluations: res.Evals,
-			Values:      res.Values,
+			Algorithm:   alg.Name(),
+			Seconds:     seconds,
+			Evaluations: evals,
+			Values:      values,
 		}
 		if exact != nil {
 			out.Exact = exact
-			out.L2Error = &res.Err
+			out.L2Error = &l2
 		}
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
@@ -168,10 +182,10 @@ func main() {
 	}
 
 	fmt.Printf("problem:    %s\n", p.Name)
-	fmt.Printf("algorithm:  %s\n", res.Algorithm)
-	fmt.Printf("time:       %.3fs   coalition evaluations: %d\n", res.Seconds, res.Evals)
+	fmt.Printf("algorithm:  %s\n", alg.Name())
+	fmt.Printf("time:       %.3fs   coalition evaluations: %d\n", seconds, evals)
 	if exact != nil {
-		fmt.Printf("l2 error:   %.4f\n", res.Err)
+		fmt.Printf("l2 error:   %.4f\n", l2)
 	}
 	fmt.Println()
 	fmt.Printf("%-10s %12s", "client", "value")
@@ -179,7 +193,7 @@ func main() {
 		fmt.Printf(" %12s", "exact")
 	}
 	fmt.Println()
-	for i, v := range res.Values {
+	for i, v := range values {
 		fmt.Printf("client-%-3d %12.4f", i, v)
 		if exact != nil {
 			fmt.Printf(" %12.4f", exact[i])

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -49,24 +48,11 @@ func RunAlgorithm(p *Problem, alg shapley.Valuer, exact shapley.Values, seed int
 // γ-sweeps of Figs. 7 and 10 use it. The budget meter each algorithm
 // self-limits against counts only this run's distinct coalitions, so
 // semantics match a fresh oracle exactly; wall-clock reflects cache hits.
+// Runs are serial; a caller that wants the evaluation pool calls
+// shapley.RunPooled, as cmd/fedval does.
 func RunWithOracle(p *Problem, oracle *utility.Oracle, alg shapley.Valuer, exact shapley.Values, seed int64) Result {
-	return run(&shapley.Context{Spec: p.Spec}, oracle, alg, exact, seed, 1)
-}
-
-// RunAlgorithmParallel is RunAlgorithm with the algorithm's deterministic
-// evaluation plan trained on a bounded worker pool before the sequential
-// pass, which then reduces against the warm cache (shapley.RunPooled).
-// Values, budget accounting and fresh-evaluation counts are identical to
-// RunAlgorithm; Seconds includes the concurrent prefetch. workers == 1 is
-// the serial path; workers <= 0 selects GOMAXPROCS.
-func RunAlgorithmParallel(ctx context.Context, p *Problem, alg shapley.Valuer, exact shapley.Values, seed int64, workers int) Result {
-	return run(&shapley.Context{Spec: p.Spec, Ctx: ctx}, p.Oracle(), alg, exact, seed, workers)
-}
-
-// run times one shapley.RunPooled and scores it against exact.
-func run(c *shapley.Context, oracle *utility.Oracle, alg shapley.Valuer, exact shapley.Values, seed int64, workers int) Result {
 	start := time.Now()
-	values, requests, err := shapley.RunPooled(c, oracle, alg, seed, workers)
+	values, requests, err := shapley.RunPooled(&shapley.Context{Spec: p.Spec}, oracle, alg, seed, 1)
 	res := Result{
 		Algorithm: alg.Name(),
 		Values:    values,
@@ -90,13 +76,6 @@ func run(c *shapley.Context, oracle *utility.Oracle, alg shapley.Valuer, exact s
 // tables).
 func ExactValues(p *Problem, seed int64) (shapley.Values, Result) {
 	res := RunAlgorithm(p, shapley.ExactMC{}, nil, seed)
-	return res.Values, res
-}
-
-// ExactValuesParallel is ExactValues with the 2ⁿ coalition trainings spread
-// across a bounded worker pool.
-func ExactValuesParallel(ctx context.Context, p *Problem, seed int64, workers int) (shapley.Values, Result) {
-	res := RunAlgorithmParallel(ctx, p, shapley.ExactMC{}, nil, seed, workers)
 	return res.Values, res
 }
 

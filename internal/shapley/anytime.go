@@ -58,7 +58,8 @@ type cell struct {
 
 // NewTracker builds a tracker over the full stratum family: every cell's
 // population is the whole stratum, M = C(n−1, k). Suitable when the sampler
-// may touch any coalition (valserve's observer mode).
+// may touch any coalition (a valserve job whose algorithm has no complete
+// plan).
 func NewTracker(n int, confidence float64) *Tracker {
 	t := &Tracker{n: n, confidence: confidence, lo: -1, hi: 1,
 		cells: make([]cell, n*n)}
@@ -261,12 +262,13 @@ func NewReplay(n int, confidence float64, plan []combin.Coalition) *Replay {
 // Tracker exposes the underlying tracker (e.g. to tighten marginal bounds).
 func (r *Replay) Tracker() *Tracker { return r.tracker }
 
-// Add folds one evaluated coalition. Every marginal pair it completes is
+// Add folds one evaluated coalition and reports whether it was new; a
+// coalition already folded is ignored. Every marginal pair it completes is
 // emitted in ascending client order, so the observation sequence is a pure
 // function of the insertion order of distinct coalitions.
-func (r *Replay) Add(s combin.Coalition, u float64) {
+func (r *Replay) Add(s combin.Coalition, u float64) bool {
 	if !r.seen.put(s, u) {
-		return
+		return false
 	}
 	size := s.Size()
 	for i := 0; i < r.tracker.n; i++ {
@@ -280,6 +282,7 @@ func (r *Replay) Add(s combin.Coalition, u float64) {
 			r.tracker.Observe(i, size, sup-u)
 		}
 	}
+	return true
 }
 
 // Seen returns the number of distinct coalitions folded so far.

@@ -3,6 +3,7 @@ package utility
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -59,29 +60,24 @@ func ReplaceJSONL(path string, lines [][]byte) error {
 	}
 	// CreateTemp makes the file 0600; restore the permissions append
 	// created the original with, or cross-process readers lose it.
-	if err := tmp.Chmod(0o644); err != nil {
-		tmp.Close() //fedvallint:allow(durability) best-effort cleanup of a temp file already being abandoned for the chmod error
-		os.Remove(tmp.Name())
-		return fmt.Errorf("utility: replace jsonl: %w", err)
+	err = tmp.Chmod(0o644)
+	if err == nil {
+		w := bufio.NewWriter(tmp)
+		for _, line := range lines {
+			w.Write(line)
+			w.WriteByte('\n')
+		}
+		if err = w.Flush(); err == nil {
+			err = tmp.Sync()
+		}
 	}
-	w := bufio.NewWriter(tmp)
-	for _, line := range lines {
-		w.Write(line)
-		w.WriteByte('\n')
-	}
-	if err := w.Flush(); err == nil {
-		err = tmp.Sync()
-	}
-	if cerr := tmp.Close(); err == nil {
-		err = cerr
+	// The temp file is closed once, whatever happened above, then either
+	// renamed over the original or, on any failure, removed.
+	if err = errors.Join(err, tmp.Close()); err == nil {
+		err = os.Rename(tmp.Name(), path)
 	}
 	if err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("utility: replace jsonl: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("utility: replace jsonl: %w", err)
+		return fmt.Errorf("utility: replace jsonl: %w", errors.Join(err, os.Remove(tmp.Name())))
 	}
 	return nil
 }

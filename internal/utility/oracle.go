@@ -19,7 +19,6 @@ import (
 	"math"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"fedshap/internal/combin"
 	"fedshap/internal/dataset"
@@ -78,11 +77,10 @@ type Oracle struct {
 
 	cache *shardedCache
 
-	// ctx and onHit are set before a run and read on the evaluation path;
-	// atomic.Value keeps them race-free against concurrent U calls from a
+	// ctx is set before a run and read on the evaluation path;
+	// atomic.Value keeps it race-free against concurrent U calls from a
 	// prefetch pool.
-	ctx   atomic.Value // context.Context
-	onHit atomic.Value // func(seconds float64)
+	ctx atomic.Value // context.Context
 	// onFresh holds the OnFresh hooks in registration order. Like
 	// WrapEval, registration precedes evaluation, so it is read unlocked.
 	onFresh []func(s combin.Coalition, u float64, total int)
@@ -138,15 +136,6 @@ func (o *Oracle) OnFresh(fn func(s combin.Coalition, u float64, total int)) {
 	o.onFresh = append(o.onFresh, fn)
 }
 
-// OnCacheHit registers a hook invoked with the lookup latency of every
-// utility served from the cache — the telemetry seam behind the service's
-// eval-latency-by-source histograms (fresh evaluations are timed by the
-// caller around the eval function instead). With no hook installed the
-// hit path costs one extra atomic load.
-func (o *Oracle) OnCacheHit(fn func(seconds float64)) {
-	o.onHit.Store(fn)
-}
-
 // ctxErr returns the bound context's error once it is done. It reads the
 // Done channel, which takes no lock: Err locks the context's mutex (as of
 // Go 1.24), and pool workers checking on every fresh evaluation contend on
@@ -166,15 +155,7 @@ func (o *Oracle) ctxErr() error {
 // If a bound context is done, a cache miss panics with *CancelError; a
 // non-finite evaluation panics with *NonFiniteError.
 func (o *Oracle) U(s combin.Coalition) float64 {
-	hit, _ := o.onHit.Load().(func(float64))
-	var start time.Time
-	if hit != nil {
-		start = time.Now() //fedvallint:allow(determinism) cache-hit latency telemetry only; never feeds values or fingerprints
-	}
 	if v, ok := o.cache.get(s); ok {
-		if hit != nil {
-			hit(time.Since(start).Seconds())
-		}
 		return v
 	}
 	return o.fresh(s)

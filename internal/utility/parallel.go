@@ -154,7 +154,9 @@ func (p *claimPool) work() {
 // oracle's bound context cancels an evaluation the pool stops too, and
 // Prefetch returns ctx's error as before: cancellation is not a failure.
 // The first non-finite utility stops the pool likewise and is returned as
-// a *NonFiniteError.
+// a *NonFiniteError. When either context is already done on entry, no
+// evaluation could run, and Prefetch returns before it plans or reserves
+// anything.
 //
 // The pool evaluates shard-major, not in list order: it groups the pending
 // coalitions by cache shard (list order within a shard) and deals claims
@@ -169,6 +171,9 @@ func (p *claimPool) work() {
 // wall-clock of every algorithm scales down by the worker count while the
 // budget accounting (distinct evaluations) is unchanged.
 func (o *Oracle) Prefetch(ctx context.Context, coalitions []combin.Coalition, workers int) error {
+	if ctx.Err() != nil || o.ctxErr() != nil {
+		return ctx.Err()
+	}
 	p := o.planClaims(coalitions, workers)
 	if p == nil {
 		return ctx.Err()

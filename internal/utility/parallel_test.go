@@ -123,33 +123,66 @@ func TestPrefetchAllocatesPerBatch(t *testing.T) {
 // TestPrefetchStopsOnOracleCancel: once the oracle's bound context cancels
 // an evaluation, every worker stops. A pool that swallowed the cancellation
 // and claimed on panicked, recovered and allocated once per remaining
-// entry. Cancellation is still no failure: Prefetch returns its own
+// entry. The first evaluation on each worker cancels, so at most one per
+// worker runs. Cancellation is still no failure: Prefetch returns its own
 // context's error, nil here.
 func TestPrefetchStopsOnOracleCancel(t *testing.T) {
 	const n = 16
 	coals := combin.AppendSubsetsUpTo(nil, n, 4)
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
 	var calls atomic.Int64
-	eval := func(s combin.Coalition) float64 {
-		calls.Add(1)
-		return float64(s.Size())
-	}
 	avg := testing.AllocsPerRun(5, func() {
-		o := NewOracle(n, eval)
+		calls.Store(0)
+		ctx, cancel := context.WithCancel(context.Background())
+		o := NewOracle(n, func(s combin.Coalition) float64 {
+			calls.Add(1)
+			cancel()
+			return float64(s.Size())
+		})
 		o.SetContext(ctx)
 		if err := o.Prefetch(context.Background(), coals, 2); err != nil {
 			t.Fatal(err)
 		}
-		if o.Evals() != 0 {
-			t.Fatalf("a cancelled oracle charged %d evaluations", o.Evals())
+		if c := calls.Load(); c > 2 {
+			t.Fatalf("a pool of 2 ran %d evaluations on a cancelled oracle, want at most one per worker", c)
 		}
 	})
 	if avg > float64(len(coals)/4) {
 		t.Errorf("Prefetch of %d coalitions on a cancelled oracle made %v allocations, want well under one per entry", len(coals), avg)
 	}
-	if calls.Load() != 0 {
-		t.Errorf("a cancelled oracle ran %d evaluations", calls.Load())
+}
+
+// TestPrefetchCancelledPlansNothing: a Prefetch whose own context or
+// whose oracle's bound context is done on entry returns before it plans
+// claims or pre-sizes the cache's shard tables, which cost about 200
+// allocations for this list.
+func TestPrefetchCancelledPlansNothing(t *testing.T) {
+	const n = 16
+	coals := combin.AppendSubsetsUpTo(nil, n, 4)
+	done, cancel := context.WithCancel(context.Background())
+	cancel()
+	eval := func(s combin.Coalition) float64 { return float64(s.Size()) }
+	for _, tc := range []struct {
+		name       string
+		ctx, bound context.Context
+		want       error
+	}{
+		{"ctx", done, context.Background(), context.Canceled},
+		{"bound", context.Background(), done, nil},
+	} {
+		var o *Oracle
+		avg := testing.AllocsPerRun(5, func() {
+			o = NewOracle(n, eval)
+			o.SetContext(tc.bound)
+			if err := o.Prefetch(tc.ctx, coals, 2); err != tc.want {
+				t.Fatalf("%s: Prefetch = %v, want %v", tc.name, err, tc.want)
+			}
+		})
+		if avg > 4 { // NewOracle makes 2
+			t.Errorf("%s: NewOracle and a Prefetch of %d coalitions on a done context made %v allocations, want at most 4", tc.name, len(coals), avg)
+		}
+		if o.Evals() != 0 || o.Size() != 0 {
+			t.Errorf("%s: a done context evaluated %d and cached %d coalitions", tc.name, o.Evals(), o.Size())
+		}
 	}
 }
 

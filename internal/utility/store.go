@@ -6,7 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -37,9 +37,9 @@ type Store struct {
 	Fault *resilience.Hook
 
 	mu      sync.Mutex
-	files   map[string]*AppendFile // append handles per fingerprint; guarded by mu
-	err     error                  // first write error, reported by Close; guarded by mu
-	pending []pendingWrite         // utilities buffered while the disk fails; guarded by mu
+	files   appendFiles    // append handles, one per fingerprint; guarded by mu
+	err     error          // first write error, reported by Close; guarded by mu
+	pending []pendingWrite // utilities buffered while the disk fails; guarded by mu
 	// npending is len(pending), stored under mu and read without it:
 	// the valuation service derives its degraded state from it on every
 	// job event, which must not wait behind a Compact holding mu.
@@ -68,7 +68,7 @@ func OpenStore(dir string) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("utility: open store: %w", err)
 	}
-	return &Store{dir: dir, files: make(map[string]*AppendFile)}, nil
+	return &Store{dir: dir}, nil
 }
 
 // Dir returns the store's root directory.
@@ -76,6 +76,25 @@ func (st *Store) Dir() string { return st.dir }
 
 func (st *Store) path(fingerprint string) string {
 	return filepath.Join(st.dir, fingerprint+".jsonl")
+}
+
+// appendFiles holds one append handle per fingerprint, sorted by
+// fingerprint, so that closing them all goes in the same order on every
+// run.
+type appendFiles struct {
+	fps   []string
+	files []*AppendFile // files[i] appends to fps[i]'s file
+}
+
+// get returns fingerprint's handle, adding one for path(fingerprint)
+// (unopened until its first Append) on first use.
+func (fs *appendFiles) get(fingerprint string, path func(string) string) *AppendFile {
+	i, ok := slices.BinarySearch(fs.fps, fingerprint)
+	if !ok {
+		fs.fps = slices.Insert(fs.fps, i, fingerprint)
+		fs.files = slices.Insert(fs.files, i, NewAppendFile(path(fingerprint)))
+	}
+	return fs.files[i]
 }
 
 // checkFingerprint guards against path traversal via untrusted fingerprints.
@@ -157,12 +176,7 @@ func (st *Store) flush(next ...pendingWrite) (written int, err error) {
 		if err = st.Fault.Check("store.append"); err != nil {
 			break
 		}
-		f, ok := st.files[p.fp]
-		if !ok {
-			f = NewAppendFile(st.path(p.fp))
-			st.files[p.fp] = f
-		}
-		if err = f.Append(p.rec); err != nil {
+		if err = st.files.get(p.fp, st.path).Append(p.rec); err != nil {
 			break
 		}
 		written++
@@ -305,9 +319,7 @@ func (st *Store) Compact(fingerprint string) (kept, dropped int, err error) {
 	}
 	// Retire the open append handle before swapping the file underneath
 	// it; the next Append reopens against the compacted file.
-	if open, ok := st.files[fingerprint]; ok {
-		open.Close()
-	}
+	st.files.get(fingerprint, st.path).Close()
 	if rerr := ReplaceJSONL(path, rows); rerr != nil {
 		// Remembered like write errors: callers on background sweeps drop
 		// per-run errors, so Close is where a failing disk surfaces.
@@ -342,19 +354,13 @@ func (st *Store) CompactAll() (kept, dropped int, err error) {
 func (st *Store) Close() error {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	// Close in sorted fingerprint order so which failure gets latched as
-	// "first" is stable run to run.
-	fps := make([]string, 0, len(st.files))
-	//fedvallint:allow(determinism) key collection feeding an immediate sort; collection order is irrelevant
-	for fp := range st.files {
-		fps = append(fps, fp)
-	}
-	sort.Strings(fps)
-	for _, fp := range fps {
-		if err := st.files[fp].Close(); err != nil {
+	// The handles are sorted, so which failure gets latched as "first" is
+	// stable run to run.
+	for _, f := range st.files.files {
+		if err := f.Close(); err != nil {
 			st.err = cmp.Or(st.err, err)
 		}
-		delete(st.files, fp)
 	}
+	st.files = appendFiles{}
 	return st.err
 }

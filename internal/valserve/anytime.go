@@ -1,14 +1,12 @@
 package valserve
 
 import (
-	"context"
 	"fmt"
 	"time"
 
 	"fedshap"
 	"fedshap/internal/combin"
 	"fedshap/internal/shapley"
-	"fedshap/internal/utility"
 )
 
 // anytimeChunk is the number of planned coalitions evaluated between
@@ -28,63 +26,42 @@ const defaultValuesEvery = 100 * time.Millisecond
 
 // anytimeState is one job's anytime-valuation bookkeeping: a Replay
 // folding evaluated coalitions into confidence intervals, plus the
-// publication throttle for interim values events. Every fold runs on the
-// job's run goroutine. Two execution modes share it:
+// publication throttle for interim values events. The job's views
+// (jobView) fold every coalition the first time one of them reads it, on
+// the job's run goroutine. What they read depends on the algorithm:
 //
 //   - Plan-driven (algorithms where PlanExhaustive holds): drivePlan
-//     evaluates the complete plan in fixed-size chunks, folds each chunk in
-//     plan order, and can stop the job early once every pairwise ranking is
-//     resolved. The fold sequence is a pure function of the plan, so
-//     estimates, intervals and the stop position are bit-identical across
-//     worker counts.
+//     evaluates the complete plan in fixed-size chunks and reads each chunk
+//     back in plan order, and can stop the job early once every pairwise
+//     ranking is resolved. The fold sequence is a pure function of the
+//     plan, so estimates, intervals and the stop position are
+//     bit-identical across worker counts. A reduction after a completed
+//     drive requests only folded coalitions, so it adds nothing.
 //
-//   - Observer (everything else): the algorithm's reduction runs in an
-//     observedView, which folds every distinct coalition the run requests,
-//     warm from the store or freshly trained, in request order. That order
-//     is a pure function of the seed too, so a warm resubmit reports the
-//     intervals of its cold run at any worker count. Without a complete
-//     plan the tracker cannot tell pruned strata from unvisited ones, so
-//     this mode never stops a job — it only reports.
+//   - Everything else: the reduction's requests, warm from the store or
+//     freshly trained, are folded in request order. That order is a pure
+//     function of the seed too, so a warm resubmit reports the intervals
+//     of its cold run at any worker count. Without a complete plan the
+//     tracker cannot tell pruned strata from unvisited ones, so such a job
+//     never stops early — it only reports.
 type anytimeState struct {
-	m        *Manager
-	j        *Job
-	names    []string
-	observer bool
+	m     *Manager
+	j     *Job
+	names []string
 
 	rp      *shapley.Replay
 	lastPub time.Time
 }
 
-// newAnytimeState builds the plan-driven state for a plan, or the observer
-// state for a nil one.
+// newAnytimeState builds the state for a job's plan, or for a job whose
+// algorithm has no complete plan when plan is nil.
 func newAnytimeState(m *Manager, j *Job, n int, confidence float64, plan []combin.Coalition) *anytimeState {
 	return &anytimeState{
-		m:        m,
-		j:        j,
-		names:    clientNames(n),
-		observer: plan == nil,
-		rp:       shapley.NewReplay(n, confidence, plan),
+		m:     m,
+		j:     j,
+		names: clientNames(n),
+		rp:    shapley.NewReplay(n, confidence, plan),
 	}
-}
-
-// observedView is the observer-mode budget scope: a RunView that folds each
-// coalition into the tracker the first time the run requests it. N, Cached,
-// Evals and SetContext are the RunView's own, so cancellation still reaches
-// the oracle.
-type observedView struct {
-	*utility.RunView
-	a *anytimeState
-}
-
-// U implements utility.Source.
-func (v observedView) U(s combin.Coalition) float64 {
-	first := !v.Cached(s)
-	u := v.RunView.U(s)
-	if first {
-		v.a.rp.Add(s, u)
-		v.a.publish(false)
-	}
-	return u
 }
 
 // interim renders the current Replay state as the wire snapshot.
@@ -121,26 +98,26 @@ func (a *anytimeState) publish(force bool) {
 }
 
 // drivePlan executes the algorithm's complete evaluation plan through the
-// job's pool in fixed-size chunks, folding each chunk into the tracker in
-// plan order and publishing interim snapshots. With rankStop set it
-// returns stopped=true as soon as every pairwise ranking is resolved at
-// the requested confidence — at a chunk boundary, so the stop position is
-// worker-count invariant. Without rankStop it simply warms the entire plan
+// job's pool in fixed-size chunks, reading each chunk back in plan order
+// through a jobView over its own budget scope, which folds it into the
+// tracker and publishes interim snapshots. With rank_stop set it returns
+// stopped=true as soon as every pairwise ranking is resolved at the
+// requested confidence — at a chunk boundary, so the stop position is
+// worker-count invariant. Without rank_stop it simply warms the entire plan
 // (the algorithm then reduces against a fully warm cache, exactly like the
 // prefetch path it replaces) while streaming confidence intervals.
-func (a *anytimeState) drivePlan(ctx context.Context, oracle *utility.Oracle, plan []combin.Coalition, workers int, rankStop bool) (stopped bool, err error) {
+func (r *run) drivePlan(plan []combin.Coalition) (stopped bool, err error) {
+	view := r.view()
 	for off := 0; off < len(plan); off += anytimeChunk {
 		chunk := plan[off:min(off+anytimeChunk, len(plan))]
-		us, err := oracle.EvalBatch(ctx, chunk, workers)
-		if err != nil {
+		if err := r.oracle.Prefetch(r.ctx, chunk, r.workers); err != nil {
 			return false, err
 		}
-		for i, s := range chunk {
-			a.rp.Add(s, us[i])
+		for _, s := range chunk {
+			view.U(s)
 		}
-		resolved := rankStop && a.rp.Tracker().Resolved()
-		a.publish(resolved)
-		if resolved {
+		if r.req.RankStop && r.any.rp.Tracker().Resolved() {
+			r.any.publish(true)
 			return true, nil
 		}
 	}

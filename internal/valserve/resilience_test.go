@@ -642,3 +642,37 @@ func TestNonFiniteUtilityFailsOnlyItsJob(t *testing.T) {
 		}
 	}
 }
+
+// TestPooledNonFiniteTrainedOnce: a non-finite utility met by the prefetch
+// pool ends the job there. The reduction must not retrain the coalitions
+// the stopped pool left, and above all not the failing coalition itself.
+func TestPooledNonFiniteTrainedOnce(t *testing.T) {
+	poisoned := combin.NewCoalition(0, 2)
+	var poisonEvals atomic.Int64
+	m, err := NewManager(Config{
+		Workers: 1,
+		BuildProblem: func(req fedshap.JobRequest) (*experiments.Problem, error) {
+			return experiments.NewFuncProblem("one-nan", req.N, func(s combin.Coalition) float64 {
+				if s == poisoned {
+					poisonEvals.Add(1)
+					return math.NaN()
+				}
+				return float64(s.Size())
+			}), nil
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	st, err := m.Submit(fedshap.JobRequest{N: 5, Algorithm: "exact", Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fin := waitState(t, m, st.ID, terminal); fin.State != fedshap.JobFailed || !strings.Contains(fin.Error, "non-finite utility") {
+		t.Fatalf("job: %s (%q), want failed naming the non-finite utility", fin.State, fin.Error)
+	}
+	if got := poisonEvals.Load(); got != 1 {
+		t.Errorf("the NaN coalition was evaluated %d times, want 1", got)
+	}
+}

@@ -11,6 +11,7 @@ import (
 	"fedshap/internal/combin"
 	"fedshap/internal/evalnet"
 	"fedshap/internal/experiments"
+	"fedshap/internal/obs"
 	"fedshap/internal/shapley"
 	"fedshap/internal/utility"
 )
@@ -109,11 +110,10 @@ func (r *run) stages() (*fedshap.Report, error) {
 	// plan is evaluated chunk by chunk in plan order (replacing the
 	// prefetch pass), streaming interim snapshots and, with rank_stop,
 	// finishing the job the moment every pairwise ranking is resolved.
-	// Algorithms without a complete plan get a passive observer: the
-	// reduction folds every coalition it requests, warm or fresh, in
-	// request order, and the intervals ride along on the final report, but
-	// the job never stops early (ValidateRequest already rejected rank_stop
-	// for them).
+	// For algorithms without a complete plan the reduction folds every
+	// coalition it requests, warm or fresh, in request order, and the
+	// intervals ride along on the final report, but the job never stops
+	// early (ValidateRequest already rejected rank_stop for them).
 	if r.req.Confidence > 0 && len(plan) > 0 && shapley.PlanExhaustive(r.alg) {
 		if rep, err := r.anytimeDrive(plan); rep != nil || err != nil {
 			return rep, err
@@ -124,7 +124,9 @@ func (r *run) stages() (*fedshap.Report, error) {
 		r.any = newAnytimeState(r.m, r.j, r.p.N, r.req.Confidence, nil)
 	}
 	if r.workers > 1 && len(plan) > 0 {
-		r.prefetch(plan)
+		if err := r.prefetch(plan); err != nil {
+			return nil, err
+		}
 	}
 	return r.aggregate()
 }
@@ -170,18 +172,17 @@ func (r *run) warmStart() error {
 	return nil
 }
 
-// wireOracle connects the oracle to the job — progress, the eval-source
-// latency series and, with a coordinator, the worker fleet — and resolves
-// the width of the evaluation pool.
+// wireOracle connects the oracle to the job — progress, the fresh half of
+// the eval-source latency series and, with a coordinator, the worker fleet
+// — and resolves the width of the evaluation pool.
 func (r *run) wireOracle() {
 	tel := r.m.tel
 	r.oracle.OnFresh(func(_ combin.Coalition, _ float64, total int) { r.j.setFresh(total) })
-	// Eval-source latency series: cache hits via the oracle's hit hook,
-	// in-process trainings via an innermost eval wrapper — installed
-	// before the coordinator session wraps it, so the session's
-	// local-fallback path is timed as "local" — and fleet round trips via
-	// the session's Observe seam below.
-	r.oracle.OnCacheHit(tel.evalLatency["cache"].Observe)
+	// Eval-source latency series: in-process trainings via an innermost
+	// eval wrapper — installed before the coordinator session wraps it, so
+	// the session's local-fallback path is timed as "local" — and fleet
+	// round trips via the session's Observe seam below. Cache hits are
+	// timed by the job's view (jobView.U).
 	local := tel.evalLatency["local"]
 	r.oracle.WrapEval(func(inner utility.EvalFunc) utility.EvalFunc {
 		return func(s combin.Coalition) float64 {
@@ -252,7 +253,7 @@ func (r *run) anytimeDrive(plan []combin.Coalition) (*fedshap.Report, error) {
 	span := r.j.trace.StartSpan("anytime_drive", "daemon")
 	span.SetInt("planned", int64(len(plan)))
 	span.SetInt("workers", int64(r.workers))
-	stopped, err := r.any.drivePlan(r.ctx, r.oracle, plan, r.workers, r.req.RankStop)
+	stopped, err := r.drivePlan(plan)
 	span.End()
 	if err != nil || !stopped {
 		return nil, err
@@ -266,14 +267,16 @@ func (r *run) anytimeDrive(plan []combin.Coalition) (*fedshap.Report, error) {
 // prefetch pipelines the plan through the job's evaluation pool (and, via
 // the wrapped eval function, across the remote fleet), so the sequential
 // reduction that follows runs against a warm cache. A cancellation or a
-// non-finite utility mid-prefetch falls through to shapley.Run, which meets
-// the same condition on its first miss and reports it uniformly.
-func (r *run) prefetch(plan []combin.Coalition) {
+// non-finite utility mid-prefetch ends the job with Prefetch's error, as in
+// shapley.RunPooled: the reduction would only retrain what the stopped
+// pool left, the failing coalition included.
+func (r *run) prefetch(plan []combin.Coalition) error {
 	span := r.j.trace.StartSpan("prefetch", "daemon")
 	span.SetInt("planned", int64(len(plan)))
 	span.SetInt("workers", int64(r.workers))
-	_ = r.oracle.Prefetch(r.ctx, plan, r.workers)
+	err := r.oracle.Prefetch(r.ctx, plan, r.workers)
 	span.End()
+	return err
 }
 
 // aggregate runs the algorithm's reduction and assembles the report.
@@ -284,18 +287,12 @@ func (r *run) prefetch(plan []combin.Coalition) {
 // cache would make such a sampler draw far past its budget over cached
 // lookups. The view charges every distinct coalition this run requests
 // (warm or fresh), exactly as a fresh oracle would, while FreshEvals/Report
-// keep counting only real training work. An observer-mode anytime job
-// reduces in an observedView over it, which feeds the tracker.
+// keep counting only real training work.
 func (r *run) aggregate() (*fedshap.Report, error) {
 	start := time.Now()
 	span := r.j.trace.StartSpan("aggregate", "daemon")
 	span.SetAttr("algorithm", r.alg.Name())
-	view := utility.NewRunView(r.oracle)
-	var src utility.Source = view
-	if r.any != nil && r.any.observer {
-		src = observedView{view, r.any}
-	}
-	sctx := shapley.NewContext(src, r.req.Seed+2).WithSpec(r.p.Spec).WithContext(r.ctx)
+	sctx := shapley.NewContext(r.view(), r.req.Seed+2).WithSpec(r.p.Spec).WithContext(r.ctx)
 	values, err := shapley.Run(sctx, r.alg)
 	span.SetInt("evaluations", int64(r.oracle.Evals()))
 	span.End()
@@ -314,6 +311,39 @@ func (r *run) aggregate() (*fedshap.Report, error) {
 		r.any.decorate(rep)
 	}
 	return rep, nil
+}
+
+// jobView is the one budget scope through which a job reads every utility
+// it uses: the plan drive's chunks and the algorithm's reduction each read
+// through one. N, Cached, Evals and SetContext are the embedded RunView's
+// own, so shapley.Run still binds the job context to the oracle. U adds
+// what the job observes of each request: it times a request the oracle
+// answers from its cache into the "cache" eval-latency series, and on an
+// anytime job it folds each coalition the tracker has not seen yet and
+// publishes the new snapshot (throttled).
+type jobView struct {
+	*utility.RunView
+	r    *run
+	hits *obs.Histogram
+}
+
+// view opens a fresh budget scope over the job's oracle.
+func (r *run) view() jobView {
+	return jobView{utility.NewRunView(r.oracle), r, r.m.tel.evalLatency["cache"]}
+}
+
+// U implements utility.Source.
+func (v jobView) U(s combin.Coalition) float64 {
+	start := time.Now()
+	hit := v.r.oracle.Cached(s)
+	u := v.RunView.U(s)
+	if hit {
+		v.hits.Observe(time.Since(start).Seconds())
+	}
+	if a := v.r.any; a != nil && a.rp.Add(s, u) {
+		a.publish(false)
+	}
+	return u
 }
 
 // warmSource builds a job's warm-start snapshot provider: the job

@@ -378,3 +378,64 @@ func idsOf(sts []*fedshap.JobStatus) string {
 	}
 	return fmt.Sprintf("%v", out)
 }
+
+// TestEvalLatencySourceCounts pins how many samples each job adds to the
+// eval-latency series by source: one "local" sample per in-process
+// training and one "cache" sample per request the oracle answered from
+// its cache. Three jobs cover the three ways a job reads utilities — a
+// warm resubmit served from the store, a plan-driven anytime drive and an
+// anytime reduction without a plan drive — each with the pool off (1)
+// and on (3).
+func TestEvalLatencySourceCounts(t *testing.T) {
+	const (
+		cache = `fedvald_eval_latency_seconds_count{source="cache"}`
+		local = `fedvald_eval_latency_seconds_count{source="local"}`
+	)
+	type counts struct{ cache, local float64 }
+	cases := []struct {
+		name string
+		req  fedshap.JobRequest
+		warm bool // run the job once before the counted one
+		want map[int]counts
+	}{
+		{"warm-exact", fedshap.JobRequest{N: 6, Algorithm: "exact", Seed: 3}, true,
+			map[int]counts{1: {64, 0}, 3: {64, 0}}},
+		{"drive-ipss", fedshap.JobRequest{N: 6, Algorithm: "ipss", Gamma: 40, Seed: 7, Confidence: 0.9}, false,
+			map[int]counts{1: {80, 40}, 3: {80, 40}}},
+		{"observe-tmc", fedshap.JobRequest{N: 6, Algorithm: "tmc", Gamma: 40, Seed: 7, Confidence: 0.9}, false,
+			map[int]counts{1: {39, 40}, 3: {42, 40}}},
+	}
+	for _, tc := range cases {
+		for _, workers := range []int{1, 3} {
+			m, err := NewManager(Config{Workers: 1, CacheDir: t.TempDir(), BuildProblem: gameBuilder(0, nil)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			h := NewHandler(m)
+			req := tc.req
+			req.Workers = workers
+			runs := 1
+			if tc.warm {
+				runs = 2
+			}
+			var before map[string]float64
+			for i := range runs {
+				before = scrapeProm(t, h)
+				st, err := m.Submit(req)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if fin := waitState(t, m, st.ID, terminal); fin.State != fedshap.JobDone {
+					t.Fatalf("%s workers=%d run %d: %s (%s)", tc.name, workers, i, fin.State, fin.Error)
+				}
+			}
+			after := scrapeProm(t, h)
+			m.Close()
+			got := counts{after[cache] - before[cache], after[local] - before[local]}
+			if want := tc.want[workers]; got != want {
+				t.Errorf("%s workers=%d: cache %v local %v samples, want cache %v local %v",
+					tc.name, workers, got.cache, got.local, want.cache, want.local)
+			}
+		}
+	}
+}
