@@ -353,18 +353,10 @@ func (s *stack) startPlain(ctx context.Context, client *fedshap.ServiceClient) e
 		return err
 	}
 	s.procs = append(s.procs, d)
-	deadline := time.Now().Add(30 * time.Second)
-	for {
-		hctx, hcancel := context.WithTimeout(ctx, time.Second)
-		_, err := client.Metrics(hctx)
-		hcancel()
-		if err == nil {
-			break
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("spawned daemon not healthy: %w", err)
-		}
-		time.Sleep(100 * time.Millisecond)
+	const settle = 30 * time.Second
+	deadline := time.Now().Add(settle)
+	if err := loadgen.WaitHealthy(ctx, client, settle); err != nil {
+		return err
 	}
 	for i := 0; i < s.opts.fleet; i++ {
 		w, err := s.launchWorker(fmt.Sprintf("load-w%d", i), workerAddr)

@@ -213,7 +213,7 @@ func (c *controller) startAll(ctx context.Context) error {
 		return fmt.Errorf("loadgen: start daemon: %w", err)
 	}
 	c.daemon = d
-	if err := c.waitHealthy(ctx); err != nil {
+	if err := WaitHealthy(ctx, c.cfg.Client, c.cfg.SettleTimeout); err != nil {
 		return err
 	}
 	for _, name := range c.cfg.WorkerNames {
@@ -373,7 +373,7 @@ func (c *controller) killDaemon(ctx context.Context, chaos *ChaosReport) error {
 		return fmt.Errorf("loadgen: relaunch daemon: %w", err)
 	}
 	c.daemon = d
-	if err := c.waitHealthy(ctx); err != nil {
+	if err := WaitHealthy(ctx, c.cfg.Client, c.cfg.SettleTimeout); err != nil {
 		return err
 	}
 	return c.waitFleet(ctx, len(c.cfg.WorkerNames))
@@ -623,27 +623,6 @@ func (c *controller) scrape(ctx context.Context) *fedshap.Metrics {
 	return c.runner.ScrapeNow(ctx)
 }
 
-// waitHealthy blocks until the daemon answers the API again.
-func (c *controller) waitHealthy(ctx context.Context) error {
-	deadline := time.Now().Add(c.cfg.SettleTimeout)
-	for {
-		hctx, cancel := context.WithTimeout(ctx, time.Second)
-		_, err := c.cfg.Client.Metrics(hctx)
-		cancel()
-		if err == nil {
-			return nil
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("loadgen: daemon not healthy after %s: %w", c.cfg.SettleTimeout, err)
-		}
-		select {
-		case <-ctx.Done():
-			return ctx.Err()
-		case <-time.After(100 * time.Millisecond):
-		}
-	}
-}
-
 // waitFleet blocks until n workers are attached to the coordinator.
 func (c *controller) waitFleet(ctx context.Context, n int) error {
 	if n == 0 {
@@ -785,7 +764,7 @@ func (c *controller) checkControlBitIdentical(ctx context.Context, r *Runner, ch
 		return
 	}
 	c.control = ctl
-	if err := waitClient(ctx, c.cfg.ControlClient, c.cfg.SettleTimeout); err != nil {
+	if err := WaitHealthy(ctx, c.cfg.ControlClient, c.cfg.SettleTimeout); err != nil {
 		chaos.Invariants = append(chaos.Invariants, InvariantResult{
 			Name: "control-bit-identical", Detail: err.Error(),
 		})
@@ -855,8 +834,11 @@ func (c *controller) submitAndWait(ctx context.Context, client *fedshap.ServiceC
 	}
 }
 
-// waitClient blocks until a daemon answers its API.
-func waitClient(ctx context.Context, client *fedshap.ServiceClient, timeout time.Duration) error {
+// WaitHealthy blocks until the daemon behind client answers its API,
+// polling every 100ms with a one-second timeout per probe. It gives up with
+// the last probe's error after timeout, and with ctx's error once ctx is
+// done.
+func WaitHealthy(ctx context.Context, client *fedshap.ServiceClient, timeout time.Duration) error {
 	deadline := time.Now().Add(timeout)
 	for {
 		hctx, cancel := context.WithTimeout(ctx, time.Second)
@@ -866,7 +848,7 @@ func waitClient(ctx context.Context, client *fedshap.ServiceClient, timeout time
 			return nil
 		}
 		if time.Now().After(deadline) {
-			return fmt.Errorf("loadgen: control daemon not healthy after %s: %w", timeout, err)
+			return fmt.Errorf("loadgen: daemon at %s not healthy after %s: %w", client.BaseURL, timeout, err)
 		}
 		select {
 		case <-ctx.Done():

@@ -2,8 +2,13 @@ package loadgen
 
 import (
 	"context"
+	"errors"
+	"net/http"
+	"net/http/httptest"
 	"os/exec"
 	"path/filepath"
+	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -256,4 +261,39 @@ func TestChaosRecoveryInvariants(t *testing.T) {
 		t.Error("empty summary")
 	}
 	t.Logf("chaos report:\n%s", summary)
+}
+
+// TestWaitHealthy: the daemon wait returns once the API answers, gives up
+// after its timeout with the last probe's error, and returns at once with
+// the context's error when the context is done.
+func TestWaitHealthy(t *testing.T) {
+	var probes, healthyAfter atomic.Int32
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if probes.Add(1) <= healthyAfter.Load() {
+			http.Error(w, "starting", http.StatusServiceUnavailable)
+			return
+		}
+		w.Header().Set("Content-Type", "application/json")
+		w.Write([]byte("{}"))
+	}))
+	defer srv.Close()
+	client := fedshap.NewServiceClient(srv.URL)
+
+	healthyAfter.Store(2)
+	if err := WaitHealthy(context.Background(), client, 10*time.Second); err != nil || probes.Load() != 3 {
+		t.Fatalf("WaitHealthy = %v after %d probes, want nil after 3", err, probes.Load())
+	}
+
+	probes.Store(0)
+	healthyAfter.Store(1 << 30)
+	if err := WaitHealthy(context.Background(), client, 250*time.Millisecond); err == nil || !strings.Contains(err.Error(), "not healthy after 250ms") {
+		t.Fatalf("WaitHealthy on a daemon that never answers = %v, want a timeout error", err)
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	start := time.Now()
+	if err := WaitHealthy(ctx, client, time.Minute); !errors.Is(err, context.Canceled) || time.Since(start) > 10*time.Second {
+		t.Fatalf("WaitHealthy on a done context = %v after %v, want context.Canceled at once", err, time.Since(start))
+	}
 }

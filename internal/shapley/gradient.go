@@ -32,15 +32,15 @@ func trainTrace(spec *utility.FLSpec) (*fl.Trace, error) {
 
 // reconGame is the game a gradient baseline values: U(S) is the metric of
 // S's reconstruction, across the whole trace when round < 0 (OR) and from
-// round round's global model otherwise. It is an oracle like any other, so
-// each coalition is evaluated once, a non-finite utility ends the run and
-// ctx.Ctx cancels it. One model and one parameter vector serve every
-// coalition, so the game is for serial use.
-func reconGame(ctx *Context, trace *fl.Trace, round int) *utility.Oracle {
+// round round's global model otherwise. It is a budget scope over an oracle
+// of its own, like any other run, so each coalition is evaluated once, a
+// non-finite utility ends the run and ctx.Ctx cancels it. One model and one
+// parameter vector serve every coalition, so the game is for serial use.
+func reconGame(ctx *Context, trace *fl.Trace, round int) *utility.RunView {
 	spec := ctx.Spec
 	m := spec.Factory(spec.Config.Seed).(model.Parametric)
 	params := make(tensor.Vector, len(trace.Init))
-	g := utility.NewOracle(len(spec.Clients), func(s combin.Coalition) float64 {
+	g := utility.NewRunView(utility.NewOracle(len(spec.Clients), func(s combin.Coalition) float64 {
 		if round < 0 {
 			fl.ReconstructFull(params, trace, s)
 		} else {
@@ -48,7 +48,7 @@ func reconGame(ctx *Context, trace *fl.Trace, round int) *utility.Oracle {
 		}
 		m.SetParams(params)
 		return spec.Metric(m, spec.Test)
-	})
+	}))
 	if ctx.Ctx != nil {
 		g.SetContext(ctx.Ctx)
 	}

@@ -9,12 +9,13 @@
 // so budget accounting (distinct train+evaluate calls, the paper's γ) and
 // caching are uniform across methods. The gradient baselines (OR, λ-MR,
 // GTG-Shapley, DIG-FL) train once with a trace and value reconstructed
-// games, each on a utility.Oracle of its own (reconGame), so cancellation
-// and the non-finite check hold for them too. Each algorithm is a draw
-// (which coalitions to request) plus a reducer; the reducers — the dense
-// MC-SV sum, the truncated-strata sum, the per-stratum mean fold, the
-// budget stop rule, the permutation walk — live once each in reduce.go, and
-// ARCHITECTURE.md's "Estimator map" says which algorithm uses which.
+// games, each through a utility.RunView over an oracle of its own
+// (reconGame), so cancellation and the non-finite check hold for them too.
+// Each algorithm is a draw (which coalitions to request) plus a reducer;
+// the reducers — the dense MC-SV sum, the truncated-strata sum, the
+// per-stratum mean fold, the budget stop rule, the permutation walk — live
+// once each in reduce.go, and ARCHITECTURE.md's "Estimator map" says which
+// algorithm uses which.
 // RunPooled is the one composition of plan → prefetch → budget view → Run
 // for callers that own their oracle.
 package shapley
@@ -48,8 +49,8 @@ func (v Values) Sum() float64 {
 
 // Context carries the inputs a valuation algorithm may need. Oracle is
 // always required. Spec is required only by the gradient-based baselines,
-// which train once with a trace and evaluate reconstructed models on an
-// oracle per reconstructed game, bound to Ctx; it is nil when the game
+// which train once with a trace and evaluate reconstructed models through
+// a budget scope per reconstructed game, bound to Ctx; it is nil when the game
 // exists only as a utility table. Ctx, when non-nil, makes the run
 // cooperatively cancellable (see Run).
 type Context struct {
@@ -77,14 +78,16 @@ func (c *Context) WithContext(ctx context.Context) *Context {
 }
 
 // Run executes a valuer with cooperative cancellation. If c.Ctx is set and
-// the oracle supports context binding, cancelling the context makes the
-// next *fresh* coalition evaluation abort the run; Run converts that abort
-// back into an error satisfying errors.Is(err, context.Canceled) (or
-// DeadlineExceeded). Utilities cached before the cancellation stay cached.
-// Algorithms themselves stay context-free: every one is budgeted in oracle
-// calls, so the oracle is the single choke point cancellation needs. A
-// non-finite utility ends the run the same way, as the oracle's
-// *utility.NonFiniteError.
+// c.Oracle is a utility.ContextBinder — a utility.RunView, or valserve's
+// job view, which embeds one — c.Ctx is bound to that budget scope, and
+// cancelling it makes the run's next *fresh* coalition evaluation abort the
+// run; Run converts that abort back into an error satisfying
+// errors.Is(err, context.Canceled) (or DeadlineExceeded). Utilities cached
+// before the cancellation stay cached. A bare *utility.Oracle binds nothing:
+// c.Ctx is then checked once on entry only. Algorithms themselves stay
+// context-free: every one is budgeted in utility requests, so the budget
+// scope is the single choke point cancellation needs. A non-finite utility
+// ends the run the same way, as the oracle's *utility.NonFiniteError.
 func Run(c *Context, v Valuer) (values Values, err error) {
 	if c.Ctx != nil {
 		if b, ok := c.Oracle.(utility.ContextBinder); ok {

@@ -68,7 +68,8 @@ func TestFLEvaluatorWarmAllocations(t *testing.T) {
 
 // TestFLEvaluatorPoolMatchesSerial: eight pool goroutines sharing one FL
 // oracle return the bits the serial path returns, and between them never
-// hold more than eight arenas.
+// hold more than eight arenas, also when a second cold oracle reuses the
+// evaluator's arenas.
 func TestFLEvaluatorPoolMatchesSerial(t *testing.T) {
 	spec := arenaSpec(newMLP)
 	n := len(spec.Clients)
@@ -77,9 +78,9 @@ func TestFLEvaluatorPoolMatchesSerial(t *testing.T) {
 
 	const workers = 8
 	e := &flEvaluator{spec: spec}
-	pooled := NewOracle(n, e.eval)
+	var pooled *Oracle
 	for pass := 0; pass < 2; pass++ {
-		pooled.Reset()
+		pooled = NewOracle(n, e.eval)
 		if err := pooled.Prefetch(context.Background(), all, workers); err != nil {
 			t.Fatal(err)
 		}

@@ -212,13 +212,3 @@ func (c *shardedCache) snapshot() map[combin.Coalition]float64 {
 	}
 	return out
 }
-
-// clear drops every entry.
-func (c *shardedCache) clear() {
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.Lock()
-		sh.table.Store(nil)
-		sh.mu.Unlock()
-	}
-}

@@ -210,7 +210,6 @@ func BenchmarkOraclePrefetchCancellable(b *testing.B) {
 			b.ResetTimer()
 			for range b.N {
 				o := NewOracle(n, eval)
-				o.SetContext(ctx)
 				if err := o.Prefetch(ctx, coals, workers); err != nil {
 					b.Fatal(err)
 				}

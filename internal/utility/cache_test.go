@@ -62,8 +62,8 @@ func TestShardedCacheConcurrent(t *testing.T) {
 	}
 }
 
-// TestOracleCancellation proves a cancelled oracle stops issuing fresh
-// evaluations while still serving cached utilities.
+// TestOracleCancellation proves a run whose context is cancelled stops
+// issuing fresh evaluations while still serving cached utilities.
 func TestOracleCancellation(t *testing.T) {
 	var calls int64
 	o := NewOracle(6, func(s combin.Coalition) float64 {
@@ -71,13 +71,14 @@ func TestOracleCancellation(t *testing.T) {
 		return 1
 	})
 	ctx, cancel := context.WithCancel(context.Background())
-	o.SetContext(ctx)
+	v := NewRunView(o)
+	v.SetContext(ctx)
 
 	warm := combin.NewCoalition(0, 1)
-	o.U(warm)
+	v.U(warm)
 	cancel()
 
-	if got := o.U(warm); got != 1 {
+	if got := v.U(warm); got != 1 {
 		t.Errorf("cached lookup after cancel = %v, want 1", got)
 	}
 	func() {
@@ -91,7 +92,7 @@ func TestOracleCancellation(t *testing.T) {
 				t.Errorf("errors.Is(CancelError, context.Canceled) = false")
 			}
 		}()
-		o.U(combin.NewCoalition(2))
+		v.U(combin.NewCoalition(2))
 		t.Error("fresh eval after cancel did not panic")
 	}()
 	if got := atomic.LoadInt64(&calls); got != 1 {
@@ -111,7 +112,6 @@ func TestPrefetchCancelledMidRun(t *testing.T) {
 		}
 		return 0
 	})
-	o.SetContext(ctx)
 	var coals []combin.Coalition
 	for size := 0; size <= 2; size++ {
 		combin.SubsetsOfSize(n, size, func(s combin.Coalition) { coals = append(coals, s) })
@@ -384,8 +384,8 @@ func TestCacheReadsDuringReplacement(t *testing.T) {
 }
 
 // TestCacheWarmSnapshotResetRoundTrip checks the map-typed seams over the
-// flat shards: what Warm loads, Snapshot returns; Reset empties; a second
-// Warm finds nothing left behind.
+// flat shards: what Warm loads, Snapshot and U return, and a second Warm of
+// the same entries adds nothing.
 func TestCacheWarmSnapshotResetRoundTrip(t *testing.T) {
 	const n = 100
 	o := NewOracle(n, func(s combin.Coalition) float64 { return -1 })
@@ -416,13 +416,6 @@ func TestCacheWarmSnapshotResetRoundTrip(t *testing.T) {
 		if got := o.U(s); got != want {
 			t.Fatalf("U(%v) = %v, want warmed %v", s, got, want)
 		}
-	}
-	o.Reset()
-	if o.Size() != 0 || len(o.Snapshot()) != 0 || o.Cached(combin.Empty) {
-		t.Fatal("Reset left entries behind")
-	}
-	if added := o.Warm(entries); added != len(entries) {
-		t.Fatalf("Warm after Reset added %d, want %d", added, len(entries))
 	}
 }
 

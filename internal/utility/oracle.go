@@ -7,14 +7,14 @@
 //
 // The cache behind the oracle is sharded for concurrent evaluation pools
 // (Prefetch, the valuation service) and can be layered over a disk-backed
-// Store so utilities survive the process and warm later jobs. Evaluation is
-// cooperatively cancellable via a bound context.Context, and a progress
-// hook reports every fresh evaluation — together these are what let a
-// long-running service cancel jobs mid-run and stream budget consumption.
+// Store so utilities survive the process and warm later jobs. A run reads
+// it through a RunView, whose bound context stops only that run's fresh
+// evaluations, and a progress hook reports every fresh evaluation —
+// together these let a long-running service cancel one job mid-run and
+// stream budget consumption.
 package utility
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"sync"
@@ -30,11 +30,13 @@ import (
 // utility.
 type EvalFunc func(s combin.Coalition) float64
 
-// CancelError is the panic payload raised by a cancelled oracle when a
-// fresh evaluation is requested. It unwraps to the bound context's error,
-// so errors.Is(err, context.Canceled) holds after shapley.Run converts the
-// panic back into an error. Cached lookups never raise it: a cancelled job
-// may finish reading warm utilities, it just stops issuing fresh ones.
+// CancelError is the panic payload raised when a run whose context is done
+// requests a fresh evaluation: by a RunView bound to that context, and by
+// evaluation functions that wait on one (the fleet session). It unwraps to
+// the context's error, so errors.Is(err, context.Canceled) holds after
+// shapley.Run converts the panic back into an error. Cached lookups never
+// raise it: a cancelled job may finish reading warm utilities, it just
+// stops issuing fresh ones.
 type CancelError struct {
 	// Err is the context error that triggered cancellation.
 	Err error
@@ -61,14 +63,6 @@ func (e *NonFiniteError) Error() string {
 	return fmt.Sprintf("utility: non-finite utility %v for coalition %s", e.Value, e.Coalition)
 }
 
-// ContextBinder is implemented by Sources whose fresh evaluations can be
-// bound to a context for cooperative cancellation.
-type ContextBinder interface {
-	// SetContext binds ctx; once it is done, requesting a non-cached
-	// utility panics with *CancelError (recovered by shapley.Run).
-	SetContext(ctx context.Context)
-}
-
 // Oracle memoises coalition utilities in a sharded concurrent cache and
 // counts fresh evaluations. It is safe for concurrent use.
 type Oracle struct {
@@ -77,10 +71,6 @@ type Oracle struct {
 
 	cache *shardedCache
 
-	// ctx is set before a run and read on the evaluation path;
-	// atomic.Value keeps it race-free against concurrent U calls from a
-	// prefetch pool.
-	ctx atomic.Value // context.Context
 	// onFresh holds the OnFresh hooks in registration order. Like
 	// WrapEval, registration precedes evaluation, so it is read unlocked.
 	onFresh []func(s combin.Coalition, u float64, total int)
@@ -117,11 +107,6 @@ func (o *Oracle) WrapEval(wrap func(EvalFunc) EvalFunc) {
 	o.eval = wrap(o.eval)
 }
 
-// SetContext implements ContextBinder.
-func (o *Oracle) SetContext(ctx context.Context) {
-	o.ctx.Store(ctx)
-}
-
 // OnFresh registers a hook invoked after every fresh evaluation with the
 // coalition, its utility and the running distinct-evaluation total — the
 // one seam for write-through persistence (Store.Attach) and progress
@@ -136,24 +121,10 @@ func (o *Oracle) OnFresh(fn func(s combin.Coalition, u float64, total int)) {
 	o.onFresh = append(o.onFresh, fn)
 }
 
-// ctxErr returns the bound context's error once it is done. It reads the
-// Done channel, which takes no lock: Err locks the context's mutex (as of
-// Go 1.24), and pool workers checking on every fresh evaluation contend on
-// it.
-func (o *Oracle) ctxErr() error {
-	if ctx, ok := o.ctx.Load().(context.Context); ok {
-		select {
-		case <-ctx.Done():
-			return ctx.Err()
-		default:
-		}
-	}
-	return nil
-}
-
 // U returns the utility of coalition s, evaluating and caching on first use.
-// If a bound context is done, a cache miss panics with *CancelError; a
-// non-finite evaluation panics with *NonFiniteError.
+// A non-finite evaluation panics with *NonFiniteError. U itself is not
+// cancellable: a run that must stop reads through a RunView bound to its
+// context.
 func (o *Oracle) U(s combin.Coalition) float64 {
 	if v, ok := o.cache.get(s); ok {
 		return v
@@ -165,9 +136,6 @@ func (o *Oracle) U(s combin.Coalition) float64 {
 // which the prefetch pool enters directly for coalitions its dedupe pass
 // already looked up.
 func (o *Oracle) fresh(s combin.Coalition) float64 {
-	if err := o.ctxErr(); err != nil {
-		panic(&CancelError{Err: err})
-	}
 	// Evaluate outside any lock; duplicate concurrent evaluation of the
 	// same coalition is possible but harmless (deterministic result), and
 	// only the first insert is charged.
@@ -212,12 +180,6 @@ func (o *Oracle) Warm(entries map[combin.Coalition]float64) int {
 
 // Size returns the number of cached coalitions (fresh plus warmed).
 func (o *Oracle) Size() int { return o.cache.len() }
-
-// Reset clears the cache and the evaluation counter.
-func (o *Oracle) Reset() {
-	o.cache.clear()
-	o.evals.Store(0)
-}
 
 // Metric scores a trained model on a test set. Under NewFLOracle the model
 // is arena-owned and valid only until the evaluation returns — the next

@@ -43,15 +43,6 @@ func TestOracleCachesAndCounts(t *testing.T) {
 	}
 }
 
-func TestOracleReset(t *testing.T) {
-	o := NewOracle(2, func(s combin.Coalition) float64 { return 1 })
-	o.U(combin.Empty)
-	o.Reset()
-	if o.Evals() != 0 || o.Cached(combin.Empty) {
-		t.Errorf("Reset did not clear state")
-	}
-}
-
 func TestOracleConcurrentAccess(t *testing.T) {
 	o := NewOracle(4, func(s combin.Coalition) float64 { return float64(s.Index()) })
 	var wg sync.WaitGroup

@@ -57,17 +57,10 @@ type claimPool struct {
 	chunk, claims, workers int
 
 	next atomic.Int64
-	// fail holds the first panic of a worker, or &poolStop once the
-	// oracle's bound context cancelled an evaluation; either stops every
-	// worker.
+	// fail holds the first panic of a worker; it stops every worker.
 	fail atomic.Pointer[any]
 	wg   sync.WaitGroup
 }
-
-// poolStop is what fail points at when the oracle's bound context
-// cancelled an evaluation: the pool stops, but Prefetch returns normally,
-// since cancellation is not a failure.
-var poolStop any = (*CancelError)(nil)
 
 // planClaims deduplicates coalitions, drops the cached ones and groups the
 // rest by shard for a pool of at most workers (<= 0 selects GOMAXPROCS).
@@ -139,24 +132,36 @@ func (p *claimPool) work() {
 			if p.fail.Load() != nil {
 				return
 			}
-			p.o.poolEval(s, &p.fail)
+			p.eval(s)
 		}
 	}
+}
+
+// eval evaluates one cache miss, recording the first panic in fail.
+func (p *claimPool) eval(s combin.Coalition) {
+	defer func() {
+		if r := recover(); r != nil {
+			first := r // r itself must not escape: it would cost every call an allocation
+			p.fail.CompareAndSwap(nil, &first)
+		}
+	}()
+	p.o.fresh(s)
 }
 
 // Prefetch evaluates the given coalitions concurrently on a bounded worker
 // pool and caches the results, so that a subsequent single-threaded
 // valuation pass (which is where the algorithmic bookkeeping lives) hits a
 // warm cache. workers <= 0 selects GOMAXPROCS. Duplicate and
-// already-cached coalitions are skipped. When ctx is cancelled the pool
-// stops issuing fresh evaluations and Prefetch returns the context error;
-// utilities evaluated before the cancellation stay cached. When the
-// oracle's bound context cancels an evaluation the pool stops too, and
-// Prefetch returns ctx's error as before: cancellation is not a failure.
-// The first non-finite utility stops the pool likewise and is returned as
-// a *NonFiniteError. When either context is already done on entry, no
+// already-cached coalitions are skipped. ctx is the pool's one context:
+// when it is cancelled the pool stops issuing fresh evaluations and
+// Prefetch returns the context error; utilities evaluated before the
+// cancellation stay cached. When ctx is already done on entry, no
 // evaluation could run, and Prefetch returns before it plans or reserves
-// anything.
+// anything. The first panic of an evaluation stops the pool too: a
+// *NonFiniteError is returned as the error it is, a *CancelError (an
+// evaluation function that waits on a context of its own, as the fleet
+// session does) as the context error it carries, and any other panic is
+// re-raised on the calling goroutine.
 //
 // The pool evaluates shard-major, not in list order: it groups the pending
 // coalitions by cache shard (list order within a shard) and deals claims
@@ -171,8 +176,8 @@ func (p *claimPool) work() {
 // wall-clock of every algorithm scales down by the worker count while the
 // budget accounting (distinct evaluations) is unchanged.
 func (o *Oracle) Prefetch(ctx context.Context, coalitions []combin.Coalition, workers int) error {
-	if ctx.Err() != nil || o.ctxErr() != nil {
-		return ctx.Err()
+	if err := ctx.Err(); err != nil {
+		return err
 	}
 	p := o.planClaims(coalitions, workers)
 	if p == nil {
@@ -187,16 +192,19 @@ func (o *Oracle) Prefetch(ctx context.Context, coalitions []combin.Coalition, wo
 	// one, siblings stop claiming, and it is re-raised below on the
 	// goroutine that called Prefetch, where it reaches whatever recover
 	// guards the caller (the service's job boundary turns it into a failed
-	// job). A non-finite utility travels the same way and is returned as
-	// the error it is.
+	// job). A non-finite utility or a cancelled evaluation travels the same
+	// way and is returned as an error.
 	p.wg.Add(p.workers)
 	for range p.workers {
 		go p.work()
 	}
 	p.wg.Wait()
-	if r := p.fail.Load(); r != nil && r != &poolStop {
-		if nf, ok := (*r).(*NonFiniteError); ok {
-			return nf
+	if r := p.fail.Load(); r != nil {
+		switch e := (*r).(type) {
+		case *NonFiniteError:
+			return e
+		case *CancelError:
+			return e.Err
 		}
 		panic(*r)
 	}
@@ -215,21 +223,4 @@ func (o *Oracle) EvalBatch(ctx context.Context, coalitions []combin.Coalition, w
 		out[i] = o.U(s) // warm: the pool above evaluated every entry
 	}
 	return out, nil
-}
-
-// poolEval evaluates one cache miss on a pool goroutine. It records the
-// first panic in fail, and a cancellation by the oracle's bound context as
-// &poolStop, which stops the pool without failing it.
-func (o *Oracle) poolEval(s combin.Coalition, fail *atomic.Pointer[any]) {
-	defer func() {
-		if r := recover(); r != nil {
-			if _, ok := r.(*CancelError); ok {
-				fail.CompareAndSwap(nil, &poolStop)
-				return
-			}
-			p := r // r itself must not escape: it would cost every call an allocation
-			fail.CompareAndSwap(nil, &p)
-		}
-	}()
-	o.fresh(s)
 }

@@ -120,69 +120,57 @@ func TestPrefetchAllocatesPerBatch(t *testing.T) {
 	}
 }
 
-// TestPrefetchStopsOnOracleCancel: once the oracle's bound context cancels
-// an evaluation, every worker stops. A pool that swallowed the cancellation
+// TestPrefetchStopsOnOracleCancel: once an evaluation function that waits
+// on a context of its own (the fleet session's shape) panics with
+// *CancelError, every worker stops. A pool that swallowed the cancellation
 // and claimed on panicked, recovered and allocated once per remaining
-// entry. The first evaluation on each worker cancels, so at most one per
-// worker runs. Cancellation is still no failure: Prefetch returns its own
-// context's error, nil here.
+// entry. Every evaluation cancels, so at most one per worker runs.
+// Cancellation is still no failure: Prefetch returns the context error the
+// panic carries.
 func TestPrefetchStopsOnOracleCancel(t *testing.T) {
 	const n = 16
 	coals := combin.AppendSubsetsUpTo(nil, n, 4)
 	var calls atomic.Int64
+	cancelled := &CancelError{Err: context.Canceled}
 	avg := testing.AllocsPerRun(5, func() {
 		calls.Store(0)
-		ctx, cancel := context.WithCancel(context.Background())
 		o := NewOracle(n, func(s combin.Coalition) float64 {
 			calls.Add(1)
-			cancel()
-			return float64(s.Size())
+			panic(cancelled)
 		})
-		o.SetContext(ctx)
-		if err := o.Prefetch(context.Background(), coals, 2); err != nil {
-			t.Fatal(err)
+		if err := o.Prefetch(context.Background(), coals, 2); err != context.Canceled {
+			t.Fatalf("Prefetch = %v, want context.Canceled", err)
 		}
 		if c := calls.Load(); c > 2 {
-			t.Fatalf("a pool of 2 ran %d evaluations on a cancelled oracle, want at most one per worker", c)
+			t.Fatalf("a pool of 2 ran %d evaluations after a cancellation, want at most one per worker", c)
 		}
 	})
 	if avg > float64(len(coals)/4) {
-		t.Errorf("Prefetch of %d coalitions on a cancelled oracle made %v allocations, want well under one per entry", len(coals), avg)
+		t.Errorf("Prefetch of %d coalitions stopped by a cancellation made %v allocations, want well under one per entry", len(coals), avg)
 	}
 }
 
-// TestPrefetchCancelledPlansNothing: a Prefetch whose own context or
-// whose oracle's bound context is done on entry returns before it plans
-// claims or pre-sizes the cache's shard tables, which cost about 200
-// allocations for this list.
+// TestPrefetchCancelledPlansNothing: a Prefetch whose context is done on
+// entry returns before it plans claims or pre-sizes the cache's shard
+// tables, which cost about 200 allocations for this list.
 func TestPrefetchCancelledPlansNothing(t *testing.T) {
 	const n = 16
 	coals := combin.AppendSubsetsUpTo(nil, n, 4)
 	done, cancel := context.WithCancel(context.Background())
 	cancel()
 	eval := func(s combin.Coalition) float64 { return float64(s.Size()) }
-	for _, tc := range []struct {
-		name       string
-		ctx, bound context.Context
-		want       error
-	}{
-		{"ctx", done, context.Background(), context.Canceled},
-		{"bound", context.Background(), done, nil},
-	} {
-		var o *Oracle
-		avg := testing.AllocsPerRun(5, func() {
-			o = NewOracle(n, eval)
-			o.SetContext(tc.bound)
-			if err := o.Prefetch(tc.ctx, coals, 2); err != tc.want {
-				t.Fatalf("%s: Prefetch = %v, want %v", tc.name, err, tc.want)
-			}
-		})
-		if avg > 4 { // NewOracle makes 2
-			t.Errorf("%s: NewOracle and a Prefetch of %d coalitions on a done context made %v allocations, want at most 4", tc.name, len(coals), avg)
+	var o *Oracle
+	avg := testing.AllocsPerRun(5, func() {
+		o = NewOracle(n, eval)
+		if err := o.Prefetch(done, coals, 2); err != context.Canceled {
+			t.Fatalf("Prefetch = %v, want context.Canceled", err)
 		}
-		if o.Evals() != 0 || o.Size() != 0 {
-			t.Errorf("%s: a done context evaluated %d and cached %d coalitions", tc.name, o.Evals(), o.Size())
-		}
+	})
+	if avg > 4 { // NewOracle makes 2
+		t.Errorf("NewOracle and a Prefetch of %d coalitions on a done context made %v allocations, want at most 4", len(coals), avg)
+	}
+	if o.Evals() != 0 || o.Size() != 0 {
+		t.Errorf("a done context evaluated %d and cached %d coalitions", o.Evals(), o.Size())
 	}
 }
 
@@ -367,14 +355,12 @@ func TestPoolPanicReachesCaller(t *testing.T) {
 		}
 	}
 
-	// Cancellation is not a failure: it still comes back as an error.
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	o := newOracle(&evals)
-	o.SetContext(ctx)
+	// Cancellation is not a failure: an evaluation that panics with
+	// *CancelError comes back as the context error it carries.
+	o := NewOracle(n, func(combin.Coalition) float64 { panic(&CancelError{Err: context.DeadlineExceeded}) })
 	if r := caught(func() {
-		if err := o.Prefetch(context.Background(), coals[:8], 2); err != nil {
-			t.Errorf("Prefetch under a cancelled oracle context: %v", err)
+		if err := o.Prefetch(context.Background(), coals[:8], 2); err != context.DeadlineExceeded {
+			t.Errorf("Prefetch after a cancelled evaluation = %v, want context.DeadlineExceeded", err)
 		}
 	}); r != nil {
 		t.Fatalf("cancellation escaped the pool as a panic: %v", r)

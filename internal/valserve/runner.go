@@ -316,7 +316,7 @@ func (r *run) aggregate() (*fedshap.Report, error) {
 // jobView is the one budget scope through which a job reads every utility
 // it uses: the plan drive's chunks and the algorithm's reduction each read
 // through one. N, Cached, Evals and SetContext are the embedded RunView's
-// own, so shapley.Run still binds the job context to the oracle. U adds
+// own, so shapley.Run binds the job context to this scope. U adds
 // what the job observes of each request: it times a request the oracle
 // answers from its cache into the "cache" eval-latency series, and on an
 // anytime job it folds each coalition the tracker has not seen yet and
