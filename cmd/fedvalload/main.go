@@ -365,19 +365,7 @@ func (s *stack) startPlain(ctx context.Context, client *fedshap.ServiceClient) e
 		}
 		s.procs = append(s.procs, w)
 	}
-	for s.opts.fleet > 0 {
-		hctx, hcancel := context.WithTimeout(ctx, time.Second)
-		workers, err := client.Workers(hctx)
-		hcancel()
-		if err == nil && len(workers) >= s.opts.fleet {
-			break
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("fleet did not attach")
-		}
-		time.Sleep(100 * time.Millisecond)
-	}
-	return nil
+	return loadgen.WaitFleet(ctx, client, s.opts.fleet, time.Until(deadline))
 }
 
 func (s *stack) stop() {

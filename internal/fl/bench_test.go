@@ -1,6 +1,8 @@
 package fl
 
 import (
+	"fmt"
+	"math/rand"
 	"runtime/debug"
 	"testing"
 
@@ -43,5 +45,35 @@ func TestFedAvgRoundsDoNotAllocate(t *testing.T) {
 	}
 	if three, six := allocs(3), allocs(6); three != six {
 		t.Errorf("allocations grow with rounds: %v objects at 3 rounds, %v at 6", three, six)
+	}
+}
+
+// BenchmarkReseed is what a client's shuffle costs the RNG: one Seed and
+// the Intn draws of a permutation of n samples (model.permInto's), on the
+// arena's source and on math/rand's own.
+func BenchmarkReseed(b *testing.B) {
+	sources := []struct {
+		name string
+		new  func() rand.Source
+	}{
+		{"seq", func() rand.Source { return new(seqSource) }},
+		{"math-rand", func() rand.Source { return rand.NewSource(0) }},
+	}
+	for _, src := range sources {
+		for _, n := range []int{30, 120, 600} {
+			b.Run(fmt.Sprintf("source=%s/n=%d", src.name, n), func(b *testing.B) {
+				r := rand.New(src.new())
+				perm := make([]int, n)
+				b.ResetTimer()
+				for k := 0; k < b.N; k++ {
+					r.Seed(int64(k) * 9176)
+					for i := range perm {
+						j := r.Intn(i + 1)
+						perm[i] = perm[j]
+						perm[j] = i
+					}
+				}
+			})
+		}
 	}
 }

@@ -124,9 +124,12 @@ type Arena struct {
 	// global is also where every client trains: SetParams overwrites its
 	// trainable state with the round-start parameters before each client,
 	// and the last SetParams of a training restores the aggregate. rng is
-	// reused across clients, rounds and trainings: Seed restarts the stream
-	// a fresh rand.NewSource would give, so reuse changes nothing
-	// numerically.
+	// reused across clients, rounds and trainings and reseeded before every
+	// client. Its seqSource gives, seed for seed, the stream of a fresh
+	// rand.NewSource, so reuse changes nothing numerically; but its Seed
+	// only records the seed, and a register word is computed when a draw
+	// first reads it, so a reseed costs what the client's shuffle draws
+	// instead of math/rand's whole 607-word fill.
 	global model.Parametric
 	// init is global's parameter vector as the factory built it under
 	// seed; a Config with another seed starts the Arena over.
@@ -190,7 +193,7 @@ func (a *Arena) fedAvg(clients []*dataset.Dataset, cfg Config, wantTrace bool) (
 	}
 
 	if a.rng == nil {
-		a.rng = rand.New(rand.NewSource(0))
+		a.rng = rand.New(new(seqSource))
 	}
 	a.params = append(a.params[:0], a.init...)
 	if a.agg == nil {

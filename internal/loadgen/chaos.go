@@ -223,7 +223,7 @@ func (c *controller) startAll(ctx context.Context) error {
 		}
 		c.workers[name] = w
 	}
-	return c.waitFleet(ctx, len(c.cfg.WorkerNames))
+	return c.waitFleet(ctx)
 }
 
 // injectFaults fires the configured faults round-robin, each gated on a
@@ -332,7 +332,7 @@ func (c *controller) killWorker(ctx context.Context, chaos *ChaosReport) error {
 		return fmt.Errorf("loadgen: relaunch worker %s: %w", victim, err)
 	}
 	c.workers[victim] = w
-	return c.waitFleet(ctx, len(c.cfg.WorkerNames))
+	return c.waitFleet(ctx)
 }
 
 // partition severs every worker⇄coordinator connection at once. The
@@ -355,7 +355,7 @@ func (c *controller) partition(ctx context.Context, chaos *ChaosReport) error {
 	if inflight {
 		chaos.KillsWithInflight++
 	}
-	return c.waitFleet(ctx, len(c.cfg.WorkerNames))
+	return c.waitFleet(ctx)
 }
 
 // killDaemon scrapes (so the dying life's counters are folded into the
@@ -376,7 +376,7 @@ func (c *controller) killDaemon(ctx context.Context, chaos *ChaosReport) error {
 	if err := WaitHealthy(ctx, c.cfg.Client, c.cfg.SettleTimeout); err != nil {
 		return err
 	}
-	return c.waitFleet(ctx, len(c.cfg.WorkerNames))
+	return c.waitFleet(ctx)
 }
 
 // diskFull arms the daemon's persistence fault switch (every journal and
@@ -482,7 +482,7 @@ func (c *controller) stallWorker(ctx context.Context, chaos *ChaosReport) error 
 	if err := proc.Process.Signal(syscall.SIGCONT); err != nil {
 		return fmt.Errorf("loadgen: SIGCONT worker %s: %w", victim, err)
 	}
-	return c.waitFleet(ctx, len(c.cfg.WorkerNames))
+	return c.waitFleet(ctx)
 }
 
 // flapWorker kills the same worker name FlapKillCount times in quick
@@ -591,7 +591,7 @@ func (c *controller) flapWorker(ctx context.Context, chaos *ChaosReport) error {
 		c.cfg.Logf("chaos: benched worker %s refused at the door", victim)
 	}
 	chaos.Flaps++
-	return c.waitFleet(ctx, len(c.cfg.WorkerNames))
+	return c.waitFleet(ctx)
 }
 
 // pollUntil scrapes /metrics until cond holds, an optional timeout (or
@@ -623,28 +623,9 @@ func (c *controller) scrape(ctx context.Context) *fedshap.Metrics {
 	return c.runner.ScrapeNow(ctx)
 }
 
-// waitFleet blocks until n workers are attached to the coordinator.
-func (c *controller) waitFleet(ctx context.Context, n int) error {
-	if n == 0 {
-		return nil
-	}
-	deadline := time.Now().Add(c.cfg.SettleTimeout)
-	for {
-		hctx, cancel := context.WithTimeout(ctx, time.Second)
-		workers, err := c.cfg.Client.Workers(hctx)
-		cancel()
-		if err == nil && len(workers) >= n {
-			return nil
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("loadgen: fleet did not reach %d workers within %s", n, c.cfg.SettleTimeout)
-		}
-		select {
-		case <-ctx.Done():
-			return ctx.Err()
-		case <-time.After(100 * time.Millisecond):
-		}
-	}
+// waitFleet blocks until every configured worker is attached.
+func (c *controller) waitFleet(ctx context.Context) error {
+	return WaitFleet(ctx, c.cfg.Client, len(c.cfg.WorkerNames), c.cfg.SettleTimeout)
 }
 
 // checkAllTerminal: every accepted submission terminal, none failed or
@@ -839,16 +820,43 @@ func (c *controller) submitAndWait(ctx context.Context, client *fedshap.ServiceC
 // the last probe's error after timeout, and with ctx's error once ctx is
 // done.
 func WaitHealthy(ctx context.Context, client *fedshap.ServiceClient, timeout time.Duration) error {
+	return poll(ctx, timeout, "daemon at "+client.BaseURL+" not healthy", func(ctx context.Context) error {
+		_, err := client.Metrics(ctx)
+		return err
+	})
+}
+
+// WaitFleet blocks until at least n workers are attached to the
+// coordinator of the daemon behind client; n <= 0 returns at once. It
+// polls and gives up as WaitHealthy does.
+func WaitFleet(ctx context.Context, client *fedshap.ServiceClient, n int, timeout time.Duration) error {
+	if n <= 0 {
+		return nil
+	}
+	what := fmt.Sprintf("fleet at %s did not reach %d workers", client.BaseURL, n)
+	return poll(ctx, timeout, what, func(ctx context.Context) error {
+		workers, err := client.Workers(ctx)
+		if err == nil && len(workers) < n {
+			err = fmt.Errorf("%d attached", len(workers))
+		}
+		return err
+	})
+}
+
+// poll is WaitHealthy's and WaitFleet's loop: it runs probe until it
+// returns nil, and reports what failed with the last probe's error once
+// timeout has passed.
+func poll(ctx context.Context, timeout time.Duration, what string, probe func(context.Context) error) error {
 	deadline := time.Now().Add(timeout)
 	for {
-		hctx, cancel := context.WithTimeout(ctx, time.Second)
-		_, err := client.Metrics(hctx)
+		pctx, cancel := context.WithTimeout(ctx, time.Second)
+		err := probe(pctx)
 		cancel()
 		if err == nil {
 			return nil
 		}
 		if time.Now().After(deadline) {
-			return fmt.Errorf("loadgen: daemon at %s not healthy after %s: %w", client.BaseURL, timeout, err)
+			return fmt.Errorf("loadgen: %s after %s: %w", what, timeout, err)
 		}
 		select {
 		case <-ctx.Done():

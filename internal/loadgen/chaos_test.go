@@ -297,3 +297,39 @@ func TestWaitHealthy(t *testing.T) {
 		t.Fatalf("WaitHealthy on a done context = %v after %v, want context.Canceled at once", err, time.Since(start))
 	}
 }
+
+// TestWaitFleet: the fleet wait returns once enough workers are listed,
+// gives up after its timeout naming the count it waited for, and returns
+// the context's error at once when the context is done, without waiting
+// out the timeout.
+func TestWaitFleet(t *testing.T) {
+	var probes, attached atomic.Int32
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		probes.Add(1)
+		w.Header().Set("Content-Type", "application/json")
+		// One more worker attaches on each probe.
+		workers := strings.Repeat(`{"name":"w"},`, max(int(attached.Add(1)), 0))
+		w.Write([]byte("[" + strings.TrimSuffix(workers, ",") + "]"))
+	}))
+	defer srv.Close()
+	client := fedshap.NewServiceClient(srv.URL)
+
+	if err := WaitFleet(context.Background(), client, 0, time.Minute); err != nil || probes.Load() != 0 {
+		t.Fatalf("WaitFleet for no workers = %v after %d probes, want nil after none", err, probes.Load())
+	}
+	if err := WaitFleet(context.Background(), client, 3, 10*time.Second); err != nil || probes.Load() != 3 {
+		t.Fatalf("WaitFleet = %v after %d probes, want nil after 3", err, probes.Load())
+	}
+
+	attached.Store(-1 << 20)
+	if err := WaitFleet(context.Background(), client, 2, 250*time.Millisecond); err == nil || !strings.Contains(err.Error(), "did not reach 2 workers after 250ms") {
+		t.Fatalf("WaitFleet on a fleet that never attaches = %v, want a timeout error", err)
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	start := time.Now()
+	if err := WaitFleet(ctx, client, 2, time.Minute); !errors.Is(err, context.Canceled) || time.Since(start) > 10*time.Second {
+		t.Fatalf("WaitFleet on a done context = %v after %v, want context.Canceled at once", err, time.Since(start))
+	}
+}

@@ -235,7 +235,9 @@ func (m *Matrix) Clone() *Matrix {
 // one another, while every dst[i] is still the left-to-right sum over j.
 // With AVX2 the assembly takes whole groups of eight rows over whole
 // blocks of four columns, and the loop below continues each of those sums
-// over the last cols%4 columns.
+// over the last cols%4 columns. A last group of two or three rows also
+// shares one pass, so a 10-class output layer's two rows after the
+// assembly's eight add in parallel too.
 func (m *Matrix) MulVec(v Vector, dst Vector) Vector {
 	if len(v) != m.Cols {
 		panic(fmt.Sprintf("tensor: MulVec dimension mismatch: cols=%d len(v)=%d", m.Cols, len(v)))
@@ -275,8 +277,28 @@ func (m *Matrix) MulVec(v Vector, dst Vector) Vector {
 		d := dst[i : i+4 : i+4]
 		d[0], d[1], d[2], d[3] = s0, s1, s2, s3
 	}
-	for ; i < m.Rows; i++ {
-		row := m.Row(i)[:len(v)]
+	// The last one to three rows share one pass as well, a chain each.
+	blk := m.Data[i*cols:]
+	switch m.Rows - i {
+	case 3:
+		r0, r1, r2 := blk[:len(v)], blk[cols:][:len(v)], blk[2*cols:][:len(v)]
+		var s0, s1, s2 float64
+		for j, x := range v {
+			s0 += r0[j] * x
+			s1 += r1[j] * x
+			s2 += r2[j] * x
+		}
+		dst[i], dst[i+1], dst[i+2] = s0, s1, s2
+	case 2:
+		r0, r1 := blk[:len(v)], blk[cols:][:len(v)]
+		var s0, s1 float64
+		for j, x := range v {
+			s0 += r0[j] * x
+			s1 += r1[j] * x
+		}
+		dst[i], dst[i+1] = s0, s1
+	case 1:
+		row := blk[:len(v)]
 		var s float64
 		for j, x := range v {
 			s += row[j] * x
