@@ -1,6 +1,7 @@
 package fedshap
 
 import (
+	"context"
 	"errors"
 	"math"
 	"testing"
@@ -77,6 +78,31 @@ func TestUtilitiesBatchMatchesUtility(t *testing.T) {
 		if want := mustUtility(t, fed, c); got[i] != want {
 			t.Errorf("utilities[%d] = %v, want %v", i, got[i], want)
 		}
+	}
+}
+
+// UtilitiesCtx is the cancellable Utilities: a live context gives the
+// same utilities, a cancelled one trains nothing and returns its error.
+func TestUtilitiesCtxCancellation(t *testing.T) {
+	fed := tinyFederation(t)
+	coalitions := [][]int{{0}, {1, 2}}
+	want, err := fed.Utilities(coalitions, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := fed.UtilitiesCtx(context.Background(), coalitions, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Errorf("UtilitiesCtx[%d] = %v, Utilities gives %v", i, got[i], want[i])
+		}
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if got, err := fed.UtilitiesCtx(ctx, coalitions, 2); !errors.Is(err, context.Canceled) || got != nil {
+		t.Errorf("UtilitiesCtx(cancelled) = %v, %v; want nil, context.Canceled", got, err)
 	}
 }
 

@@ -416,14 +416,20 @@ func (f *Federation) Utility(coalition Coalition) (float64, error) {
 // selects GOMAXPROCS. The first failed evaluation, such as a
 // *utility.NonFiniteError from a diverging metric, is returned instead.
 func (f *Federation) Utilities(coalitions []Coalition, workers int) ([]float64, error) {
+	return f.UtilitiesCtx(context.Background(), coalitions, workers)
+}
+
+// UtilitiesCtx is Utilities with cooperative cancellation: when ctx is
+// cancelled the pool stops starting trainings and the context's error is
+// returned.
+func (f *Federation) UtilitiesCtx(ctx context.Context, coalitions []Coalition, workers int) ([]float64, error) {
 	spec := f.spec()
 	oracle := utility.NewFLOracle(*spec)
 	in := make([]combin.Coalition, len(coalitions))
 	for i, c := range coalitions {
 		in[i] = toCoalition(c)
 	}
-	//fedvallint:allow(ctxthread) context-free convenience API; the cancellable path is Oracle.EvalBatch
-	return oracle.EvalBatch(context.Background(), in, workers)
+	return oracle.EvalBatch(ctx, in, workers)
 }
 
 // RecommendedGamma returns the paper's sampling budget policy for this

@@ -87,19 +87,27 @@ type Problem struct {
 	// (Fig. 9 symmetric-fairness proxy).
 	DuplicateGroups [][]int
 
-	// customOracle, when set, overrides the standard FL-training oracle
+	// customEval, when set, overrides the standard FL-training evaluation
 	// (used by the linear-regression theory experiments, which evaluate
 	// coalitions by closed-form OLS).
-	customOracle func() *utility.Oracle
+	customEval utility.EvalFunc
 }
 
 // Oracle returns a fresh utility oracle for the problem. Every algorithm
 // run gets its own oracle so time and budget accounting are independent.
 func (p *Problem) Oracle() *utility.Oracle {
-	if p.customOracle != nil {
-		return p.customOracle()
+	return utility.NewOracle(p.N, p.Eval())
+}
+
+// Eval returns the evaluation function Oracle memoises — FL training on
+// the spec (utility.NewFLEval, with arenas of its own per call) unless the
+// problem evaluates coalitions some other way — for a caller that owns
+// its oracle.
+func (p *Problem) Eval() utility.EvalFunc {
+	if p.customEval != nil {
+		return p.customEval
 	}
-	return utility.NewFLOracle(*p.Spec)
+	return utility.NewFLEval(*p.Spec)
 }
 
 // NewFuncProblem builds a problem whose utilities come from an arbitrary
@@ -107,13 +115,7 @@ func (p *Problem) Oracle() *utility.Oracle {
 // oracles and valuation-service tests use it. Spec stays nil, so
 // gradient-based baselines report ErrNeedsSpec on such problems.
 func NewFuncProblem(name string, n int, eval func(combin.Coalition) float64) *Problem {
-	return &Problem{
-		Name: name,
-		N:    n,
-		customOracle: func() *utility.Oracle {
-			return utility.NewOracle(n, eval)
-		},
-	}
+	return &Problem{Name: name, N: n, customEval: eval}
 }
 
 // factory builds the model constructor for a family over a given input
@@ -151,6 +153,22 @@ func flConfig(sc Scale, seed int64) fl.Config {
 	}
 }
 
+// FEMNISTName is the Name of NewFEMNISTProblem's problem, for a caller
+// that names a problem it has not built.
+func FEMNISTName(n int, kind ModelKind) string {
+	return fmt.Sprintf("FEMNIST-like/n=%d/%s", n, kind)
+}
+
+// AdultName is the Name of NewAdultProblem's problem.
+func AdultName(n int, kind ModelKind) string {
+	return fmt.Sprintf("Adult-like/n=%d/%s", n, kind)
+}
+
+// SyntheticName is the Name of NewSyntheticProblem's problem.
+func SyntheticName(setup SyntheticSetup, n int, kind ModelKind) string {
+	return fmt.Sprintf("synthetic/%s/n=%d/%s", setup, n, kind)
+}
+
 // NewFEMNISTProblem builds the FEMNIST-like writer-partitioned problem of
 // Tables IV and Figs. 1(b), 4, 7-10.
 func NewFEMNISTProblem(n int, kind ModelKind, sc Scale, seed int64) *Problem {
@@ -165,7 +183,7 @@ func NewFEMNISTProblem(n int, kind ModelKind, sc Scale, seed int64) *Problem {
 		Metric:  model.Accuracy,
 	}
 	return &Problem{
-		Name: fmt.Sprintf("FEMNIST-like/n=%d/%s", n, kind),
+		Name: FEMNISTName(n, kind),
 		N:    n,
 		Spec: spec,
 	}
@@ -195,7 +213,7 @@ func NewAdultProblem(n int, kind ModelKind, sc Scale, seed int64) *Problem {
 		Metric:  model.Accuracy,
 	}
 	return &Problem{
-		Name: fmt.Sprintf("Adult-like/n=%d/%s", n, kind),
+		Name: AdultName(n, kind),
 		N:    n,
 		Spec: spec,
 	}
@@ -285,7 +303,7 @@ func NewSyntheticProblem(setup SyntheticSetup, n int, kind ModelKind, sc Scale, 
 		Metric:  model.Accuracy,
 	}
 	return &Problem{
-		Name: fmt.Sprintf("synthetic/%s/n=%d/%s", setup, n, kind),
+		Name: SyntheticName(setup, n, kind),
 		N:    n,
 		Spec: spec,
 	}

@@ -78,35 +78,33 @@ func NewLinRegProblem(cfg LinRegProblemConfig) *Problem {
 		Clients: clients,
 		Test:    test,
 		Config:  fl.DefaultConfig(cfg.Seed),
-		Metric:  model.Accuracy, // unused; see custom oracle below
+		Metric:  model.Accuracy, // unused; see customEval below
 	}
 	p := &Problem{Name: fmt.Sprintf("linreg/n=%d", cfg.N), N: cfg.N, Spec: spec}
-	p.customOracle = func() *utility.Oracle {
-		return utility.NewOracle(cfg.N, func(s combin.Coalition) float64 {
-			var rows int
-			for _, i := range s.Members() {
-				rows += clients[i].Len()
-			}
-			if rows == 0 {
-				// Untrained (zero) model: −MSE of predicting 0.
-				m := model.NewLinReg(cfg.Dim)
-				return model.NegMSEFloat(m, test.X, testY)
-			}
-			X := tensor.NewMatrix(rows, cfg.Dim)
-			y := make([]float64, 0, rows)
-			r := 0
-			for _, i := range s.Members() {
-				c := clients[i]
-				for k := 0; k < c.Len(); k++ {
-					copy(X.Row(r), c.X.Row(k))
-					r++
-				}
-				y = append(y, targets[i]...)
-			}
+	p.customEval = func(s combin.Coalition) float64 {
+		var rows int
+		for _, i := range s.Members() {
+			rows += clients[i].Len()
+		}
+		if rows == 0 {
+			// Untrained (zero) model: −MSE of predicting 0.
 			m := model.NewLinReg(cfg.Dim)
-			m.FitOLS(X, y, 1e-9)
 			return model.NegMSEFloat(m, test.X, testY)
-		})
+		}
+		X := tensor.NewMatrix(rows, cfg.Dim)
+		y := make([]float64, 0, rows)
+		r := 0
+		for _, i := range s.Members() {
+			c := clients[i]
+			for k := 0; k < c.Len(); k++ {
+				copy(X.Row(r), c.X.Row(k))
+				r++
+			}
+			y = append(y, targets[i]...)
+		}
+		m := model.NewLinReg(cfg.Dim)
+		m.FitOLS(X, y, 1e-9)
+		return model.NegMSEFloat(m, test.X, testY)
 	}
 	return p
 }

@@ -202,13 +202,21 @@ type FLSpec struct {
 // FL model trained on ∪_{i∈S} D_i. Training is deterministic per coalition
 // (seeded from the base seed), so repeated queries agree.
 func NewFLOracle(spec FLSpec) *Oracle {
+	return NewOracle(len(spec.Clients), NewFLEval(spec))
+}
+
+// NewFLEval returns the evaluation function behind NewFLOracle, for a
+// caller that builds its oracle before it has the spec (valserve) or
+// otherwise owns the oracle. Each call returns an evaluator with arenas of
+// its own; a nil Metric is model.Accuracy.
+func NewFLEval(spec FLSpec) EvalFunc {
 	if spec.Metric == nil {
 		spec.Metric = model.Accuracy
 	}
-	return NewOracle(len(spec.Clients), (&flEvaluator{spec: spec}).eval)
+	return (&flEvaluator{spec: spec}).eval
 }
 
-// flEvaluator is the EvalFunc behind NewFLOracle. It owns the training
+// flEvaluator is the EvalFunc behind NewFLEval. It owns the training
 // arenas: an evaluation pops one off the free list (or starts a new one),
 // trains and scores in it, and pushes it back, so w concurrent callers —
 // the local pool, an evalnet worker, a service job, the serial path — hold

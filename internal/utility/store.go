@@ -37,7 +37,7 @@ type Store struct {
 	Fault *resilience.Hook
 
 	mu      sync.Mutex
-	files   appendFiles    // append handles, one per fingerprint; guarded by mu
+	files   appendFiles    // recently used append handles; guarded by mu
 	err     error          // first write error, reported by Close; guarded by mu
 	pending []pendingWrite // utilities buffered while the disk fails; guarded by mu
 	// npending is len(pending), stored under mu and read without it:
@@ -78,23 +78,58 @@ func (st *Store) path(fingerprint string) string {
 	return filepath.Join(st.dir, fingerprint+".jsonl")
 }
 
-// appendFiles holds one append handle per fingerprint, sorted by
-// fingerprint, so that closing them all goes in the same order on every
-// run.
+// maxOpenAppends bounds the append handles a store keeps open. A job
+// writes through to one fingerprint, so a daemon's hot set is about as
+// large as its concurrent jobs; a bound well past that, and far under the
+// common 1,024-descriptor soft limit, never reopens a running job's file
+// and keeps a long-lived daemon that has seen thousands of fingerprints
+// from running out of descriptors.
+const maxOpenAppends = 64
+
+// appendFiles holds the append handles of the most recently written
+// fingerprints, at most maxOpenAppends, least recently used first. Writing
+// to a fingerprint past the bound closes the least recently used handle;
+// its file reopens on its next append.
 type appendFiles struct {
 	fps   []string
 	files []*AppendFile // files[i] appends to fps[i]'s file
 }
 
-// get returns fingerprint's handle, adding one for path(fingerprint)
-// (unopened until its first Append) on first use.
-func (fs *appendFiles) get(fingerprint string, path func(string) string) *AppendFile {
-	i, ok := slices.BinarySearch(fs.fps, fingerprint)
-	if !ok {
-		fs.fps = slices.Insert(fs.fps, i, fingerprint)
-		fs.files = slices.Insert(fs.files, i, NewAppendFile(path(fingerprint)))
+// get returns fingerprint's handle, moved to the most recent end, adding
+// one for path(fingerprint) (unopened until its first Append) on first
+// use. err is the close error of a handle evicted to make room.
+func (fs *appendFiles) get(fingerprint string, path func(string) string) (f *AppendFile, err error) {
+	i := fs.index(fingerprint)
+	if i >= 0 {
+		f = fs.files[i]
+		fs.remove(i)
+	} else {
+		if len(fs.fps) == maxOpenAppends {
+			err = fs.files[0].Close()
+			fs.remove(0)
+		}
+		f = NewAppendFile(path(fingerprint))
 	}
-	return fs.files[i]
+	fs.fps = append(fs.fps, fingerprint)
+	fs.files = append(fs.files, f)
+	return f, err
+}
+
+// index returns fingerprint's position, or -1. It searches from the most
+// recent end, where a running job's fingerprint is.
+func (fs *appendFiles) index(fingerprint string) int {
+	for i := len(fs.fps) - 1; i >= 0; i-- {
+		if fs.fps[i] == fingerprint {
+			return i
+		}
+	}
+	return -1
+}
+
+// remove drops entry i without closing its handle.
+func (fs *appendFiles) remove(i int) {
+	fs.fps = slices.Delete(fs.fps, i, i+1)
+	fs.files = slices.Delete(fs.files, i, i+1)
 }
 
 // checkFingerprint guards against path traversal via untrusted fingerprints.
@@ -127,11 +162,11 @@ func (st *Store) Load(fingerprint string) (map[combin.Coalition]float64, error) 
 }
 
 // Append durably records one utility under a fingerprint. The append
-// handle stays open for the store's lifetime, so per-evaluation overhead
-// is one encode + write syscall. The write happens under the store
-// mutex, serialised against Compact's handle-retire-then-rename — an
-// append can never slip in between and land in the unlinked
-// pre-compaction file.
+// handle stays open while the fingerprint is among the maxOpenAppends
+// most recently written, so per-evaluation overhead is one encode + write
+// syscall. The write happens under the store mutex, serialised against
+// Compact's handle-retire-then-rename — an append can never slip in
+// between and land in the unlinked pre-compaction file.
 //
 // A failed write is buffered, not dropped (see PendingWrites), and is
 // returned. While the buffer holds anything, a new utility joins its
@@ -176,7 +211,11 @@ func (st *Store) flush(next ...pendingWrite) (written int, err error) {
 		if err = st.Fault.Check("store.append"); err != nil {
 			break
 		}
-		if err = st.files.get(p.fp, st.path).Append(p.rec); err != nil {
+		f, cerr := st.files.get(p.fp, st.path)
+		if cerr != nil {
+			st.err = cmp.Or(st.err, cerr)
+		}
+		if err = f.Append(p.rec); err != nil {
 			break
 		}
 		written++
@@ -319,7 +358,9 @@ func (st *Store) Compact(fingerprint string) (kept, dropped int, err error) {
 	}
 	// Retire the open append handle before swapping the file underneath
 	// it; the next Append reopens against the compacted file.
-	st.files.get(fingerprint, st.path).Close()
+	if i := st.files.index(fingerprint); i >= 0 {
+		st.files.files[i].Close()
+	}
 	if rerr := ReplaceJSONL(path, rows); rerr != nil {
 		// Remembered like write errors: callers on background sweeps drop
 		// per-run errors, so Close is where a failing disk surfaces.
@@ -354,8 +395,8 @@ func (st *Store) CompactAll() (kept, dropped int, err error) {
 func (st *Store) Close() error {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	// The handles are sorted, so which failure gets latched as "first" is
-	// stable run to run.
+	// The handles close least recently used first, so which failure gets
+	// latched as "first" follows the order of the writes.
 	for _, f := range st.files.files {
 		if err := f.Close(); err != nil {
 			st.err = cmp.Or(st.err, err)

@@ -3,6 +3,7 @@ package utility
 import (
 	"bufio"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -225,5 +226,81 @@ func TestStoreCompactAll(t *testing.T) {
 	}
 	if kept != 2 || dropped != 4 {
 		t.Errorf("CompactAll = (%d kept, %d dropped), want (2, 4)", kept, dropped)
+	}
+}
+
+// openAppendHandles counts the store's append handles with an open file.
+func openAppendHandles(st *Store) (handles, open int) {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	for _, f := range st.files.files {
+		f.mu.Lock()
+		if f.f != nil {
+			open++
+		}
+		f.mu.Unlock()
+	}
+	return len(st.files.files), open
+}
+
+// TestStoreBoundsOpenAppendHandles writes to 2,000 fingerprints, twice
+// over: the store never holds more than maxOpenAppends handles, an
+// evicted fingerprint reopens its file on its next append, and records,
+// Load and Compact are what they would be with every handle kept open.
+func TestStoreBoundsOpenAppendHandles(t *testing.T) {
+	dir := t.TempDir()
+	st, err := OpenStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const fps = 2000
+	fp := func(i int) string { return fmt.Sprintf("fp%04d", i) }
+	a, b := combin.NewCoalition(0), combin.NewCoalition(1, 2)
+	for pass := 0; pass < 2; pass++ {
+		for i := 0; i < fps; i++ {
+			if err := st.Append(fp(i), a, float64(i)); err != nil {
+				t.Fatal(err)
+			}
+			if pass == 1 {
+				if err := st.Append(fp(i), b, -float64(i)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if handles, open := openAppendHandles(st); handles > maxOpenAppends || open > maxOpenAppends {
+				t.Fatalf("after %d fingerprints: %d handles, %d open; bound %d", i+1, handles, open, maxOpenAppends)
+			}
+		}
+	}
+	if handles, open := openAppendHandles(st); handles != maxOpenAppends || open != maxOpenAppends {
+		t.Errorf("%d handles, %d open after the writes; want the %d most recent", handles, open, maxOpenAppends)
+	}
+	// fp(0) was evicted long ago, fp(fps-1) holds an open handle.
+	for _, i := range []int{0, fps / 2, fps - 1} {
+		path := filepath.Join(dir, fp(i)+".jsonl")
+		if got := countLines(t, path); got != 3 {
+			t.Errorf("%s has %d records, want 3", fp(i), got)
+		}
+		entries, err := st.Load(fp(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(entries) != 2 || entries[a] != float64(i) || entries[b] != -float64(i) {
+			t.Errorf("%s entries = %v", fp(i), entries)
+		}
+		if kept, dropped, err := st.Compact(fp(i)); err != nil || kept != 2 || dropped != 1 {
+			t.Errorf("Compact(%s) = (%d, %d, %v), want (2, 1, nil)", fp(i), kept, dropped, err)
+		}
+		if err := st.Append(fp(i), a, 7); err != nil {
+			t.Fatal(err)
+		}
+		if got := countLines(t, path); got != 3 {
+			t.Errorf("%s has %d records after compaction and one append, want 3", fp(i), got)
+		}
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if handles, open := openAppendHandles(st); handles != 0 || open != 0 {
+		t.Errorf("Close left %d handles, %d open", handles, open)
 	}
 }

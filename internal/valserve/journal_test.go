@@ -154,7 +154,8 @@ func TestJournalProgressThrottle(t *testing.T) {
 // one running and one cancelled. A new manager over the same journal and
 // store must (1) serve the done job's report bit-identically without
 // recomputation, (2) keep the cancelled job terminal, and (3) requeue the
-// interrupted job, which completes fully warm — zero fresh evaluations.
+// interrupted job, which starts warm from everything the done job
+// persisted and trains only the rest.
 func TestManagerRestartRecovery(t *testing.T) {
 	dir := t.TempDir()
 	cache := filepath.Join(dir, "cache")
@@ -164,12 +165,12 @@ func TestManagerRestartRecovery(t *testing.T) {
 	m1, err := NewManager(Config{
 		Workers:  1,
 		CacheDir: cache,
-		// The interrupted job (kgreedy) hangs in problem construction
-		// until the gate opens — the crash leaves it journaled as
-		// running.
+		// The interrupted job (exact) hangs in problem construction,
+		// which its first cold coalition starts, until the gate opens —
+		// the crash leaves it journaled as running.
 		JournalPath: journal,
 		BuildProblem: func(req fedshap.JobRequest) (*experiments.Problem, error) {
-			if req.Algorithm == "kgreedy" {
+			if req.Algorithm == "exact" {
 				<-gate
 				return nil, errors.New("crashed")
 			}
@@ -181,19 +182,19 @@ func TestManagerRestartRecovery(t *testing.T) {
 	}
 	t.Cleanup(func() { close(gate) }) // release the abandoned worker
 
-	// Job A: exact over n=5 persists the complete power set.
-	req := fedshap.JobRequest{N: 5, Algorithm: "exact", Seed: 3}
+	// Job A: kgreedy over n=5 persists ∅ and the five singletons.
+	req := fedshap.JobRequest{N: 5, Algorithm: "kgreedy", K: 1, Seed: 3}
 	stA, err := m1.Submit(req)
 	if err != nil {
 		t.Fatal(err)
 	}
 	finA := waitState(t, m1, stA.ID, terminal)
-	if finA.State != fedshap.JobDone || finA.FreshEvals != 32 {
+	if finA.State != fedshap.JobDone || finA.FreshEvals != 6 {
 		t.Fatalf("job A: %s fresh=%d (%s)", finA.State, finA.FreshEvals, finA.Error)
 	}
 
 	// Job B: same problem fingerprint, stuck mid-run at the crash.
-	stB, err := m1.Submit(fedshap.JobRequest{N: 5, Algorithm: "kgreedy", K: 1, Seed: 3})
+	stB, err := m1.Submit(fedshap.JobRequest{N: 5, Algorithm: "exact", Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,17 +244,17 @@ func TestManagerRestartRecovery(t *testing.T) {
 		t.Errorf("job C recovered as %s, want cancelled", recC.State)
 	}
 
-	// (3) Job B: requeued under its original ID and completes entirely
-	// from the warm store — zero fresh evaluations.
+	// (3) Job B: requeued under its original ID, warm from job A's
+	// coalitions, trains only the rest of the power set.
 	finB := waitState(t, m2, stB.ID, terminal)
 	if finB.State != fedshap.JobDone {
 		t.Fatalf("job B after restart: %s (%s)", finB.State, finB.Error)
 	}
-	if finB.FreshEvals != 0 {
-		t.Errorf("replayed job B fresh evals = %d, want 0 (warm start)", finB.FreshEvals)
+	if finB.WarmedCoalitions != finA.FreshEvals {
+		t.Errorf("job B warmed %d, want job A's %d persisted coalitions", finB.WarmedCoalitions, finA.FreshEvals)
 	}
-	if finB.WarmedCoalitions < finA.FreshEvals {
-		t.Errorf("job B warmed %d < job A's %d persisted coalitions", finB.WarmedCoalitions, finA.FreshEvals)
+	if want := 32 - finA.FreshEvals; finB.FreshEvals != want {
+		t.Errorf("replayed job B fresh evals = %d, want %d (warm start)", finB.FreshEvals, want)
 	}
 
 	// New IDs don't collide with replayed ones.

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"sync"
 	"time"
 
 	"fedshap"
@@ -17,8 +18,9 @@ import (
 )
 
 // run is one job's execution: what its stages — the spans the trace names,
-// build_problem → warm_start → prefetch | anytime_drive → aggregate — hand
-// to each other.
+// warm_start → prefetch | anytime_drive → aggregate — hand to each other.
+// The job's problem is built at most once, where it is first needed (see
+// problem), so a fully warm or fleet-served job synthesises no data.
 type run struct {
 	m   *Manager
 	j   *Job
@@ -30,9 +32,15 @@ type run struct {
 	// j.ctx alone still distinguishes explicit cancellation (see conclude).
 	ctx context.Context
 
-	alg     shapley.Valuer
-	p       *experiments.Problem
-	oracle  *utility.Oracle
+	alg    shapley.Valuer
+	oracle *utility.Oracle
+	// built guards the one problem build (problem); p, eval and buildErr
+	// are its results, read only after built.Do returns.
+	built    sync.Once
+	p        *experiments.Problem
+	eval     utility.EvalFunc
+	buildErr error
+
 	workers int              // width of the job's coalition-evaluation pool
 	sess    *evalnet.Session // nil without a coordinator
 	any     *anytimeState    // nil unless the request asked for a confidence
@@ -47,7 +55,11 @@ func (m *Manager) runJob(j *Job) {
 	}
 	defer j.cancel()
 	defer func() {
-		if r := recover(); r != nil {
+		switch r := recover().(type) {
+		case nil:
+		case *buildError:
+			j.finish(fedshap.JobFailed, r.err.Error(), nil)
+		default:
 			j.finish(fedshap.JobFailed, fmt.Sprintf("panic: %v", r), nil)
 		}
 	}()
@@ -88,7 +100,7 @@ func (r *run) conclude(rep *fedshap.Report, err error) {
 
 // stages runs the job to its report.
 func (r *run) stages() (*fedshap.Report, error) {
-	if err := r.buildProblem(); err != nil {
+	if err := r.prepare(); err != nil {
 		return nil, err
 	}
 	if err := r.warmStart(); err != nil {
@@ -103,7 +115,7 @@ func (r *run) stages() (*fedshap.Report, error) {
 	// fresh-evaluation counts are untouched by evaluating it ahead.
 	var plan []combin.Coalition
 	if r.req.Confidence > 0 || r.workers > 1 {
-		plan, _ = shapley.PlanFor(r.alg, r.p.N, r.req.Seed+2)
+		plan, _ = shapley.PlanFor(r.alg, r.req.N, r.req.Seed+2)
 	}
 	// Anytime valuation: a requested confidence turns on interval
 	// tracking. Plan-exhaustive algorithms are *driven* — their complete
@@ -121,7 +133,7 @@ func (r *run) stages() (*fedshap.Report, error) {
 		return r.aggregate()
 	}
 	if r.req.Confidence > 0 {
-		r.any = newAnytimeState(r.m, r.j, r.p.N, r.req.Confidence, nil)
+		r.any = newAnytimeState(r.m, r.j, r.req.N, r.req.Confidence, nil)
 	}
 	if r.workers > 1 && len(plan) > 0 {
 		if err := r.prefetch(plan); err != nil {
@@ -131,27 +143,71 @@ func (r *run) stages() (*fedshap.Report, error) {
 	return r.aggregate()
 }
 
-// buildProblem resolves the algorithm and constructs the valuation problem
-// and its oracle.
-func (r *run) buildProblem() (err error) {
+// prepare resolves the algorithm and creates the job's oracle, whose
+// evaluation function builds the problem on the first coalition the daemon
+// trains itself (see problem). With the standard builder the job is named
+// here, from the request alone.
+func (r *run) prepare() (err error) {
 	if r.alg, err = NewValuer(r.req.Algorithm, r.req.Gamma, r.req.K); err != nil {
 		return err
 	}
-	build := r.m.cfg.BuildProblem
-	if build == nil {
-		build = BuildProblem
+	if r.m.cfg.BuildProblem == nil {
+		name := problemName(r.req)
+		r.j.update(func(st *fedshap.JobStatus) { st.Problem = name })
 	}
-	span := r.j.trace.StartSpan("build_problem", "daemon")
-	if r.p, err = build(r.req); err != nil {
-		span.End()
-		return err
-	}
-	span.SetAttr("problem", r.p.Name)
-	span.End()
-	r.j.update(func(st *fedshap.JobStatus) { st.Problem = r.p.Name })
-	r.oracle = r.p.Oracle()
+	r.oracle = utility.NewOracle(r.req.N, r.evalLocal)
 	return nil
 }
+
+// evalLocal trains one coalition on the daemon, building the problem first
+// if no evaluation has. It is the oracle's own evaluation function, which
+// the fleet session wraps as its local fallback, so it times every
+// in-process training, and only the training, into the "local" series of
+// the eval-source latency histogram. Fleet round trips are timed through
+// the session's Observe seam (wireOracle) and cache hits by the job's view
+// (jobView.U).
+func (r *run) evalLocal(s combin.Coalition) float64 {
+	if _, err := r.problem(); err != nil {
+		panic(&buildError{err})
+	}
+	start := time.Now()
+	u := r.eval(s)
+	r.m.tel.evalLatency["local"].Observe(time.Since(start).Seconds())
+	return u
+}
+
+// problem builds the job's valuation problem on its first call and returns
+// the same one after: the first local evaluation calls it from whichever
+// goroutine trains (the others wait on the build), and aggregate calls it
+// for an algorithm that reads the FL spec. Its build_problem span thus
+// opens inside prefetch, anytime_drive or aggregate. A failed build fails
+// every call.
+func (r *run) problem() (*experiments.Problem, error) {
+	r.built.Do(func() {
+		build := r.m.cfg.BuildProblem
+		if build == nil {
+			build = BuildProblem
+		}
+		span := r.j.trace.StartSpan("build_problem", "daemon")
+		defer span.End()
+		r.buildErr = errors.New("problem build panicked") // what a later call sees if build does
+		if r.p, r.buildErr = build(r.req); r.buildErr != nil {
+			return
+		}
+		span.SetAttr("problem", r.p.Name)
+		if r.m.cfg.BuildProblem != nil {
+			r.j.update(func(st *fedshap.JobStatus) { st.Problem = r.p.Name })
+		}
+		r.eval = r.p.Eval()
+	})
+	return r.p, r.buildErr
+}
+
+// buildError carries a failed problem build out of the oracle's evaluation
+// function — through Prefetch, the fleet session's local fallback and
+// shapley.Run, which re-raise what they do not own — to runJob, which
+// fails the job with the builder's error text.
+type buildError struct{ err error }
 
 // warmStart preloads the oracle with every utility the persistent store
 // holds for the job's fingerprint.
@@ -172,26 +228,12 @@ func (r *run) warmStart() error {
 	return nil
 }
 
-// wireOracle connects the oracle to the job — progress, the fresh half of
-// the eval-source latency series and, with a coordinator, the worker fleet
-// — and resolves the width of the evaluation pool.
+// wireOracle connects the oracle to the job — progress and, with a
+// coordinator, the worker fleet — and resolves the width of the evaluation
+// pool.
 func (r *run) wireOracle() {
 	tel := r.m.tel
 	r.oracle.OnFresh(func(_ combin.Coalition, _ float64, total int) { r.j.setFresh(total) })
-	// Eval-source latency series: in-process trainings via an innermost
-	// eval wrapper — installed before the coordinator session wraps it, so
-	// the session's local-fallback path is timed as "local" — and fleet
-	// round trips via the session's Observe seam below. Cache hits are
-	// timed by the job's view (jobView.U).
-	local := tel.evalLatency["local"]
-	r.oracle.WrapEval(func(inner utility.EvalFunc) utility.EvalFunc {
-		return func(s combin.Coalition) float64 {
-			evalStart := time.Now()
-			u := inner(s)
-			local.Observe(time.Since(evalStart).Seconds())
-			return u
-		}
-	})
 
 	// The request's preference, else the daemon's, else one slot per CPU.
 	r.workers = r.req.Workers
@@ -226,7 +268,7 @@ func (r *run) wireOracle() {
 			Spec: evalnet.ProblemSpec{
 				ID:          r.st.ID,
 				Fingerprint: r.st.Fingerprint,
-				N:           r.p.N,
+				N:           r.req.N,
 				Request:     r.req,
 			},
 			Local:        local,
@@ -248,7 +290,7 @@ func (r *run) wireOracle() {
 // report means rank_stop resolved every ranking and the job is done without
 // running the algorithm's own reduction.
 func (r *run) anytimeDrive(plan []combin.Coalition) (*fedshap.Report, error) {
-	r.any = newAnytimeState(r.m, r.j, r.p.N, r.req.Confidence, plan)
+	r.any = newAnytimeState(r.m, r.j, r.req.N, r.req.Confidence, plan)
 	start := time.Now()
 	span := r.j.trace.StartSpan("anytime_drive", "daemon")
 	span.SetInt("planned", int64(len(plan)))
@@ -281,6 +323,10 @@ func (r *run) prefetch(plan []combin.Coalition) error {
 
 // aggregate runs the algorithm's reduction and assembles the report.
 //
+// An algorithm with no evaluation plan (the Estimator map's "none" kind:
+// the reconstruction baselines) reads the FL spec itself, so the problem
+// is built for it first; every other algorithm reads only utilities.
+//
 // The algorithm runs against a per-job budget view, not the raw oracle:
 // budget-gated samplers loop on Evals() < γ, and warmed entries
 // deliberately don't count as fresh evaluations — without the view, a warm
@@ -289,10 +335,18 @@ func (r *run) prefetch(plan []combin.Coalition) error {
 // (warm or fresh), exactly as a fresh oracle would, while FreshEvals/Report
 // keep counting only real training work.
 func (r *run) aggregate() (*fedshap.Report, error) {
+	var spec *utility.FLSpec
+	if _, planned := r.alg.(shapley.Planner); !planned {
+		p, err := r.problem()
+		if err != nil {
+			return nil, err
+		}
+		spec = p.Spec
+	}
 	start := time.Now()
 	span := r.j.trace.StartSpan("aggregate", "daemon")
 	span.SetAttr("algorithm", r.alg.Name())
-	sctx := shapley.NewContext(r.view(), r.req.Seed+2).WithSpec(r.p.Spec).WithContext(r.ctx)
+	sctx := shapley.NewContext(r.view(), r.req.Seed+2).WithSpec(spec).WithContext(r.ctx)
 	values, err := shapley.Run(sctx, r.alg)
 	span.SetInt("evaluations", int64(r.oracle.Evals()))
 	span.End()
@@ -303,7 +357,7 @@ func (r *run) aggregate() (*fedshap.Report, error) {
 	rep := &fedshap.Report{
 		Algorithm:   r.alg.Name(),
 		Values:      values,
-		Names:       clientNames(r.p.N),
+		Names:       clientNames(r.req.N),
 		Seconds:     elapsed,
 		Evaluations: r.oracle.Evals(),
 	}

@@ -352,6 +352,21 @@ func BuildProblem(req fedshap.JobRequest) (*experiments.Problem, error) {
 	return p, nil
 }
 
+// problemName is the Name BuildProblem gives req's problem, known without
+// building it; "" for a dataset BuildProblem does not know.
+func problemName(req fedshap.JobRequest) string {
+	kind, _ := ParseModel(req.Model)
+	switch req.Data {
+	case "femnist":
+		return experiments.FEMNISTName(req.N, kind)
+	case "adult":
+		return experiments.AdultName(req.N, kind)
+	case "synthetic":
+		return experiments.SyntheticName(experiments.SyntheticSetup(req.Setup), req.N, kind)
+	}
+	return ""
+}
+
 // versionNoiseScale is the feature perturbation applied per client dataset
 // version step — large enough to move the utility function, small enough
 // that a revalued federation stays a perturbation of the base problem.

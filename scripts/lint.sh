@@ -35,7 +35,7 @@ go run ./cmd/fedvallint ./... || status=1
 # finding the analyzers were told to ignore. Fix code rather than annotate
 # it; lower max_allows whenever a line goes.
 echo "== fedvallint:allow ratchet =="
-max_allows=4
+max_allows=3
 allows=$(grep -rn --include='*.go' --exclude='*_test.go' '//fedvallint:allow' . |
 	grep -v -e '^\./internal/analysis/' -e '^\./cmd/fedvallint/' -e '/testdata/' || true)
 count=$(printf '%s' "$allows" | grep -c . || true)

@@ -173,7 +173,9 @@ type JobStatus struct {
 	State JobState `json:"state"`
 	// Request echoes the submitted job.
 	Request JobRequest `json:"request"`
-	// Problem names the constructed valuation problem.
+	// Problem names the job's valuation problem: from the request when
+	// the job starts, or, under a custom problem builder, once the daemon
+	// builds it (never, for a fully warm or fleet-served job).
 	Problem string `json:"problem,omitempty"`
 	// Fingerprint identifies the problem in the persistent utility cache.
 	Fingerprint string `json:"fingerprint,omitempty"`
@@ -264,8 +266,11 @@ type FleetMetrics struct {
 // End == Start; a span still open when the trace was fetched has a nil
 // End.
 type TraceSpan struct {
-	// Name is the lifecycle step: submit, queue, build_problem,
-	// warm_start, prefetch, aggregate, report, dispatch, redispatch.
+	// Name is the lifecycle step: submit, queue, warm_start, prefetch,
+	// anytime_drive, aggregate, report, dispatch, redispatch — and
+	// build_problem, present only when the daemon trains a coalition
+	// itself or a reconstruction baseline needs the data (for a cold
+	// local job it starts inside prefetch or anytime_drive).
 	Name string `json:"name"`
 	// Source attributes the span: "daemon", or a worker name.
 	Source string `json:"source,omitempty"`
