@@ -97,6 +97,12 @@ func (s *Set) Len() int { return len(s.keys) }
 // while the set is still in use.
 func (s *Set) Keys() []Coalition { return s.keys }
 
+// Reset empties the set, keeping its storage.
+func (s *Set) Reset() {
+	s.keys = s.keys[:0]
+	clear(s.slots)
+}
+
 // grow doubles the table and reinserts every member; dense indices are
 // positions in keys and do not change.
 func (s *Set) grow() {

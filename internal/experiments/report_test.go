@@ -3,6 +3,7 @@ package experiments
 import (
 	"bytes"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -52,5 +53,19 @@ func TestReportRenderAlignment(t *testing.T) {
 	// Separator row matches header width.
 	if !strings.Contains(out, "---") {
 		t.Errorf("no separator row")
+	}
+}
+
+// TestTableIReadsExample1: Table I's rows are computed, not typed in, and
+// read the paper's φ = (0.22, 0.32, 0.32).
+func TestTableIReadsExample1(t *testing.T) {
+	rep := TableI()
+	want := [][]string{
+		{"hospital 1", "0.220"},
+		{"hospital 2", "0.320"},
+		{"hospital 3", "0.320"},
+	}
+	if !reflect.DeepEqual(rep.Rows, want) {
+		t.Fatalf("Table I rows = %v, want %v (notes %v)", rep.Rows, want, rep.Notes)
 	}
 }

@@ -3,7 +3,10 @@ package experiments
 import (
 	"fmt"
 
+	"fedshap/internal/combin"
+	"fedshap/internal/shapley"
 	"fedshap/internal/theory"
+	"fedshap/internal/utility"
 )
 
 // TableConfig parameterises the Table IV / Table V runners.
@@ -111,16 +114,34 @@ func valuationTable(title string, cfg TableConfig, build func(int, ModelKind) *P
 }
 
 // TableI reproduces the worked example of the paper's Table I / Example 1:
-// the three-hospital utility table and its exact Shapley values.
+// the three-hospital utility table and its exact Shapley values, computed
+// by ExactMC (Def. 3) over the table.
 func TableI() *Report {
-	return &Report{
+	u := map[combin.Coalition]float64{
+		combin.Empty:              0.10,
+		combin.NewCoalition(0):    0.50,
+		combin.NewCoalition(1):    0.70,
+		combin.NewCoalition(2):    0.60,
+		combin.NewCoalition(0, 1): 0.80,
+		combin.NewCoalition(0, 2): 0.90,
+		combin.NewCoalition(1, 2): 0.90,
+		combin.FullCoalition(3):   0.96,
+	}
+	phi, _, err := shapley.RunPooled(&shapley.Context{}, utility.TableOracle(3, u), shapley.ExactMC{}, 0, 1)
+	rep := &Report{
 		Title:  "Table I — worked example (Example 1)",
 		Header: []string{"client", "exact SV (MC scheme)"},
-		Rows: [][]string{
-			{"hospital 1", "0.220"},
-			{"hospital 2", "0.320"},
-			{"hospital 3", "0.320"},
-		},
-		Notes: []string{"see TestExample1 for the line-by-line reproduction"},
+		Notes:  []string{"see TestExample1 for the line-by-line reproduction"},
 	}
+	for i := range 3 {
+		cell := "err"
+		if err == nil {
+			cell = fmt.Sprintf("%.3f", phi[i])
+		}
+		rep.Rows = append(rep.Rows, []string{fmt.Sprintf("hospital %d", i+1), cell})
+	}
+	if err != nil {
+		rep.Notes = append(rep.Notes, err.Error())
+	}
+	return rep
 }

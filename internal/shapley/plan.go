@@ -103,17 +103,12 @@ func dryRun(alg Valuer, n int, seed int64, hint int) []combin.Coalition {
 // IPSS is set-first: Values evaluates what samplePlan returns, so there is
 // no loop to replay, and a dry run would build its utility table a second
 // time (+0.23 MB per plan at n = 24, γ = 6000: +3.0 % of the benchmark's
-// sampler-free alloc_mb_per_op).
+// sampler-free alloc_mb_per_op). Both lists are distinct by construction
+// and disjoint by coalition size, so their concatenation is already the
+// plan: no recorder dedupes it.
 func (a *IPSS) SamplePlan(n int, seed int64) []combin.Coalition {
 	_, strata, pset := a.samplePlan(n, planRNG(seed))
-	rec := newPlanRecorder(n, len(strata)+len(pset))
-	for _, s := range strata {
-		rec.Add(s)
-	}
-	for _, s := range pset {
-		rec.Add(s)
-	}
-	return rec.Keys()
+	return append(strata, pset...)
 }
 
 // SamplePlan implements Planner: every coalition of size ≤ K (Alg. 2

@@ -55,6 +55,9 @@ type cacheTable struct {
 	slots   []atomic.Uint64
 	entries []cacheEntry // len is the capacity; [0, n) are written
 	n       int          // guarded by the shard mutex
+	// fresh counts the entries inserted by an evaluation, not warmed. It
+	// is written under the shard mutex and read without it.
+	fresh atomic.Int64
 }
 
 const cacheTagMask uint64 = 0xffffffff00000000
@@ -70,18 +73,18 @@ func (t *cacheTable) home(h uint64) int {
 	return int((h >> 32) * uint64(len(t.slots)) >> 32)
 }
 
-// find probes for s (whose hash is h). It returns the entry, or nil and the
-// empty slot the probe ended on.
-func (t *cacheTable) find(s combin.Coalition, h uint64) (*cacheEntry, int) {
+// find probes for s (whose hash is h). It returns the entry's index, or -1
+// and the empty slot the probe ended on.
+func (t *cacheTable) find(s combin.Coalition, h uint64) (index, slot int) {
 	tag := h << 32
 	for i := t.home(h); ; {
 		e := t.slots[i].Load()
 		if e == 0 {
-			return nil, i
+			return -1, i
 		}
 		if e&cacheTagMask == tag {
-			if ent := &t.entries[uint32(e)-1]; ent.key == s {
-				return ent, i
+			if j := int(uint32(e)) - 1; t.entries[j].key == s {
+				return j, i
 			}
 		}
 		if i++; i == len(t.slots) {
@@ -90,16 +93,19 @@ func (t *cacheTable) find(s combin.Coalition, h uint64) (*cacheEntry, int) {
 	}
 }
 
-// insert appends s→v, known absent, at the empty slot its probe ended on.
-// The caller holds the shard mutex and has checked the table is not full.
-func (t *cacheTable) insert(s combin.Coalition, h uint64, v float64, slot int) {
+// insert appends s→v, known absent, at the empty slot its probe ended on,
+// and returns the entry's index. The caller holds the shard mutex and has
+// checked the table is not full.
+func (t *cacheTable) insert(s combin.Coalition, h uint64, v float64, slot int) int {
 	t.entries[t.n] = cacheEntry{key: s, val: v}
 	t.n++
 	t.slots[slot].Store(h<<32 | uint64(t.n)) // publishes the entry
+	return t.n - 1
 }
 
 // grown returns a table with room for capacity entries holding a copy of
-// t's. It is private to the caller until stored in the shard.
+// t's, at the same indices, and t's fresh count. It is private to the
+// caller until stored in the shard.
 func (t *cacheTable) grown(capacity int) *cacheTable {
 	nt := newCacheTable(capacity)
 	for _, ent := range t.entries[:t.n] {
@@ -107,6 +113,7 @@ func (t *cacheTable) grown(capacity int) *cacheTable {
 		_, slot := nt.find(ent.key, h)
 		nt.insert(ent.key, h, ent.val, slot)
 	}
+	nt.fresh.Store(t.fresh.Load())
 	return nt
 }
 
@@ -115,47 +122,60 @@ func newShardedCache() *shardedCache { return &shardedCache{} }
 // shardOf returns the shard of a coalition whose hash is h.
 func shardOf(h uint64) int { return int(h & (numShards - 1)) }
 
+// entryID names the entry at index in shard sh for the cache's lifetime:
+// tables are append-only and grown keeps every entry at its index, so the
+// id of a cached coalition never changes. Ids in use are below numShards
+// times the largest shard's entry count (counts).
+func entryID(index, sh int) int { return index*numShards + sh }
+
 // get returns the cached utility of s, if present. It takes no lock.
 func (c *shardedCache) get(s combin.Coalition) (float64, bool) {
-	return c.lookup(s, s.Hash())
+	v, _, ok := c.lookup(s, s.Hash())
+	return v, ok
 }
 
-// lookup is get for a coalition whose hash h the caller already has.
-func (c *shardedCache) lookup(s combin.Coalition, h uint64) (float64, bool) {
-	t := c.shards[shardOf(h)].table.Load()
+// lookup is get for a coalition whose hash h the caller already has; it
+// also returns the entry's id.
+func (c *shardedCache) lookup(s combin.Coalition, h uint64) (v float64, id int, ok bool) {
+	sh := shardOf(h)
+	t := c.shards[sh].table.Load()
 	if t == nil {
-		return 0, false
+		return 0, 0, false
 	}
-	if ent, _ := t.find(s, h); ent != nil {
-		return ent.val, true
+	if i, _ := t.find(s, h); i >= 0 {
+		return t.entries[i].val, entryID(i, sh), true
 	}
-	return 0, false
+	return 0, 0, false
 }
 
-// putIfAbsent inserts s→v unless already present, reporting whether the
-// insert happened. The first writer wins; utilities are deterministic per
-// coalition, so a lost race returns an equal value.
-func (c *shardedCache) putIfAbsent(s combin.Coalition, v float64) bool {
-	h := s.Hash()
-	sh := &c.shards[shardOf(h)]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	t := sh.table.Load()
+// put inserts s→v (h is s's hash) unless already present and returns the
+// entry's id, reporting whether the insert happened. The first writer
+// wins; utilities are deterministic per coalition, so a lost race returns
+// an equal value. A fresh insert is counted in its shard, under the mutex
+// the insert holds: the per-shard counts are the oracle's budget meter.
+func (c *shardedCache) put(s combin.Coalition, h uint64, v float64, fresh bool) (id int, added bool) {
+	sh := shardOf(h)
+	shard := &c.shards[sh]
+	shard.mu.Lock()
+	defer shard.mu.Unlock()
+	t := shard.table.Load()
 	if t == nil {
 		t = newCacheTable(firstTableEntries)
-		sh.table.Store(t)
+		shard.table.Store(t)
 	}
-	ent, slot := t.find(s, h)
-	if ent != nil {
-		return false
+	i, slot := t.find(s, h)
+	if i >= 0 {
+		return entryID(i, sh), false
 	}
 	if t.n == len(t.entries) {
 		t = t.grown(2 * len(t.entries))
 		_, slot = t.find(s, h)
-		sh.table.Store(t)
+		shard.table.Store(t)
 	}
-	t.insert(s, h, v, slot)
-	return true
+	if fresh {
+		t.fresh.Add(1)
+	}
+	return entryID(t.insert(s, h, v, slot), sh), true
 }
 
 // reserve makes room for extra more entries spread evenly over the shards,
@@ -183,23 +203,36 @@ func (c *shardedCache) reserve(extra int) {
 	}
 }
 
-// len returns the total entry count.
-func (c *shardedCache) len() int {
-	n := 0
+// counts returns the total entry count and the largest shard's. Entry
+// ids in use are below numShards·longest.
+func (c *shardedCache) counts() (total, longest int) {
 	for i := range c.shards {
 		sh := &c.shards[i]
 		sh.mu.Lock()
 		if t := sh.table.Load(); t != nil {
-			n += t.n
+			total += t.n
+			longest = max(longest, t.n)
 		}
 		sh.mu.Unlock()
+	}
+	return total, longest
+}
+
+// fresh sums the shards' fresh-insert counts. It takes no lock.
+func (c *shardedCache) fresh() int {
+	n := 0
+	for i := range c.shards {
+		if t := c.shards[i].table.Load(); t != nil {
+			n += int(t.fresh.Load())
+		}
 	}
 	return n
 }
 
 // snapshot copies every entry into a plain map.
 func (c *shardedCache) snapshot() map[combin.Coalition]float64 {
-	out := make(map[combin.Coalition]float64, c.len())
+	total, _ := c.counts()
+	out := make(map[combin.Coalition]float64, total)
 	for i := range c.shards {
 		sh := &c.shards[i]
 		sh.mu.Lock()

@@ -23,7 +23,7 @@ import (
 // coalitionCache is the seam both implementations share.
 type coalitionCache interface {
 	get(s combin.Coalition) (float64, bool)
-	putIfAbsent(s combin.Coalition, v float64) bool
+	put(s combin.Coalition, h uint64, v float64, fresh bool) (id int, added bool)
 }
 
 // mutexCache is the reference: the pre-sharding Oracle cache, one mutex
@@ -44,14 +44,14 @@ func (c *mutexCache) get(s combin.Coalition) (float64, bool) {
 	return v, ok
 }
 
-func (c *mutexCache) putIfAbsent(s combin.Coalition, v float64) bool {
+func (c *mutexCache) put(s combin.Coalition, _ uint64, v float64, _ bool) (int, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if _, ok := c.m[s]; ok {
-		return false
+		return 0, false
 	}
 	c.m[s] = v
-	return true
+	return 0, true
 }
 
 var _ coalitionCache = (*shardedCache)(nil)
@@ -86,7 +86,7 @@ func prefetchFill(c coalitionCache, coals []combin.Coalition, workers int) {
 				if _, ok := c.get(s); ok {
 					continue
 				}
-				c.putIfAbsent(s, float64(s.Size()))
+				c.put(s, s.Hash(), float64(s.Size()), true)
 			}
 		}()
 	}
@@ -137,7 +137,7 @@ func BenchmarkCacheHotRead(b *testing.B) {
 	for _, impl := range cacheImpls {
 		c := impl.mk()
 		for _, s := range coals {
-			c.putIfAbsent(s, 1)
+			c.put(s, s.Hash(), 1, true)
 		}
 		b.Run("impl="+impl.name+"/serial", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
@@ -220,4 +220,28 @@ func BenchmarkOraclePrefetchCancellable(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkRunViewWarmHits is a reduce pass over a prefetched plan at
+// sampler-free's shape: a fresh view serving 6000 warm coalitions, each
+// requested twice (every sampler repeats requests), with a Cached probe
+// per request as the draw loops make.
+func BenchmarkRunViewWarmHits(b *testing.B) {
+	coals := benchCoalitions(6000)
+	o := NewOracle(24, func(s combin.Coalition) float64 { return float64(s.Size()) })
+	if err := o.Prefetch(context.Background(), coals, 1); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		v := NewRunView(o)
+		for k := 0; k < 2; k++ {
+			for _, s := range coals {
+				v.U(s)
+				v.Cached(s)
+			}
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*4*len(coals)), "ns/request")
 }

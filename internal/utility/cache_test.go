@@ -354,11 +354,11 @@ func TestCacheReadsDuringReplacement(t *testing.T) {
 		go func(w int) {
 			defer writers.Done()
 			for i := w; i < len(keys); i += 2 {
-				if !c.putIfAbsent(keys[i], val(keys[i])) {
-					t.Errorf("putIfAbsent(%v) lost to nobody", keys[i])
+				if _, added := c.put(keys[i], keys[i].Hash(), val(keys[i]), false); !added {
+					t.Errorf("put(%v) lost to nobody", keys[i])
 				}
-				if c.putIfAbsent(keys[i], -1) {
-					t.Errorf("second putIfAbsent(%v) overwrote", keys[i])
+				if _, added := c.put(keys[i], keys[i].Hash(), -1, false); added {
+					t.Errorf("second put(%v) overwrote", keys[i])
 				}
 				if w == 0 {
 					published.Store(int64(i + 1))
@@ -373,7 +373,7 @@ func TestCacheReadsDuringReplacement(t *testing.T) {
 	close(done)
 	readers.Wait()
 
-	if got := c.len(); got != len(keys) {
+	if got, _ := c.counts(); got != len(keys) {
 		t.Fatalf("len = %d, want %d", got, len(keys))
 	}
 	for _, s := range keys {
@@ -454,7 +454,7 @@ func TestCacheAllocatesBySize(t *testing.T) {
 	if got := tables(c); got != 0 {
 		t.Fatalf("%d shard tables after a small reserve, want 0", got)
 	}
-	c.putIfAbsent(combin.Empty, 1)
+	c.put(combin.Empty, combin.Empty.Hash(), 1, false)
 	if got := tables(c); got != 1 {
 		t.Fatalf("%d shard tables after one insert, want 1", got)
 	}
@@ -468,7 +468,7 @@ func TestCacheAllocatesBySize(t *testing.T) {
 	// A reserved shard takes its share of the batch without replacement.
 	before := c.shards[0].table.Load()
 	for _, s := range sameShardKeys(24, 6000/numShards) {
-		c.putIfAbsent(s, 0)
+		c.put(s, s.Hash(), 0, false)
 	}
 	if c.shards[0].table.Load() != before {
 		t.Error("reserved shard replaced its table while filling to its share")

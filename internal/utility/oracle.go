@@ -74,20 +74,12 @@ type Oracle struct {
 	// onFresh holds the OnFresh hooks in registration order. Like
 	// WrapEval, registration precedes evaluation, so it is read unlocked.
 	onFresh []func(s combin.Coalition, u float64, total int)
-
-	// evals counts distinct fresh evaluations — the consumed budget.
-	// Entries inserted via Warm (e.g. from a persistent Store) are free.
-	// Every fresh evaluation on every pool worker writes it, so it has a
-	// cache line to itself, away from the fields above that every
-	// evaluation reads.
-	_     [cacheLinePad]byte
-	evals atomic.Int64
-	_     [cacheLinePad]byte
+	// hooked numbers the fresh evaluations for the OnFresh hooks' totals.
+	// It is written only while a hook is registered: the budget meter
+	// itself is counted per cache shard (Evals), so a pool without hooks
+	// shares no counter between its workers.
+	hooked atomic.Int64
 }
-
-// cacheLinePad is a 64-byte cache line less an 8-byte counter: that much
-// padding on both sides keeps the counter's line private at any alignment.
-const cacheLinePad = 64 - 8
 
 // NewOracle wraps an evaluation function for a federation of n clients.
 func NewOracle(n int, eval EvalFunc) *Oracle {
@@ -126,16 +118,20 @@ func (o *Oracle) OnFresh(fn func(s combin.Coalition, u float64, total int)) {
 // cancellable: a run that must stop reads through a RunView bound to its
 // context.
 func (o *Oracle) U(s combin.Coalition) float64 {
-	if v, ok := o.cache.get(s); ok {
+	h := s.Hash()
+	if v, _, ok := o.cache.lookup(s, h); ok {
 		return v
 	}
-	return o.fresh(s)
+	v, _ := o.fresh(s, h)
+	return v
 }
 
-// fresh evaluates a coalition the cache does not hold — the miss half of U,
-// which the prefetch pool enters directly for coalitions its dedupe pass
-// already looked up.
-func (o *Oracle) fresh(s combin.Coalition) float64 {
+// fresh evaluates a coalition the cache does not hold (h is its hash) — the
+// miss half of U, which the prefetch pool enters directly for coalitions
+// its planning pass already looked up. It returns the utility and the id
+// of the cache entry that holds it: the one it inserted, or the one a
+// concurrent evaluation of s inserted first.
+func (o *Oracle) fresh(s combin.Coalition, h uint64) (float64, int) {
 	// Evaluate outside any lock; duplicate concurrent evaluation of the
 	// same coalition is possible but harmless (deterministic result), and
 	// only the first insert is charged.
@@ -143,13 +139,14 @@ func (o *Oracle) fresh(s combin.Coalition) float64 {
 	if math.IsNaN(v) || math.IsInf(v, 0) {
 		panic(&NonFiniteError{Coalition: s, Value: v})
 	}
-	if o.cache.putIfAbsent(s, v) {
-		total := int(o.evals.Add(1))
+	id, added := o.cache.put(s, h, v, true)
+	if added && len(o.onFresh) > 0 {
+		total := int(o.hooked.Add(1))
 		for _, fn := range o.onFresh {
 			fn(s, v, total)
 		}
 	}
-	return v
+	return v, id
 }
 
 // Cached reports whether s has already been evaluated (or warmed).
@@ -159,19 +156,18 @@ func (o *Oracle) Cached(s combin.Coalition) bool {
 }
 
 // Evals returns the number of distinct coalitions evaluated so far — the
-// consumed sampling budget. Warmed entries are not counted.
-func (o *Oracle) Evals() int {
-	return int(o.evals.Load())
-}
+// consumed sampling budget. Warmed entries are not counted. It sums the
+// cache shards' counts, each written under the lock its insert holds.
+func (o *Oracle) Evals() int { return o.cache.fresh() }
 
 // Warm inserts known utilities without charging the evaluation budget —
 // the loading path for persisted or otherwise pre-computed coalitions. It
 // returns how many entries were new.
 func (o *Oracle) Warm(entries map[combin.Coalition]float64) int {
 	added := 0
-	//fedvallint:allow(determinism) putIfAbsent per distinct key is commutative; insertion order cannot affect cache contents or the count
+	//fedvallint:allow(determinism) put per distinct key is commutative; insertion order cannot affect cache contents or the count
 	for s, v := range entries {
-		if o.cache.putIfAbsent(s, v) {
+		if _, ok := o.cache.put(s, s.Hash(), v, false); ok {
 			added++
 		}
 	}
@@ -179,7 +175,10 @@ func (o *Oracle) Warm(entries map[combin.Coalition]float64) int {
 }
 
 // Size returns the number of cached coalitions (fresh plus warmed).
-func (o *Oracle) Size() int { return o.cache.len() }
+func (o *Oracle) Size() int {
+	total, _ := o.cache.counts()
+	return total
+}
 
 // Metric scores a trained model on a test set. Under NewFLOracle the model
 // is arena-owned and valid only until the evaluation returns — the next

@@ -16,9 +16,9 @@ import (
 // and the OnFresh hooks (progress, write-through persistence) behave
 // exactly as under serial evaluation.
 //
-//   - Prefetch is the pool: it deduplicates a known list, drops
-//     already-cached entries, regroups the rest by cache shard and lets the
-//     workers claim them off an atomic cursor.
+//   - Prefetch is the pool: it drops the already-cached entries of a
+//     known list, regroups the rest by cache shard, deduplicates each
+//     shard's group and lets the workers claim them off an atomic cursor.
 //   - EvalBatch is Prefetch plus result collection, for callers that want
 //     the utilities, not just a warm cache.
 //
@@ -30,10 +30,14 @@ import (
 // took more than twice the CPU of a pool of one. So a claim is at most chunk entries
 // of one shard, and successive claims visit the shards in a stride of
 // claimStride: claims running at the same time lock mutexes and grow
-// tables that no other running claim touches. For the same reason the
-// fresh-evaluation counter has a cache line of its own, and the per-entry
-// cancellation checks read Done channels instead of calling Err, which
-// locks the context's mutex (as of Go 1.24).
+// tables that no other running claim touches. For the same reason there is
+// no shared fresh-evaluation counter: each shard table counts its own fresh
+// inserts under the mutex the insert already holds, on the line the insert
+// already writes, and Oracle.Evals sums the counts (the shard headers stay
+// 16 bytes, so the stride argument below holds). Only an oracle with
+// OnFresh hooks keeps a running total for them. The per-entry cancellation
+// checks read Done channels instead of calling Err, which locks the
+// context's mutex (as of Go 1.24).
 
 // claimStride spaces the shards of successive claims. Four shard headers
 // share a 64-byte line; a stride of five, coprime with numShards, puts any
@@ -62,45 +66,68 @@ type claimPool struct {
 	wg   sync.WaitGroup
 }
 
-// planClaims deduplicates coalitions, drops the cached ones and groups the
-// rest by shard for a pool of at most workers (<= 0 selects GOMAXPROCS).
-// It returns nil when nothing is left to evaluate. The grouped list reuses
-// the dedupe set's key storage, which is free once pending is built.
+// planClaims drops the cached coalitions, groups the rest by shard and
+// deduplicates them for a pool of at most workers (<= 0 selects
+// GOMAXPROCS). It returns nil when nothing is left to evaluate. Each
+// coalition is hashed and looked up once; the grouping is a counting sort
+// over the shards, and the dedupe runs inside each shard's bucket with one
+// set sized to the longest bucket, keeping first occurrences, so a shard's
+// entries stay in list order.
 func (o *Oracle) planClaims(coalitions []combin.Coalition, workers int) *claimPool {
-	seen := combin.NewSet(len(coalitions))
-	pending := make([]combin.Coalition, 0, len(coalitions))
+	// shard[i] is coalition i's cache shard, or numShards when it is cached.
+	shard := make([]uint8, len(coalitions))
 	var sizes [numShards]int32
-	for _, s := range coalitions {
-		if _, first := seen.Add(s); first {
-			h := s.Hash()
-			if _, ok := o.cache.lookup(s, h); !ok {
-				pending = append(pending, s)
-				sizes[shardOf(h)]++
-			}
+	pending := 0
+	for i, s := range coalitions {
+		h := s.Hash()
+		shard[i] = numShards
+		if _, _, ok := o.cache.lookup(s, h); !ok {
+			shard[i] = uint8(shardOf(h))
+			sizes[shardOf(h)]++
+			pending++
 		}
 	}
-	if len(pending) == 0 {
+	if pending == 0 {
 		return nil
 	}
+	p := &claimPool{o: o, list: make([]combin.Coalition, pending)}
+	var at [numShards + 1]int32 // bucket bounds, then each bucket's write cursor
+	longest := int32(0)
+	for sh, size := range sizes {
+		at[sh+1] = at[sh] + size
+		longest = max(longest, size)
+	}
+	bounds := at
+	for i, s := range coalitions {
+		if sh := shard[i]; sh < numShards {
+			p.list[at[sh]] = s
+			at[sh]++
+		}
+	}
+	seen := combin.NewSet(int(longest))
+	w := int32(0)
+	longest = 0 // now of the deduplicated buckets
+	for sh := range numShards {
+		p.start[sh] = w
+		seen.Reset()
+		for _, s := range p.list[bounds[sh]:bounds[sh+1]] {
+			if _, first := seen.Add(s); first {
+				p.list[w] = s
+				w++
+			}
+		}
+		longest = max(longest, w-p.start[sh])
+	}
+	p.start[numShards] = w
+	p.list = p.list[:w]
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	workers = min(workers, len(pending))
+	p.workers = min(workers, len(p.list))
 	// A claim takes a chunk: one entry when the list is short (every entry
 	// a training run), dozens when it is thousands long (cheap utilities,
 	// where a shared counter bumped per entry is the cost).
-	p := &claimPool{o: o, list: seen.Keys()[:len(pending)], workers: workers, chunk: max(1, len(pending)/(workers*64))}
-	longest := int32(0)
-	for sh, size := range sizes {
-		p.start[sh+1] = p.start[sh] + size
-		longest = max(longest, size)
-	}
-	at := [numShards]int32(p.start[:numShards]) // each shard's write cursor
-	for _, s := range pending {
-		sh := shardOf(s.Hash())
-		p.list[at[sh]] = s
-		at[sh]++
-	}
+	p.chunk = max(1, len(p.list)/(p.workers*64))
 	p.claims = numShards * ((int(longest) + p.chunk - 1) / p.chunk)
 	return p
 }
@@ -145,7 +172,7 @@ func (p *claimPool) eval(s combin.Coalition) {
 			p.fail.CompareAndSwap(nil, &first)
 		}
 	}()
-	p.o.fresh(s)
+	p.o.fresh(s, s.Hash())
 }
 
 // Prefetch evaluates the given coalitions concurrently on a bounded worker

@@ -46,19 +46,31 @@ var (
 // run's context: cancelling it stops this run's fresh evaluations and no
 // other's, so any number of views over one oracle may be bound to
 // contexts of their own. A view serves one run on one goroutine.
+//
+// The meter is keyed by the oracle's own cache: every coalition a run
+// requests is in the cache once the request returns, and its cache entry
+// keeps one id for the oracle's lifetime (entryID), so the view keeps one
+// bit per entry id instead of a set of coalitions. A request thus costs one
+// cache probe and one bit test, and a miss one insert. The bitset is
+// presized for the entries the oracle holds when the view opens — after a
+// prefetched plan, those are the ones the run is about to request — and
+// doubles when a later entry's id lies past it.
 type RunView struct {
-	o    *Oracle
-	seen *combin.Set
+	o *Oracle
+	// requested has bit id set for every cache entry id this run
+	// requested; evals counts the run's distinct requests.
+	requested []uint64
+	evals     int
 
 	ctx  context.Context
 	done <-chan struct{} // ctx.Done(), nil while unbound
 }
 
-// NewRunView opens a fresh budget scope over o. The scope is sized for the
-// coalitions o already holds: after a prefetched plan those are exactly
-// the ones the run is about to request.
+// NewRunView opens a fresh budget scope over o, with its bitset sized for
+// every entry o holds.
 func NewRunView(o *Oracle) *RunView {
-	return &RunView{o: o, seen: combin.NewSet(o.Size())}
+	_, longest := o.cache.counts()
+	return &RunView{o: o, requested: make([]uint64, (longest*numShards+63)/64)}
 }
 
 // N implements Source.
@@ -66,29 +78,59 @@ func (v *RunView) N() int { return v.o.N() }
 
 // U implements Source, charging the coalition to this run's budget. A
 // cached utility is always answered; a miss panics with *CancelError once
-// the bound context is done, and evaluates on the oracle otherwise. The
-// check reads the Done channel, which takes no lock, where Err locks the
-// context's mutex (as of Go 1.24).
+// the bound context is done, and evaluates on the oracle otherwise.
 func (v *RunView) U(s combin.Coalition) float64 {
-	v.seen.Add(s)
-	if u, ok := v.o.cache.get(s); ok {
-		return u
+	u, _ := v.Request(s)
+	return u
+}
+
+// Request is U, also reporting whether the oracle's cache answered it
+// (hit) or the oracle evaluated s for this request. A miss is charged
+// before the cancellation check, so Evals counts a miss that panics with
+// *CancelError too. The check reads the Done channel, which takes no lock,
+// where Err locks the context's mutex (as of Go 1.24).
+func (v *RunView) Request(s combin.Coalition) (u float64, hit bool) {
+	h := s.Hash()
+	u, id, hit := v.o.cache.lookup(s, h)
+	if hit {
+		if v.mark(id) {
+			v.evals++
+		}
+		return u, true
 	}
+	// An entry this run requested is cached, so a miss is new to the run.
+	v.evals++
 	select {
 	case <-v.done:
 		panic(&CancelError{Err: v.ctx.Err()})
 	default:
 	}
-	return v.o.fresh(s)
+	u, id = v.o.fresh(s, h)
+	v.mark(id)
+	return u, false
+}
+
+// mark sets entry id's bit, reporting whether it was clear.
+func (v *RunView) mark(id int) bool {
+	w, bit := id>>6, uint64(1)<<(uint(id)&63)
+	if w >= len(v.requested) {
+		v.requested = append(v.requested, make([]uint64, max(len(v.requested), w+1-len(v.requested)))...)
+	}
+	if v.requested[w]&bit != 0 {
+		return false
+	}
+	v.requested[w] |= bit
+	return true
 }
 
 // Cached implements Source: true only if this run already requested s.
 func (v *RunView) Cached(s combin.Coalition) bool {
-	return v.seen.Has(s)
+	_, id, ok := v.o.cache.lookup(s, s.Hash())
+	return ok && id>>6 < len(v.requested) && v.requested[id>>6]&(1<<(uint(id)&63)) != 0
 }
 
 // Evals implements Source: distinct coalitions requested by this run.
-func (v *RunView) Evals() int { return v.seen.Len() }
+func (v *RunView) Evals() int { return v.evals }
 
 // SetContext implements ContextBinder. It binds this view only: other
 // runs over the same oracle keep their own contexts.

@@ -372,7 +372,8 @@ func (r *run) aggregate() (*fedshap.Report, error) {
 // through one. N, Cached, Evals and SetContext are the embedded RunView's
 // own, so shapley.Run binds the job context to this scope. U adds
 // what the job observes of each request: it times a request the oracle
-// answers from its cache into the "cache" eval-latency series, and on an
+// answers from its cache — RunView.Request reports which, from the one
+// probe it makes — into the "cache" eval-latency series, and on an
 // anytime job it folds each coalition the tracker has not seen yet and
 // publishes the new snapshot (throttled).
 type jobView struct {
@@ -389,8 +390,7 @@ func (r *run) view() jobView {
 // U implements utility.Source.
 func (v jobView) U(s combin.Coalition) float64 {
 	start := time.Now()
-	hit := v.r.oracle.Cached(s)
-	u := v.RunView.U(s)
+	u, hit := v.RunView.Request(s)
 	if hit {
 		v.hits.Observe(time.Since(start).Seconds())
 	}
