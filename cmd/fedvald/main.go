@@ -19,9 +19,10 @@
 // evaluations out across them; jobs evaluate in-process while no workers
 // are attached. The coordinator schedules adaptively — workers are picked
 // by observed evaluation latency, stragglers are speculatively
-// re-dispatched near job end (-speculate), and newly attached workers are
-// warm-started with the daemon's cached utilities. The worker listener is
-// unauthenticated — anything that can reach it can register and return
+// re-dispatched near job end (-speculate). Workers attach with
+// POST /v1/fleet/attach on that listener and stream JSON lines both ways;
+// every frame a worker sends is read under a size cap. The worker listener
+// is unauthenticated — anything that can reach it can register and return
 // utilities — so bind it to a trusted network only:
 //
 //	fedvald -addr 127.0.0.1:8787 -worker-addr 10.0.0.5:8788
@@ -139,7 +140,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	srv := &http.Server{Handler: valserve.NewHandler(mgr)}
+	srv := &http.Server{Handler: valserve.NewHandler(mgr), ReadHeaderTimeout: evalnet.ReadHeaderTimeout}
 	fmt.Fprintf(os.Stderr, "fedvald: listening on http://%s (cache: %s, journal: %s)\n",
 		ln.Addr(), cacheDesc(*cacheDir), cacheDesc(*journal))
 

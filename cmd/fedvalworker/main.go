@@ -3,10 +3,11 @@
 // serves federated-training evaluations for the jobs the daemon fans out.
 // Datasets and training are rebuilt deterministically from each job's spec,
 // so a fleet of workers produces bit-identical values to in-process
-// evaluation — only faster. On its first task of a job the worker also
-// receives the coordinator's cached utilities for that job (warm-start),
-// so coalitions the daemon already knows are answered from cache instead
-// of retrained.
+// evaluation — only faster. The daemon only sends coalitions it has not
+// evaluated; a coalition requeued back to the same worker is answered from
+// the worker's own per-job cache. A coordinator that refuses the attach
+// (another protocol version, a quarantined name) says why, and the worker
+// logs that message before it retries.
 //
 // Usage:
 //

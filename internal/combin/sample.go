@@ -128,10 +128,27 @@ func leastCoveredSubset(coverage []int, k int, rng *rand.Rand) Coalition {
 	return c
 }
 
-// RandomPermutation returns a uniform-random permutation of 0..n-1.
-func RandomPermutation(n int, rng *rand.Rand) []int {
-	p := rng.Perm(n)
-	return p
+// PermInto is rand.Rand.Perm into a reusable buffer: a uniform-random
+// permutation of 0..n-1 that consumes the RNG identically (same Intn
+// sequence, hence the same permutation for the same seed), so a caller
+// switching from Perm changes no draw after it — it only drops the
+// per-permutation slice allocation. Kept in lockstep with math/rand's
+// Perm, whose output sequence is frozen by the Go 1 compatibility promise;
+// TestPermIntoMatchesRandPerm guards the lockstep.
+func PermInto(rng *rand.Rand, n int, buf []int) []int {
+	if cap(buf) < n {
+		buf = make([]int, n)
+	}
+	buf = buf[:n]
+	// The i = 0 iteration is a useless self-swap, but math/rand keeps it
+	// for Go 1 stream compatibility — it consumes one Intn — so it must
+	// stay here too or every RNG draw after a shuffle would shift.
+	for i := 0; i < n; i++ {
+		j := rng.Intn(i + 1)
+		buf[i] = buf[j]
+		buf[j] = i
+	}
+	return buf
 }
 
 // ForEachPermutation enumerates all n! permutations of 0..n-1 via Heap's

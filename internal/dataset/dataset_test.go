@@ -181,19 +181,6 @@ func TestPartitionByKey(t *testing.T) {
 	}
 }
 
-func TestSent140Like(t *testing.T) {
-	d := Sent140Like(Sent140LikeConfig{Samples: 200, Vocab: 30, AvgLen: 8, Seed: 1})
-	if d.Len() != 200 || d.Dim() != 30 {
-		t.Fatalf("shape %dx%d", d.Len(), d.Dim())
-	}
-	// Counts are non-negative integers-ish.
-	for _, x := range d.X.Data {
-		if x < 0 {
-			t.Fatalf("negative count %v", x)
-		}
-	}
-}
-
 func TestPartitionEqualIID(t *testing.T) {
 	d := SynthImages(DefaultSynthImages(100, 1))
 	rng := rand.New(rand.NewSource(2))

@@ -2,7 +2,6 @@ package dataset
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 
 	"fedshap/internal/tensor"
@@ -246,59 +245,4 @@ func PartitionByKey(d *Dataset, keys []int, n int) []*Dataset {
 		out[c] = d.Subset(fmt.Sprintf("%s/client-%d", d.Name, c), idxPerClient[c])
 	}
 	return out
-}
-
-// Sent140LikeConfig parameterises the bag-of-words sentiment generator
-// standing in for Sent-140 (listed in the paper's setup; no reported table).
-type Sent140LikeConfig struct {
-	Samples int
-	Vocab   int
-	AvgLen  float64 // average tokens per message
-	Seed    int64
-}
-
-// Sent140Like generates a two-class bag-of-words dataset: positive and
-// negative sentiment each have a distinct word-frequency profile; a sample
-// is a Poisson-ish draw of tokens represented as a count vector.
-func Sent140Like(cfg Sent140LikeConfig) *Dataset {
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	if cfg.Vocab <= 0 {
-		cfg.Vocab = 50
-	}
-	if cfg.AvgLen <= 0 {
-		cfg.AvgLen = 12
-	}
-	profiles := [2]tensor.Vector{tensor.NewVector(cfg.Vocab), tensor.NewVector(cfg.Vocab)}
-	for s := 0; s < 2; s++ {
-		var sum float64
-		for j := range profiles[s] {
-			v := math.Exp(rng.NormFloat64())
-			profiles[s][j] = v
-			sum += v
-		}
-		profiles[s].Scale(1 / sum)
-	}
-	d := New("sent140-like", cfg.Samples, cfg.Vocab, 2)
-	for i := 0; i < cfg.Samples; i++ {
-		y := rng.Intn(2)
-		d.Y[i] = y
-		length := int(cfg.AvgLen * (0.5 + rng.Float64()))
-		row := d.X.Row(i)
-		for t := 0; t < length; t++ {
-			row[sampleCategorical(profiles[y], rng)]++
-		}
-	}
-	return d
-}
-
-func sampleCategorical(p tensor.Vector, rng *rand.Rand) int {
-	r := rng.Float64()
-	var cum float64
-	for i, x := range p {
-		cum += x
-		if r < cum {
-			return i
-		}
-	}
-	return len(p) - 1
 }

@@ -5,6 +5,7 @@ import (
 	"log/slog"
 	"math"
 	"net"
+	"net/http"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -100,22 +101,24 @@ type Coordinator struct {
 	sched *scheduler
 
 	// flaps tracks worker losses per name; a name flapping past the
-	// threshold is benched and refused at Attach (nil when disabled).
-	// quarantineRejections counts the attaches so refused.
+	// threshold is benched and refused at attach (nil when disabled).
+	// quarantineRejections counts the attaches so refused; refusedFrames
+	// counts links ended by a frame over the cap or one that does not
+	// decode.
 	flaps                *resilience.Tracker
 	quarantineRejections atomic.Int64
+	refusedFrames        atomic.Int64
+
+	// srv serves the attach route on every listener passed to Serve.
+	srv *http.Server
 
 	tickStop  chan struct{}
 	tickDone  chan struct{}
 	closeOnce sync.Once
-
-	lnMu sync.Mutex
-	ln   net.Listener
 }
 
 // NewCoordinator builds an empty coordinator with default scheduling
-// (latency-aware picking, speculation on); attach workers with Serve or
-// Attach.
+// (latency-aware picking, speculation on); workers attach through Serve.
 func NewCoordinator() *Coordinator {
 	return NewCoordinatorWith(SchedulerConfig{})
 }
@@ -124,6 +127,12 @@ func NewCoordinator() *Coordinator {
 func NewCoordinatorWith(sched SchedulerConfig) *Coordinator {
 	s := newScheduler(sched)
 	c := &Coordinator{sched: s}
+	mux := http.NewServeMux()
+	mux.HandleFunc("POST /v1/fleet/attach", c.attach) // the pattern of attachPath
+	c.srv = &http.Server{Handler: mux, ReadHeaderTimeout: ReadHeaderTimeout,
+		ConnContext: func(ctx context.Context, conn net.Conn) context.Context {
+			return context.WithValue(ctx, connKey{}, conn) // for attach to hang up
+		}}
 	if s.cfg.FlapThreshold > 0 {
 		c.flaps = resilience.NewTracker(resilience.TrackerConfig{
 			Threshold:   s.cfg.FlapThreshold,
@@ -155,23 +164,10 @@ func (c *Coordinator) tickLoop() {
 	}
 }
 
-// Serve accepts worker connections on ln until the listener closes (Close
-// closes it). Each accepted connection is handshaken and attached.
+// Serve accepts workers' attach requests on ln until Close closes it, and
+// returns the error that ended it.
 func (c *Coordinator) Serve(ln net.Listener) error {
-	c.lnMu.Lock()
-	c.ln = ln
-	c.lnMu.Unlock()
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			return err
-		}
-		go func() {
-			if err := c.Attach(conn); err != nil {
-				conn.Close()
-			}
-		}()
-	}
+	return c.srv.Serve(ln)
 }
 
 // NewSessionWith registers a job with the coordinator. ctx is the job's
@@ -201,6 +197,7 @@ func (c *Coordinator) Workers() []fedshap.WorkerInfo {
 func (c *Coordinator) Stats() fedshap.FleetMetrics {
 	m := c.sched.stats()
 	m.QuarantineRejections = c.quarantineRejections.Load()
+	m.RefusedFrames = c.refusedFrames.Load()
 	if c.flaps != nil {
 		m.Quarantined = c.flaps.BenchedKeys()
 		for i := range m.Workers {
@@ -245,17 +242,11 @@ func (c *Coordinator) WantedWorkers(target time.Duration) int {
 	return max(int(math.Ceil(work/float64(target)/meanCap)), 1)
 }
 
-// Close shuts the coordinator down: the listener stops accepting, the
-// straggler scan stops, every worker connection is closed, and all queued
-// work is handed back for local evaluation so no Eval caller blocks
-// forever.
+// Close shuts the coordinator down: the straggler scan stops, every
+// worker is hung up on and all queued work is handed back for local
+// evaluation, so no Eval caller blocks forever; then the listeners close.
+// The links are hung up first, so their ends count as no worker's loss.
 func (c *Coordinator) Close() error {
-	c.lnMu.Lock()
-	if c.ln != nil {
-		c.ln.Close()
-		c.ln = nil
-	}
-	c.lnMu.Unlock()
 	c.closeOnce.Do(func() {
 		if c.tickStop != nil {
 			close(c.tickStop)
@@ -265,5 +256,5 @@ func (c *Coordinator) Close() error {
 			w.out.hangup()
 		}
 	})
-	return nil
+	return c.srv.Close()
 }

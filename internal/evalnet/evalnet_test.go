@@ -54,7 +54,6 @@ func startCoordinator(t *testing.T) (*Coordinator, net.Addr) {
 
 // fleetWorker is a test worker with a kill switch.
 type fleetWorker struct {
-	conn   net.Conn
 	cancel context.CancelFunc
 	done   chan struct{}
 }
@@ -62,24 +61,19 @@ type fleetWorker struct {
 // kill severs the worker's connection mid-flight, as a crashed process
 // would.
 func (fw *fleetWorker) kill() {
-	fw.conn.Close()
 	fw.cancel()
 	<-fw.done
 }
 
-// startWorker dials the coordinator and serves the protocol until killed.
+// startWorker attaches a worker to the coordinator and serves until killed.
 func startWorker(t *testing.T, addr net.Addr, name string, capacity int, build func(ProblemSpec) (Evaluator, error)) *fleetWorker {
 	t.Helper()
-	conn, err := net.Dial("tcp", addr.String())
-	if err != nil {
-		t.Fatal(err)
-	}
 	ctx, cancel := context.WithCancel(context.Background())
-	fw := &fleetWorker{conn: conn, cancel: cancel, done: make(chan struct{})}
+	fw := &fleetWorker{cancel: cancel, done: make(chan struct{})}
 	w := &Worker{Name: name, Capacity: capacity, Build: build}
 	go func() {
 		defer close(fw.done)
-		_ = w.Serve(ctx, conn)
+		_ = w.Dial(ctx, addr.String())
 	}()
 	t.Cleanup(fw.kill)
 	return fw

@@ -1,36 +1,26 @@
 package evalnet
 
 import (
-	"encoding/gob"
+	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"net"
+	"net/http"
+	"strconv"
 	"sync"
 	"time"
 )
 
-// sendHello writes one side's half of the handshake: the worker announces
-// itself, the coordinator acknowledges.
-func sendHello(enc *gob.Encoder, name string, capacity int) error {
-	return enc.Encode(envelope{Hello: &helloMsg{Proto: protoVersion, Name: name, Capacity: capacity}})
-}
+// connKey keys the attach request's connection in its context, so a link
+// can close it: hanging up is what ends both halves of the stream.
+type connKey struct{}
 
-// readHello reads the peer's half and checks it speaks this protocol.
-func readHello(dec *gob.Decoder) (helloMsg, error) {
-	var e envelope
-	if err := dec.Decode(&e); err != nil {
-		return helloMsg{}, err
-	}
-	if e.Hello == nil || e.Hello.Proto != protoVersion {
-		return helloMsg{}, fmt.Errorf("bad hello (proto %v)", e.Hello)
-	}
-	return *e.Hello, nil
-}
-
-// link is the coordinator's end of one worker connection. It turns what
-// the connection says into scheduler events (a result, a loss) and what
-// the scheduler says into frames: send only queues, and the writer
-// goroutine encodes outside every scheduler lock, so dispatching never
-// blocks on a slow connection.
+// link is the coordinator's end of one attached worker. It turns what the
+// request body says into scheduler events (a result, a loss) and what the
+// scheduler says into frames on the response: send only queues, and the
+// writer goroutine encodes outside every scheduler lock, so dispatching
+// never blocks on a slow connection.
 type link struct {
 	c    *Coordinator
 	conn net.Conn
@@ -60,52 +50,74 @@ func (l *link) hangup() bool {
 	return first
 }
 
-// Attach performs the registration handshake on conn and, on success, adds
-// the worker to the fleet and services it until the connection breaks.
-func (c *Coordinator) Attach(conn net.Conn) error {
-	enc := gob.NewEncoder(conn)
-	dec := gob.NewDecoder(conn)
-	hello, err := readHello(dec)
-	if err != nil {
-		return fmt.Errorf("evalnet: worker handshake: %w", err)
+// attach serves POST /v1/fleet/attach: it checks the worker's headers and
+// quarantine, adds the worker to the fleet and streams until the link
+// breaks — frames out on the response, results in on the request body.
+func (c *Coordinator) attach(w http.ResponseWriter, r *http.Request) {
+	// Full duplex from the start: the server would otherwise drain the
+	// request body before writing any response, a refusal included, and
+	// the worker only ends its body once it has read the response.
+	rc := http.NewResponseController(w)
+	if err := rc.EnableFullDuplex(); err != nil {
+		http.Error(w, err.Error(), http.StatusInternalServerError)
+		return
 	}
-	// Flap quarantine: a name that keeps dying is refused before the ack,
-	// so the worker sees a failed handshake and backs off (its dial retry
+	name := r.Header.Get(headerName)
+	if proto := r.Header.Get(headerProto); proto != strconv.Itoa(protoVersion) {
+		http.Error(w, fmt.Sprintf("worker protocol %q, coordinator speaks %d", proto, protoVersion), http.StatusBadRequest)
+		return
+	}
+	capacity, err := strconv.Atoi(r.Header.Get(headerCapacity))
+	if err != nil || capacity < 1 || capacity > maxCapacity {
+		http.Error(w, fmt.Sprintf("bad %s header %q", headerCapacity, r.Header.Get(headerCapacity)), http.StatusBadRequest)
+		return
+	}
+	// Flap quarantine: a name that keeps dying is refused before it joins,
+	// so the worker sees a failed attach and backs off (its dial retry
 	// loop has jittered exponential backoff) instead of rejoining the
 	// fleet only to take tasks down with it again.
 	if c.flaps != nil {
-		if left, benched := c.flaps.Benched(hello.Name); benched {
+		if left, benched := c.flaps.Benched(name); benched {
 			c.quarantineRejections.Add(1)
 			c.sched.cfg.Logger.Warn("worker attach refused: quarantined",
-				"worker", hello.Name, "bench_remaining", left)
-			return fmt.Errorf("evalnet: worker %q quarantined for %s after repeated losses",
-				hello.Name, left.Round(time.Millisecond))
+				"worker", name, "bench_remaining", left)
+			http.Error(w, fmt.Sprintf("worker %q quarantined for %s after repeated losses",
+				name, left.Round(time.Millisecond)), http.StatusServiceUnavailable)
+			return
 		}
 	}
-	if err := sendHello(enc, "coordinator", 0); err != nil {
-		return fmt.Errorf("evalnet: worker handshake ack: %w", err)
-	}
-
-	l := &link{c: c, conn: conn}
+	l := &link{c: c, conn: r.Context().Value(connKey{}).(net.Conn)}
 	l.wake.L = &l.mu
-	// The scheduler may queue frames before attach returns; the writer
-	// picks them up once started.
-	w := c.sched.attach(hello.Name, conn.RemoteAddr().String(), hello.Capacity, l, time.Now())
-	if w == nil {
-		return fmt.Errorf("evalnet: coordinator closed")
+	// The scheduler may queue frames before the writer starts; it picks
+	// them up once started.
+	s := c.sched.attach(name, r.RemoteAddr, capacity, l, time.Now())
+	if s == nil {
+		http.Error(w, "coordinator closed", http.StatusServiceUnavailable)
+		return
 	}
-	l.slot = w
-	c.sched.cfg.Logger.Info("worker attached", "worker", w.name, "id", w.id, "addr", w.addr, "capacity", w.capacity)
+	l.slot = s
+	c.sched.cfg.Logger.Info("worker attached", "worker", s.name, "id", s.id, "addr", s.addr, "capacity", s.capacity)
 
-	go l.writeLoop(enc)
-	l.readLoop(dec)
-	return nil
+	w.Header().Set("Content-Type", "application/x-ndjson")
+	w.WriteHeader(http.StatusOK)
+	written := make(chan struct{})
+	go func() {
+		defer close(written)
+		l.writeLoop(w, rc)
+	}()
+	l.readLoop(r.Body)
+	<-written // the response is the handler's until it returns
 }
 
-// writeLoop drains the outbox until the link is hung up. A spec frame's
-// warm-start snapshot is materialised here, just before encoding.
-func (l *link) writeLoop(enc *gob.Encoder) {
+// writeLoop drains the outbox until the link is hung up, flushing once per
+// drained batch.
+func (l *link) writeLoop(w io.Writer, rc *http.ResponseController) {
+	enc := json.NewEncoder(w)
 	for {
+		if err := rc.Flush(); err != nil {
+			l.lose()
+			return
+		}
 		l.mu.Lock()
 		for len(l.outbox) == 0 && !l.closed {
 			l.wake.Wait()
@@ -117,9 +129,6 @@ func (l *link) writeLoop(enc *gob.Encoder) {
 			return
 		}
 		for _, m := range msgs {
-			if m.warm != nil && m.Spec != nil {
-				m.Spec.Warm = m.warm()
-			}
 			if err := enc.Encode(m); err != nil {
 				l.lose()
 				return
@@ -128,25 +137,30 @@ func (l *link) writeLoop(enc *gob.Encoder) {
 	}
 }
 
-// readLoop feeds results to the scheduler until the connection breaks.
-func (l *link) readLoop(dec *gob.Decoder) {
+// readLoop feeds results to the scheduler until the link breaks. A
+// refused frame ends the link like any other loss, and is counted.
+func (l *link) readLoop(body io.Reader) {
+	fr := newFrameReader(body)
 	for {
-		var e envelope
-		if err := dec.Decode(&e); err != nil {
+		var res resultMsg
+		if err := fr.next(&res); err != nil {
+			if errors.Is(err, errBadFrame) {
+				l.c.refusedFrames.Add(1)
+				l.c.sched.cfg.Logger.Warn("worker frame refused; link closed",
+					"worker", l.slot.name, "id", l.slot.id, "error", err)
+			}
 			l.lose()
 			return
 		}
-		if e.Result != nil {
-			l.c.sched.result(l.slot, *e.Result, time.Now())
-		}
+		l.c.sched.result(l.slot, res, time.Now())
 	}
 }
 
-// lose reports the broken connection: the loss counts toward the name's
-// flap quarantine and the scheduler requeues whatever the worker still
-// owed. A link the coordinator hung up on was not lost — a shutdown must
-// not bench the next daemon life's fleet — and a break is reported once
-// though both loops see it.
+// lose reports the broken link: the loss counts toward the name's flap
+// quarantine and the scheduler requeues whatever the worker still owed. A
+// link the coordinator hung up on was not lost — a shutdown must not bench
+// the next daemon life's fleet — and a break is reported once though both
+// loops see it.
 func (l *link) lose() {
 	if !l.hangup() {
 		return

@@ -3,6 +3,7 @@ package evalnet
 import (
 	"context"
 	"net"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -102,16 +103,12 @@ func TestFlapQuarantineBenchesAndRejects(t *testing.T) {
 		t.Fatalf("Quarantined = %v, want [flappy]", stats.Quarantined)
 	}
 
-	// An attach attempt under the bench must fail the handshake.
-	conn, err := net.Dial("tcp", addr.String())
-	if err != nil {
-		t.Fatal(err)
-	}
+	// An attach attempt under the bench is refused, and Dial returns the
+	// coordinator's message.
 	w := &Worker{Name: "flappy", Capacity: 1, Build: gameBuilder(nil, 0)}
-	if err := w.Serve(context.Background(), conn); err == nil {
-		t.Fatal("benched worker attached without error")
+	if err := w.Dial(context.Background(), addr.String()); err == nil || !strings.Contains(err.Error(), `worker "flappy" quarantined`) {
+		t.Fatalf("benched worker's Dial = %v, want the quarantine refusal", err)
 	}
-	conn.Close()
 	waitRejections(t, c, 1)
 
 	// A differently named worker is unaffected.

@@ -370,15 +370,13 @@ func (b batch) flush() {
 }
 
 // assign records one task's assignment to a worker and adds it to the
-// batch, shipping the spec at once the first time the worker sees it. The
-// session's warm-start snapshot rides along, but is materialised by the
-// link's writer (envelope.warm) so copying a large cache never happens
-// under the scheduler lock. Caller holds mu.
+// batch, shipping the spec at once the first time the worker sees it.
+// Caller holds mu.
 func (s *scheduler) assign(w *slot, t *task, b batch, now time.Time) {
 	sess := t.session
 	if !w.specs[sess.cfg.Spec.ID] {
 		w.specs[sess.cfg.Spec.ID] = true
-		w.out.send(envelope{Spec: &specMsg{Spec: sess.cfg.Spec}, warm: sess.warmEntries})
+		w.out.send(envelope{Spec: &sess.cfg.Spec})
 	}
 	w.held[t.id] = assignment{task: t, at: now}
 	t.holders = append(t.holders, w.id)
@@ -588,7 +586,7 @@ func (s *scheduler) enqueue(sess *Session, coal combin.Coalition, now time.Time)
 // dispatch aggregates are returned, and the record of who has the spec is
 // erased — a long-lived fleet must not remember every job it ever served.
 // Not before: while the session can still assign, forgetting would ship
-// the spec and its warm snapshot a second time.
+// the spec a second time.
 func (s *scheduler) cancel(sess *Session, final bool) (agg map[int]*dispatchStats) {
 	s.mu.Lock()
 	defer s.mu.Unlock()

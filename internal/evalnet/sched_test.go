@@ -9,7 +9,6 @@ import (
 
 	"fedshap"
 	"fedshap/internal/combin"
-	"fedshap/internal/utility"
 )
 
 // newLocalListener opens a loopback listener for tests that build their
@@ -21,44 +20,6 @@ func newLocalListener(t *testing.T) net.Listener {
 		t.Fatal(err)
 	}
 	return ln
-}
-
-// dialCoordinator opens a raw worker connection for tests that drive a
-// Worker directly (custom Build, warm-start opt-out).
-func dialCoordinator(t *testing.T, addr net.Addr) net.Conn {
-	t.Helper()
-	conn, err := net.Dial("tcp", addr.String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { conn.Close() })
-	return conn
-}
-
-// additiveTable materialises the additive test game over the full power
-// set, the warm snapshot a coordinator-side store would hold.
-func additiveTable(n int) map[combin.Coalition]float64 {
-	out := make(map[combin.Coalition]float64)
-	combin.AllSubsets(n, func(s combin.Coalition) { out[s] = additive(s) })
-	return out
-}
-
-// oracleBuilder builds a worker evaluator backed by its own oracle — the
-// shape valserve.WorkerEvaluator produces — counting the evaluations
-// that actually train (cache misses), and optionally slowing them down.
-func oracleBuilder(fresh *atomic.Int64, delay time.Duration) func(ProblemSpec) (Evaluator, error) {
-	return func(spec ProblemSpec) (Evaluator, error) {
-		oracle := utility.NewOracle(spec.N, func(s combin.Coalition) float64 {
-			if fresh != nil {
-				fresh.Add(1)
-			}
-			if delay > 0 {
-				time.Sleep(delay)
-			}
-			return additive(s)
-		})
-		return Evaluator{Eval: oracle.U, Warm: oracle.Warm, Cached: oracle.Cached}, nil
-	}
 }
 
 // TestStragglerRedispatch runs a deliberately lopsided fleet — one fast
@@ -145,69 +106,6 @@ func TestStragglerRedispatch(t *testing.T) {
 	}
 	if fast.Load()+slow.Load() < int64(len(all)) {
 		t.Errorf("workers trained %d coalitions, want >= %d", fast.Load()+slow.Load(), len(all))
-	}
-}
-
-// TestWarmStartShipsCache gives the session a warm snapshot covering the
-// whole game — the coordinator-side cache a recycled fleet would find —
-// and checks an attaching worker answers every coalition from the shipped
-// utilities without one fresh training run.
-func TestWarmStartShipsCache(t *testing.T) {
-	c, addr := startCoordinator(t)
-	n := 5
-	warm := additiveTable(n)
-
-	var freshOnWorker atomic.Int64
-	w := &Worker{Name: "recycled", Capacity: 4, Build: oracleBuilder(&freshOnWorker, 0)}
-	conn := dialCoordinator(t, addr)
-	go func() { _ = w.Serve(context.Background(), conn) }()
-	waitWorkers(t, c, 1)
-
-	var localCalls atomic.Int64
-	oracle := utility.NewOracle(n, func(s combin.Coalition) float64 {
-		localCalls.Add(1)
-		return additive(s)
-	})
-	var sess *Session
-	oracle.WrapEval(func(inner utility.EvalFunc) utility.EvalFunc {
-		sess = c.NewSessionWith(context.Background(), SessionConfig{
-			Spec:         ProblemSpec{ID: "warm-spec", N: n},
-			Local:        inner,
-			LocalLimit:   8,
-			WarmSnapshot: func() map[combin.Coalition]float64 { return warm },
-		})
-		return sess.Eval
-	})
-	t.Cleanup(sess.Close)
-
-	all := allCoalitions(n)
-	if err := oracle.Prefetch(context.Background(), all, 4); err != nil {
-		t.Fatal(err)
-	}
-	for _, s := range all {
-		if got := oracle.U(s); got != additive(s) {
-			t.Fatalf("U(%s) = %v, want %v", s, got, additive(s))
-		}
-	}
-	// Every utility flowed back remotely and was charged exactly once on
-	// the coordinator side...
-	if oracle.Evals() != len(all) {
-		t.Errorf("coordinator fresh evals = %d, want %d", oracle.Evals(), len(all))
-	}
-	// ...but the warm worker never trained anything.
-	if got := freshOnWorker.Load(); got != 0 {
-		t.Errorf("warm worker ran %d fresh evaluations, want 0", got)
-	}
-	if localCalls.Load() != 0 {
-		t.Errorf("local fallback ran %d times", localCalls.Load())
-	}
-	// Cache-hit answers carry no training signal: the worker's latency
-	// EWMA must stay unset, or a warm fleet would look microsecond-fast
-	// and misclassify every real training as a straggler.
-	for _, w := range c.Workers() {
-		if w.EWMAMillis != 0 {
-			t.Errorf("worker %s EWMA = %vms from warm answers, want 0", w.Name, w.EWMAMillis)
-		}
 	}
 }
 

@@ -2,11 +2,10 @@ package evalnet
 
 import (
 	"context"
-	"encoding/gob"
 	"math"
-	"net"
 	"reflect"
 	"slices"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -425,41 +424,22 @@ func TestSessionCloseForgetsSpec(t *testing.T) {
 	}
 }
 
-// TestNonFiniteResultFallsBackLocal attaches a hand-written worker that
-// answers NaN and then +Inf: each must be treated as a failed evaluation
+// TestNonFiniteResultFallsBackLocal attaches a worker whose evaluator
+// answers NaN and then +Inf: JSON cannot carry either, so the worker
+// replies with an error, and each must be treated as a failed evaluation
 // — local fallback, counted failed in the worker's dispatch span, no
 // latency sample — and never reach the oracle's cache.
 func TestNonFiniteResultFallsBackLocal(t *testing.T) {
-	c := NewCoordinatorWith(SchedulerConfig{DisableSpeculation: true})
-	t.Cleanup(func() { _ = c.Close() })
-	coordEnd, workerEnd := net.Pipe()
-	go func() { _ = c.Attach(coordEnd) }()
-	go func() {
-		enc, dec := gob.NewEncoder(workerEnd), gob.NewDecoder(workerEnd)
-		if sendHello(enc, "badmath", 1) != nil {
-			return
-		}
-		if _, err := readHello(dec); err != nil {
-			return
-		}
-		answers := []float64{math.NaN(), math.Inf(1)}
-		for {
-			var e envelope
-			if dec.Decode(&e) != nil {
-				return
+	c, addr := startCoordinatorWith(t, SchedulerConfig{DisableSpeculation: true})
+	var calls atomic.Int64
+	startWorker(t, addr, "badmath", 1, func(ProblemSpec) (Evaluator, error) {
+		return Evaluator{Eval: func(combin.Coalition) float64 {
+			if calls.Add(1)%2 == 1 {
+				return math.NaN()
 			}
-			if e.Task == nil {
-				continue
-			}
-			for _, tw := range e.Task.Tasks {
-				u := answers[0]
-				answers = append(answers[1:], u)
-				if enc.Encode(envelope{Result: &resultMsg{SpecID: e.Task.SpecID, TaskID: tw.ID, U: u, Nanos: 1}}) != nil {
-					return
-				}
-			}
-		}
-	}()
+			return math.Inf(1)
+		}}, nil
+	})
 	waitWorkers(t, c, 1)
 
 	trace := obs.NewTrace()
@@ -493,5 +473,34 @@ func TestNonFiniteResultFallsBackLocal(t *testing.T) {
 	}
 	if span == nil || span.Attrs["failed"] != "2" || span.Attrs["fresh"] != "0" || span.Attrs["tasks"] != "2" {
 		t.Errorf("dispatch span = %+v, want tasks 2, failed 2, fresh 0", span)
+	}
+}
+
+// TestWarmAnswerLeavesNoLatency: an answer the worker served from its own
+// cache is delivered and counted warm in the dispatch span, but carries no
+// training signal, so it leaves the worker's latency EWMA alone; the next
+// trained answer sets it.
+func TestWarmAnswerLeavesNoLatency(t *testing.T) {
+	f := newSimFleet(t, SchedulerConfig{DisableSpeculation: true})
+	f.attach("a", 1, 0)
+	job := f.session("job")
+	t1 := f.enqueue(job, 1, 0)
+	f.answer("a", t1, resultMsg{U: 2, Warm: true}, 300)
+	if r, ok := outcome(t1); !ok || r.u != 2 || r.fallback {
+		t.Fatalf("warm answer delivered %+v, %v", r, ok)
+	}
+	if w := f.slots["a"]; w.ewma != 0 || w.done != 1 {
+		t.Errorf("after a warm answer: ewma %v, done %d; want 0, 1", w.ewma, w.done)
+	}
+	t2 := f.enqueue(job, 2, 300)
+	f.answer("a", t2, resultMsg{U: 3}, 400)
+	if got := f.slots["a"].ewma; got != float64(100*time.Millisecond) {
+		t.Errorf("after a trained answer: ewma %v, want 100ms", time.Duration(got))
+	}
+	job.Close()
+	for _, sp := range job.cfg.Trace.Snapshot() {
+		if sp.Name == "dispatch" && (sp.Attrs["warm"] != "1" || sp.Attrs["fresh"] != "1") {
+			t.Errorf("dispatch span = %v, want warm 1, fresh 1", sp.Attrs)
+		}
 	}
 }

@@ -19,7 +19,7 @@ type Session struct {
 	sched *scheduler
 	ctx   context.Context
 	// cfg is the job's configuration: the spec shipped to workers, the
-	// local fallback, the warm snapshot and the telemetry hooks.
+	// local fallback and the telemetry hooks.
 	cfg SessionConfig
 	// localSem bounds concurrent local fallback evaluations at the job's
 	// own local limit: the pool is sized for the fleet's capacity, so
@@ -61,12 +61,6 @@ type SessionConfig struct {
 	// evaluations — the concurrency the job would use with no fleet at all
 	// (<= 0 selects GOMAXPROCS).
 	LocalLimit int
-	// WarmSnapshot, when set, returns the coordinator-side cached
-	// utilities for the spec (typically utility.Oracle.Snapshot after the
-	// persistent store warmed it). Each worker receives the snapshot taken
-	// at the moment its first task of this spec is dispatched, so a
-	// recycled fleet never retrains what the daemon already knows.
-	WarmSnapshot func() map[combin.Coalition]float64
 	// Observe, when set, receives the coordinator-measured latency of
 	// every fleet-served result under source "remote" — the service's
 	// eval-latency-by-source histograms hang off it. Called outside the
@@ -98,23 +92,6 @@ func newSession(ctx context.Context, sched *scheduler, cfg SessionConfig) *Sessi
 // tasks changed hands, and why.
 func (s *Session) redispatchEvent(reason string, attrs ...string) {
 	s.cfg.Trace.Event("redispatch", "daemon", append([]string{"reason", reason}, attrs...)...)
-}
-
-// warmEntries materialises the session's warm snapshot for the wire.
-func (s *Session) warmEntries() []warmEntry {
-	if s.cfg.WarmSnapshot == nil {
-		return nil
-	}
-	snap := s.cfg.WarmSnapshot()
-	if len(snap) == 0 {
-		return nil
-	}
-	out := make([]warmEntry, 0, len(snap))
-	for coal, u := range snap {
-		lo, hi := coal.Words()
-		out = append(out, warmEntry{Lo: lo, Hi: hi, U: u})
-	}
-	return out
 }
 
 // Eval evaluates one coalition on the fleet, blocking until a result

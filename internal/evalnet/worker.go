@@ -1,12 +1,19 @@
 package evalnet
 
 import (
+	"bufio"
+	"cmp"
 	"context"
-	"encoding/gob"
+	"encoding/json"
 	"fmt"
+	"io"
 	"log/slog"
+	"math"
 	"net"
+	"net/http"
 	"runtime"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -17,34 +24,31 @@ import (
 )
 
 // Evaluator is a worker-side problem evaluator. Eval computes one
-// coalition's utility; Warm, when non-nil, pre-populates the evaluator's
-// cache with utilities the coordinator shipped (warm-start), returning
-// how many were new; Cached, when non-nil, reports whether a coalition
-// is already in the cache — answers that were never trained are flagged
-// on the wire so they stay out of the coordinator's latency tracking.
-// valserve.WorkerEvaluator builds all three from a fresh per-spec
+// coalition's utility; Cached, when non-nil, reports whether a coalition
+// is already in the evaluator's cache — answers that were never trained
+// are flagged on the wire so they stay out of the coordinator's latency
+// tracking. valserve.WorkerEvaluator builds both from a fresh per-spec
 // oracle.
 type Evaluator struct {
 	Eval   utility.EvalFunc
-	Warm   func(entries map[combin.Coalition]float64) int
 	Cached func(s combin.Coalition) bool
 }
 
 // Worker is the remote-evaluation daemon: it dials a coordinator, receives
-// problem specs and coalition batches, trains locally and streams results
+// problem specs and coalition tasks, trains locally and streams results
 // back. cmd/fedvalworker wraps it; tests drive it in-process.
 type Worker struct {
 	// Name identifies the worker in the coordinator's fleet listing.
 	Name string
 	// Capacity bounds concurrent evaluations (<= 0 selects GOMAXPROCS);
-	// it is announced to the coordinator, which never exceeds it.
+	// it is announced to the coordinator, which never exceeds it and
+	// refuses an attach announcing more than 1024.
 	Capacity int
 	// Build constructs the evaluator for a spec, called once per spec and
 	// cached. The standard builder (valserve.WorkerEvaluator) rebuilds
 	// the problem from the spec's request and evaluates through a fresh
-	// oracle, so repeated coalitions within a job are served from the
-	// worker's own cache and coordinator-shipped warm utilities are never
-	// retrained. A builder with no cache to warm returns Evaluator{Eval: f}.
+	// oracle, so a coalition requeued back to this worker is served from
+	// its own cache. A builder with no cache returns Evaluator{Eval: f}.
 	// When nil, every task is answered with an error and the coordinator
 	// evaluates it locally.
 	Build func(spec ProblemSpec) (Evaluator, error)
@@ -60,55 +64,81 @@ type Worker struct {
 // workerSpec is one cached problem on the worker.
 type workerSpec struct {
 	spec      ProblemSpec
-	warm      map[combin.Coalition]float64
 	once      sync.Once
 	eval      Evaluator
 	err       error
 	cancelled atomic.Bool
 }
 
-// Serve speaks the protocol on conn until the connection breaks or ctx is
-// done (which closes the connection). Every received task is answered —
+// Dial attaches to the coordinator at addr and serves until the link
+// breaks or ctx is done, returning the terminal error: the coordinator's
+// message when it refuses the attach. Every received task is answered —
 // with a utility, or with an error the coordinator converts into a local
 // fallback — so the coordinator's in-flight accounting always drains.
-func (w *Worker) Serve(ctx context.Context, conn net.Conn) error {
+// Reconnection policy is the caller's (cmd/fedvalworker loops with
+// backoff).
+func (w *Worker) Dial(ctx context.Context, addr string) error {
 	capacity := w.Capacity
 	if capacity <= 0 {
 		capacity = runtime.GOMAXPROCS(0)
 	}
-	enc := gob.NewEncoder(conn)
-	dec := gob.NewDecoder(conn)
-	if err := sendHello(enc, w.Name, capacity); err != nil {
-		return fmt.Errorf("evalnet: hello: %w", err)
+	var d net.Dialer
+	conn, err := d.DialContext(ctx, "tcp", addr)
+	if err != nil {
+		return err
 	}
-	if _, err := readHello(dec); err != nil {
-		return fmt.Errorf("evalnet: hello ack: %w", err)
-	}
-
-	// ctx cancellation unblocks the decoder by closing the connection.
+	defer conn.Close()
+	// ctx ends the link by closing its connection, which ends every read
+	// and write on it.
 	stop := context.AfterFunc(ctx, func() { conn.Close() })
 	defer stop()
 
-	log := w.Logger
-	if log == nil {
-		log = obs.NopLogger()
+	// The attach request owns the connection for the link's life: its own
+	// goroutine writes it, streaming the body — result frames, one chunk
+	// each — from a pipe, while this one reads the response.
+	results, out := io.Pipe()
+	defer out.Close()
+	req, err := http.NewRequest(http.MethodPost, "http://"+addr+attachPath, results)
+	if err != nil {
+		return err
 	}
-	log = log.With("worker", w.Name, "coordinator", conn.RemoteAddr().String())
+	req.Header.Set(headerProto, strconv.Itoa(protoVersion))
+	req.Header.Set(headerName, w.Name)
+	req.Header.Set(headerCapacity, strconv.Itoa(capacity))
+	go func() { results.CloseWithError(req.Write(conn)) }()
+	// A coordinator that never answers is a failed attach, not a hung
+	// worker.
+	_ = conn.SetReadDeadline(time.Now().Add(ReadHeaderTimeout))
+	resp, err := http.ReadResponse(bufio.NewReader(conn), req)
+	if err != nil {
+		return cmp.Or(ctx.Err(), fmt.Errorf("evalnet: attach: %w", err))
+	}
+	_ = conn.SetReadDeadline(time.Time{})
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		msg, _ := io.ReadAll(io.LimitReader(resp.Body, maxFrame))
+		return fmt.Errorf("evalnet: attach refused (%s): %s", resp.Status, strings.TrimSpace(string(msg)))
+	}
+
+	log := cmp.Or(w.Logger, obs.NopLogger()).With("worker", w.Name, "coordinator", addr)
 	log.Info("connected", "capacity", capacity)
 
 	var sendMu sync.Mutex
-	send := func(e envelope) {
+	enc := json.NewEncoder(out)
+	send := func(res *resultMsg) {
 		sendMu.Lock()
 		defer sendMu.Unlock()
-		_ = enc.Encode(e) // a broken link also breaks the read loop below
+		_ = enc.Encode(res) // a broken link also breaks the read loop below
 	}
 
+	dec := json.NewDecoder(resp.Body)
 	specs := make(map[string]*workerSpec)
 	sem := make(chan struct{}, capacity)
 	var wg sync.WaitGroup
 	for {
 		var e envelope
 		if err := dec.Decode(&e); err != nil {
+			out.CloseWithError(err) // fail the sends still to come
 			wg.Wait()
 			if ctx.Err() != nil {
 				return ctx.Err()
@@ -117,16 +147,9 @@ func (w *Worker) Serve(ctx context.Context, conn net.Conn) error {
 		}
 		switch {
 		case e.Spec != nil:
-			if _, ok := specs[e.Spec.Spec.ID]; !ok {
-				ws := &workerSpec{spec: e.Spec.Spec}
-				if len(e.Spec.Warm) > 0 {
-					ws.warm = make(map[combin.Coalition]float64, len(e.Spec.Warm))
-					for _, entry := range e.Spec.Warm {
-						ws.warm[combin.FromWords(entry.Lo, entry.Hi)] = entry.U
-					}
-				}
-				specs[e.Spec.Spec.ID] = ws
-				log.Info("spec received", "job", e.Spec.Spec.ID, "warm", len(e.Spec.Warm))
+			if _, ok := specs[e.Spec.ID]; !ok {
+				specs[e.Spec.ID] = &workerSpec{spec: *e.Spec}
+				log.Info("spec received", "job", e.Spec.ID)
 			}
 		case e.Cancel != nil:
 			// Mark, then drop: in-flight goroutines still hold the pointer
@@ -147,7 +170,7 @@ func (w *Worker) Serve(ctx context.Context, conn net.Conn) error {
 					defer wg.Done()
 					sem <- struct{}{}
 					defer func() { <-sem }()
-					send(envelope{Result: w.run(ws, e.Task.SpecID, tw)})
+					send(w.run(ws, tw))
 				}(tw)
 			}
 		}
@@ -155,17 +178,19 @@ func (w *Worker) Serve(ctx context.Context, conn net.Conn) error {
 }
 
 // run computes one assignment, converting every failure mode (unknown or
-// cancelled spec, build error, evaluation panic) into an error reply. The
-// first run of a spec builds its evaluator and applies the warm-start
-// utilities shipped with the spec, so a warm coalition is answered from
-// cache without training.
-func (w *Worker) run(ws *workerSpec, specID string, tw taskWire) (res *resultMsg) {
-	res = &resultMsg{SpecID: specID, TaskID: tw.ID, Lo: tw.Lo, Hi: tw.Hi}
+// cancelled spec, build error, evaluation panic, a non-finite utility,
+// which JSON cannot carry) into an error reply, its text truncated to
+// keep the frame small. The first run of a spec builds its evaluator.
+func (w *Worker) run(ws *workerSpec, tw taskWire) (res *resultMsg) {
+	res = &resultMsg{TaskID: tw.ID}
 	start := time.Now()
 	defer func() {
 		if r := recover(); r != nil {
 			res.U = 0
 			res.Err = fmt.Sprintf("evaluation panic: %v", r)
+		}
+		if len(res.Err) > maxErrText {
+			res.Err = strings.ToValidUTF8(res.Err[:maxErrText], "")
 		}
 		res.Nanos = time.Since(start).Nanoseconds()
 		if w.Observe != nil {
@@ -192,10 +217,6 @@ func (w *Worker) run(ws *workerSpec, specID string, tw taskWire) (res *resultMsg
 		if w.Build != nil {
 			ws.eval, ws.err = w.Build(ws.spec)
 		}
-		if ws.err == nil && ws.eval.Warm != nil && len(ws.warm) > 0 {
-			ws.eval.Warm(ws.warm)
-		}
-		ws.warm = nil // applied (or unusable); release the snapshot
 	})
 	if ws.err != nil {
 		res.Err = ws.err.Error()
@@ -206,18 +227,9 @@ func (w *Worker) run(ws *workerSpec, specID string, tw taskWire) (res *resultMsg
 		res.Warm = true // answered from cache: no training happened
 	}
 	res.U = ws.eval.Eval(coal)
-	return res
-}
-
-// Dial connects to a coordinator at addr and serves until the link breaks
-// or ctx is done, returning the terminal error. Reconnection policy is the
-// caller's (cmd/fedvalworker loops with backoff).
-func (w *Worker) Dial(ctx context.Context, addr string) error {
-	var d net.Dialer
-	conn, err := d.DialContext(ctx, "tcp", addr)
-	if err != nil {
-		return err
+	if math.IsNaN(res.U) || math.IsInf(res.U, 0) {
+		res.Err = fmt.Sprintf("non-finite utility %v", res.U)
+		res.U, res.Warm = 0, false
 	}
-	defer conn.Close()
-	return w.Serve(ctx, conn)
+	return res
 }

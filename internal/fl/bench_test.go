@@ -49,7 +49,7 @@ func TestFedAvgRoundsDoNotAllocate(t *testing.T) {
 }
 
 // BenchmarkReseed is what a client's shuffle costs the RNG: one Seed and
-// the Intn draws of a permutation of n samples (model.permInto's), on the
+// the Intn draws of a permutation of n samples (combin.PermInto's), on the
 // arena's source and on math/rand's own.
 func BenchmarkReseed(b *testing.B) {
 	sources := []struct {

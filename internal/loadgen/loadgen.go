@@ -217,18 +217,6 @@ func (r *Runner) UniqueRequests() []fedshap.JobRequest {
 // state so far — the chaos controller paces its faults on it.
 func (r *Runner) TerminalCount() int { return int(r.terminalCount.Load()) }
 
-// FinalStatuses returns the terminal status of every tracked job, keyed
-// by job ID. Valid after Run returns.
-func (r *Runner) FinalStatuses() map[string]*fedshap.JobStatus {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make(map[string]*fedshap.JobStatus, len(r.finals))
-	for id, st := range r.finals {
-		out[id] = st
-	}
-	return out
-}
-
 // generate builds the deterministic request sequence: Fingerprints
 // problem variants (seed + model rotation), γ drawn per submission, and a
 // WarmFraction of verbatim resubmits of earlier requests.

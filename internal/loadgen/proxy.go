@@ -19,7 +19,6 @@ type Proxy struct {
 	mu     sync.Mutex
 	conns  map[net.Conn]struct{}
 	closed bool
-	severs int
 }
 
 // NewProxy starts a relay on addr (e.g. "127.0.0.1:0") forwarding to
@@ -37,13 +36,6 @@ func NewProxy(addr, target string) (*Proxy, error) {
 // Addr is the address workers should dial instead of the coordinator.
 func (p *Proxy) Addr() string { return p.ln.Addr().String() }
 
-// Severs reports how many times SeverAll has fired.
-func (p *Proxy) Severs() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.severs
-}
-
 // SeverAll closes every active relayed connection, in both directions.
 // New connections are still accepted afterwards — the partition heals as
 // soon as the workers redial.
@@ -55,7 +47,6 @@ func (p *Proxy) SeverAll() int {
 		c.Close()
 	}
 	p.conns = make(map[net.Conn]struct{})
-	p.severs++
 	return n
 }
 

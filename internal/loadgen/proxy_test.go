@@ -72,9 +72,6 @@ func TestProxySeverAndHeal(t *testing.T) {
 	if n := p.SeverAll(); n != 4 { // two relayed pairs = four registered conns
 		t.Errorf("SeverAll cut %d conns, want 4", n)
 	}
-	if p.Severs() != 1 {
-		t.Errorf("Severs() = %d, want 1", p.Severs())
-	}
 	// Both severed connections are dead: reads drain and hit EOF/reset.
 	c1.SetReadDeadline(time.Now().Add(2 * time.Second))
 	if sc1.Scan() {

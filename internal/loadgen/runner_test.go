@@ -77,8 +77,8 @@ func TestRunnerEndToEnd(t *testing.T) {
 	if rep.Metrics == nil {
 		t.Error("no final /metrics snapshot")
 	}
-	if len(r.FinalStatuses()) != 40 {
-		t.Errorf("FinalStatuses() has %d entries, want 40", len(r.FinalStatuses()))
+	if n := r.TerminalCount(); n != 40 {
+		t.Errorf("TerminalCount() = %d, want 40", n)
 	}
 
 	// A verbatim rerun of the distinct requests is fully warm: the store

@@ -7,7 +7,6 @@ package metrics
 
 import (
 	"math"
-	"sort"
 )
 
 // L2RelativeError returns ‖φ̂ − φ‖₂ / ‖φ‖₂ (Eq. 21). A zero ground-truth
@@ -162,36 +161,4 @@ func KendallTau(a, b []float64) float64 {
 	}
 	pairs := float64(n*(n-1)) / 2
 	return (concordant - discordant) / pairs
-}
-
-// TopKOverlap returns |top-k(a) ∩ top-k(b)| / k: how well the approximation
-// identifies the k most valuable clients.
-func TopKOverlap(a, b []float64, k int) float64 {
-	if k <= 0 {
-		return 1
-	}
-	ta, tb := topK(a, k), topK(b, k)
-	inter := 0
-	for i := range ta {
-		if tb[i] {
-			inter++
-		}
-	}
-	return float64(inter) / float64(k)
-}
-
-func topK(xs []float64, k int) map[int]bool {
-	idx := make([]int, len(xs))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(a, b int) bool { return xs[idx[a]] > xs[idx[b]] })
-	if k > len(idx) {
-		k = len(idx)
-	}
-	out := make(map[int]bool, k)
-	for _, i := range idx[:k] {
-		out[i] = true
-	}
-	return out
 }

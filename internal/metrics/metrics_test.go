@@ -135,18 +135,3 @@ func TestKendallTau(t *testing.T) {
 		t.Errorf("τ(singleton) = %v", got)
 	}
 }
-
-func TestTopKOverlap(t *testing.T) {
-	a := []float64{0.9, 0.1, 0.8, 0.2}
-	b := []float64{0.8, 0.2, 0.9, 0.1}
-	if got := TopKOverlap(a, b, 2); got != 1 {
-		t.Errorf("overlap = %v, want 1 (same top-2 set)", got)
-	}
-	c := []float64{0.1, 0.9, 0.2, 0.8}
-	if got := TopKOverlap(a, c, 2); got != 0 {
-		t.Errorf("overlap = %v, want 0", got)
-	}
-	if got := TopKOverlap(a, c, 0); got != 1 {
-		t.Errorf("k=0 overlap = %v, want 1", got)
-	}
-}

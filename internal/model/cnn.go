@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"slices"
 
+	"fedshap/internal/combin"
 	"fedshap/internal/dataset"
 	"fedshap/internal/tensor"
 )
@@ -178,7 +179,7 @@ func (m *CNN) SetParams(p tensor.Vector) {
 
 // TrainEpoch runs one epoch of per-sample SGD backprop.
 func (m *CNN) TrainEpoch(ds *dataset.Dataset, lr float64, rng *rand.Rand) {
-	m.perm = permInto(rng, ds.Len(), m.perm)
+	m.perm = combin.PermInto(rng, ds.Len(), m.perm)
 	for _, i := range m.perm {
 		x := ds.X.Row(i)
 		// Dense head gradient, and backprop into pooled features (needs W

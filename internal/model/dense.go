@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"slices"
 
+	"fedshap/internal/combin"
 	"fedshap/internal/dataset"
 	"fedshap/internal/tensor"
 )
@@ -257,7 +258,7 @@ func (m *Dense) SetParams(p tensor.Vector) {
 // pre-activation proves x finite. Otherwise, and for the epoch's last
 // sample, the update skips (tensor.PanelAddOuterScaled).
 func (m *Dense) TrainEpoch(ds *dataset.Dataset, lr float64, rng *rand.Rand) {
-	m.perm = permInto(rng, ds.Len(), m.perm)
+	m.perm = combin.PermInto(rng, ds.Len(), m.perm)
 	first := &m.layers[0]
 	if !m.packed() {
 		for _, i := range m.perm {

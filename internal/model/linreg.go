@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"slices"
 
+	"fedshap/internal/combin"
 	"fedshap/internal/dataset"
 	"fedshap/internal/tensor"
 )
@@ -63,7 +64,7 @@ func (m *LinReg) SetParams(p tensor.Vector) {
 // TrainEpoch runs one epoch of per-sample SGD on squared loss, interpreting
 // dataset labels as real targets.
 func (m *LinReg) TrainEpoch(ds *dataset.Dataset, lr float64, rng *rand.Rand) {
-	m.perm = permInto(rng, ds.Len(), m.perm)
+	m.perm = combin.PermInto(rng, ds.Len(), m.perm)
 	for _, i := range m.perm {
 		x := ds.X.Row(i)
 		err := m.W.Dot(x) + m.B - float64(ds.Y[i])
@@ -75,7 +76,7 @@ func (m *LinReg) TrainEpoch(ds *dataset.Dataset, lr float64, rng *rand.Rand) {
 
 // TrainEpochFloat is TrainEpoch against real-valued targets.
 func (m *LinReg) TrainEpochFloat(X *tensor.Matrix, y []float64, lr float64, rng *rand.Rand) {
-	m.perm = permInto(rng, X.Rows, m.perm)
+	m.perm = combin.PermInto(rng, X.Rows, m.perm)
 	for _, i := range m.perm {
 		x := X.Row(i)
 		err := m.W.Dot(x) + m.B - y[i]

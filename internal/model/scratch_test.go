@@ -6,34 +6,6 @@ import (
 	"testing"
 )
 
-// TestPermIntoMatchesRandPerm guards the lockstep between permInto and
-// math/rand's Perm: same seed, same permutation, same RNG consumption. If
-// this ever fails, every model's training order — and so every cached
-// utility — would silently change.
-func TestPermIntoMatchesRandPerm(t *testing.T) {
-	for _, n := range []int{0, 1, 2, 7, 64, 501} {
-		a := rand.New(rand.NewSource(int64(n) + 3))
-		b := rand.New(rand.NewSource(int64(n) + 3))
-		var buf []int
-		for rep := 0; rep < 3; rep++ {
-			want := a.Perm(n)
-			buf = permInto(b, n, buf)
-			if len(buf) != len(want) {
-				t.Fatalf("n=%d: len %d, want %d", n, len(buf), len(want))
-			}
-			for i := range want {
-				if buf[i] != want[i] {
-					t.Fatalf("n=%d rep=%d: perm[%d] = %d, want %d", n, rep, i, buf[i], want[i])
-				}
-			}
-		}
-		// The two RNGs must stay in the same stream position.
-		if a.Int63() != b.Int63() {
-			t.Fatalf("n=%d: RNG streams diverged after Perm", n)
-		}
-	}
-}
-
 // TestPredictClassMatchesScore checks the allocation-free fast path agrees
 // with the allocating Score on every classifier.
 func TestPredictClassMatchesScore(t *testing.T) {

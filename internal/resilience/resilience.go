@@ -321,14 +321,6 @@ func (t *Tracker) BenchedKeys() []string {
 	return out
 }
 
-// Forgive clears key's failure history and any active bench — for
-// operator overrides and tests.
-func (t *Tracker) Forgive(key string) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	delete(t.entries, key)
-}
-
 // Hook is an injectable fault point: code guarding a fallible operation
 // calls Check before performing it, and tests or chaos controllers
 // install a function that fails selected operations on demand. A nil

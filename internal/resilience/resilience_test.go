@@ -221,18 +221,6 @@ func TestTrackerWindowSlides(t *testing.T) {
 	}
 }
 
-func TestTrackerForgive(t *testing.T) {
-	tr := NewTracker(TrackerConfig{Threshold: 1, BasePenalty: time.Hour})
-	tr.Fail("w")
-	if _, ok := tr.Benched("w"); !ok {
-		t.Fatal("not benched")
-	}
-	tr.Forgive("w")
-	if _, ok := tr.Benched("w"); ok {
-		t.Fatal("forgiveness didn't clear the bench")
-	}
-}
-
 func TestHookNilAndSet(t *testing.T) {
 	var nilHook *Hook
 	if err := nilHook.Check("x"); err != nil {

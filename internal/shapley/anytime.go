@@ -100,15 +100,6 @@ func NewTrackerForPlan(n int, confidence float64, plan []combin.Coalition) *Trac
 	return t
 }
 
-// SetMarginalBounds overrides the assumed range of a single marginal
-// contribution (default [−1, 1], correct for accuracy-style utilities in
-// [0, 1]). Tighter bounds shrink the Hoeffding term proportionally.
-func (t *Tracker) SetMarginalBounds(lo, hi float64) {
-	if hi > lo {
-		t.lo, t.hi = lo, hi
-	}
-}
-
 // N returns the number of clients.
 func (t *Tracker) N() int { return t.n }
 

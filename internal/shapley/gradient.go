@@ -174,6 +174,7 @@ func (GTGShapley) Values(ctx *Context) (Values, error) {
 	full := combin.FullCoalition(n)
 
 	phi := make(Values, n)
+	var perm []int
 	var prevRoundU float64
 	for r := range trace.Rounds {
 		g := reconGame(ctx, trace, r)
@@ -192,7 +193,7 @@ func (GTGShapley) Values(ctx *Context) (Values, error) {
 		uEmpty := g.U(combin.Empty)
 		roundPhi := make(Values, n)
 		for p := 0; p < perms; p++ {
-			perm := combin.RandomPermutation(n, ctx.RNG)
+			perm = combin.PermInto(ctx.RNG, n, perm)
 			var s combin.Coalition
 			prev := uEmpty
 			for _, i := range perm {

@@ -169,7 +169,7 @@ func (a *TMC) SamplePlan(n int, seed int64) []combin.Coalition {
 	if a.Gamma > 0 && rec.Len() >= a.Gamma {
 		return rec.Keys() // budget exhausted before any permutation
 	}
-	perm := combin.RandomPermutation(n, planRNG(seed))
+	perm := combin.PermInto(planRNG(seed), n, nil)
 	rec.Add(combin.NewCoalition(perm[0]))
 	return rec.Keys()
 }

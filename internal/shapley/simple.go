@@ -62,9 +62,11 @@ func (a *PermSampling) Values(ctx *Context) (Values, error) {
 	if a.MaxPermutations > 0 {
 		limit = min(limit, a.MaxPermutations)
 	}
+	var perm []int
 	perms := 0
 	for ; drawAgain(a.Gamma, o.Evals(), perms, limit); perms++ {
-		walkPerm(sums, combin.RandomPermutation(n, ctx.RNG), uEmpty, u)
+		perm = combin.PermInto(ctx.RNG, n, perm)
+		walkPerm(sums, perm, uEmpty, u)
 	}
 	sums.scale(1.0 / float64(perms))
 	return sums, nil

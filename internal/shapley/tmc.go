@@ -43,6 +43,7 @@ func (a *TMC) Values(ctx *Context) (Values, error) {
 	thresh := tol * math.Abs(uFull)
 
 	sums := make(Values, n)
+	var perm []int
 	perms := 0
 	budget := func() bool { return a.Gamma <= 0 || o.Evals() < a.Gamma }
 
@@ -50,7 +51,7 @@ func (a *TMC) Values(ctx *Context) (Values, error) {
 		if a.MaxPermutations > 0 && perms >= a.MaxPermutations {
 			break
 		}
-		perm := combin.RandomPermutation(n, ctx.RNG)
+		perm = combin.PermInto(ctx.RNG, n, perm)
 		var s combin.Coalition
 		prev := uEmpty
 		truncated := false

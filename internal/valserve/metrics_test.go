@@ -11,7 +11,6 @@ import (
 	"fedshap"
 	"fedshap/internal/combin"
 	"fedshap/internal/evalnet"
-	"fedshap/internal/utility"
 )
 
 // TestMetricsEndpoint drives the full daemon flow and checks GET /metrics
@@ -130,42 +129,6 @@ func TestPeriodicCompaction(t *testing.T) {
 	}
 	if got := m.Metrics().Cache.Compactions; got == 0 {
 		t.Error("metrics report zero compaction sweeps")
-	}
-}
-
-// TestWarmSourceUnionsStore: the warm-start snapshot shipped to workers
-// must include utilities the persistent store gained *after* this job's
-// oracle was attached — that's what lets a concurrent same-fingerprint
-// job's work reach the fleet instead of being retrained there.
-func TestWarmSourceUnionsStore(t *testing.T) {
-	store, err := utility.OpenStore(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer store.Close()
-	const fp = "deadbeefcafef00d"
-	a, b := combin.NewCoalition(0), combin.NewCoalition(0, 1)
-
-	oracle := utility.NewOracle(4, func(s combin.Coalition) float64 { return 1 })
-	oracle.Warm(map[combin.Coalition]float64{a: 10})
-	// Another job persists b after this oracle was attached/warmed.
-	if err := store.Append(fp, b, 20); err != nil {
-		t.Fatal(err)
-	}
-
-	snap := warmSource(oracle, store, fp)()
-	if len(snap) != 2 || snap[a] != 10 || snap[b] != 20 {
-		t.Errorf("warm snapshot = %v, want oracle ∪ store {a:10, b:20}", snap)
-	}
-	// Oracle entries win over stale store rows, and a nil store is fine.
-	if err := store.Append(fp, a, 99); err != nil {
-		t.Fatal(err)
-	}
-	if snap = warmSource(oracle, store, fp)(); snap[a] != 10 {
-		t.Errorf("oracle entry overridden by store: a=%v, want 10", snap[a])
-	}
-	if snap = warmSource(oracle, nil, fp)(); len(snap) != 1 || snap[a] != 10 {
-		t.Errorf("nil-store snapshot = %v, want oracle only", snap)
 	}
 }
 
@@ -306,6 +269,7 @@ func TestMetricsSurfacesAgree(t *testing.T) {
 		"fedvald_fleet_redispatch_wins_total":                   float64(mt.Fleet.RedispatchWins),
 		"fedvald_fleet_quarantined_workers":                     float64(len(mt.Fleet.Quarantined)),
 		"fedvald_fleet_quarantine_rejections_total":             float64(mt.Fleet.QuarantineRejections),
+		"fedvald_fleet_refused_frames_total":                    float64(mt.Fleet.RefusedFrames),
 	}
 	for _, w := range mt.Fleet.Workers {
 		labels := fmt.Sprintf(`{worker=%q,id="%d"}`, w.Name, w.ID)

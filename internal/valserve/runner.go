@@ -249,11 +249,9 @@ func (r *run) wireOracle() {
 	// results flow back through the same cache, budget accounting and
 	// write-through. The session is registered even when the fleet is
 	// momentarily empty — evaluations then run through the local fallback,
-	// and workers that dial in mid-job are picked up. Each worker's first
-	// spec message ships the oracle's cache snapshot at that moment
-	// (store-warmed entries plus everything evaluated so far), so a
-	// recycled or late-attaching fleet never retrains what the daemon
-	// already knows. The pool is widened to the fleet's aggregate capacity
+	// and workers that dial in mid-job are picked up. The session only
+	// sees the oracle's misses, so nothing the daemon already knows is
+	// sent to the fleet. The pool is widened to the fleet's aggregate capacity
 	// (Eval blocks while a worker trains, so pool slots, not CPUs, keep
 	// the fleet busy) unless the request or the daemon set an explicit
 	// worker limit, which stays an upper bound on the job's concurrency
@@ -271,11 +269,10 @@ func (r *run) wireOracle() {
 				N:           r.req.N,
 				Request:     r.req,
 			},
-			Local:        local,
-			LocalLimit:   localLimit,
-			WarmSnapshot: warmSource(r.oracle, r.m.store, r.st.Fingerprint),
-			Observe:      tel.observeEval,
-			Trace:        r.j.trace,
+			Local:      local,
+			LocalLimit: localLimit,
+			Observe:    tel.observeEval,
+			Trace:      r.j.trace,
 		})
 		return r.sess.Eval
 	})
@@ -398,34 +395,4 @@ func (v jobView) U(s combin.Coalition) float64 {
 		a.publish(false)
 	}
 	return u
-}
-
-// warmSource builds a job's warm-start snapshot provider: the job
-// oracle's cache unioned with the persistent store's *current* contents
-// for the fingerprint. The store re-read matters: this job's oracle only
-// knows what it was warmed with at attach time, but a concurrent job on
-// the same fingerprint writes utilities through to the store while this
-// one runs — and only coalitions missing from *this* oracle are ever
-// dispatched to the fleet, so the store is exactly where a shippable
-// answer the coordinator would otherwise retrain can still appear. The
-// function runs on the coordinator's writer goroutines (once per worker
-// and job), never on the scheduler lock, so the disk read is off every
-// hot path.
-func warmSource(oracle *utility.Oracle, store *utility.Store, fingerprint string) func() map[combin.Coalition]float64 {
-	return func() map[combin.Coalition]float64 {
-		snap := oracle.Snapshot()
-		if store == nil {
-			return snap
-		}
-		persisted, err := store.Load(fingerprint)
-		if err != nil {
-			return snap
-		}
-		for coal, u := range persisted {
-			if _, ok := snap[coal]; !ok {
-				snap[coal] = u
-			}
-		}
-		return snap
-	}
 }

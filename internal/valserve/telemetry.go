@@ -232,6 +232,9 @@ func newTelemetry(m *Manager) *telemetry {
 		r.NewCollector("fedvald_fleet_quarantine_rejections_total",
 			"Attach attempts refused because the worker name was serving a quarantine bench.", obs.TypeCounter,
 			func() []obs.Sample { return one(t.snap.Fleet.QuarantineRejections) })
+		r.NewCollector("fedvald_fleet_refused_frames_total",
+			"Worker links ended because a frame was over the size cap or did not decode as a result.", obs.TypeCounter,
+			func() []obs.Sample { return one(t.snap.Fleet.RefusedFrames) })
 		r.NewCollector("fedvald_fleet_redispatch_wins_total",
 			"Speculative copies that answered before the original assignment.", obs.TypeCounter,
 			func() []obs.Sample { return one(t.snap.Fleet.RedispatchWins) })

@@ -303,10 +303,7 @@ func ValidateRequest(req fedshap.JobRequest, lenientData bool) error {
 // deterministic per seed, so the worker's utilities are bit-identical to
 // the coordinator's — and evaluates through a fresh per-spec oracle, so
 // coalitions the coordinator retries after a fleet change are served from
-// the worker's own cache instead of retrained. The oracle's Warm hook is
-// exposed too, so coordinator-shipped warm-start utilities land in that
-// cache and a recycled fleet never retrains a coalition the daemon already
-// knows.
+// the worker's own cache instead of retrained.
 func WorkerEvaluator(spec evalnet.ProblemSpec) (evalnet.Evaluator, error) {
 	req := spec.Request
 	Normalize(&req)
@@ -315,7 +312,7 @@ func WorkerEvaluator(spec evalnet.ProblemSpec) (evalnet.Evaluator, error) {
 		return evalnet.Evaluator{}, err
 	}
 	oracle := p.Oracle()
-	return evalnet.Evaluator{Eval: oracle.U, Warm: oracle.Warm, Cached: oracle.Cached}, nil
+	return evalnet.Evaluator{Eval: oracle.U, Cached: oracle.Cached}, nil
 }
 
 // WorkerEvaluatorWith returns WorkerEvaluator; its argument is ignored.

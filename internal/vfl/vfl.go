@@ -84,6 +84,7 @@ type splitLogReg struct {
 	b       tensor.Vector
 	classes int
 	active  []bool // feature mask
+	perm    []int  // the epoch's sample order, reused
 }
 
 func newSplitLogReg(dim, classes int, active []bool, seed int64) *splitLogReg {
@@ -126,7 +127,8 @@ func (m *splitLogReg) scores(x tensor.Vector, out tensor.Vector) tensor.Vector {
 
 func (m *splitLogReg) trainEpoch(ds *dataset.Dataset, lr float64, rng *rand.Rand) {
 	probs := tensor.NewVector(m.classes)
-	for _, i := range rng.Perm(ds.Len()) {
+	m.perm = combin.PermInto(rng, ds.Len(), m.perm)
+	for _, i := range m.perm {
 		x := ds.X.Row(i)
 		m.scores(x, probs)
 		y := ds.Y[i]

@@ -1,7 +1,8 @@
 #!/bin/sh
 # docs_guard.sh — fails CI when the documentation drifts from the code:
 # every HTTP route documented in README/OPERATIONS/docs/api.md must be
-# registered verbatim in internal/valserve/http.go, every standalone
+# registered verbatim in internal/valserve/http.go (a fleet route in
+# internal/evalnet), every standalone
 # backtick-quoted `-flag` must be defined by some cmd/ binary and every
 # flag a cmd/ binary defines must be quoted in one of those docs, every
 # backtick-quoted internal/, cmd/ or scripts/ path must exist, every
@@ -15,15 +16,30 @@ status=0
 # --- Routes -----------------------------------------------------------
 # Documented routes look like "GET /v1/jobs/{id}/events"; the Go 1.22
 # ServeMux patterns in http.go use the identical spelling, so a plain
-# fixed-string grep is the staleness check.
+# fixed-string grep is the staleness check. The fleet's routes
+# (/v1/fleet/...) are served by the coordinator's own listener, so they
+# must appear as a quoted pattern in a non-test file of internal/evalnet:
+# quoted, so the package's prose does not count as a registration.
 routes=$(grep -ohE '(GET|POST|DELETE) /(v1/[A-Za-z0-9/{}:_-]*|healthz)' \
 	README.md OPERATIONS.md docs/api.md | sort -u)
+evalnet_src=$(ls internal/evalnet/*.go | grep -v '_test\.go$')
 while IFS= read -r route; do
 	[ -n "$route" ] || continue
-	if ! grep -qF "$route" internal/valserve/http.go; then
-		echo "stale docs: route \"$route\" is documented but not registered in internal/valserve/http.go" >&2
-		status=1
-	fi
+	case "$route" in
+	*" /v1/fleet/"*)
+		# shellcheck disable=SC2086 # evalnet_src is a list of paths
+		if ! grep -qF "\"$route\"" $evalnet_src; then
+			echo "stale docs: route \"$route\" is documented but not registered in internal/evalnet" >&2
+			status=1
+		fi
+		;;
+	*)
+		if ! grep -qF "$route" internal/valserve/http.go; then
+			echo "stale docs: route \"$route\" is documented but not registered in internal/valserve/http.go" >&2
+			status=1
+		fi
+		;;
+	esac
 done <<EOF
 $routes
 EOF

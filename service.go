@@ -257,6 +257,9 @@ type FleetMetrics struct {
 	// QuarantineRejections counts attach attempts refused while benched.
 	Quarantined          []string `json:"quarantined,omitempty"`
 	QuarantineRejections int64    `json:"quarantine_rejections,omitempty"`
+	// RefusedFrames counts worker links the coordinator ended because a
+	// frame was over its size cap or did not decode as a result.
+	RefusedFrames int64 `json:"refused_frames,omitempty"`
 }
 
 // TraceSpan is one step of a job's trace timeline (GET
