@@ -113,17 +113,6 @@ func (c Coalition) Size() int {
 // IsEmpty reports whether the coalition has no members.
 func (c Coalition) IsEmpty() bool { return c.lo == 0 && c.hi == 0 }
 
-// Complement returns N \ S for a federation of n players.
-func (c Coalition) Complement(n int) Coalition {
-	full := FullCoalition(n)
-	return Coalition{lo: full.lo &^ c.lo, hi: full.hi &^ c.hi}
-}
-
-// Union returns S ∪ T.
-func (c Coalition) Union(t Coalition) Coalition {
-	return Coalition{lo: c.lo | t.lo, hi: c.hi | t.hi}
-}
-
 // Intersect returns S ∩ T.
 func (c Coalition) Intersect(t Coalition) Coalition {
 	return Coalition{lo: c.lo & t.lo, hi: c.hi & t.hi}
@@ -132,11 +121,6 @@ func (c Coalition) Intersect(t Coalition) Coalition {
 // Minus returns S \ T.
 func (c Coalition) Minus(t Coalition) Coalition {
 	return Coalition{lo: c.lo &^ t.lo, hi: c.hi &^ t.hi}
-}
-
-// SubsetOf reports whether c ⊆ t.
-func (c Coalition) SubsetOf(t Coalition) bool {
-	return c.lo&^t.lo == 0 && c.hi&^t.hi == 0
 }
 
 // Less orders coalitions by bitmask value (hi word first), giving a stable

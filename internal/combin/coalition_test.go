@@ -49,13 +49,10 @@ func TestWithWithout(t *testing.T) {
 func TestComplement(t *testing.T) {
 	n := 5
 	c := NewCoalition(1, 3)
-	comp := c.Complement(n)
+	comp := FullCoalition(n).Minus(c)
 	want := NewCoalition(0, 2, 4)
 	if comp != want {
-		t.Fatalf("Complement = %v, want %v", comp, want)
-	}
-	if c.Union(comp) != FullCoalition(n) {
-		t.Errorf("S ∪ S̄ should be N")
+		t.Fatalf("N \\ S = %v, want %v", comp, want)
 	}
 	if c.Intersect(comp) != Empty {
 		t.Errorf("S ∩ S̄ should be empty")
@@ -65,8 +62,9 @@ func TestComplement(t *testing.T) {
 func TestComplementProperty(t *testing.T) {
 	f := func(raw uint16, nRaw uint8) bool {
 		n := int(nRaw%12) + 1
-		c := FromMask(uint64(raw)).Intersect(FullCoalition(n))
-		return c.Complement(n).Complement(n) == c
+		full := FullCoalition(n)
+		c := FromMask(uint64(raw)).Intersect(full)
+		return full.Minus(full.Minus(c)) == c
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -80,20 +78,6 @@ func TestMembersRoundTrip(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestSubsetOf(t *testing.T) {
-	a := NewCoalition(1, 2)
-	b := NewCoalition(1, 2, 3)
-	if !a.SubsetOf(b) {
-		t.Errorf("{1,2} should be subset of {1,2,3}")
-	}
-	if b.SubsetOf(a) {
-		t.Errorf("{1,2,3} should not be subset of {1,2}")
-	}
-	if !Empty.SubsetOf(a) {
-		t.Errorf("empty set should be subset of everything")
 	}
 }
 
@@ -145,7 +129,7 @@ func TestSubsetsOfSizeNotContaining(t *testing.T) {
 		if s.Size() != k {
 			t.Fatalf("subset %v has size %d, want %d", s, s.Size(), k)
 		}
-		if !s.SubsetOf(FullCoalition(n)) {
+		if !s.Minus(FullCoalition(n)).IsEmpty() {
 			t.Fatalf("subset %v out of range for n=%d", s, n)
 		}
 	})
@@ -273,7 +257,7 @@ func TestRandomSubsetOfSize(t *testing.T) {
 		if s.Size() != k {
 			t.Fatalf("size = %d, want %d", s.Size(), k)
 		}
-		if !s.SubsetOf(FullCoalition(n)) {
+		if !s.Minus(FullCoalition(n)).IsEmpty() {
 			t.Fatalf("subset %v escapes range n=%d", s, n)
 		}
 	}
@@ -431,12 +415,9 @@ func TestWideCoalitions(t *testing.T) {
 		t.Errorf("Without(64) failed")
 	}
 	// Complement over 110 players.
-	comp := c.Complement(110)
+	comp := FullCoalition(110).Minus(c)
 	if comp.Size() != 110-4 {
 		t.Errorf("complement size %d", comp.Size())
-	}
-	if c.Union(comp) != FullCoalition(110) {
-		t.Errorf("S ∪ S̄ ≠ N at width 110")
 	}
 	if c.Intersect(comp) != Empty {
 		t.Errorf("S ∩ S̄ ≠ ∅ at width 110")
@@ -453,7 +434,7 @@ func TestWideRandomSubsets(t *testing.T) {
 		if s.Size() != 17 {
 			t.Fatalf("size = %d", s.Size())
 		}
-		if !s.SubsetOf(FullCoalition(100)) {
+		if !s.Minus(FullCoalition(100)).IsEmpty() {
 			t.Fatalf("subset escapes 100-player range")
 		}
 	}
@@ -523,7 +504,7 @@ func TestSubsetsOfSizeWidePath(t *testing.T) {
 			t.Fatalf("duplicate %v", s)
 		}
 		seen[s] = true
-		if !s.SubsetOf(FullCoalition(70)) {
+		if !s.Minus(FullCoalition(70)).IsEmpty() {
 			t.Fatalf("out of range: %v", s)
 		}
 	})
@@ -565,7 +546,7 @@ func TestSubsetsOfSizeNotContainingWide(t *testing.T) {
 		if s.Has(excl) {
 			t.Fatalf("excluded member present in %v", s)
 		}
-		if !s.SubsetOf(FullCoalition(n)) {
+		if !s.Minus(FullCoalition(n)).IsEmpty() {
 			t.Fatalf("out of range: %v", s)
 		}
 	})

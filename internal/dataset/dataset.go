@@ -161,14 +161,3 @@ func (d *Dataset) Split(trainFrac float64, rng *rand.Rand) (train, test *Dataset
 	cut := int(float64(n) * trainFrac)
 	return d.Subset(d.Name+"/train", perm[:cut]), d.Subset(d.Name+"/test", perm[cut:])
 }
-
-// ClassCounts returns the number of samples per class label.
-func (d *Dataset) ClassCounts() []int {
-	counts := make([]int, d.NumClasses)
-	for _, y := range d.Y {
-		if y >= 0 && y < d.NumClasses {
-			counts[y]++
-		}
-	}
-	return counts
-}

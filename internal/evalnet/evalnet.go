@@ -45,9 +45,10 @@
 // locally when no workers remain), and results are delivered at most once,
 // so a killed worker never loses or double-counts an evaluation.
 // Cancellation propagates: when a job's context is done, queued tasks are
-// dropped, blocked Eval calls abort with *utility.CancelError, and workers
-// are told to skip the spec's queued work; when its session closes the
-// coordinator also forgets which workers had the spec.
+// dropped, blocked Eval calls panic with a *utility.Abort carrying the
+// context's error, and workers are told to skip the spec's queued work;
+// when its session closes the coordinator also forgets which workers had
+// the spec.
 //
 // Local in-process evaluation remains the default: a coordinator with no
 // attached workers is never consulted, and every Session carries the local

@@ -291,7 +291,7 @@ func TestBuildErrorFallsBackLocal(t *testing.T) {
 }
 
 // TestCancellationPropagates cancels a job mid-prefetch: blocked Eval
-// calls abort with the oracle's CancelError, the worker is told to skip
+// calls abort with the oracle's *utility.Abort, the worker is told to skip
 // the spec's queued coalitions, and evaluation activity settles at no more
 // than the in-flight trainings that were already running.
 func TestCancellationPropagates(t *testing.T) {
@@ -321,11 +321,11 @@ func TestCancellationPropagates(t *testing.T) {
 	// cancellation contract.
 	func() {
 		defer func() {
-			var ce *utility.CancelError
+			var a *utility.Abort
 			if r := recover(); r == nil {
 				t.Error("Eval on cancelled session did not abort")
-			} else if err, ok := r.(error); !ok || !errors.As(err, &ce) {
-				t.Errorf("Eval panicked with %v, want *utility.CancelError", r)
+			} else if err, ok := r.(error); !ok || !errors.As(err, &a) {
+				t.Errorf("Eval panicked with %v, want *utility.Abort", r)
 			}
 		}()
 		sess.Eval(combin.NewCoalition(0))

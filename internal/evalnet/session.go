@@ -97,11 +97,11 @@ func (s *Session) redispatchEvent(reason string, attrs ...string) {
 // Eval evaluates one coalition on the fleet, blocking until a result
 // arrives. With no workers connected (or after coordinator shutdown) it
 // evaluates locally. If the session context is cancelled while waiting it
-// panics with *utility.CancelError — the oracle's cancellation contract,
-// recovered by Prefetch and shapley.Run.
+// panics with a *utility.Abort carrying the context's error — the oracle's
+// failure contract, recovered by Prefetch and shapley.Run.
 func (s *Session) Eval(coal combin.Coalition) float64 {
 	if err := s.ctx.Err(); err != nil {
-		panic(&utility.CancelError{Err: err})
+		panic(&utility.Abort{Err: err})
 	}
 	t := s.sched.enqueue(s, coal, time.Now())
 	if t == nil {
@@ -118,7 +118,7 @@ func (s *Session) Eval(coal combin.Coalition) float64 {
 		return r.u
 	case <-s.ctx.Done():
 		// The cancellation push (newSession) takes t out of the queue.
-		panic(&utility.CancelError{Err: s.ctx.Err()})
+		panic(&utility.Abort{Err: s.ctx.Err()})
 	}
 }
 
@@ -128,7 +128,7 @@ func (s *Session) Eval(coal combin.Coalition) float64 {
 // Eval's select).
 func (s *Session) localEval(coal combin.Coalition) float64 {
 	if err := s.ctx.Err(); err != nil {
-		panic(&utility.CancelError{Err: err})
+		panic(&utility.Abort{Err: err})
 	}
 	s.localSem <- struct{}{}
 	defer func() { <-s.localSem }()

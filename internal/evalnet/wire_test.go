@@ -242,6 +242,25 @@ func TestResultFrameSize(t *testing.T) {
 	}
 }
 
+// TestAbortTextCrossesTheWorker drives one task through a worker whose
+// evaluator is an oracle over a utility that returns NaN. The oracle
+// aborts rather than returning the value, so the reply comes from the
+// worker's recover, not its non-finite post-check, and its error must read
+// as the abort's error, not as a printed struct.
+func TestAbortTextCrossesTheWorker(t *testing.T) {
+	w := &Worker{Build: func(ProblemSpec) (Evaluator, error) {
+		o := utility.NewOracle(4, func(combin.Coalition) float64 { return math.NaN() })
+		return Evaluator{Eval: o.U, Cached: o.Cached}, nil
+	}}
+	coal := combin.NewCoalition(1, 2)
+	lo, hi := coal.Words()
+	res := w.run(&workerSpec{}, taskWire{ID: 7, Lo: lo, Hi: hi})
+	want := "evaluation panic: " + (&utility.NonFiniteError{Coalition: coal, Value: math.NaN()}).Error()
+	if res.TaskID != 7 || res.U != 0 || res.Err != want {
+		t.Errorf("reply = %+v, want task 7, u 0 and err %q", res, want)
+	}
+}
+
 // TestCloseStrikesNoWorker shuts a coordinator down under an attached
 // worker: the link ends on the coordinator's side, so the name earns no
 // flap strike, and a job still running falls back to local evaluation.

@@ -74,18 +74,6 @@ func (m *LinReg) TrainEpoch(ds *dataset.Dataset, lr float64, rng *rand.Rand) {
 	}
 }
 
-// TrainEpochFloat is TrainEpoch against real-valued targets.
-func (m *LinReg) TrainEpochFloat(X *tensor.Matrix, y []float64, lr float64, rng *rand.Rand) {
-	m.perm = combin.PermInto(rng, X.Rows, m.perm)
-	for _, i := range m.perm {
-		x := X.Row(i)
-		err := m.W.Dot(x) + m.B - y[i]
-		g := tensor.Clip(err, 1e6)
-		m.W.AddScaled(-lr*g, x)
-		m.B -= lr * g
-	}
-}
-
 // FitOLS solves the least-squares problem exactly via the normal equations
 // with ridge damping eps for conditioning, against real-valued targets.
 // Used by the theory package to realise the Donahue–Kleinberg analysis model.

@@ -67,8 +67,12 @@ func TestXGBLearns(t *testing.T) {
 	if acc := Accuracy(m, test); acc < 0.8 {
 		t.Errorf("XGB accuracy %v, want > 0.8", acc)
 	}
-	if m.NumTrees() != m.Rounds*m.Classes {
-		t.Errorf("NumTrees = %d, want %d", m.NumTrees(), m.Rounds*m.Classes)
+	trees := 0
+	for _, r := range m.trees {
+		trees += len(r)
+	}
+	if trees != m.Rounds*m.Classes {
+		t.Errorf("fitted %d trees, want %d", trees, m.Rounds*m.Classes)
 	}
 }
 
@@ -94,19 +98,20 @@ func TestXGBEmptyFit(t *testing.T) {
 }
 
 func TestLinRegSGDConverges(t *testing.T) {
-	// y = 2x0 - 3x1 + 1, exactly learnable.
+	// y = 2x0 - 3x1 + 1 over integer features, so the dataset's integer
+	// labels carry it exactly.
 	rng := rand.New(rand.NewSource(1))
 	n := 200
-	X := tensor.NewMatrix(n, 2)
-	y := make([]float64, n)
+	ds := dataset.New("linear", n, 2, 1)
 	for i := 0; i < n; i++ {
-		X.Set(i, 0, rng.NormFloat64())
-		X.Set(i, 1, rng.NormFloat64())
-		y[i] = 2*X.At(i, 0) - 3*X.At(i, 1) + 1
+		x0, x1 := rng.Intn(5)-2, rng.Intn(5)-2
+		ds.X.Set(i, 0, float64(x0))
+		ds.X.Set(i, 1, float64(x1))
+		ds.Y[i] = 2*x0 - 3*x1 + 1
 	}
 	m := NewLinReg(2)
 	for e := 0; e < 50; e++ {
-		m.TrainEpochFloat(X, y, 0.05, rng)
+		m.TrainEpoch(ds, 0.05, rng)
 	}
 	if math.Abs(m.W[0]-2) > 0.1 || math.Abs(m.W[1]+3) > 0.1 || math.Abs(m.B-1) > 0.1 {
 		t.Errorf("SGD fit w=%v b=%v, want [2,-3], 1", m.W, m.B)

@@ -93,15 +93,6 @@ func (m *XGB) Clone() Model {
 	return &c
 }
 
-// NumTrees returns the number of fitted trees (rounds × classes).
-func (m *XGB) NumTrees() int {
-	n := 0
-	for _, r := range m.trees {
-		n += len(r)
-	}
-	return n
-}
-
 // Fit trains the ensemble from scratch on ds.
 func (m *XGB) Fit(ds *dataset.Dataset) {
 	m.trees = nil

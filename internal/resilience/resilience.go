@@ -343,9 +343,6 @@ func (h *Hook) Set(fn func(op string) error) {
 	h.fn.Store(&fn)
 }
 
-// Clear removes any installed fault function.
-func (h *Hook) Clear() { h.Set(nil) }
-
 // Check consults the installed fault function; nil error means proceed.
 func (h *Hook) Check(op string) error {
 	if h == nil {

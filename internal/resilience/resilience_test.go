@@ -245,7 +245,7 @@ func TestHookNilAndSet(t *testing.T) {
 	if err := h.Check("store.append"); err != nil {
 		t.Fatalf("untargeted op: %v", err)
 	}
-	h.Clear()
+	h.Set(nil)
 	if err := h.Check("journal.append"); err != nil {
 		t.Fatalf("cleared hook: %v", err)
 	}

@@ -81,13 +81,15 @@ func (c *Context) WithContext(ctx context.Context) *Context {
 // c.Oracle is a utility.ContextBinder — a utility.RunView, or valserve's
 // job view, which embeds one — c.Ctx is bound to that budget scope, and
 // cancelling it makes the run's next *fresh* coalition evaluation abort the
-// run; Run converts that abort back into an error satisfying
-// errors.Is(err, context.Canceled) (or DeadlineExceeded). Utilities cached
+// run; Run returns the bare context error (context.Canceled or
+// DeadlineExceeded) the *utility.Abort carries. Utilities cached
 // before the cancellation stay cached. A bare *utility.Oracle binds nothing:
 // c.Ctx is then checked once on entry only. Algorithms themselves stay
 // context-free: every one is budgeted in utility requests, so the budget
-// scope is the single choke point cancellation needs. A non-finite utility
-// ends the run the same way, as the oracle's *utility.NonFiniteError.
+// scope is the single choke point cancellation needs. Every other
+// *utility.Abort — a non-finite utility, an evaluation function that could
+// not be built — ends the run the same way, as its Err; any other panic is
+// re-raised.
 func Run(c *Context, v Valuer) (values Values, err error) {
 	if c.Ctx != nil {
 		if b, ok := c.Oracle.(utility.ContextBinder); ok {
@@ -98,14 +100,12 @@ func Run(c *Context, v Valuer) (values Values, err error) {
 		}
 	}
 	defer func() {
-		switch r := recover().(type) {
-		case nil:
-		case *utility.CancelError:
-			values, err = nil, r
-		case *utility.NonFiniteError:
-			values, err = nil, r
-		default:
-			panic(r)
+		if r := recover(); r != nil {
+			a, ok := r.(*utility.Abort)
+			if !ok {
+				panic(r)
+			}
+			values, err = nil, a.Err
 		}
 	}()
 	return v.Values(c)

@@ -47,23 +47,6 @@ func ReLU(x float64) float64 {
 	return 0
 }
 
-// CrossEntropy returns -log(p[label]) with probability clamping to avoid
-// infinities from zero probabilities.
-func CrossEntropy(probs Vector, label int) float64 {
-	p := probs[label]
-	if p < 1e-12 {
-		p = 1e-12
-	}
-	return -math.Log(p)
-}
-
-// LogisticLoss returns the binary cross-entropy for a logit z and label
-// y ∈ {0,1}, computed from the logit directly for stability.
-func LogisticLoss(z float64, y float64) float64 {
-	// log(1+e^{-|z|}) + max(z,0) - z*y
-	return math.Log1p(math.Exp(-math.Abs(z))) + math.Max(z, 0) - z*y
-}
-
 // Clip limits x to [-bound, bound].
 func Clip(x, bound float64) float64 {
 	if x > bound {

@@ -167,15 +167,6 @@ func (v Vector) Scale(alpha float64) {
 	}
 }
 
-// Norm2 returns the Euclidean norm.
-func (v Vector) Norm2() float64 {
-	var s float64
-	for _, x := range v {
-		s += x * x
-	}
-	return math.Sqrt(s)
-}
-
 // Fill sets every element to x.
 func (v Vector) Fill(x float64) {
 	for i := range v {

@@ -34,13 +34,6 @@ func TestVectorCloneIndependence(t *testing.T) {
 	}
 }
 
-func TestVectorNorm2(t *testing.T) {
-	v := Vector{3, 4}
-	if got := v.Norm2(); math.Abs(got-5) > 1e-12 {
-		t.Errorf("Norm2 = %v, want 5", got)
-	}
-}
-
 func TestArgMax(t *testing.T) {
 	if got := (Vector{0.1, 0.9, 0.3}).ArgMax(); got != 1 {
 		t.Errorf("ArgMax = %d, want 1", got)
@@ -194,29 +187,6 @@ func TestSigmoid(t *testing.T) {
 func TestReLU(t *testing.T) {
 	if ReLU(-1) != 0 || ReLU(2) != 2 || ReLU(0) != 0 {
 		t.Errorf("ReLU misbehaves")
-	}
-}
-
-func TestCrossEntropy(t *testing.T) {
-	ce := CrossEntropy(Vector{0.25, 0.75}, 1)
-	if math.Abs(ce+math.Log(0.75)) > 1e-12 {
-		t.Errorf("CrossEntropy = %v", ce)
-	}
-	// Zero probability must not produce +Inf.
-	if v := CrossEntropy(Vector{1, 0}, 1); math.IsInf(v, 0) {
-		t.Errorf("CrossEntropy(0) = Inf")
-	}
-}
-
-func TestLogisticLossMatchesNaive(t *testing.T) {
-	for _, z := range []float64{-5, -1, 0, 1, 5} {
-		for _, y := range []float64{0, 1} {
-			p := Sigmoid(z)
-			naive := -(y*math.Log(p) + (1-y)*math.Log(1-p))
-			if got := LogisticLoss(z, y); math.Abs(got-naive) > 1e-9 {
-				t.Errorf("LogisticLoss(%v,%v) = %v, want %v", z, y, got, naive)
-			}
-		}
 	}
 }
 

@@ -84,12 +84,12 @@ func TestOracleCancellation(t *testing.T) {
 	func() {
 		defer func() {
 			r := recover()
-			ce, ok := r.(*CancelError)
+			a, ok := r.(*Abort)
 			if !ok {
-				t.Fatalf("fresh eval after cancel: recovered %v, want *CancelError", r)
+				t.Fatalf("fresh eval after cancel: recovered %v, want *Abort", r)
 			}
-			if !errors.Is(ce, context.Canceled) {
-				t.Errorf("errors.Is(CancelError, context.Canceled) = false")
+			if !errors.Is(a, context.Canceled) {
+				t.Errorf("errors.Is(Abort, context.Canceled) = false")
 			}
 		}()
 		v.U(combin.NewCoalition(2))

@@ -183,8 +183,8 @@ func TestRunViewCountsCancelledMiss(t *testing.T) {
 	v.SetContext(ctx)
 	func() {
 		defer func() {
-			if ce, ok := recover().(*CancelError); !ok || !errors.Is(ce, context.Canceled) {
-				t.Fatalf("cancelled miss panicked with %v, want a *CancelError", ce)
+			if a, ok := recover().(*Abort); !ok || !errors.Is(a, context.Canceled) {
+				t.Fatalf("cancelled miss panicked with %v, want an *Abort", a)
 			}
 		}()
 		v.U(universe[2])

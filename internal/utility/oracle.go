@@ -30,29 +30,30 @@ import (
 // utility.
 type EvalFunc func(s combin.Coalition) float64
 
-// CancelError is the panic payload raised when a run whose context is done
-// requests a fresh evaluation: by a RunView bound to that context, and by
-// evaluation functions that wait on one (the fleet session). It unwraps to
-// the context's error, so errors.Is(err, context.Canceled) holds after
-// shapley.Run converts the panic back into an error. Cached lookups never
-// raise it: a cancelled job may finish reading warm utilities, it just
-// stops issuing fresh ones.
-type CancelError struct {
-	// Err is the context error that triggered cancellation.
+// Abort is the one panic payload of an expected evaluation failure: a run
+// whose context is done requesting a fresh evaluation (a RunView bound to
+// that context, or an evaluation function that waits on one, as the fleet
+// session does), a non-finite utility, an evaluation function that could
+// not be built. The failed evaluation is not cached, not charged and not
+// written through; Prefetch and shapley.Run recover the panic and return
+// Err, so a cancelled run ends with the bare context error. Any other panic
+// is a programming error and is re-raised. Cached lookups never abort: a
+// cancelled job may finish reading warm utilities, it just stops issuing
+// fresh ones.
+type Abort struct {
+	// Err is the failure the run ends with.
 	Err error
 }
 
-// Error implements error.
-func (e *CancelError) Error() string { return "utility: evaluation cancelled: " + e.Err.Error() }
+// Error implements error: an Abort that escapes a recover prints as Err.
+func (e *Abort) Error() string { return e.Err.Error() }
 
-// Unwrap exposes the context error for errors.Is.
-func (e *CancelError) Unwrap() error { return e.Err }
+// Unwrap exposes Err for errors.Is and errors.As.
+func (e *Abort) Unwrap() error { return e.Err }
 
-// NonFiniteError is the panic payload raised when an evaluation returns NaN
-// or ±Inf — a diverged model, a metric dividing by zero. Such a utility is
-// a failure of the run that asked for it, not a value: it is not cached,
-// not charged to the budget and not written through, and the run ends with
-// this error (Prefetch returns it, shapley.Run converts the panic).
+// NonFiniteError is the error of an evaluation that returned NaN or ±Inf —
+// a diverged model, a metric dividing by zero. Such a utility is a failure
+// of the run that asked for it, not a value: the oracle aborts with it.
 type NonFiniteError struct {
 	Coalition combin.Coalition
 	Value     float64
@@ -114,7 +115,7 @@ func (o *Oracle) OnFresh(fn func(s combin.Coalition, u float64, total int)) {
 }
 
 // U returns the utility of coalition s, evaluating and caching on first use.
-// A non-finite evaluation panics with *NonFiniteError. U itself is not
+// A non-finite evaluation aborts with *NonFiniteError. U itself is not
 // cancellable: a run that must stop reads through a RunView bound to its
 // context.
 func (o *Oracle) U(s combin.Coalition) float64 {
@@ -137,7 +138,7 @@ func (o *Oracle) fresh(s combin.Coalition, h uint64) (float64, int) {
 	// only the first insert is charged.
 	v := o.eval(s)
 	if math.IsNaN(v) || math.IsInf(v, 0) {
-		panic(&NonFiniteError{Coalition: s, Value: v})
+		panic(&Abort{Err: &NonFiniteError{Coalition: s, Value: v}})
 	}
 	id, added := o.cache.put(s, h, v, true)
 	if added && len(o.onFresh) > 0 {

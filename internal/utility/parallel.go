@@ -184,11 +184,10 @@ func (p *claimPool) eval(s combin.Coalition) {
 // Prefetch returns the context error; utilities evaluated before the
 // cancellation stay cached. When ctx is already done on entry, no
 // evaluation could run, and Prefetch returns before it plans or reserves
-// anything. The first panic of an evaluation stops the pool too: a
-// *NonFiniteError is returned as the error it is, a *CancelError (an
-// evaluation function that waits on a context of its own, as the fleet
-// session does) as the context error it carries, and any other panic is
-// re-raised on the calling goroutine.
+// anything. The first panic of an evaluation stops the pool too: an *Abort
+// (a non-finite utility, an evaluation function that waits on a context of
+// its own, as the fleet session does) is returned as the Err it carries,
+// and any other panic is re-raised on the calling goroutine.
 //
 // The pool evaluates shard-major, not in list order: it groups the pending
 // coalitions by cache shard (list order within a shard) and deals claims
@@ -219,19 +218,15 @@ func (o *Oracle) Prefetch(ctx context.Context, coalitions []combin.Coalition, wo
 	// one, siblings stop claiming, and it is re-raised below on the
 	// goroutine that called Prefetch, where it reaches whatever recover
 	// guards the caller (the service's job boundary turns it into a failed
-	// job). A non-finite utility or a cancelled evaluation travels the same
-	// way and is returned as an error.
+	// job). An *Abort travels the same way and is returned as its Err.
 	p.wg.Add(p.workers)
 	for range p.workers {
 		go p.work()
 	}
 	p.wg.Wait()
 	if r := p.fail.Load(); r != nil {
-		switch e := (*r).(type) {
-		case *NonFiniteError:
-			return e
-		case *CancelError:
-			return e.Err
+		if a, ok := (*r).(*Abort); ok {
+			return a.Err
 		}
 		panic(*r)
 	}

@@ -121,8 +121,8 @@ func TestPrefetchAllocatesPerBatch(t *testing.T) {
 }
 
 // TestPrefetchStopsOnOracleCancel: once an evaluation function that waits
-// on a context of its own (the fleet session's shape) panics with
-// *CancelError, every worker stops. A pool that swallowed the cancellation
+// on a context of its own (the fleet session's shape) aborts with the
+// context's error, every worker stops. A pool that swallowed the cancellation
 // and claimed on panicked, recovered and allocated once per remaining
 // entry. Every evaluation cancels, so at most one per worker runs.
 // Cancellation is still no failure: Prefetch returns the context error the
@@ -131,7 +131,7 @@ func TestPrefetchStopsOnOracleCancel(t *testing.T) {
 	const n = 16
 	coals := combin.AppendSubsetsUpTo(nil, n, 4)
 	var calls atomic.Int64
-	cancelled := &CancelError{Err: context.Canceled}
+	cancelled := &Abort{Err: context.Canceled}
 	avg := testing.AllocsPerRun(5, func() {
 		calls.Store(0)
 		o := NewOracle(n, func(s combin.Coalition) float64 {
@@ -355,9 +355,9 @@ func TestPoolPanicReachesCaller(t *testing.T) {
 		}
 	}
 
-	// Cancellation is not a failure: an evaluation that panics with
-	// *CancelError comes back as the context error it carries.
-	o := NewOracle(n, func(combin.Coalition) float64 { panic(&CancelError{Err: context.DeadlineExceeded}) })
+	// Cancellation is not a failure: an evaluation that aborts with a
+	// context error comes back as that error.
+	o := NewOracle(n, func(combin.Coalition) float64 { panic(&Abort{Err: context.DeadlineExceeded}) })
 	if r := caught(func() {
 		if err := o.Prefetch(context.Background(), coals[:8], 2); err != context.DeadlineExceeded {
 			t.Errorf("Prefetch after a cancelled evaluation = %v, want context.DeadlineExceeded", err)

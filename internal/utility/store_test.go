@@ -180,7 +180,7 @@ func TestStorePendingWritesDrainInOrder(t *testing.T) {
 	if n := st.PendingWrites(); n != 2 {
 		t.Fatalf("PendingWrites() = %d on a failing disk, want 2", n)
 	}
-	st.Fault.Clear()
+	st.Fault.Set(nil)
 	if err := st.Append(fp, combin.NewCoalition(2), 2); err == nil {
 		t.Fatal("append behind a backlog returned no error; want the latched one")
 	}

@@ -27,7 +27,8 @@ type Source interface {
 // bound to a context for cooperative cancellation.
 type ContextBinder interface {
 	// SetContext binds ctx; once it is done, requesting a non-cached
-	// utility panics with *CancelError (recovered by shapley.Run).
+	// utility panics with an *Abort carrying ctx.Err() (recovered by
+	// shapley.Run).
 	SetContext(ctx context.Context)
 }
 
@@ -77,8 +78,8 @@ func NewRunView(o *Oracle) *RunView {
 func (v *RunView) N() int { return v.o.N() }
 
 // U implements Source, charging the coalition to this run's budget. A
-// cached utility is always answered; a miss panics with *CancelError once
-// the bound context is done, and evaluates on the oracle otherwise.
+// cached utility is always answered; a miss aborts with the context's error
+// once the bound context is done, and evaluates on the oracle otherwise.
 func (v *RunView) U(s combin.Coalition) float64 {
 	u, _ := v.Request(s)
 	return u
@@ -86,9 +87,9 @@ func (v *RunView) U(s combin.Coalition) float64 {
 
 // Request is U, also reporting whether the oracle's cache answered it
 // (hit) or the oracle evaluated s for this request. A miss is charged
-// before the cancellation check, so Evals counts a miss that panics with
-// *CancelError too. The check reads the Done channel, which takes no lock,
-// where Err locks the context's mutex (as of Go 1.24).
+// before the cancellation check, so Evals counts a miss that aborts too.
+// The check reads the Done channel, which takes no lock, where Err locks
+// the context's mutex (as of Go 1.24); the Abort is built only then.
 func (v *RunView) Request(s combin.Coalition) (u float64, hit bool) {
 	h := s.Hash()
 	u, id, hit := v.o.cache.lookup(s, h)
@@ -102,7 +103,7 @@ func (v *RunView) Request(s combin.Coalition) (u float64, hit bool) {
 	v.evals++
 	select {
 	case <-v.done:
-		panic(&CancelError{Err: v.ctx.Err()})
+		panic(&Abort{Err: v.ctx.Err()})
 	default:
 	}
 	u, id = v.o.fresh(s, h)

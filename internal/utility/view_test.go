@@ -121,9 +121,9 @@ func TestRunViewsKeepTheirOwnContexts(t *testing.T) {
 				t.Errorf("a's cached read after its cancel = %v, want 2", got)
 			}
 			r := catch(func() { a.U(combin.NewCoalition(2)) })
-			ce, ok := r.(*CancelError)
-			if !ok || !errors.Is(ce, context.Canceled) {
-				t.Errorf("a's miss after its cancel panicked with %v, want a *CancelError wrapping context.Canceled", r)
+			a, ok := r.(*Abort)
+			if !ok || !errors.Is(a, context.Canceled) {
+				t.Errorf("a's miss after its cancel panicked with %v, want an *Abort carrying context.Canceled", r)
 			}
 		}()
 		go func() {

@@ -81,7 +81,7 @@ func TestDegradedModeFlipCompleteRestore(t *testing.T) {
 	}
 
 	// Disk heals: the probe must clear the flag and flush the buffer.
-	hook.Clear()
+	hook.Set(nil)
 	deadline := time.Now().Add(10 * time.Second)
 	for m.Degraded() {
 		if time.Now().After(deadline) {
@@ -154,7 +154,7 @@ func TestDegradedJobBitIdentical(t *testing.T) {
 	if !m.Degraded() {
 		t.Fatal("manager not degraded")
 	}
-	hook.Clear()
+	hook.Set(nil)
 
 	again, err := m.Submit(req)
 	if err != nil {
@@ -220,7 +220,7 @@ func TestDegradedStoreFaultKeepsJournal(t *testing.T) {
 		t.Fatalf("store-only fault: Degraded() = %v, journal error %v; want degraded with a healthy journal",
 			m.Degraded(), m.Journal().failure())
 	}
-	hook.Clear()
+	hook.Set(nil)
 	ids = append(ids, run(2))
 	pending := m.Store().PendingWrites()
 	if pending == 0 || !m.Degraded() {
@@ -431,7 +431,7 @@ func TestDegradedLogsAndSeries(t *testing.T) {
 	}
 	waitLog(entering)
 
-	hook.Clear()
+	hook.Set(nil)
 	waitLog(leaving)
 	if d, p := series(); d != 0 || p != 0 {
 		t.Fatalf("restored: fedvald_degraded %v, fedvald_store_pending_writes %v", d, p)

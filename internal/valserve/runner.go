@@ -46,20 +46,17 @@ type run struct {
 	any     *anytimeState    // nil unless the request asked for a confidence
 }
 
-// runJob executes one job on the worker pool. Algorithm or substrate
-// panics become job failures, not daemon crashes: this recover is the only
-// one on the job path.
+// runJob executes one job on the worker pool. An expected evaluation
+// failure (a *utility.Abort) comes back from Prefetch or shapley.Run as an
+// error and reaches conclude; this recover is left for programming errors
+// in an algorithm or the substrate, which fail the job, not the daemon.
 func (m *Manager) runJob(j *Job) {
 	if !j.markRunning() {
 		return // cancelled while queued
 	}
 	defer j.cancel()
 	defer func() {
-		switch r := recover().(type) {
-		case nil:
-		case *buildError:
-			j.finish(fedshap.JobFailed, r.err.Error(), nil)
-		default:
+		if r := recover(); r != nil {
 			j.finish(fedshap.JobFailed, fmt.Sprintf("panic: %v", r), nil)
 		}
 	}()
@@ -160,15 +157,15 @@ func (r *run) prepare() (err error) {
 }
 
 // evalLocal trains one coalition on the daemon, building the problem first
-// if no evaluation has. It is the oracle's own evaluation function, which
-// the fleet session wraps as its local fallback, so it times every
-// in-process training, and only the training, into the "local" series of
-// the eval-source latency histogram. Fleet round trips are timed through
-// the session's Observe seam (wireOracle) and cache hits by the job's view
-// (jobView.U).
+// if no evaluation has; a failed build aborts with the builder's error. It
+// is the oracle's own evaluation function, which the fleet session wraps
+// as its local fallback, so it times every in-process training, and only
+// the training, into the "local" series of the eval-source latency
+// histogram. Fleet round trips are timed through the session's Observe
+// seam (wireOracle) and cache hits by the job's view (jobView.U).
 func (r *run) evalLocal(s combin.Coalition) float64 {
 	if _, err := r.problem(); err != nil {
-		panic(&buildError{err})
+		panic(&utility.Abort{Err: err})
 	}
 	start := time.Now()
 	u := r.eval(s)
@@ -202,12 +199,6 @@ func (r *run) problem() (*experiments.Problem, error) {
 	})
 	return r.p, r.buildErr
 }
-
-// buildError carries a failed problem build out of the oracle's evaluation
-// function — through Prefetch, the fleet session's local fallback and
-// shapley.Run, which re-raise what they do not own — to runJob, which
-// fails the job with the builder's error text.
-type buildError struct{ err error }
 
 // warmStart preloads the oracle with every utility the persistent store
 // holds for the job's fingerprint.

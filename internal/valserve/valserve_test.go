@@ -1,6 +1,7 @@
 package valserve
 
 import (
+	"context"
 	"errors"
 	"sync/atomic"
 	"testing"
@@ -142,47 +143,63 @@ func TestQueueFullAndQueuedCancel(t *testing.T) {
 
 // TestCancelRunningJobStopsFreshEvals is the core cancellation guarantee:
 // after cancel, the job terminates as cancelled and issues no further
-// fresh coalition evaluations.
+// fresh coalition evaluations. A pool of one has no prefetch pass, so its
+// job is cancelled in aggregate (shapley.Run); a pool of two is cancelled
+// in prefetch (Prefetch). Both report the bare context error.
 func TestCancelRunningJobStopsFreshEvals(t *testing.T) {
-	var evals atomic.Int64
-	m, err := NewManager(Config{
-		Workers:      1,
-		EvalWorkers:  1, // sequential evaluation: deterministic progress
-		BuildProblem: gameBuilder(3*time.Millisecond, &evals),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer m.Close()
+	for _, tc := range []struct {
+		name    string
+		workers int
+	}{
+		{"aggregate", 1},
+		{"prefetch", 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var evals atomic.Int64
+			m, err := NewManager(Config{
+				Workers:      1,
+				EvalWorkers:  tc.workers,
+				BuildProblem: gameBuilder(3*time.Millisecond, &evals),
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer m.Close()
 
-	// exact on n=8 needs 256 evaluations ≈ 0.8s at 3ms each — plenty of
-	// time to observe and cancel mid-run.
-	st, err := m.Submit(fedshap.JobRequest{N: 8, Algorithm: "exact"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Budget != 256 {
-		t.Errorf("budget = %d, want 256 (2^8)", st.Budget)
-	}
-	waitState(t, m, st.ID, func(s *fedshap.JobStatus) bool { return s.FreshEvals >= 3 })
-	if _, err := m.Cancel(st.ID); err != nil {
-		t.Fatal(err)
-	}
-	fin := waitState(t, m, st.ID, terminal)
-	if fin.State != fedshap.JobCancelled {
-		t.Fatalf("state = %s (%s), want cancelled", fin.State, fin.Error)
-	}
-	if fin.FreshEvals >= 256 {
-		t.Errorf("cancelled job still ran all %d evaluations", fin.FreshEvals)
-	}
-	if fin.Report != nil {
-		t.Error("cancelled job produced a report")
-	}
-	// No evaluations may trickle in after the terminal state.
-	settled := evals.Load()
-	time.Sleep(50 * time.Millisecond)
-	if got := evals.Load(); got != settled {
-		t.Errorf("evaluations continued after cancellation: %d → %d", settled, got)
+			// exact on n=8 needs 256 evaluations ≈ 0.8s at 3ms each (half
+			// that on two workers) — plenty of time to observe and cancel
+			// mid-run.
+			st, err := m.Submit(fedshap.JobRequest{N: 8, Algorithm: "exact"})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.Budget != 256 {
+				t.Errorf("budget = %d, want 256 (2^8)", st.Budget)
+			}
+			waitState(t, m, st.ID, func(s *fedshap.JobStatus) bool { return s.FreshEvals >= 3 })
+			if _, err := m.Cancel(st.ID); err != nil {
+				t.Fatal(err)
+			}
+			fin := waitState(t, m, st.ID, terminal)
+			if fin.State != fedshap.JobCancelled {
+				t.Fatalf("state = %s (%s), want cancelled", fin.State, fin.Error)
+			}
+			if fin.Error != context.Canceled.Error() {
+				t.Errorf("error = %q, want %q", fin.Error, context.Canceled.Error())
+			}
+			if fin.FreshEvals >= 256 {
+				t.Errorf("cancelled job still ran all %d evaluations", fin.FreshEvals)
+			}
+			if fin.Report != nil {
+				t.Error("cancelled job produced a report")
+			}
+			// No evaluations may trickle in after the terminal state.
+			settled := evals.Load()
+			time.Sleep(50 * time.Millisecond)
+			if got := evals.Load(); got != settled {
+				t.Errorf("evaluations continued after cancellation: %d → %d", settled, got)
+			}
+		})
 	}
 }
 
