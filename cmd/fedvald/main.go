@@ -28,12 +28,11 @@
 //	fedvald -addr 127.0.0.1:8787 -worker-addr 10.0.0.5:8788
 //
 // GET /metrics exposes queue depth, cache hit ratio, journal size and the
-// fleet's per-worker scheduler state for dashboards and alerting — as JSON
-// by default, or Prometheus text exposition with Accept: text/plain (or
-// ?format=prometheus). -pprof starts a separate diagnostics listener with
-// /debug/pprof/ and the same Prometheus /metrics; -log-level and
-// -log-format configure structured job-lifecycle logs on stderr. See the
-// Monitoring section of OPERATIONS.md.
+// fleet's per-worker scheduler state for dashboards and alerting, as
+// Prometheus text exposition (fedvald_* series). -pprof starts a separate
+// diagnostics listener with /debug/pprof/ and the same /metrics;
+// -log-level and -log-format configure structured job-lifecycle logs on
+// stderr. See the Monitoring section of OPERATIONS.md.
 //
 // Submit and track jobs with `fedval -server http://127.0.0.1:8787 ...` or
 // plain HTTP:

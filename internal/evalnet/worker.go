@@ -180,14 +180,20 @@ func (w *Worker) Dial(ctx context.Context, addr string) error {
 // run computes one assignment, converting every failure mode (unknown or
 // cancelled spec, build error, evaluation panic, a non-finite utility,
 // which JSON cannot carry) into an error reply, its text truncated to
-// keep the frame small. The first run of a spec builds its evaluator.
+// keep the frame small. A *utility.Abort, an expected failure, replies as
+// its error's own text; any other panic is prefixed "evaluation panic: ".
+// The first run of a spec builds its evaluator.
 func (w *Worker) run(ws *workerSpec, tw taskWire) (res *resultMsg) {
 	res = &resultMsg{TaskID: tw.ID}
 	start := time.Now()
 	defer func() {
 		if r := recover(); r != nil {
 			res.U = 0
-			res.Err = fmt.Sprintf("evaluation panic: %v", r)
+			if a, ok := r.(*utility.Abort); ok {
+				res.Err = a.Err.Error()
+			} else {
+				res.Err = fmt.Sprintf("evaluation panic: %v", r)
+			}
 		}
 		if len(res.Err) > maxErrText {
 			res.Err = strings.ToValidUTF8(res.Err[:maxErrText], "")

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"fedshap"
+	"fedshap/internal/obs"
 )
 
 // ProcessSpec is the seam between the chaos controller and the operating
@@ -185,9 +186,9 @@ func RunChaos(ctx context.Context, r *Runner, cfg ChaosConfig) (*Report, error) 
 	// invariant records the violation.
 	rep := runRep
 	rep.Chaos = chaos
-	chaos.ObservedDeathRequeues = r.DeathRequeues()
-	chaos.ObservedDeadlineRequeues = r.DeadlineRequeues()
-	chaos.ObservedQuarantineRejections = r.QuarantineRejections()
+	chaos.ObservedDeathRequeues = r.scraper.total(deathRequeuesKey)
+	chaos.ObservedDeadlineRequeues = r.scraper.total(deadlineRequeuesKey)
+	chaos.ObservedQuarantineRejections = r.scraper.total(quarantineRejectKey)
 
 	ctrl.checkAllTerminal(rep)
 	ctrl.checkRedispatchAccounting(chaos)
@@ -305,15 +306,12 @@ func faultSequence(workers, partitions, daemons, diskfulls, stalls, flaps int) [
 // killWorker SIGKILLs one fleet worker — preferring one with verified
 // in-flight work — and relaunches it under the same name.
 func (c *controller) killWorker(ctx context.Context, chaos *ChaosReport) error {
-	m := c.scrape(ctx)
 	victim := c.cfg.WorkerNames[chaos.WorkerKills%len(c.cfg.WorkerNames)]
 	inflight := false
-	if m != nil && m.Fleet != nil {
-		for _, w := range m.Fleet.Workers {
-			if w.InFlight > 0 {
-				victim, inflight = w.Name, true
-				break
-			}
+	for _, w := range c.fleet(ctx) {
+		if w.InFlight > 0 {
+			victim, inflight = w.Name, true
+			break
 		}
 	}
 	proc, ok := c.workers[victim]
@@ -339,14 +337,11 @@ func (c *controller) killWorker(ctx context.Context, chaos *ChaosReport) error {
 // workers' retry loops heal it; the coordinator must requeue whatever the
 // severed workers had in flight.
 func (c *controller) partition(ctx context.Context, chaos *ChaosReport) error {
-	m := c.scrape(ctx)
 	inflight := false
-	if m != nil && m.Fleet != nil {
-		for _, w := range m.Fleet.Workers {
-			if w.InFlight > 0 {
-				inflight = true
-				break
-			}
+	for _, w := range c.fleet(ctx) {
+		if w.InFlight > 0 {
+			inflight = true
+			break
 		}
 	}
 	n := c.cfg.Proxy.SeverAll()
@@ -410,7 +405,7 @@ func (c *controller) diskFull(ctx context.Context, chaos *ChaosReport) error {
 		canaryDone <- st
 	}()
 
-	if c.pollUntil(ctx, func(m *fedshap.Metrics) bool { return m.Degraded }) {
+	if c.pollUntil(ctx, func() bool { return c.scrape(ctx)["fedvald_degraded"] == 1 }) {
 		chaos.DegradedObserved++
 		c.cfg.Logf("chaos: daemon degraded (memory-only persistence)")
 	} else {
@@ -422,7 +417,10 @@ func (c *controller) diskFull(ctx context.Context, chaos *ChaosReport) error {
 	c.canaries = append(c.canaries, canaryDone)
 
 	os.Remove(c.cfg.FaultFile)
-	if c.pollUntil(ctx, func(m *fedshap.Metrics) bool { return !m.Degraded }) {
+	if c.pollUntil(ctx, func() bool {
+		m := c.scrape(ctx)
+		return m != nil && m["fedvald_degraded"] == 0
+	}) {
 		chaos.DegradedRecovered++
 		c.cfg.Logf("chaos: daemon restored persistence")
 	} else {
@@ -450,11 +448,8 @@ func (c *controller) stallWorker(ctx context.Context, chaos *ChaosReport) error 
 	// While frozen the coordinator keeps dispatching to it (the connection
 	// is healthy and its capacity looks free), so under load in-flight
 	// work shows up within a poll or two.
-	inflight := c.pollUntil(ctx, func(m *fedshap.Metrics) bool {
-		if m.Fleet == nil {
-			return false
-		}
-		for _, w := range m.Fleet.Workers {
+	inflight := c.pollUntil(ctx, func() bool {
+		for _, w := range c.fleet(ctx) {
 			if w.Name == victim && w.InFlight > 0 {
 				return true
 			}
@@ -463,10 +458,8 @@ func (c *controller) stallWorker(ctx context.Context, chaos *ChaosReport) error 
 	}, c.cfg.StallFor/2)
 	c.cfg.Logf("chaos: SIGSTOP worker %s for %s (in-flight verified: %v)", victim, c.cfg.StallFor, inflight)
 	if !inflight {
-		if m := c.scrape(ctx); m != nil && m.Fleet != nil {
-			for _, w := range m.Fleet.Workers {
-				c.cfg.Logf("chaos: fleet view: worker %s in-flight %d completed %d", w.Name, w.InFlight, w.Completed)
-			}
+		for _, w := range c.fleet(ctx) {
+			c.cfg.Logf("chaos: fleet view: worker %s in-flight %d completed %d", w.Name, w.InFlight, w.Completed)
 		}
 	}
 	chaos.Stalls++
@@ -491,28 +484,16 @@ func (c *controller) stallWorker(ctx context.Context, chaos *ChaosReport) error 
 // handshake before the penalty expires and the worker reattaches.
 func (c *controller) flapWorker(ctx context.Context, chaos *ChaosReport) error {
 	victim := c.cfg.WorkerNames[chaos.Flaps%len(c.cfg.WorkerNames)]
-	onBench := func(m *fedshap.Metrics) bool {
-		if m == nil || m.Fleet == nil {
-			return false
-		}
-		for _, name := range m.Fleet.Quarantined {
-			if name == victim {
-				return true
-			}
-		}
-		return false
-	}
+	benchKey := obs.SeriesKey("fedvald_fleet_quarantined_workers", "worker", victim)
+	onBench := func() bool { return c.scrape(ctx)[benchKey] == 1 }
 	benched := false
 	for i := 0; i < c.cfg.FlapKillCount && !benched; i++ {
-		m := c.scrape(ctx)
 		inflight, oldAddr := false, ""
-		if m != nil && m.Fleet != nil {
-			for _, w := range m.Fleet.Workers {
-				if w.Name == victim {
-					oldAddr = w.Addr
-					if w.InFlight > 0 {
-						inflight = true
-					}
+		for _, w := range c.fleet(ctx) {
+			if w.Name == victim {
+				oldAddr = w.Addr
+				if w.InFlight > 0 {
+					inflight = true
 				}
 			}
 		}
@@ -543,16 +524,13 @@ func (c *controller) flapWorker(ctx context.Context, chaos *ChaosReport) error {
 		// banked strikes already, making this kill the benching one — then
 		// the relaunch is being refused at the door and waiting for a full
 		// fleet would deadlock. Wait for either outcome.
-		c.pollUntil(ctx, func(m *fedshap.Metrics) bool {
-			if onBench(m) {
+		c.pollUntil(ctx, func() bool {
+			if onBench() {
 				benched = true
 				return true
 			}
-			if m == nil || m.Fleet == nil {
-				return false
-			}
 			fresh, stale := false, false
-			for _, w := range m.Fleet.Workers {
+			for _, w := range c.fleet(ctx) {
 				if w.Name != victim {
 					continue
 				}
@@ -577,7 +555,7 @@ func (c *controller) flapWorker(ctx context.Context, chaos *ChaosReport) error {
 	// process is already dialing into the refusal): every dial must be
 	// refused and counted by the coordinator until the penalty expires,
 	// then the worker's own retry loop gets it back into the fleet.
-	rejectionsBefore := c.runner.QuarantineRejections()
+	rejectionsBefore := c.runner.scraper.total(quarantineRejectKey)
 	if !benched {
 		w, err := c.cfg.Spec.StartWorker(victim)
 		if err != nil {
@@ -585,8 +563,9 @@ func (c *controller) flapWorker(ctx context.Context, chaos *ChaosReport) error {
 		}
 		c.workers[victim] = w
 	}
-	if c.pollUntil(ctx, func(*fedshap.Metrics) bool {
-		return c.runner.QuarantineRejections() > rejectionsBefore
+	if c.pollUntil(ctx, func() bool {
+		c.scrape(ctx)
+		return c.runner.scraper.total(quarantineRejectKey) > rejectionsBefore
 	}) {
 		c.cfg.Logf("chaos: benched worker %s refused at the door", victim)
 	}
@@ -594,17 +573,17 @@ func (c *controller) flapWorker(ctx context.Context, chaos *ChaosReport) error {
 	return c.waitFleet(ctx)
 }
 
-// pollUntil scrapes /metrics until cond holds, an optional timeout (or
-// the settle timeout) elapses, or ctx dies. It reports whether cond was
-// ever observed.
-func (c *controller) pollUntil(ctx context.Context, cond func(*fedshap.Metrics) bool, timeout ...time.Duration) bool {
+// pollUntil checks cond every 50ms until it holds, an optional timeout
+// (or the settle timeout) elapses, or ctx dies. It reports whether cond
+// was ever observed.
+func (c *controller) pollUntil(ctx context.Context, cond func() bool, timeout ...time.Duration) bool {
 	limit := c.cfg.SettleTimeout
 	if len(timeout) > 0 {
 		limit = timeout[0]
 	}
 	deadline := time.Now().Add(limit)
 	for {
-		if m := c.scrape(ctx); m != nil && cond(m) {
+		if cond() {
 			return true
 		}
 		if time.Now().After(deadline) || ctx.Err() != nil {
@@ -618,9 +597,19 @@ func (c *controller) pollUntil(ctx context.Context, cond func(*fedshap.Metrics) 
 	}
 }
 
-// scrape samples /metrics through the Runner's accumulating scraper.
-func (c *controller) scrape(ctx context.Context) *fedshap.Metrics {
-	return c.runner.ScrapeNow(ctx)
+// scrape samples /metrics through the Runner's accumulating scraper, so
+// every reading also feeds the counters carried across daemon lives.
+func (c *controller) scrape(ctx context.Context) map[string]float64 {
+	return c.runner.scraper.Scrape(ctx)
+}
+
+// fleet lists the workers attached to the chaos daemon (GET /v1/workers),
+// nil when the daemon does not answer.
+func (c *controller) fleet(ctx context.Context) []fedshap.WorkerInfo {
+	fctx, cancel := context.WithTimeout(ctx, 2*time.Second)
+	defer cancel()
+	workers, _ := c.cfg.Client.Workers(fctx)
+	return workers
 }
 
 // waitFleet blocks until every configured worker is attached.

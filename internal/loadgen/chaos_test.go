@@ -273,8 +273,8 @@ func TestWaitHealthy(t *testing.T) {
 			http.Error(w, "starting", http.StatusServiceUnavailable)
 			return
 		}
-		w.Header().Set("Content-Type", "application/json")
-		w.Write([]byte("{}"))
+		w.Header().Set("Content-Type", "text/plain; version=0.0.4")
+		w.Write([]byte("# HELP fedvald_queued_jobs Jobs currently queued.\n# TYPE fedvald_queued_jobs gauge\nfedvald_queued_jobs 0\n"))
 	}))
 	defer srv.Close()
 	client := fedshap.NewServiceClient(srv.URL)

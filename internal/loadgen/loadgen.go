@@ -21,6 +21,7 @@ import (
 	"time"
 
 	"fedshap"
+	"fedshap/internal/obs"
 )
 
 // Mix shapes the synthetic traffic: the problem vocabulary requests are
@@ -169,26 +170,6 @@ func NewRunner(cfg Config) (*Runner, error) {
 	r.requests, r.warm = generate(cfg)
 	return r, nil
 }
-
-// ScrapeNow samples /metrics immediately through the run's accumulating
-// scraper — the chaos controller calls it right before a kill so the
-// victim's in-flight state (and the current daemon life's counters) are
-// captured before they vanish.
-func (r *Runner) ScrapeNow(ctx context.Context) *fedshap.Metrics {
-	return r.scraper.Scrape(ctx)
-}
-
-// DeathRequeues reports the cumulative worker-death requeue count
-// observed across every daemon life of the run.
-func (r *Runner) DeathRequeues() int64 { return r.scraper.deathRequeues() }
-
-// DeadlineRequeues reports the cumulative task-deadline requeue count
-// observed across every daemon life of the run.
-func (r *Runner) DeadlineRequeues() int64 { return r.scraper.deadlineRequeues() }
-
-// QuarantineRejections reports the cumulative flap-quarantine attach
-// rejections observed across every daemon life of the run.
-func (r *Runner) QuarantineRejections() int64 { return r.scraper.quarantineRejections() }
 
 // Rejected429s reports how many submissions were shed with HTTP 429
 // before eventually being accepted.
@@ -581,21 +562,31 @@ type metricsScraper struct {
 	client   *fedshap.ServiceClient
 	interval time.Duration
 
-	mu           sync.Mutex
-	snapshot     *fedshap.Metrics
-	requeueBase  int64 // sum of completed lives' worker-death requeues
-	requeueSeen  int64 // current life's latest value
-	redispBase   int64
-	redispSeen   int64
-	deadlineBase int64
-	deadlineSeen int64
-	qrejBase     int64
-	qrejSeen     int64
-	scrapeErrors int64
+	// turn serialises whole scrapes: a reading folded after a newer one
+	// would look like a counter reset to the carry.
+	turn    sync.Mutex
+	mu      sync.Mutex
+	series  map[string]float64 // the last successful scrape
+	carried map[string]*carry  // by series key
 }
 
+// carry is one counter followed across daemon lives: the sum of the
+// completed lives and the current life's latest value.
+type carry struct{ base, seen float64 }
+
+// The fleet counters the scraper carries across daemon lives.
+var (
+	deathRequeuesKey    = obs.SeriesKey("fedvald_fleet_redispatch_total", "reason", "worker-death")
+	deadlineRequeuesKey = obs.SeriesKey("fedvald_fleet_redispatch_total", "reason", "deadline")
+	quarantineRejectKey = "fedvald_fleet_quarantine_rejections_total"
+)
+
 func newMetricsScraper(client *fedshap.ServiceClient, interval time.Duration) *metricsScraper {
-	return &metricsScraper{client: client, interval: interval}
+	carried := make(map[string]*carry, 3)
+	for _, key := range []string{deathRequeuesKey, deadlineRequeuesKey, quarantineRejectKey} {
+		carried[key] = new(carry)
+	}
+	return &metricsScraper{client: client, interval: interval, carried: carried}
 }
 
 func (s *metricsScraper) run(ctx context.Context) {
@@ -611,67 +602,46 @@ func (s *metricsScraper) run(ctx context.Context) {
 	}
 }
 
-// Scrape samples /metrics once, immediately. The chaos controller calls
-// it right before a kill so the victim's in-flight state is fresh.
-func (s *metricsScraper) Scrape(ctx context.Context) *fedshap.Metrics {
+// Scrape samples /metrics once, immediately, and returns the series (the
+// last successful scrape's if this one fails). The chaos controller calls
+// it right before a kill so the dying life's counters are folded in.
+func (s *metricsScraper) Scrape(ctx context.Context) map[string]float64 {
+	s.turn.Lock()
+	defer s.turn.Unlock()
 	sctx, cancel := context.WithTimeout(ctx, 2*time.Second)
 	defer cancel()
 	m, err := s.client.Metrics(sctx)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if err != nil {
-		s.scrapeErrors++
-		return s.snapshot
+		return s.series
 	}
-	s.snapshot = m
-	if m.Fleet != nil {
-		if m.Fleet.Requeues < s.requeueSeen { // counter reset: new daemon life
-			s.requeueBase += s.requeueSeen
+	s.series = m
+	for key, c := range s.carried {
+		v, ok := m[key]
+		if !ok {
+			continue
 		}
-		s.requeueSeen = m.Fleet.Requeues
-		if m.Fleet.Redispatches < s.redispSeen {
-			s.redispBase += s.redispSeen
+		if v < c.seen { // counter reset: new daemon life
+			c.base += c.seen
 		}
-		s.redispSeen = m.Fleet.Redispatches
-		if m.Fleet.DeadlineRequeues < s.deadlineSeen {
-			s.deadlineBase += s.deadlineSeen
-		}
-		s.deadlineSeen = m.Fleet.DeadlineRequeues
-		if m.Fleet.QuarantineRejections < s.qrejSeen {
-			s.qrejBase += s.qrejSeen
-		}
-		s.qrejSeen = m.Fleet.QuarantineRejections
+		c.seen = v
 	}
 	return m
 }
 
-// last returns the most recent successful snapshot.
-func (s *metricsScraper) last() *fedshap.Metrics {
+// last returns the most recent successful scrape.
+func (s *metricsScraper) last() map[string]float64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.snapshot
+	return s.series
 }
 
-// deathRequeues returns the cumulative worker-death requeue count across
-// every daemon life observed.
-func (s *metricsScraper) deathRequeues() int64 {
+// total returns a carried counter's sum across every daemon life
+// observed.
+func (s *metricsScraper) total(key string) int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.requeueBase + s.requeueSeen
-}
-
-// deadlineRequeues returns the cumulative task-deadline requeue count
-// across every daemon life observed.
-func (s *metricsScraper) deadlineRequeues() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.deadlineBase + s.deadlineSeen
-}
-
-// quarantineRejections returns the cumulative flap-quarantine attach
-// rejection count across every daemon life observed.
-func (s *metricsScraper) quarantineRejections() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.qrejBase + s.qrejSeen
+	c := s.carried[key]
+	return int64(c.base + c.seen)
 }

@@ -5,11 +5,13 @@ import (
 	"fmt"
 	"net"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"reflect"
 	"strconv"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -253,5 +255,40 @@ func TestFaultSequenceInterleaves(t *testing.T) {
 	check(faultSequence(1, 0, 1, 1, 1, 1), []string{"worker", "daemon", "diskfull", "stall", "flap"})
 	if got := faultSequence(0, 0, 0, 0, 0, 0); len(got) != 0 {
 		t.Errorf("empty quotas produced %v", got)
+	}
+}
+
+// TestScrapesFoldInOrder: the ticker's scrape and the chaos controller's
+// can be in flight at once. An older reading folded after a newer one
+// looks like a counter that went backwards, which the carry takes for a
+// new daemon life and counts twice.
+func TestScrapesFoldInOrder(t *testing.T) {
+	entered, release := make(chan struct{}, 2), make(chan struct{})
+	var calls atomic.Int64
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		n := calls.Add(1)
+		entered <- struct{}{}
+		if n == 1 { // the first reading answers only on release
+			<-release
+		}
+		fmt.Fprintf(w, "# HELP %[1]s R.\n# TYPE %[1]s counter\n%[1]s %d\n", quarantineRejectKey, 4+n)
+	}))
+	defer srv.Close()
+	s := newMetricsScraper(fedshap.NewServiceClient(srv.URL), time.Hour)
+	ctx := context.Background()
+
+	firstDone, secondDone := make(chan struct{}), make(chan struct{})
+	go func() { s.Scrape(ctx); close(firstDone) }()
+	<-entered
+	go func() { s.Scrape(ctx); close(secondDone) }()
+	select {
+	case <-secondDone: // the second reading folded while the first was in flight
+	case <-time.After(100 * time.Millisecond): // it waits for the first
+	}
+	close(release)
+	<-firstDone
+	<-secondDone
+	if got := s.total(quarantineRejectKey); got != 6 {
+		t.Errorf("carried total = %d after readings 5 then 6 of one daemon life, want 6", got)
 	}
 }

@@ -6,8 +6,6 @@ import (
 	"io"
 	"sort"
 	"time"
-
-	"fedshap"
 )
 
 // Percentiles summarises a latency population in seconds. The quantile
@@ -172,9 +170,9 @@ type Report struct {
 	WarmedCoalitions int64 `json:"warmed_coalitions"`
 	// Watchers is the SSE watcher pool summary.
 	Watchers WatcherStats `json:"watchers"`
-	// Metrics is the daemon's final /metrics snapshot (nil if the last
-	// scrape failed).
-	Metrics *fedshap.Metrics `json:"metrics,omitempty"`
+	// Metrics is the daemon's last successful /metrics scrape, keyed as
+	// obs.SeriesKey spells a series (nil if no scrape succeeded).
+	Metrics map[string]float64 `json:"metrics,omitempty"`
 	// Chaos is nil for plain load runs.
 	Chaos *ChaosReport `json:"chaos,omitempty"`
 }

@@ -74,8 +74,8 @@ func TestRunnerEndToEnd(t *testing.T) {
 	if rep.Watchers.Events == 0 || rep.Watchers.Jobs == 0 {
 		t.Errorf("watcher pool saw nothing: %+v", rep.Watchers)
 	}
-	if rep.Metrics == nil {
-		t.Error("no final /metrics snapshot")
+	if _, ok := rep.Metrics["fedvald_jobs_submitted_total"]; !ok {
+		t.Errorf("no /metrics scrape in the report: %v", rep.Metrics)
 	}
 	if n := r.TerminalCount(); n != 40 {
 		t.Errorf("TerminalCount() = %d, want 40", n)

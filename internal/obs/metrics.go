@@ -274,16 +274,16 @@ func (r *Registry) render() []byte {
 		for _, s := range f.series {
 			switch {
 			case s.counter != nil:
-				writeSample(bw, f.name, s.labels, "", float64(s.counter.Value()))
+				writeSample(bw, f.name, s.labels, float64(s.counter.Value()))
 			case s.gfn != nil:
-				writeSample(bw, f.name, s.labels, "", s.gfn())
+				writeSample(bw, f.name, s.labels, s.gfn())
 			case s.hist != nil:
 				writeHistogram(bw, f.name, s.labels, s.hist)
 			}
 		}
 		if f.collect != nil {
 			for _, smp := range f.collect() {
-				writeSample(bw, f.name, smp.Labels, "", smp.Value)
+				writeSample(bw, f.name, smp.Labels, smp.Value)
 			}
 		}
 	}
@@ -297,23 +297,28 @@ func writeHistogram(w io.Writer, name string, labels []string, h *Histogram) {
 	var cum int64
 	for i, bound := range h.bounds {
 		cum += h.counts[i].Load()
-		writeSample(w, name+"_bucket", append(append([]string{}, labels...), "le", formatFloat(bound)), "", float64(cum))
+		writeSample(w, name+"_bucket", append(append([]string{}, labels...), "le", formatFloat(bound)), float64(cum))
 	}
 	cum += h.counts[len(h.bounds)].Load()
-	writeSample(w, name+"_bucket", append(append([]string{}, labels...), "le", "+Inf"), "", float64(cum))
-	writeSample(w, name+"_sum", labels, "", h.Sum())
-	writeSample(w, name+"_count", labels, "", float64(cum))
+	writeSample(w, name+"_bucket", append(append([]string{}, labels...), "le", "+Inf"), float64(cum))
+	writeSample(w, name+"_sum", labels, h.Sum())
+	writeSample(w, name+"_count", labels, float64(cum))
 }
 
 // writeSample writes one exposition sample line.
-func writeSample(w io.Writer, name string, labels []string, suffix string, v float64) {
-	if len(labels) == 0 {
-		fmt.Fprintf(w, "%s%s %s\n", name, suffix, formatFloat(v))
-		return
+func writeSample(w io.Writer, name string, labels []string, v float64) {
+	fmt.Fprintf(w, "%s %s\n", SeriesKey(name, labels...), formatFloat(v))
+}
+
+// SeriesKey spells one series as WriteText writes it and ParseText keys
+// it: the name, then {key="value",...} with every value escaped, or the
+// bare name without labels. labels are "key", "value" pairs.
+func SeriesKey(name string, labels ...string) string {
+	if len(labels) < 2 {
+		return name
 	}
 	var sb strings.Builder
 	sb.WriteString(name)
-	sb.WriteString(suffix)
 	sb.WriteByte('{')
 	for i := 0; i+1 < len(labels); i += 2 {
 		if i > 0 {
@@ -325,7 +330,7 @@ func writeSample(w io.Writer, name string, labels []string, suffix string, v flo
 		sb.WriteByte('"')
 	}
 	sb.WriteByte('}')
-	fmt.Fprintf(w, "%s %s\n", sb.String(), formatFloat(v))
+	return sb.String()
 }
 
 // formatFloat renders a sample value: integers without exponent, +Inf as
@@ -337,15 +342,87 @@ func formatFloat(v float64) string {
 	return strconv.FormatFloat(v, 'g', -1, 64)
 }
 
-func escapeHelp(s string) string {
-	s = strings.ReplaceAll(s, `\`, `\\`)
-	return strings.ReplaceAll(s, "\n", `\n`)
-}
+var (
+	escapeHelp    = strings.NewReplacer(`\`, `\\`, "\n", `\n`).Replace
+	escapeLabel   = strings.NewReplacer(`\`, `\\`, "\n", `\n`, `"`, `\"`).Replace
+	unescapeLabel = strings.NewReplacer(`\\`, `\`, `\n`, "\n", `\"`, `"`).Replace
+)
 
-func escapeLabel(s string) string {
-	s = strings.ReplaceAll(s, `\`, `\\`)
-	s = strings.ReplaceAll(s, "\n", `\n`)
-	return strings.ReplaceAll(s, `"`, `\"`)
+// labelPair matches one label as WriteText writes it: a name and a quoted
+// value whose backslashes, quotes and newlines are escaped.
+const labelPair = `([a-zA-Z_][a-zA-Z0-9_]*)="((?:[^"\\\n]|\\[\\"n])*)"`
+
+var (
+	labelRe  = regexp.MustCompile(labelPair)
+	sampleRe = regexp.MustCompile(`^([a-zA-Z_:][a-zA-Z0-9_:]*)(?:\{(` + labelPair + `(?:,` + labelPair + `)*)\})? (\S+)$`)
+)
+
+// ParseText is the inverse of WriteText: it reads a text exposition and
+// returns its samples keyed by SeriesKey. The text comes from another
+// process, so it is read strictly and never panics: every sample must
+// follow its family's # HELP and # TYPE lines (a histogram's _bucket,
+// _sum and _count series included), and a malformed line, an unknown
+// type or a repeated series is an error.
+func ParseText(r io.Reader) (map[string]float64, error) {
+	body, err := io.ReadAll(r)
+	if err != nil {
+		return nil, err
+	}
+	samples := make(map[string]float64)
+	helped := make(map[string]bool)
+	types := make(map[string]Type)
+	declared := func(name string) bool {
+		if helped[name] && types[name] != "" {
+			return true
+		}
+		for _, suffix := range []string{"_bucket", "_sum", "_count"} {
+			if base, ok := strings.CutSuffix(name, suffix); ok && helped[base] && types[base] == TypeHistogram {
+				return true
+			}
+		}
+		return false
+	}
+	for i, line := range strings.Split(string(body), "\n") {
+		bad := func(what string) error { return fmt.Errorf("obs: exposition line %d: %s: %.80q", i+1, what, line) }
+		switch {
+		case line == "":
+		case strings.HasPrefix(line, "# HELP "):
+			name, _, _ := strings.Cut(line[len("# HELP "):], " ")
+			if !nameRe.MatchString(name) {
+				return nil, bad("invalid metric name")
+			}
+			helped[name] = true
+		case strings.HasPrefix(line, "# TYPE "):
+			name, typ, _ := strings.Cut(line[len("# TYPE "):], " ")
+			if t := Type(typ); !nameRe.MatchString(name) || t != TypeCounter && t != TypeGauge && t != TypeHistogram {
+				return nil, bad("malformed TYPE")
+			}
+			types[name] = Type(typ)
+		case line[0] == '#': // any other comment carries nothing
+		default:
+			m := sampleRe.FindStringSubmatch(line)
+			if m == nil {
+				return nil, bad("malformed sample")
+			}
+			if !declared(m[1]) {
+				return nil, bad("no # HELP and # TYPE for its family")
+			}
+			v, err := strconv.ParseFloat(m[len(m)-1], 64)
+			if err != nil {
+				return nil, bad("bad value")
+			}
+			var labels []string
+			for _, l := range labelRe.FindAllStringSubmatch(m[2], -1) {
+				labels = append(labels, l[1], unescapeLabel(l[2]))
+			}
+			key := SeriesKey(m[1], labels...)
+			if _, dup := samples[key]; dup {
+				return nil, bad("repeated series")
+			}
+			samples[key] = v
+		}
+	}
+	return samples, nil
 }
 
 // Lint checks every registered series name against the repo's metric

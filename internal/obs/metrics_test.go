@@ -269,3 +269,102 @@ func TestRegistryTypeConflictPanics(t *testing.T) {
 	}()
 	r.NewGaugeFunc("fedvald_x_total", "x", func() float64 { return 0 })
 }
+
+// TestParseText reads back a registry's exposition and refuses the
+// malformed lines another process could send.
+func TestParseText(t *testing.T) {
+	r := NewRegistry()
+	r.NewCounter("fedvald_jobs_completed_total", "Jobs finished.", "state", "done").Add(2)
+	r.NewGaugeFunc("fedvald_journal_bytes", "Journal size.", func() float64 { return 123 })
+	r.NewHistogram("fedvald_job_duration_seconds", "Job latency.", []float64{1}).Observe(0.5)
+	r.NewCollector("fedvald_fleet_quarantined_workers", "Benched names.", TypeGauge, func() []Sample {
+		return []Sample{{Labels: []string{"worker", "a \"b\"\\{c}\n"}, Value: 1}}
+	})
+	var sb strings.Builder
+	if err := r.WriteText(&sb); err != nil {
+		t.Fatal(err)
+	}
+	got, err := ParseText(strings.NewReader(sb.String()))
+	if err != nil {
+		t.Fatalf("ParseText: %v\n%s", err, sb.String())
+	}
+	want := map[string]float64{
+		SeriesKey("fedvald_jobs_completed_total", "state", "done"): 2,
+		"fedvald_journal_bytes": 123,
+		SeriesKey("fedvald_job_duration_seconds_bucket", "le", "1"):                1,
+		SeriesKey("fedvald_job_duration_seconds_bucket", "le", "+Inf"):             1,
+		"fedvald_job_duration_seconds_sum":                                         0.5,
+		"fedvald_job_duration_seconds_count":                                       1,
+		SeriesKey("fedvald_fleet_quarantined_workers", "worker", "a \"b\"\\{c}\n"): 1,
+	}
+	if len(got) != len(want) {
+		t.Errorf("parsed %d samples, want %d: %v", len(got), len(want), got)
+	}
+	for key, v := range want {
+		if g, ok := got[key]; !ok || g != v {
+			t.Errorf("%s = %v (present %v), want %v", key, g, ok, v)
+		}
+	}
+
+	head := "# HELP fedvald_x_total X.\n# TYPE fedvald_x_total counter\n"
+	for _, bad := range []string{
+		"fedvald_x_total 1\n",                            // no HELP/TYPE
+		"# HELP fedvald_x_total X.\nfedvald_x_total 1\n", // no TYPE
+		head + "# TYPE fedvald_y_total summary\n",
+		head + "fedvald_x_total\n",
+		head + "fedvald_x_total one\n",
+		head + "fedvald_x_total 1 1700000000\n",
+		head + "fedvald_x_total{a=\"1\" 1\n",
+		head + "fedvald_x_total{a=\"1\\x\"} 1\n",
+		head + "fedvald_x_total{a=\"1\"b=\"2\"} 1\n",
+		head + "fedvald_x_total{1a=\"1\"} 1\n",
+		head + "fedvald_x_total{a=1} 1\n",
+		head + "fedvald_x_total{a=\"1\"}1\n",
+		head + "fedvald_x_total 1\nfedvald_x_total 2\n",
+		head + "fedvald_x_total_count 1\n", // _count of a counter
+		"# TYPE 9bad counter\n",
+	} {
+		if m, err := ParseText(strings.NewReader(bad)); err == nil {
+			t.Errorf("ParseText(%q) = %v, want an error", bad, m)
+		}
+	}
+}
+
+// FuzzParseText checks that arbitrary bytes never panic the parser, and
+// that label values holding quotes, backslashes, newlines, spaces and
+// braces come back exactly through WriteText and ParseText.
+func FuzzParseText(f *testing.F) {
+	f.Add([]byte("# HELP fedvald_x_total X.\n# TYPE fedvald_x_total counter\nfedvald_x_total{a=\"\\\"\"} 1\n"), "w\"1 {x}\\\n", 2.5)
+	f.Add([]byte("fedvald_x{"), "", math.Inf(1))
+	f.Add([]byte("# TYPE a histogram\n# HELP a h\na_bucket{le=\"+Inf\"} NaN\n"), "}\"", -0.0)
+	f.Fuzz(func(t *testing.T, text []byte, label string, v float64) {
+		_, _ = ParseText(strings.NewReader(string(text)))
+
+		r := NewRegistry()
+		samples := []Sample{
+			{Labels: []string{"worker", label}, Value: v},
+			{Labels: []string{"worker", label + "\n", "id", `"` + label + `\`}, Value: 1},
+			{Labels: []string{"worker", "{" + label + "} "}, Value: -v},
+		}
+		r.NewCollector("fedvald_fleet_worker_inflight_tasks", "Help with \\ and\nnewline.", TypeGauge,
+			func() []Sample { return samples })
+		var sb strings.Builder
+		if err := r.WriteText(&sb); err != nil {
+			t.Fatal(err)
+		}
+		got, err := ParseText(strings.NewReader(sb.String()))
+		if err != nil {
+			t.Fatalf("ParseText of WriteText: %v\n%s", err, sb.String())
+		}
+		if len(got) != len(samples) {
+			t.Fatalf("parsed %d samples, wrote %d:\n%s", len(got), len(samples), sb.String())
+		}
+		for _, s := range samples {
+			key := SeriesKey("fedvald_fleet_worker_inflight_tasks", s.Labels...)
+			g, ok := got[key]
+			if !ok || math.Float64bits(g) != math.Float64bits(s.Value) && !(math.IsNaN(g) && math.IsNaN(s.Value)) {
+				t.Errorf("%s = %v (present %v), wrote %v", key, g, ok, s.Value)
+			}
+		}
+	})
+}

@@ -393,11 +393,11 @@ func TestDistributedStragglerRedispatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if mt.Fleet == nil || mt.Fleet.Redispatches == 0 {
-		t.Errorf("metrics fleet = %+v, want nonzero re-dispatch counter", mt.Fleet)
+	if v := mt[`fedvald_fleet_redispatch_total{reason="straggler"}`]; v == 0 {
+		t.Errorf("straggler re-dispatch series = %v, want nonzero", v)
 	}
-	if mt.Cache.WarmedTotal == 0 || mt.Cache.HitRatio <= 0 {
-		t.Errorf("metrics cache = %+v, want nonzero warm/hit counters", mt.Cache)
+	if warmed, ratio := mt[`fedvald_evaluations_total{kind="warmed"}`], mt["fedvald_cache_hit_ratio"]; warmed == 0 || ratio <= 0 {
+		t.Errorf("warmed evaluations %v, cache hit ratio %v: want both nonzero", warmed, ratio)
 	}
 }
 

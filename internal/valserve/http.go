@@ -7,7 +7,6 @@ import (
 	"io"
 	"net/http"
 	"strconv"
-	"strings"
 	"time"
 
 	"fedshap"
@@ -25,8 +24,7 @@ import (
 //	GET    /v1/jobs/{id}/trace  fetch a job's trace timeline (spans)
 //	POST   /v1/jobs/{id}/revalue submit a delta revaluation of a done job
 //	GET    /v1/workers          list attached remote evaluation workers
-//	GET    /metrics             operational snapshot (JSON; Prometheus text
-//	                            with Accept: text/plain or ?format=prometheus)
+//	GET    /metrics             fedvald_* series (Prometheus text format 0.0.4)
 //	GET    /healthz             liveness probe
 //
 // Errors are returned as {"error": "..."} with a matching status code.
@@ -44,18 +42,9 @@ func NewHandler(m *Manager) http.Handler {
 		}
 		writeJSON(w, http.StatusOK, map[string]string{"status": status})
 	})
-	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
-		// Content negotiation: the JSON snapshot stays the default for
-		// humans and the CLI; a Prometheus scraper gets the text
-		// exposition format by Accept header or explicit query.
-		if r.URL.Query().Get("format") == "prometheus" ||
-			strings.Contains(r.Header.Get("Accept"), "text/plain") {
-			w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-			w.WriteHeader(http.StatusOK)
-			_ = m.Registry().WriteText(w)
-			return
-		}
-		writeJSON(w, http.StatusOK, m.Metrics())
+	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, _ *http.Request) {
+		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+		_ = m.Registry().WriteText(w)
 	})
 	mux.HandleFunc("POST /v1/jobs", func(w http.ResponseWriter, r *http.Request) {
 		var req fedshap.JobRequest

@@ -118,9 +118,6 @@ func OpenJournal(path string) (*Journal, error) {
 	}, nil
 }
 
-// Path returns the journal's file path.
-func (jl *Journal) Path() string { return jl.path }
-
 // Size returns the journal's current size on disk in bytes (0 when the
 // file doesn't exist yet) — the /metrics journal gauge an operator watches
 // to decide whether compaction keeps up with event churn.

@@ -55,7 +55,7 @@ func TestJournalReplayLastWins(t *testing.T) {
 	jl.Append(EventDone, done)
 
 	// A torn tail write (crash mid-append) must be skipped on replay.
-	f, err := os.OpenFile(jl.Path(), os.O_WRONLY|os.O_APPEND, 0o644)
+	f, err := os.OpenFile(jl.path, os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +100,7 @@ func TestJournalCompact(t *testing.T) {
 	if err := jl.Compact(live); err != nil {
 		t.Fatal(err)
 	}
-	data, err := os.ReadFile(jl.Path())
+	data, err := os.ReadFile(jl.path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +138,7 @@ func TestJournalProgressThrottle(t *testing.T) {
 		jl.Append(EventProgress, statusFor("j0001-aa", fedshap.JobRunning, i))
 	}
 	jl.Append(EventDone, statusFor("j0001-aa", fedshap.JobDone, 50))
-	data, err := os.ReadFile(jl.Path())
+	data, err := os.ReadFile(jl.path)
 	if err != nil {
 		t.Fatal(err)
 	}

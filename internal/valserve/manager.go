@@ -167,8 +167,8 @@ func NewManager(cfg Config) (*Manager, error) {
 	if m.logger == nil {
 		m.logger = obs.NopLogger()
 	}
-	// Sampled series project Metrics() at scrape time, so registering
-	// before the store/journal/queue exist is safe.
+	// Sampled series project Manager.sample at scrape time, so
+	// registering before the store/journal/queue exist is safe.
 	m.tel = newTelemetry(m)
 	if cfg.CacheDir != "" {
 		st, err := utility.OpenStore(cfg.CacheDir)

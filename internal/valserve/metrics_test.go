@@ -2,21 +2,22 @@ package valserve
 
 import (
 	"context"
-	"encoding/json"
-	"fmt"
-	"net/http/httptest"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
 	"fedshap"
 	"fedshap/internal/combin"
 	"fedshap/internal/evalnet"
+	"fedshap/internal/obs"
 )
 
-// TestMetricsEndpoint drives the full daemon flow and checks GET /metrics
-// aggregates it: job-state counts, queue bounds, cache effectiveness
-// (zero hit ratio on a cold run, nonzero after a warm resubmit), store
-// footprint and journal size.
+// TestMetricsEndpoint drives the full daemon flow through the client and
+// checks the scrape aggregates it: job outcomes, queue bounds, cold and
+// warm evaluation counts (zero hit ratio on a cold run, one half after a
+// warm resubmit), store footprint and journal size, and no fleet series
+// without a coordinator.
 func TestMetricsEndpoint(t *testing.T) {
 	dir := t.TempDir()
 	client, _ := startDaemon(t, Config{
@@ -41,20 +42,24 @@ func TestMetricsEndpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if mt.Jobs.Done != 1 || mt.Jobs.QueueCapacity != 7 {
-		t.Errorf("jobs = %+v, want 1 done, queue capacity 7", mt.Jobs)
+	want := map[string]float64{
+		`fedvald_jobs_completed_total{state="done"}`: 1,
+		"fedvald_job_queue_capacity_jobs":            7,
+		`fedvald_evaluations_total{kind="fresh"}`:    32,
+		`fedvald_evaluations_total{kind="warmed"}`:   0,
+		"fedvald_cache_hit_ratio":                    0,
+		"fedvald_store_fingerprints":                 1,
 	}
-	if mt.Cache.FreshTotal != 32 || mt.Cache.WarmedTotal != 0 || mt.Cache.HitRatio != 0 {
-		t.Errorf("cold cache metrics = %+v, want 32 fresh, 0 warmed", mt.Cache)
+	checkSeries(t, "cold", mt, want)
+	for _, key := range []string{"fedvald_store_bytes", "fedvald_journal_bytes"} {
+		if mt[key] <= 0 {
+			t.Errorf("%s = %v, want bytes on disk", key, mt[key])
+		}
 	}
-	if mt.Cache.StoreFingerprints != 1 || mt.Cache.StoreBytes == 0 {
-		t.Errorf("store metrics = %+v, want 1 fingerprint with bytes on disk", mt.Cache)
-	}
-	if mt.Journal.Path == "" || mt.Journal.Bytes == 0 {
-		t.Errorf("journal metrics = %+v, want a path and bytes on disk", mt.Journal)
-	}
-	if mt.Fleet != nil {
-		t.Errorf("fleet = %+v, want nil without a coordinator", mt.Fleet)
+	for key := range mt {
+		if strings.HasPrefix(key, "fedvald_fleet_") {
+			t.Errorf("series %s without a coordinator", key)
+		}
 	}
 
 	// A warm resubmit flips the cache ratio.
@@ -65,12 +70,27 @@ func TestMetricsEndpoint(t *testing.T) {
 	if fin, err := client.Wait(ctx, st2.ID, 5*time.Millisecond, nil); err != nil || fin.State != fedshap.JobDone {
 		t.Fatalf("warm run: %v (%+v)", err, fin)
 	}
-	mt, err = client.Metrics(ctx)
-	if err != nil {
+	if mt, err = client.Metrics(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if mt.Cache.WarmedTotal != 32 || mt.Cache.HitRatio != 0.5 {
-		t.Errorf("warm cache metrics = %+v, want 32 warmed, hit ratio 0.5", mt.Cache)
+	checkSeries(t, "warm", mt, map[string]float64{
+		`fedvald_jobs_completed_total{state="done"}`: 2,
+		`fedvald_evaluations_total{kind="fresh"}`:    32,
+		`fedvald_evaluations_total{kind="warmed"}`:   32,
+		"fedvald_cache_hit_ratio":                    0.5,
+	})
+}
+
+// checkSeries asserts that each wanted series is in the scrape with its
+// exact value.
+func checkSeries(t *testing.T, what string, got, want map[string]float64) {
+	t.Helper()
+	for key, v := range want {
+		if g, ok := got[key]; !ok {
+			t.Errorf("%s: scrape is missing %s", what, key)
+		} else if g != v {
+			t.Errorf("%s: %s = %v, want %v", what, key, g, v)
+		}
 	}
 }
 
@@ -105,10 +125,12 @@ func TestPeriodicCompaction(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	h := NewHandler(m)
 	deadline := time.Now().Add(10 * time.Second)
-	for m.Metrics().Cache.CompactionDropped < 49 {
+	for scrapeProm(t, h)["fedvald_compaction_dropped_total"] < 49 {
 		if time.Now().After(deadline) {
-			t.Fatalf("background compaction never dropped the duplicates (metrics: %+v)", m.Metrics().Cache)
+			t.Fatalf("background compaction never dropped the duplicates (dropped %v)",
+				scrapeProm(t, h)["fedvald_compaction_dropped_total"])
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
@@ -127,7 +149,7 @@ func TestPeriodicCompaction(t *testing.T) {
 	if len(entries) != 1 || entries[coal] != 3 {
 		t.Errorf("compacted entries = %v, want {%v: 3}", entries, coal)
 	}
-	if got := m.Metrics().Cache.Compactions; got == 0 {
+	if got := scrapeProm(t, h)["fedvald_compactions_total"]; got == 0 {
 		t.Error("metrics report zero compaction sweeps")
 	}
 }
@@ -185,18 +207,20 @@ func TestCompactNow(t *testing.T) {
 	}
 }
 
-// TestMetricsSurfacesAgree checks the two /metrics surfaces are projections
-// of the same sample: with a store, a journal and a worker fleet
-// configured, the JSON snapshot and the Prometheus scrape of a quiescent
-// daemon agree on every sampled quantity.
-func TestMetricsSurfacesAgree(t *testing.T) {
+// TestMetricsScrapePopulatedDaemon scrapes a quiescent daemon with a
+// store, a journal and a worker fleet configured, after a job, one
+// compaction sweep and a flap-quarantined worker name: the store,
+// journal, compaction and fleet series all carry what the manager and
+// coordinator hold.
+func TestMetricsScrapePopulatedDaemon(t *testing.T) {
 	coord, addr := startFleetCoordinator(t)
 	ctx, stopWorker := context.WithCancel(context.Background())
 	defer stopWorker()
+	build := func(evalnet.ProblemSpec) (evalnet.Evaluator, error) {
+		return evalnet.Evaluator{Eval: func(s combin.Coalition) float64 { return float64(s.Size()) }}, nil
+	}
 	go func() {
-		w := &evalnet.Worker{Name: "wa", Capacity: 2, Build: func(evalnet.ProblemSpec) (evalnet.Evaluator, error) {
-			return evalnet.Evaluator{Eval: func(s combin.Coalition) float64 { return float64(s.Size()) }}, nil
-		}}
+		w := &evalnet.Worker{Name: "wa", Capacity: 2, Build: build}
 		_ = w.Dial(ctx, addr)
 	}()
 	waitFleet(t, coord, 1)
@@ -227,63 +251,91 @@ func TestMetricsSurfacesAgree(t *testing.T) {
 	if fin := waitState(t, m, st.ID, terminal); fin.State != fedshap.JobDone {
 		t.Fatalf("job state = %s (%s)", fin.State, fin.Error)
 	}
-	if _, err := m.CompactNow(); err != nil {
+	dropped, err := m.CompactNow()
+	if err != nil {
 		t.Fatal(err)
 	}
-
-	h := NewHandler(m)
-	rec := httptest.NewRecorder()
-	h.ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
-	var mt fedshap.Metrics
-	if err := json.Unmarshal(rec.Body.Bytes(), &mt); err != nil {
-		t.Fatalf("JSON /metrics: %v", err)
+	store, err := m.Store().Stats()
+	if err != nil {
+		t.Fatal(err)
 	}
-	if mt.Fleet == nil || len(mt.Fleet.Workers) != 1 || mt.Fleet.Workers[0].Completed == 0 {
-		t.Fatalf("fleet = %+v, want one worker that answered evaluations", mt.Fleet)
-	}
-	if mt.Cache.StoreBytes == 0 || mt.Journal.Bytes == 0 || mt.Cache.Compactions != 1 || mt.Cache.CompactionDropped == 0 {
-		t.Fatalf("cache = %+v, journal = %+v: want a populated store and journal and one compaction", mt.Cache, mt.Journal)
+	fleet := coord.Stats()
+	if len(fleet.Workers) != 1 || fleet.Workers[0].Completed == 0 {
+		t.Fatalf("fleet = %+v, want one worker that answered evaluations", fleet)
 	}
 
-	degraded := 0.0
-	if mt.Degraded {
-		degraded = 1
-	}
+	got := scrapeProm(t, NewHandler(m))
 	want := map[string]float64{
-		"fedvald_queued_jobs":                                   float64(mt.Jobs.Queued),
-		"fedvald_running_jobs":                                  float64(mt.Jobs.Running),
-		"fedvald_job_queue_depth_jobs":                          float64(mt.Jobs.QueueDepth),
-		"fedvald_job_queue_capacity_jobs":                       float64(mt.Jobs.QueueCapacity),
-		"fedvald_store_bytes":                                   float64(mt.Cache.StoreBytes),
-		"fedvald_store_fingerprints":                            float64(mt.Cache.StoreFingerprints),
-		"fedvald_journal_bytes":                                 float64(mt.Journal.Bytes),
-		"fedvald_compactions_total":                             float64(mt.Cache.Compactions),
-		"fedvald_compaction_dropped_total":                      float64(mt.Cache.CompactionDropped),
-		"fedvald_degraded":                                      degraded,
-		"fedvald_fleet_workers":                                 float64(len(mt.Fleet.Workers)),
-		"fedvald_fleet_capacity_tasks":                          float64(mt.Fleet.TotalCapacity),
-		"fedvald_fleet_pending_tasks":                           float64(mt.Fleet.PendingTasks),
-		`fedvald_fleet_redispatch_total{reason="straggler"}`:    float64(mt.Fleet.Redispatches),
-		`fedvald_fleet_redispatch_total{reason="worker-death"}`: float64(mt.Fleet.Requeues),
-		`fedvald_fleet_redispatch_total{reason="deadline"}`:     float64(mt.Fleet.DeadlineRequeues),
-		"fedvald_fleet_redispatch_wins_total":                   float64(mt.Fleet.RedispatchWins),
-		"fedvald_fleet_quarantined_workers":                     float64(len(mt.Fleet.Quarantined)),
-		"fedvald_fleet_quarantine_rejections_total":             float64(mt.Fleet.QuarantineRejections),
-		"fedvald_fleet_refused_frames_total":                    float64(mt.Fleet.RefusedFrames),
+		"fedvald_queued_jobs":                                   0,
+		"fedvald_running_jobs":                                  0,
+		"fedvald_job_queue_depth_jobs":                          0,
+		"fedvald_job_queue_capacity_jobs":                       9,
+		"fedvald_store_bytes":                                   float64(store.Bytes),
+		"fedvald_store_fingerprints":                            float64(store.Fingerprints),
+		"fedvald_journal_bytes":                                 float64(m.Journal().Size()),
+		"fedvald_compactions_total":                             1,
+		"fedvald_compaction_dropped_total":                      float64(dropped),
+		"fedvald_degraded":                                      0,
+		"fedvald_fleet_workers":                                 1,
+		"fedvald_fleet_capacity_tasks":                          2,
+		"fedvald_fleet_pending_tasks":                           0,
+		`fedvald_fleet_redispatch_total{reason="straggler"}`:    float64(fleet.Redispatches),
+		`fedvald_fleet_redispatch_total{reason="worker-death"}`: float64(fleet.Requeues),
+		`fedvald_fleet_redispatch_total{reason="deadline"}`:     float64(fleet.DeadlineRequeues),
+		"fedvald_fleet_redispatch_wins_total":                   float64(fleet.RedispatchWins),
+		"fedvald_fleet_quarantine_rejections_total":             0,
+		"fedvald_fleet_refused_frames_total":                    0,
 	}
-	for _, w := range mt.Fleet.Workers {
-		labels := fmt.Sprintf(`{worker=%q,id="%d"}`, w.Name, w.ID)
-		want["fedvald_fleet_worker_completed_total"+labels] = float64(w.Completed)
-		want["fedvald_fleet_worker_redispatched_total"+labels] = float64(w.Redispatched)
-		want["fedvald_fleet_worker_inflight_tasks"+labels] = float64(w.InFlight)
-		want["fedvald_fleet_worker_ewma_seconds"+labels] = w.EWMAMillis / 1000
+	for _, w := range fleet.Workers {
+		labels := []string{"worker", w.Name, "id", strconv.Itoa(w.ID)}
+		want[obs.SeriesKey("fedvald_fleet_worker_completed_total", labels...)] = float64(w.Completed)
+		want[obs.SeriesKey("fedvald_fleet_worker_redispatched_total", labels...)] = float64(w.Redispatched)
+		want[obs.SeriesKey("fedvald_fleet_worker_inflight_tasks", labels...)] = 0
+		want[obs.SeriesKey("fedvald_fleet_worker_ewma_seconds", labels...)] = w.EWMAMillis / 1000
 	}
-	got := scrapeProm(t, h)
-	for key, v := range want {
-		if g, ok := got[key]; !ok {
-			t.Errorf("scrape is missing %s", key)
-		} else if g != v {
-			t.Errorf("%s = %v on the Prometheus surface, %v on the JSON surface", key, g, v)
+	if store.Bytes == 0 || m.Journal().Size() == 0 || dropped == 0 {
+		t.Fatalf("store %+v, journal %d bytes, %d dropped: want a populated store and journal and a sweep that dropped records",
+			store, m.Journal().Size(), dropped)
+	}
+	checkSeries(t, "populated daemon", got, want)
+	if n := countSeries(got, "fedvald_fleet_quarantined_workers"); n != 0 {
+		t.Errorf("%d quarantined-worker series with no name benched", n)
+	}
+
+	// Three lost links inside the flap window bench a name (the default
+	// flap threshold): the name's own series reads 1 while the bench
+	// lasts, its quotes and space escaped in the label and parsed back.
+	const flappy = `flap "py"`
+	for i := 0; i < 3; i++ {
+		wctx, drop := context.WithCancel(ctx)
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			w := &evalnet.Worker{Name: flappy, Capacity: 1, Build: build}
+			_ = w.Dial(wctx, addr)
+		}()
+		waitFleet(t, coord, 2)
+		drop()
+		<-done
+		waitFleet(t, coord, 1)
+	}
+	got = scrapeProm(t, NewHandler(m))
+	if v := got[obs.SeriesKey("fedvald_fleet_quarantined_workers", "worker", flappy)]; v != 1 {
+		t.Errorf("benched %q: quarantined-worker series = %v, want 1 (coordinator benches %v)",
+			flappy, v, coord.Stats().Quarantined)
+	}
+	if n := countSeries(got, "fedvald_fleet_quarantined_workers"); n != 1 {
+		t.Errorf("%d quarantined-worker series with one name benched", n)
+	}
+}
+
+// countSeries counts a family's labelled series in a scrape.
+func countSeries(samples map[string]float64, name string) int {
+	n := 0
+	for key := range samples {
+		if strings.HasPrefix(key, name+"{") {
+			n++
 		}
 	}
+	return n
 }

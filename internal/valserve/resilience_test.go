@@ -76,8 +76,8 @@ func TestDegradedModeFlipCompleteRestore(t *testing.T) {
 	if !m.Degraded() {
 		t.Fatal("manager not degraded after persistence write failures")
 	}
-	if got := m.Metrics(); !got.Degraded {
-		t.Fatal("Metrics().Degraded = false while degraded")
+	if got := scrapeProm(t, NewHandler(m))["fedvald_degraded"]; got != 1 {
+		t.Fatalf("fedvald_degraded = %v while degraded, want 1", got)
 	}
 
 	// Disk heals: the probe must clear the flag and flush the buffer.
@@ -472,8 +472,8 @@ func TestJobDeadlineTimesOut(t *testing.T) {
 	if !strings.Contains(end.Error, "deadline exceeded") {
 		t.Errorf("error = %q, want mention of the deadline", end.Error)
 	}
-	if mt := m.Metrics(); mt.Jobs.TimedOut != 1 {
-		t.Errorf("Metrics().Jobs.TimedOut = %d, want 1", mt.Jobs.TimedOut)
+	if got := scrapeProm(t, NewHandler(m))[`fedvald_jobs_completed_total{state="timed_out"}`]; got != 1 {
+		t.Errorf(`fedvald_jobs_completed_total{state="timed_out"} = %v, want 1`, got)
 	}
 }
 

@@ -45,72 +45,65 @@ type telemetry struct {
 	revaluations    *obs.Counter
 }
 
-// sample is one reading of daemon state: the GET /metrics body plus the
-// three quantities only the Prometheus surface exports.
+// sample is one reading of daemon state, taken once per scrape: every
+// scrape-time series of one exposition projects it, so two of them never
+// disagree.
 type sample struct {
-	fedshap.Metrics
-	subscribers, pendingWrites, wantedWorkers int
+	queued, running, queueDepth, queueCapacity int
+	subscribers, pendingWrites, wantedWorkers  int
+	storeFingerprints                          int
+	storeBytes, journalBytes                   int64
+	compactions, compactionDropped             int64
+	degraded                                   bool
+	// fleet is nil when the daemon runs without a coordinator.
+	fleet *fedshap.FleetMetrics
 }
 
-// sample is the one place daemon state is read for monitoring: job-state
-// counts and queue depth, cache effectiveness across the jobs currently
-// remembered, store and journal size on disk, and — with a coordinator
-// configured — the adaptive scheduler's fleet state. Both /metrics
-// surfaces project it: Metrics for JSON, the registry's scrape hook (see
-// newTelemetry) for Prometheus, so the series of one scrape never disagree.
+// sample is the one place daemon state is read for monitoring: queued and
+// running jobs, queue depth, store and journal size on disk, and — with a
+// coordinator configured — the adaptive scheduler's fleet state. The
+// registry's scrape hook (see newTelemetry) takes it.
 func (m *Manager) sample() *sample {
-	var s sample
-	states := make(map[fedshap.JobState]int, 6)
-	m.mu.Lock()
-	for _, j := range m.jobs {
-		j.mu.Lock()
-		states[j.status.State]++
-		s.Cache.WarmedTotal += int64(j.status.WarmedCoalitions)
-		s.Cache.FreshTotal += int64(j.status.FreshEvals)
-		j.mu.Unlock()
-	}
-	m.mu.Unlock()
-	s.Jobs = fedshap.JobMetrics{
-		Queued:     states[fedshap.JobQueued],
-		Running:    states[fedshap.JobRunning],
-		Done:       states[fedshap.JobDone],
-		Failed:     states[fedshap.JobFailed],
-		Cancelled:  states[fedshap.JobCancelled],
-		TimedOut:   states[fedshap.JobTimedOut],
-		QueueDepth: len(m.queue),
+	s := sample{
+		queueDepth: len(m.queue),
 		// The channel's real capacity, not cfg.QueueCap: crash recovery
 		// sizes the channel up to fit a replayed backlog, and a depth
 		// gauge must never read past its capacity.
-		QueueCapacity: cap(m.queue),
+		queueCapacity:     cap(m.queue),
+		compactions:       m.compactions.Load(),
+		compactionDropped: m.compactDropped.Load(),
+		degraded:          m.Degraded(),
+		subscribers:       m.hub.subscriberCount(),
 	}
-	if total := s.Cache.WarmedTotal + s.Cache.FreshTotal; total > 0 {
-		s.Cache.HitRatio = float64(s.Cache.WarmedTotal) / float64(total)
+	m.mu.Lock()
+	for _, j := range m.jobs {
+		j.mu.Lock()
+		switch j.status.State {
+		case fedshap.JobQueued:
+			s.queued++
+		case fedshap.JobRunning:
+			s.running++
+		}
+		j.mu.Unlock()
 	}
-	s.Cache.Compactions = m.compactions.Load()
-	s.Cache.CompactionDropped = m.compactDropped.Load()
+	m.mu.Unlock()
 	if m.store != nil {
 		if stats, err := m.store.Stats(); err == nil {
-			s.Cache.StoreFingerprints = stats.Fingerprints
-			s.Cache.StoreBytes = stats.Bytes
+			s.storeFingerprints = stats.Fingerprints
+			s.storeBytes = stats.Bytes
 		}
 		s.pendingWrites = m.store.PendingWrites()
 	}
 	if m.journal != nil {
-		s.Journal.Path = m.journal.Path()
-		s.Journal.Bytes = m.journal.Size()
+		s.journalBytes = m.journal.Size()
 	}
 	if c := m.cfg.Coordinator; c != nil {
 		fleet := c.Stats()
-		s.Fleet = &fleet
+		s.fleet = &fleet
 		s.wantedWorkers = c.WantedWorkers(wantedWorkersTarget)
 	}
-	s.Degraded = m.Degraded()
-	s.subscribers = m.hub.subscriberCount()
 	return &s
 }
-
-// Metrics snapshots the manager for GET /metrics.
-func (m *Manager) Metrics() *fedshap.Metrics { return &m.sample().Metrics }
 
 // evalLatencyBuckets spans cache lookups (microseconds) through full
 // federated trainings (minutes) in one histogram family.
@@ -161,19 +154,19 @@ func newTelemetry(m *Manager) *telemetry {
 		"Delta revaluation jobs submitted via POST /v1/jobs/{id}/revalue.")
 
 	r.NewGaugeFunc("fedvald_queued_jobs", "Jobs currently queued.",
-		func() float64 { return float64(t.snap.Jobs.Queued) })
+		func() float64 { return float64(t.snap.queued) })
 	r.NewGaugeFunc("fedvald_running_jobs", "Jobs currently running.",
-		func() float64 { return float64(t.snap.Jobs.Running) })
+		func() float64 { return float64(t.snap.running) })
 	r.NewGaugeFunc("fedvald_job_queue_depth_jobs", "Jobs waiting for a pool worker.",
-		func() float64 { return float64(t.snap.Jobs.QueueDepth) })
+		func() float64 { return float64(t.snap.queueDepth) })
 	r.NewGaugeFunc("fedvald_job_queue_capacity_jobs", "Admission limit of the job queue.",
-		func() float64 { return float64(t.snap.Jobs.QueueCapacity) })
+		func() float64 { return float64(t.snap.queueCapacity) })
 	r.NewGaugeFunc("fedvald_sse_subscribers", "Open SSE event-stream subscriptions across all jobs.",
 		func() float64 { return float64(t.snap.subscribers) })
 	r.NewGaugeFunc("fedvald_degraded",
 		"1 while the daemon runs memory-only after a persistence write failure, 0 when the journal and store are healthy.",
 		func() float64 {
-			if t.snap.Degraded {
+			if t.snap.degraded {
 				return 1
 			}
 			return 0
@@ -182,8 +175,6 @@ func newTelemetry(m *Manager) *telemetry {
 		"Utilities buffered in memory while the store's disk is failing (flushed on recovery).",
 		func() float64 { return float64(t.snap.pendingWrites) })
 
-	// Since process start by design, unlike the JSON hit_ratio, which is
-	// over the jobs the daemon currently remembers.
 	r.NewGaugeFunc("fedvald_cache_hit_ratio",
 		"Warmed / (warmed + fresh) coalition utilities since process start.",
 		func() float64 {
@@ -194,50 +185,56 @@ func newTelemetry(m *Manager) *telemetry {
 			return warmed / (warmed + fresh)
 		})
 	r.NewGaugeFunc("fedvald_store_bytes", "Persistent utility store size on disk.",
-		func() float64 { return float64(t.snap.Cache.StoreBytes) })
+		func() float64 { return float64(t.snap.storeBytes) })
 	r.NewGaugeFunc("fedvald_store_fingerprints", "Problem fingerprints in the persistent utility store.",
-		func() float64 { return float64(t.snap.Cache.StoreFingerprints) })
+		func() float64 { return float64(t.snap.storeFingerprints) })
 	r.NewGaugeFunc("fedvald_journal_bytes", "Durable job journal size on disk (0 when durability is off).",
-		func() float64 { return float64(t.snap.Journal.Bytes) })
+		func() float64 { return float64(t.snap.journalBytes) })
 	r.NewCollector("fedvald_compactions_total",
 		"Store+journal compaction sweeps run since process start.", obs.TypeCounter,
-		func() []obs.Sample { return one(t.snap.Cache.Compactions) })
+		func() []obs.Sample { return one(t.snap.compactions) })
 	r.NewCollector("fedvald_compaction_dropped_total",
 		"Duplicate records removed by compaction sweeps.", obs.TypeCounter,
-		func() []obs.Sample { return one(t.snap.Cache.CompactionDropped) })
+		func() []obs.Sample { return one(t.snap.compactionDropped) })
 
-	if m.cfg.Coordinator != nil { // then every sample carries a Fleet
+	if m.cfg.Coordinator != nil { // then every sample carries a fleet
 		r.NewGaugeFunc("fedvald_fleet_workers", "Remote evaluation workers attached.",
-			func() float64 { return float64(len(t.snap.Fleet.Workers)) })
+			func() float64 { return float64(len(t.snap.fleet.Workers)) })
 		r.NewGaugeFunc("fedvald_fleet_capacity_tasks", "Aggregate in-flight evaluation limit of the fleet.",
-			func() float64 { return float64(t.snap.Fleet.TotalCapacity) })
+			func() float64 { return float64(t.snap.fleet.TotalCapacity) })
 		r.NewGaugeFunc("fedvald_fleet_pending_tasks", "Evaluations queued on the coordinator, unassigned.",
-			func() float64 { return float64(t.snap.Fleet.PendingTasks) })
+			func() float64 { return float64(t.snap.fleet.PendingTasks) })
 		r.NewGaugeFunc("fedvald_fleet_wanted_workers",
 			"Autoscaling signal: workers needed to drain the evaluation backlog (queue depth x EWMA latency) within 30s.",
 			func() float64 { return float64(t.snap.wantedWorkers) })
 		r.NewCollector("fedvald_fleet_redispatch_total",
 			"Evaluations re-dispatched, by reason: speculative straggler relief, worker death, or task deadline.", obs.TypeCounter,
 			func() []obs.Sample {
-				f := t.snap.Fleet
+				f := t.snap.fleet
 				return []obs.Sample{
 					{Labels: []string{"reason", "straggler"}, Value: float64(f.Redispatches)},
 					{Labels: []string{"reason", "worker-death"}, Value: float64(f.Requeues)},
 					{Labels: []string{"reason", "deadline"}, Value: float64(f.DeadlineRequeues)},
 				}
 			})
-		r.NewGaugeFunc("fedvald_fleet_quarantined_workers",
-			"Worker names currently benched by flap quarantine.",
-			func() float64 { return float64(len(t.snap.Fleet.Quarantined)) })
+		r.NewCollector("fedvald_fleet_quarantined_workers",
+			"Worker names currently benched by flap quarantine: 1 per benched name.", obs.TypeGauge,
+			func() []obs.Sample {
+				out := make([]obs.Sample, 0, len(t.snap.fleet.Quarantined))
+				for _, name := range t.snap.fleet.Quarantined {
+					out = append(out, obs.Sample{Labels: []string{"worker", name}, Value: 1})
+				}
+				return out
+			})
 		r.NewCollector("fedvald_fleet_quarantine_rejections_total",
 			"Attach attempts refused because the worker name was serving a quarantine bench.", obs.TypeCounter,
-			func() []obs.Sample { return one(t.snap.Fleet.QuarantineRejections) })
+			func() []obs.Sample { return one(t.snap.fleet.QuarantineRejections) })
 		r.NewCollector("fedvald_fleet_refused_frames_total",
 			"Worker links ended because a frame was over the size cap or did not decode as a result.", obs.TypeCounter,
-			func() []obs.Sample { return one(t.snap.Fleet.RefusedFrames) })
+			func() []obs.Sample { return one(t.snap.fleet.RefusedFrames) })
 		r.NewCollector("fedvald_fleet_redispatch_wins_total",
 			"Speculative copies that answered before the original assignment.", obs.TypeCounter,
-			func() []obs.Sample { return one(t.snap.Fleet.RedispatchWins) })
+			func() []obs.Sample { return one(t.snap.fleet.RedispatchWins) })
 		r.NewCollector("fedvald_fleet_worker_completed_total",
 			"Evaluations answered, per attached worker.", obs.TypeCounter,
 			t.perWorker(func(w fedshap.WorkerInfo) float64 { return float64(w.Completed) }))
@@ -263,8 +260,8 @@ func one(v int64) []obs.Sample { return []obs.Sample{{Value: float64(v)}} }
 // stay distinguishable.
 func (t *telemetry) perWorker(value func(fedshap.WorkerInfo) float64) func() []obs.Sample {
 	return func() []obs.Sample {
-		out := make([]obs.Sample, 0, len(t.snap.Fleet.Workers))
-		for _, w := range t.snap.Fleet.Workers {
+		out := make([]obs.Sample, 0, len(t.snap.fleet.Workers))
+		for _, w := range t.snap.fleet.Workers {
 			out = append(out, obs.Sample{
 				Labels: []string{"worker", w.Name, "id", strconv.Itoa(w.ID)},
 				Value:  value(w),

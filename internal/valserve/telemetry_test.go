@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
-	"regexp"
-	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -16,65 +14,22 @@ import (
 	"fedshap/internal/obs"
 )
 
-// promSampleRe matches one exposition sample line: name{labels} value.
-var promSampleRe = regexp.MustCompile(
-	`^([a-zA-Z_:][a-zA-Z0-9_:]*)(\{[^}]*\})? (-?(?:[0-9.e+-]+|\+Inf|NaN))$`)
-
-// scrapeProm fetches the Prometheus exposition from a handler and parses
-// it strictly: every non-comment line must be a well-formed sample whose
-// metric family was introduced by a # HELP / # TYPE pair. Keys in the
-// returned map are name{labels}.
+// scrapeProm fetches GET /metrics from a handler and parses it with
+// obs.ParseText, which refuses a malformed line and any sample whose
+// family has no # HELP and # TYPE line. Keys are obs.SeriesKey spellings.
 func scrapeProm(t *testing.T, h http.Handler) map[string]float64 {
 	t.Helper()
-	req := httptest.NewRequest("GET", "/metrics", nil)
-	req.Header.Set("Accept", "text/plain")
 	rec := httptest.NewRecorder()
-	h.ServeHTTP(rec, req)
+	h.ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
 	if rec.Code != http.StatusOK {
-		t.Fatalf("GET /metrics (Accept: text/plain) = %d", rec.Code)
+		t.Fatalf("GET /metrics = %d", rec.Code)
 	}
 	if ct := rec.Header().Get("Content-Type"); !strings.Contains(ct, "version=0.0.4") {
 		t.Fatalf("exposition Content-Type = %q, want version=0.0.4", ct)
 	}
-	return parseProm(t, rec.Body.String())
-}
-
-func parseProm(t *testing.T, body string) map[string]float64 {
-	t.Helper()
-	samples := make(map[string]float64)
-	typed := make(map[string]bool) // families with HELP+TYPE seen
-	helped := make(map[string]bool)
-	for _, line := range strings.Split(body, "\n") {
-		if line == "" {
-			continue
-		}
-		if strings.HasPrefix(line, "# HELP ") {
-			helped[strings.Fields(line)[2]] = true
-			continue
-		}
-		if strings.HasPrefix(line, "# TYPE ") {
-			typed[strings.Fields(line)[2]] = true
-			continue
-		}
-		mm := promSampleRe.FindStringSubmatch(line)
-		if mm == nil {
-			t.Fatalf("malformed exposition line: %q", line)
-		}
-		fam := mm[1]
-		for _, suffix := range []string{"_bucket", "_sum", "_count"} {
-			if base := strings.TrimSuffix(fam, suffix); base != fam && typed[base] {
-				fam = base
-				break
-			}
-		}
-		if !typed[fam] || !helped[fam] {
-			t.Fatalf("sample %q has no # HELP/# TYPE for its family", line)
-		}
-		v, err := strconv.ParseFloat(mm[3], 64)
-		if err != nil {
-			t.Fatalf("bad sample value in %q: %v", line, err)
-		}
-		samples[mm[1]+mm[2]] = v
+	samples, err := obs.ParseText(rec.Body)
+	if err != nil {
+		t.Fatal(err)
 	}
 	return samples
 }
@@ -107,8 +62,8 @@ func lintRegistryNames(t *testing.T, who string, names map[string]obs.Type) {
 
 // TestPrometheusEndpoint drives jobs through a full daemon and asserts
 // the Prometheus scrape covers the job, evaluation, cache, journal,
-// fleet and autoscaling series with believable values — while the
-// default JSON snapshot stays intact.
+// fleet and autoscaling series with believable values, whatever the
+// request's Accept header says.
 func TestPrometheusEndpoint(t *testing.T) {
 	coord, _ := startFleetCoordinator(t)
 	dir := t.TempDir()
@@ -201,25 +156,18 @@ func TestPrometheusEndpoint(t *testing.T) {
 		t.Errorf("job duration +Inf bucket %v != count %v", inf, cnt)
 	}
 
-	// ?format=prometheus negotiates the same exposition without a header.
-	rec := httptest.NewRecorder()
-	h.ServeHTTP(rec, httptest.NewRequest("GET", "/metrics?format=prometheus", nil))
-	if !strings.Contains(rec.Header().Get("Content-Type"), "version=0.0.4") {
-		t.Errorf("?format=prometheus Content-Type = %q", rec.Header().Get("Content-Type"))
-	}
-
-	// The default stays the JSON snapshot.
-	rec = httptest.NewRecorder()
-	h.ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
-	if ct := rec.Header().Get("Content-Type"); ct != "application/json" {
-		t.Fatalf("default /metrics Content-Type = %q, want application/json", ct)
-	}
-	var mt fedshap.Metrics
-	if err := json.Unmarshal(rec.Body.Bytes(), &mt); err != nil {
-		t.Fatalf("default /metrics is not the JSON snapshot: %v", err)
-	}
-	if mt.Jobs.Done != 2 {
-		t.Errorf("JSON snapshot done = %d, want 2", mt.Jobs.Done)
+	// GET /metrics has one format: every Accept gets the exposition.
+	for _, accept := range []string{"", "application/json", "text/html", "*/*"} {
+		req := httptest.NewRequest("GET", "/metrics", nil)
+		req.Header.Set("Accept", accept)
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		if ct := rec.Header().Get("Content-Type"); !strings.Contains(ct, "version=0.0.4") {
+			t.Errorf("Accept %q: Content-Type = %q, want the text exposition", accept, ct)
+		}
+		if got, err := obs.ParseText(rec.Body); err != nil || got[`fedvald_jobs_completed_total{state="done"}`] != 2 {
+			t.Errorf("Accept %q: %v, done = %v, want 2", accept, err, got[`fedvald_jobs_completed_total{state="done"}`])
+		}
 	}
 }
 

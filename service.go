@@ -14,6 +14,7 @@ import (
 	"strings"
 	"time"
 
+	"fedshap/internal/obs"
 	"fedshap/internal/resilience"
 )
 
@@ -232,9 +233,10 @@ type WorkerInfo struct {
 	Flaps int `json:"flaps,omitempty"`
 }
 
-// FleetMetrics is the scheduler section of GET /metrics: the remote
-// evaluation fleet's per-worker state plus the coordinator's speculation
-// counters.
+// FleetMetrics is the remote evaluation fleet's state as the
+// coordinator reports it (evalnet.Coordinator.Stats): per-worker state
+// plus the scheduler's speculation, requeue and quarantine counters. The
+// daemon projects it onto the fedvald_fleet_* series of GET /metrics.
 type FleetMetrics struct {
 	// Workers lists the attached workers, as GET /v1/workers does.
 	Workers []WorkerInfo `json:"workers"`
@@ -301,68 +303,6 @@ type JobTrace struct {
 	// Spans is the timeline ordered by start time. Worker-side evaluation
 	// time is merged into per-worker dispatch spans (attr eval_seconds).
 	Spans []TraceSpan `json:"spans"`
-}
-
-// JobMetrics is the job-table section of GET /metrics.
-type JobMetrics struct {
-	// Queued/Running/Done/Failed/Cancelled/TimedOut count jobs per
-	// lifecycle state.
-	Queued    int `json:"queued"`
-	Running   int `json:"running"`
-	Done      int `json:"done"`
-	Failed    int `json:"failed"`
-	Cancelled int `json:"cancelled"`
-	TimedOut  int `json:"timed_out"`
-	// QueueDepth is the number of jobs waiting for a pool worker;
-	// QueueCapacity is the admission limit (fedvald -queue).
-	QueueDepth    int `json:"queue_depth"`
-	QueueCapacity int `json:"queue_capacity"`
-}
-
-// CacheMetrics is the utility-cache section of GET /metrics. The hit
-// ratio is warmed / (warmed + fresh) across the jobs the daemon currently
-// remembers: 1 means every requested coalition was served from cache.
-type CacheMetrics struct {
-	// WarmedTotal sums every job's coalitions preloaded from the
-	// persistent store; FreshTotal sums fresh coalition evaluations.
-	WarmedTotal int64 `json:"warmed_total"`
-	FreshTotal  int64 `json:"fresh_total"`
-	// HitRatio is WarmedTotal / (WarmedTotal + FreshTotal), 0 when no
-	// coalition has been requested yet.
-	HitRatio float64 `json:"hit_ratio"`
-	// StoreFingerprints and StoreBytes describe the persistent store on
-	// disk (0 when persistence is disabled).
-	StoreFingerprints int   `json:"store_fingerprints"`
-	StoreBytes        int64 `json:"store_bytes"`
-	// Compactions counts background store+journal compaction sweeps run
-	// since start (fedvald -compact-every); CompactionDropped sums the
-	// duplicate records they removed.
-	Compactions       int64 `json:"compactions"`
-	CompactionDropped int64 `json:"compaction_dropped"`
-}
-
-// JournalMetrics is the durability section of GET /metrics.
-type JournalMetrics struct {
-	// Path is the journal file (empty when durability is disabled) and
-	// Bytes its current size on disk.
-	Path  string `json:"path,omitempty"`
-	Bytes int64  `json:"bytes"`
-}
-
-// Metrics is the GET /metrics response: one JSON snapshot of queue depth,
-// cache effectiveness, journal size and — when a worker fleet is
-// configured — the adaptive scheduler's per-worker state.
-type Metrics struct {
-	Jobs    JobMetrics     `json:"jobs"`
-	Cache   CacheMetrics   `json:"cache"`
-	Journal JournalMetrics `json:"journal"`
-	// Fleet is nil when the daemon runs without -worker-addr.
-	Fleet *FleetMetrics `json:"fleet,omitempty"`
-	// Degraded reports memory-only operation: a journal or store write
-	// failed and the daemon is running without persistence until its
-	// background probe restores it (see OPERATIONS.md, "Failure modes &
-	// degraded operation").
-	Degraded bool `json:"degraded,omitempty"`
 }
 
 // ServiceError is a non-2xx daemon response.
@@ -448,8 +388,13 @@ func (c *ServiceClient) do(ctx context.Context, method, path string, body, out a
 		if resp.StatusCode/100 != 2 {
 			return decodeServiceError(resp)
 		}
-		if out == nil {
+		switch out := out.(type) {
+		case nil:
 			return nil
+		case *map[string]float64: // GET /metrics answers the text exposition
+			m, err := obs.ParseText(resp.Body)
+			*out = m
+			return err
 		}
 		return json.NewDecoder(resp.Body).Decode(out)
 	}
@@ -612,15 +557,15 @@ func (c *ServiceClient) Workers(ctx context.Context) ([]WorkerInfo, error) {
 	return out, nil
 }
 
-// Metrics fetches the daemon's operational snapshot (GET /metrics): queue
-// depth, cache hit ratio, journal size and the evaluation fleet's
-// per-worker scheduler state.
-func (c *ServiceClient) Metrics(ctx context.Context) (*Metrics, error) {
-	var m Metrics
+// Metrics scrapes the daemon's series (GET /metrics, the Prometheus text
+// exposition) and returns them keyed as obs.SeriesKey spells them:
+// name{key="value",...}, or the bare name for an unlabelled series.
+func (c *ServiceClient) Metrics(ctx context.Context) (map[string]float64, error) {
+	var m map[string]float64
 	if err := c.do(ctx, http.MethodGet, "/metrics", nil, &m); err != nil {
 		return nil, err
 	}
-	return &m, nil
+	return m, nil
 }
 
 // Report fetches the final report of a completed job.
